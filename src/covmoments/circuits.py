@@ -236,6 +236,26 @@ def predicted_count_w(word: Word, N: int) -> int | None:
     return N ** (word_statistics(word).b + 1)
 
 
+def propagate_slot(
+    keys: dict[int, tuple[int, int]], letter: int, i: int, prev: int, fresh: int
+) -> int | None:
+    """One step of symbolic covariance-link propagation: the class of slot i,
+    given the class `prev` of slot i-1.
+
+    A letter met for the first time records its edge (row, col) in `keys` and
+    moves to the class `fresh`.  A repeated letter forces the far endpoint of
+    its recorded edge, or returns None when `prev` is not the matching
+    endpoint, i.e. when two distinct generating vertices would be equated.
+    """
+    if letter not in keys:
+        keys[letter] = (prev, fresh) if i % 2 else (fresh, prev)
+        return fresh
+    row, col = keys[letter]
+    if i % 2:
+        return col if prev == row else None
+    return row if prev == col else None
+
+
 def slot_classes(word: Word) -> list[int]:
     """Class id of each circuit slot pi(0..2k-1) under the covariance link,
     one class per generating vertex.
@@ -248,28 +268,15 @@ def slot_classes(word: Word) -> list[int]:
     next_class = 1
     keys: dict[int, tuple[int, int]] = {}
     for i in range(1, m + 1):
-        prev = cls[i - 1]
-        letter = word.letters[i - 1]
-        if letter not in keys:
-            cur = cls[0] if i == m else next_class
-            if i < m:
-                cls[i] = next_class
-                next_class += 1
-            keys[letter] = (prev, cur) if i % 2 else (cur, prev)
-            continue
-        row, col = keys[letter]
-        if i % 2:
-            if prev != row:
-                raise ValueError(f"word {word.text} is not special symmetric")
-            forced = col
-        else:
-            if prev != col:
-                raise ValueError(f"word {word.text} is not special symmetric")
-            forced = row
-        if i < m:
-            cls[i] = forced
-        elif forced != cls[0]:
+        # the closing slot pi(2k) is pi(0), so it never opens a class
+        fresh = 0 if i == m else next_class
+        cur = propagate_slot(keys, word.letters[i - 1], i, cls[i - 1], fresh)
+        if cur is None or (i == m and cur != 0):
             raise ValueError(f"word {word.text} is not special symmetric")
+        if i < m:
+            cls[i] = cur
+            if cur == next_class:
+                next_class += 1
     return cls
 
 

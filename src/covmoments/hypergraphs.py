@@ -14,11 +14,11 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .circuits import slot_classes
+from .circuits import propagate_slot, slot_classes
 from .partitions import (
     Partition,
-    SizeLimitError,
     Word,
+    _check_cap,
     enumerate_partitions,
     is_special_symmetric,
     word_statistics,
@@ -147,23 +147,47 @@ def _word_of_pair(sigma: Partition, tau: Partition) -> Word:
 
 @lru_cache(maxsize=None)
 def enumerate_ss_words(k: int, cap: int | None = None) -> tuple[Word, ...]:
-    """All special symmetric words of length 2k, in lexicographic order,
-    generated through the acyclic-pair correspondence."""
+    """All special symmetric words of length 2k, in lexicographic order.
+
+    A canonical word is special symmetric exactly when every letter occurs
+    an even number of times and covariance-link propagation (`slot_classes`)
+    closes without a contradiction.  Propagation is decided prefix by
+    prefix, so a depth-first search over canonical words, one letter at a
+    time, drops a branch as soon as propagation fails or the letters of odd
+    count outnumber the positions left to pair them.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if 2 * k > (14 if cap is None else cap):
-        raise SizeLimitError(f"2k = {2 * k} exceeds the enumeration cap")
-    sigmas = list(enumerate_partitions(k))
-    words = []
-    for sigma in sigmas:
-        for tau in sigmas:
-            h = Hypergraph(k, sigma, tau)
-            if is_acyclic(h):
-                words.append(_word_of_pair(sigma, tau))
-    unique = sorted(set(words), key=lambda w: w.letters)
-    if len(unique) != len(words):
-        raise RuntimeError("acyclic pairs mapped to duplicate words; bijection violated")
-    return tuple(unique)
+    _check_cap(2 * k, cap)
+    m = 2 * k
+    letters = [0] * m
+    cls = [0] * m
+    keys: dict[int, tuple[int, int]] = {}
+    counts = [0] * (m + 1)
+    words: list[Word] = []
+
+    def extend(i: int, top: int, odd: int) -> None:
+        # place the letter at position i (1-based); slots 0..i-1 have classes,
+        # `top` is the largest letter so far and also the last class opened
+        fresh = 0 if i == m else top + 1
+        for letter in range(1, top + 2):
+            cur = propagate_slot(keys, letter, i, cls[i - 1], fresh)
+            if cur is not None:
+                counts[letter] += 1
+                now_odd = odd + (1 if counts[letter] % 2 else -1)
+                letters[i - 1] = letter
+                if i == m:
+                    if cur == 0 and now_odd == 0:
+                        words.append(Word(tuple(letters)))
+                elif now_odd <= m - i:
+                    cls[i] = cur
+                    extend(i + 1, max(top, letter), now_odd)
+                counts[letter] -= 1
+            if letter > top:
+                del keys[letter]
+
+    extend(1, 0, 0)
+    return tuple(words)
 
 
 def count_acyclic_pairs(k: int) -> dict[int, int]:

@@ -24,14 +24,7 @@ import numpy as np
 
 from .circuits import slot_classes
 from .hypergraphs import enumerate_ss_words
-from .partitions import (
-    Word,
-    enumerate_partitions,
-    has_even_blocks,
-    is_non_crossing,
-    narayana,
-    word_statistics,
-)
+from .partitions import Word, narayana, word_statistics
 
 GridFunction = Callable[[float, float], float] | np.ndarray
 
@@ -127,37 +120,32 @@ def moment_sparse(k: int, y: Real, lam: Real) -> MomentReport:
     return moment_constant(k, y, constants)
 
 
-@lru_cache(maxsize=None)
-def _even_block_counts(m: int) -> tuple[dict[int, int], dict[int, int]]:
-    """Counts of even-block partitions of {1..m} by block count, for the
-    non-crossing subclass and the full class."""
-    nce: Counter = Counter()
-    full: Counter = Counter()
-    for p in enumerate_partitions(m):
-        if not has_even_blocks(p):
-            continue
-        b = len(p.blocks)
-        full[b] += 1
-        if is_non_crossing(p):
-            nce[b] += 1
-    return dict(nce), dict(full)
-
-
 def poisson_sandwich(k: int, y: Real, lam: Real) -> tuple[Fraction, Fraction]:
     """Lower and upper bounds for the sparse moment, from the symmetrized
     free-Poisson and Poisson partition sums.
 
     y <= 1: ( sum_{non-crossing even} (lam*y)^b , sum_{even} lam^b );
     y > 1:  ( sum_{non-crossing even} lam^b     , sum_{even} (lam*y)^b ).
+
+    Both sums are evaluated in closed form over the partitions of {1..2k}:
+    the non-crossing ones with b even blocks number C(k,b) C(2k,b-1) / k
+    (Edelman 1980, the 2-divisible case), and the even-block sum is the
+    first-block recurrence of `carleman_diagnostic` with M_j = base for
+    every even j.
     """
     y, lam = Fraction(y), Fraction(lam)
     if not (lam > 0 and y > 0 and k >= 1):
         raise ValueError("need lam > 0, y > 0, k >= 1")
-    nce, full = _even_block_counts(2 * k)
     lower_base = lam * y if y <= 1 else lam
     upper_base = lam if y <= 1 else lam * y
-    lower = sum((count * lower_base**b for b, count in sorted(nce.items())), Fraction(0))
-    upper = sum((count * upper_base**b for b, count in sorted(full.items())), Fraction(0))
+    lower = sum(
+        (
+            math.comb(k, b) * math.comb(2 * k, b - 1) // k * lower_base**b
+            for b in range(1, k + 1)
+        ),
+        Fraction(0),
+    )
+    upper = _partition_sums({j: upper_base for j in range(2, 2 * k + 1, 2)}, 2 * k)[-1]
     return lower, upper
 
 
@@ -273,6 +261,24 @@ class CarlemanDiagnostic:
     partial_sums: tuple[float, ...]
 
 
+def _partition_sums(bounds: Mapping[int, Fraction], top: int) -> list[Fraction]:
+    """[alpha_0, ..., alpha_top]: alpha_m sums, over the partitions of {1..m}
+    into even blocks, the product of bounds[block size], by the recurrence on
+    the block holding 1: alpha_m = sum_j C(m-1, j-1) bounds[j] alpha_{m-j}."""
+    alpha = [Fraction(1)]
+    for m in range(1, top + 1):
+        alpha.append(
+            sum(
+                (
+                    math.comb(m - 1, j - 1) * bounds.get(j, Fraction(0)) * alpha[m - j]
+                    for j in range(2, m + 1, 2)
+                ),
+                Fraction(0),
+            )
+        )
+    return alpha
+
+
 def carleman_diagnostic(M: Mapping[int, Real], K: int) -> CarlemanDiagnostic:
     """Compute alpha_{2k} = sum over partitions of {1..2k} of the product of
     M_{block size} (odd orders vanish), and the partial sums of
@@ -290,17 +296,7 @@ def carleman_diagnostic(M: Mapping[int, Real], K: int) -> CarlemanDiagnostic:
         raise ValueError("odd-order bounds must be zero")
     if any(value < 0 for value in bounds.values()):
         raise ValueError("bounds must be non-negative")
-    alpha = [Fraction(1)]
-    for m in range(1, 2 * K + 1):
-        alpha.append(
-            sum(
-                (
-                    math.comb(m - 1, j - 1) * bounds.get(j, Fraction(0)) * alpha[m - j]
-                    for j in range(2, m + 1, 2)
-                ),
-                Fraction(0),
-            )
-        )
+    alpha = _partition_sums(bounds, 2 * K)
     alphas = tuple(alpha[2 * j] for j in range(1, K + 1))
     partials = []
     running = 0.0

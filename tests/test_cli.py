@@ -121,6 +121,12 @@ class TestMoments:
     def test_sparse_requires_lam(self, tmp_path, capsys):
         assert run("--out", tmp_path, "moments", "--sparse", "--k", "1") == EXIT_CONFIG
 
+    def test_enumeration_cap_exit(self, tmp_path, capsys):
+        assert run(
+            "--out", tmp_path, "moments", "--sparse", "--lam", "1", "--y", "1", "--k", "8",
+        ) == EXIT_SIZE_LIMIT
+        assert "exceeds the enumeration cap 14" in capsys.readouterr().err
+
 
 class TestSimulate:
     def write_config(self, tmp_path, text):

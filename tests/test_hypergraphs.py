@@ -1,8 +1,14 @@
-import pytest
+from functools import lru_cache
 
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from covmoments.circuits import slot_classes
 from covmoments.hypergraphs import (
     Hypergraph,
     NoiryClassKey,
+    _word_of_pair,
     count_acyclic_pairs,
     count_noiry_classes,
     enumerate_ss_words,
@@ -22,6 +28,7 @@ from covmoments.partitions import (
 W = Word.from_text
 
 
+@lru_cache(maxsize=None)
 def ss_words_by_definition(k):
     return sorted(
         (p.to_word() for p in enumerate_partitions(2 * k) if is_special_symmetric(p)),
@@ -31,6 +38,21 @@ def ss_words_by_definition(k):
 
 def all_partitions(k):
     return list(enumerate_partitions(k)) if k > 1 else [Partition(1, ((1,),))]
+
+
+def ss_words_by_acyclic_pairs(k):
+    """Oracle: read a word off every acyclic (sigma, tau) pair of partitions
+    of {1..k}, Bell(k)^2 pairs in all, and check that no word repeats."""
+    sigmas = all_partitions(k)
+    words = [
+        _word_of_pair(sigma, tau)
+        for sigma in sigmas
+        for tau in sigmas
+        if is_acyclic(Hypergraph(k, sigma, tau))
+    ]
+    unique = sorted(set(words), key=lambda w: w.letters)
+    assert len(unique) == len(words), "acyclic pairs mapped to duplicate words"
+    return unique
 
 
 class TestWordToHypergraph:
@@ -142,9 +164,13 @@ class TestInverse:
 
 
 class TestEnumerationByPairs:
-    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_matches_definition_enumeration(self, k):
         assert list(enumerate_ss_words(k)) == ss_words_by_definition(k)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+    def test_matches_acyclic_pair_oracle(self, k):
+        assert list(enumerate_ss_words(k)) == ss_words_by_acyclic_pairs(k)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_acyclic_pair_counts_equal_ss_counts(self, k):
@@ -157,6 +183,41 @@ class TestEnumerationByPairs:
     def test_cap(self):
         with pytest.raises(SizeLimitError):
             enumerate_ss_words(8)
+
+    def test_explicit_cap_message(self):
+        with pytest.raises(SizeLimitError, match=r"ground set of size 6 exceeds the enumeration cap 4"):
+            enumerate_ss_words(3, cap=4)
+
+
+def canonical(raw):
+    """Relabel a letter sequence by order of first occurrence."""
+    labels = {}
+    return Word(tuple(labels.setdefault(x, len(labels) + 1) for x in raw))
+
+
+def propagates(word):
+    try:
+        slot_classes(word)
+    except ValueError:
+        return False
+    return True
+
+
+# arbitrary words of length <= 12, and words whose letters all occur an even
+# number of times, where the propagation half of the criterion decides
+ANY_WORDS = st.lists(st.integers(0, 11), min_size=1, max_size=12).map(canonical)
+EVEN_WORDS = (
+    st.lists(st.integers(0, 5), min_size=1, max_size=6)
+    .flatmap(lambda xs: st.permutations(xs + xs))
+    .map(canonical)
+)
+
+
+class TestSearchCriterion:
+    @given(st.one_of(ANY_WORDS, EVEN_WORDS))
+    def test_ss_iff_even_and_propagates(self, word):
+        even = all(s % 2 == 0 for s in word.multiplicities())
+        assert is_special_symmetric(word.to_partition()) == (even and propagates(word))
 
 
 class TestNoiryClasses:

@@ -1,4 +1,6 @@
+from collections import Counter
 from fractions import Fraction as F
+from functools import lru_cache
 
 import pytest
 
@@ -18,6 +20,8 @@ from covmoments.partitions import (
     catalan,
     count_ss,
     enumerate_partitions,
+    has_even_blocks,
+    is_non_crossing,
     narayana,
     word_statistics,
 )
@@ -108,7 +112,46 @@ class TestMomentSparse:
             moment_sparse(2, 1, 0)
 
 
+@lru_cache(maxsize=None)
+def even_block_counts(m):
+    """Oracle: even-block partitions of {1..m} by block count, for the
+    non-crossing subclass and the full class, by sweeping all Bell(m)."""
+    nce: Counter = Counter()
+    full: Counter = Counter()
+    for p in enumerate_partitions(m):
+        if not has_even_blocks(p):
+            continue
+        b = len(p.blocks)
+        full[b] += 1
+        if is_non_crossing(p):
+            nce[b] += 1
+    return dict(nce), dict(full)
+
+
+def sandwich_by_enumeration(k, y, lam):
+    y, lam = F(y), F(lam)
+    nce, full = even_block_counts(2 * k)
+    lower_base = lam * y if y <= 1 else lam
+    upper_base = lam if y <= 1 else lam * y
+    lower = sum((n * lower_base**b for b, n in nce.items()), F(0))
+    upper = sum((n * upper_base**b for b, n in full.items()), F(0))
+    return lower, upper
+
+
 class TestPoissonSandwich:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("lam", [F(1, 3), 1, F(5, 2)])
+    @pytest.mark.parametrize("y", [F(1, 2), 1, F(7, 3)])
+    def test_closed_forms_match_enumeration(self, k, lam, y):
+        assert poisson_sandwich(k, y, lam) == sandwich_by_enumeration(k, y, lam)
+
+    @pytest.mark.parametrize("k", [6, 7])
+    @pytest.mark.parametrize("lam", [F(1, 2), 1, 2])
+    @pytest.mark.parametrize("y", [F(1, 2), 2])
+    def test_strict_beyond_enumeration(self, k, lam, y):
+        lower, upper = poisson_sandwich(k, y, lam)
+        assert lower < moment_sparse(k, y, lam).value < upper
+
     def test_k1_example(self):
         assert poisson_sandwich(1, F(1, 2), 2) == (1, 2)
 
