@@ -170,30 +170,57 @@ def _coarsen(samples: np.ndarray) -> np.ndarray:
     return samples.reshape(g, 2, g, 2).mean(axis=(1, 3))
 
 
+def _subtree_contribution(
+    key: tuple, samples: Mapping[int, np.ndarray], grid: int, memo: dict[tuple, np.ndarray]
+) -> np.ndarray:
+    """Message a subtree sends to its parent vertex: the integral over the
+    subtree's variables, as a function of the parent's variable.
+
+    key = (child is the even class, letter multiplicity, children's keys in
+    reverse introduction order) determines the message, so each distinct
+    subtree is integrated once per memo.
+    """
+    contrib = memo.get(key)
+    if contrib is None:
+        child_is_even, multiplicity, children = key
+        message = np.ones(grid)
+        for child in children:
+            message = message * _subtree_contribution(child, samples, grid, memo)
+        factor = samples[multiplicity]
+        if child_is_even:
+            contrib = (factor * message[:, None]).mean(axis=0)
+        else:
+            contrib = (factor * message[None, :]).mean(axis=1)
+        memo[key] = contrib
+    return contrib
+
+
 def _grid_moment_value(
     k: int, y: float, samples: Mapping[int, np.ndarray], grid: int
 ) -> tuple[float, dict[str, float]]:
+    # eliminate leaf variables in reverse introduction order; each step is a
+    # G x G quadrature, so a word costs O(b G^2) instead of O(G^(b+1)), and
+    # subtrees shared between words are integrated once
     breakdown: dict[str, float] = {}
+    memo: dict[tuple, np.ndarray] = {}
     for word in enumerate_ss_words(k):
         st = word_structure(word)
-        messages: dict[int, np.ndarray] = {cls: np.ones(grid) for cls in range(len(st.edges) + 1)}
-        # eliminate leaf variables in reverse introduction order; each step is
-        # a G x G quadrature, so a word costs O(b G^2) instead of O(G^(b+1))
+        children: dict[int, list[tuple]] = {cls: [] for cls in range(len(st.edges) + 1)}
         for edge in reversed(st.edges):
-            factor = samples[edge.multiplicity]
-            child_msg = messages.pop(edge.child)
-            if edge.child == edge.even_class:
-                contrib = (factor * child_msg[:, None]).mean(axis=0)
-            else:
-                contrib = (factor * child_msg[None, :]).mean(axis=1)
-            messages[edge.parent] = messages[edge.parent] * contrib
-        root = messages.pop(0)
+            key = (edge.child == edge.even_class, edge.multiplicity, tuple(children.pop(edge.child)))
+            children[edge.parent].append(key)
+        root = np.ones(grid)
+        for key in children[0]:
+            root = root * _subtree_contribution(key, samples, grid, memo)
         breakdown[word.text] = y**st.r * float(root.mean())
     return sum(breakdown.values()), breakdown
 
 
-def _needed_sizes(k: int) -> set[int]:
-    return {edge.multiplicity for word in enumerate_ss_words(k) for edge in word_structure(word).edges}
+@lru_cache(maxsize=None)
+def _needed_sizes(k: int) -> frozenset[int]:
+    return frozenset(
+        edge.multiplicity for word in enumerate_ss_words(k) for edge in word_structure(word).edges
+    )
 
 
 def moment_grid(

@@ -1,11 +1,18 @@
+import gc
 import itertools
+import math
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covmoments.hypergraphs import enumerate_ss_words
 from covmoments.moments import (
+    _coarsen,
+    _needed_sizes,
+    _sample_grid_function,
     moment_constant,
     moment_grid,
     moment_profile,
@@ -22,6 +29,35 @@ def const(v):
 
 ZERO = const(0.0)
 ONE = const(1.0)
+SIZES = (2, 4, 6, 8, 10, 12)
+
+
+def per_word_elimination(k, y, samples, grid):
+    """Reference quadrature: eliminate each word's tree on its own, leaves in
+    reverse introduction order, sharing nothing between words."""
+    breakdown = {}
+    for word in enumerate_ss_words(k):
+        structure = word_structure(word)
+        messages = {cls: np.ones(grid) for cls in range(len(structure.edges) + 1)}
+        for edge in reversed(structure.edges):
+            factor = samples[edge.multiplicity]
+            child_msg = messages.pop(edge.child)
+            if edge.child == edge.even_class:
+                contrib = (factor * child_msg[:, None]).mean(axis=0)
+            else:
+                contrib = (factor * child_msg[None, :]).mean(axis=1)
+            messages[edge.parent] = messages[edge.parent] * contrib
+        root = messages.pop(0)
+        breakdown[word.text] = y**structure.r * float(root.mean())
+    return sum(breakdown.values()), breakdown
+
+
+def random_polynomials(rng):
+    def poly():
+        a, b, c, d = rng.uniform(0.2, 1.5, 4)
+        return lambda x, u: a + b * x + c * u + d * x * u
+
+    return {s: poly() for s in SIZES}
 
 
 class TestMomentGrid:
@@ -41,19 +77,15 @@ class TestMomentGrid:
         g = {2: ONE, 4: ZERO, 6: ZERO}
         assert abs(moment_grid(3, 1, g, grid=8).value - 5.0) < 1e-12
 
-    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_against_naive_multidimensional_quadrature(self, k):
-        rng = np.random.default_rng(7)
-        grid = 6
+        # the sum over all b+1 variables costs grid^(b+1) per word, so the
+        # deeper trees of k = 3, 4 run on a coarser grid
+        grid = 6 if k <= 2 else 4
         xs = (np.arange(grid) + 0.5) / grid
-
-        def poly():
-            a, b, c, d = rng.uniform(0.2, 1.5, 4)
-            return lambda x, u: a + b * x + c * u + d * x * u
-
-        g = {2: poly(), 4: poly()}
+        g = random_polynomials(np.random.default_rng(7))
         sampled = {s: np.array([[g[s](x, u) for u in xs] for x in xs]) for s in g}
-        naive = 0.0
+        terms = []
         for word in enumerate_ss_words(k):
             st = word_structure(word)
             nvar = len(st.edges) + 1
@@ -61,8 +93,74 @@ class TestMomentGrid:
                 prod = 0.7**st.r
                 for e in st.edges:
                     prod *= sampled[e.multiplicity][idx[e.even_class], idx[e.odd_class]]
-                naive += prod / grid**nvar
+                terms.append(prod / grid**nvar)
+        # fsum rounds the sum of the grid^(b+1) terms once, so the oracle's own
+        # error stays below the tolerance at k = 4, where the moment is ~600
+        naive = math.fsum(terms)
         assert abs(moment_grid(k, 0.7, g, grid=grid).value - naive) < 1e-12
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_bit_identical_to_per_word_elimination_on_arrays(self, k):
+        rng = np.random.default_rng(100 + k)
+        grid = 8
+        arrays = {s: rng.uniform(0.1, 2.0, size=(grid, grid)) for s in SIZES}
+        report = moment_grid(k, 0.7, arrays, grid=grid)
+        value, breakdown = per_word_elimination(k, 0.7, arrays, grid)
+        coarse, _ = per_word_elimination(k, 0.7, {s: _coarsen(a) for s, a in arrays.items()}, grid // 2)
+        assert report.value == value
+        assert list(report.breakdown.items()) == list(breakdown.items())
+        assert report.error_estimate == abs(value - coarse)
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_bit_identical_to_per_word_elimination_on_callables(self, k):
+        g = random_polynomials(np.random.default_rng(200 + k))
+        grid = 9
+        report = moment_grid(k, 1.3, g, grid=grid)
+        value, breakdown = per_word_elimination(
+            k, 1.3, {s: _sample_grid_function(f, grid) for s, f in g.items()}, grid
+        )
+        coarse, _ = per_word_elimination(
+            k, 1.3, {s: _sample_grid_function(f, grid // 2) for s, f in g.items()}, grid // 2
+        )
+        assert report.value == value
+        assert list(report.breakdown.items()) == list(breakdown.items())
+        assert report.error_estimate == abs(value - coarse)
+
+    # each example evaluates up to 303 words twice, so fewer examples than
+    # the profile's default keep the test near one second
+    @settings(max_examples=60)
+    @given(
+        k=st.integers(1, 5),
+        y=st.fractions(min_value=F(1, 10), max_value=10, max_denominator=12),
+        constants=st.lists(
+            st.fractions(min_value=F(1, 10), max_value=5, max_denominator=12), min_size=5, max_size=5
+        ),
+    )
+    def test_constant_arrays_match_exact_constant_path(self, k, y, constants):
+        c = dict(zip(SIZES, constants))
+        arrays = {s: np.full((4, 4), float(v)) for s, v in c.items()}
+        exact = float(moment_constant(k, y, c).value)
+        assert moment_grid(k, y, arrays, grid=4).value == pytest.approx(exact, rel=1e-12, abs=0)
+
+    def test_leaves_no_reference_cycles(self):
+        # a cycle would keep the sample arrays and messages alive until the
+        # cyclic collector runs, raising peak memory
+        rng = np.random.default_rng(5)
+        arrays = {s: rng.uniform(size=(16, 16)) for s in SIZES}
+        moment_grid(6, 0.5, arrays, grid=16)
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            moment_grid(6, 0.5, arrays, grid=16)
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_needed_sizes_is_frozen(self):
+        assert _needed_sizes(3) == frozenset({2, 4, 6})
+        assert isinstance(_needed_sizes(3), frozenset)
 
     def test_halving_error_estimate(self):
         g = {2: lambda x, u: 0.5 + 0.5 * x * u, 4: lambda x, u: x + u}
