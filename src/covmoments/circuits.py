@@ -1,5 +1,4 @@
-"""Brute-force circuit censuses for words under the covariance and Wigner
-link functions.
+"""Circuit censuses for words under the covariance and Wigner link functions.
 
 A circuit of length 2k is a closed index path pi(0), ..., pi(2k) = pi(0)
 whose even-indexed vertices range over {1..p} (rows) and odd-indexed over
@@ -14,6 +13,15 @@ A circuit is counted for a word when every repeated letter forces its edge
 value to equal the letter's first-occurrence edge value.  For special
 symmetric words this count is exactly p^(r+1) * n^(b-r), with b the number of
 distinct letters and r+1 the number of even generating vertices.
+
+Both links compare vertex values only for equality, so a count depends only
+on which slots hold equal values.  `census_s` and `census_w` therefore count
+value patterns: a depth-first search gives each generating vertex one of the
+values already opened on its side or one new value, weighted by the number of
+values still unused there, and propagates the repeated letters.  The budget
+bounds the number of generating-vertex assignments, which is also an upper
+bound on the patterns the search visits.  `census_s_exhaustive` and
+`census_w_exhaustive` test every circuit tuple and serve as oracles.
 """
 
 from __future__ import annotations
@@ -22,7 +30,13 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .partitions import SizeLimitError, Word, is_special_symmetric, word_statistics
+from .partitions import (
+    SizeLimitError,
+    Word,
+    WordStats,
+    is_special_symmetric,
+    word_statistics,
+)
 
 DEFAULT_CENSUS_BUDGET = 10**8
 
@@ -49,11 +63,16 @@ def _require_circuit_word(word: Word) -> int:
     return word.length
 
 
-def _free_slots(word: Word) -> list[int]:
+def _require_sizes(**sizes: int) -> None:
+    for name, size in sizes.items():
+        if size < 1:
+            raise ValueError(f"census size {name} must be at least 1, got {size}")
+
+
+def _free_slots(m: int, stats: WordStats) -> list[int]:
     # pi(0) plus the vertex at each letter's first occurrence; a first
     # occurrence at the closing position 2k reuses pi(0) and is not free.
-    stats = word_statistics(word)
-    return [0] + [i for i in stats.first_positions if i < word.length]
+    return [0] + [i for i in stats.first_positions if i < m]
 
 
 def _check_budget(candidates: int, budget: int | None) -> None:
@@ -92,40 +111,10 @@ def _count_s_circuit(word: Word, p: int, values: list[int]) -> bool:
     return True
 
 
-def _count_w_circuit(word: Word, values: list[int]) -> bool:
-    """Propagate one assignment under the unordered Wigner link."""
-    m = word.length
-    keys: dict[int, tuple[int, int]] = {}
-    for i in range(1, m + 1):
-        prev = values[i - 1]
-        cur = values[0] if i == m else values[i]
-        letter = word.letters[i - 1]
-        if letter not in keys:
-            keys[letter] = (prev, cur) if prev <= cur else (cur, prev)
-            continue
-        lo, hi = keys[letter]
-        if lo == hi:
-            if prev != lo:
-                return False
-            forced = lo
-        elif prev == lo:
-            forced = hi
-        elif prev == hi:
-            forced = lo
-        else:
-            return False
-        if i == m:
-            if forced != values[0]:
-                return False
-        else:
-            values[i] = forced
-    return True
-
-
 def _iter_assignments(word: Word, p: int, n: int, budget: int | None):
     """Yield value arrays with the generating slots filled, others None."""
     m = word.length
-    slots = _free_slots(word)
+    slots = _free_slots(m, word_statistics(word))
     ranges = [range(1, (p if s % 2 == 0 else n) + 1) for s in slots]
     candidates = math.prod(len(r) for r in ranges)
     _check_budget(candidates, budget)
@@ -136,27 +125,88 @@ def _iter_assignments(word: Word, p: int, n: int, budget: int | None):
         yield values
 
 
+def _count_patterns(
+    word: Word, stats: WordStats, step, sizes: tuple[int, ...], budget: int | None
+) -> int:
+    """Number of circuits compatible with `word`, counted by value pattern.
+
+    Slot i draws its values from side `i % len(sizes)` of size `sizes[side]`:
+    (p, n) gives the covariance link's rows and columns, (N,) the Wigner
+    link's shared range.  `step` is the link's propagation step.
+    """
+    m = word.length
+    slots = _free_slots(m, stats)
+    _check_budget(math.prod(sizes[s % len(sizes)] for s in slots), budget)
+    # a value class is named by the slot that opened it, so pi(0) is class 0
+    opened: list[list[int]] = [[] for _ in sizes]
+    opened[0].append(0)
+    values = [0] * m
+    new_letter = [False] * (m + 1)
+    for i in stats.first_positions:
+        new_letter[i] = True
+    return sizes[0] * _extend(word.letters, new_letter, step, sizes, 1, values, opened, {})
+
+
+def _extend(letters, new_letter, step, sizes, i, values, opened, keys) -> int:
+    """Weighted count of the completions of the pattern prefix values[:i]."""
+    m = len(letters)
+    while True:
+        letter = letters[i - 1]
+        prev = values[i - 1]
+        if i == m:
+            closes = step(keys, letter, i, prev, 0) == 0
+            if new_letter[i]:
+                del keys[letter]
+            return int(closes)
+        if new_letter[i]:
+            break
+        cur = step(keys, letter, i, prev, i)  # a repeated letter ignores `fresh`
+        if cur is None:
+            return 0
+        values[i] = cur
+        i += 1
+    side = i % len(sizes)
+    pool = opened[side]
+    total = 0
+    for cls in tuple(pool):
+        values[i] = step(keys, letter, i, prev, cls)
+        total += _extend(letters, new_letter, step, sizes, i + 1, values, opened, keys)
+        del keys[letter]
+    unused = sizes[side] - len(pool)
+    if unused > 0:
+        pool.append(i)
+        values[i] = step(keys, letter, i, prev, i)
+        total += unused * _extend(letters, new_letter, step, sizes, i + 1, values, opened, keys)
+        del keys[letter]
+        pool.pop()
+    return total
+
+
 def census_s(word: Word, p: int, n: int, budget: int | None = None) -> CensusResult:
     """Count circuits compatible with `word` under the covariance link.
 
-    Iterates over all assignments of the generating vertices and propagates
-    the forced values; an assignment is counted when every repeated letter
-    reproduces its first-occurrence edge.
+    Counts value patterns rather than assignments: each generating vertex
+    takes a row (even slot) or column (odd slot) value already in use, or
+    one new value weighted by the number still unused, and `propagate_slot`
+    forces the repeated letters.  The count is exact.  `budget` bounds the
+    number of generating-vertex assignments (the product of their ranges),
+    which is an upper bound on the patterns the search visits.
     """
+    _require_sizes(p=p, n=n)
     _require_circuit_word(word)
-    count = sum(
-        1 for values in _iter_assignments(word, p, n, budget) if _count_s_circuit(word, p, values)
-    )
-    return CensusResult(word.text, "S", p, n, count, predicted_count_s(word, p, n))
+    stats = word_statistics(word)
+    count = _count_patterns(word, stats, propagate_slot, (p, n), budget)
+    return CensusResult(word.text, "S", p, n, count, _predicted_s(word, stats, p, n))
 
 
 def census_w(word: Word, N: int, budget: int | None = None) -> CensusResult:
-    """Count circuits compatible with `word` under the Wigner link on {1..N}."""
+    """Count circuits compatible with `word` under the Wigner link on {1..N},
+    by value pattern as in `census_s`, with `propagate_slot_w` as the step."""
+    _require_sizes(N=N)
     _require_circuit_word(word)
-    count = sum(
-        1 for values in _iter_assignments(word, N, N, budget) if _count_w_circuit(word, values)
-    )
-    return CensusResult(word.text, "wigner", N, N, count, predicted_count_w(word, N))
+    stats = word_statistics(word)
+    count = _count_patterns(word, stats, propagate_slot_w, (N,), budget)
+    return CensusResult(word.text, "wigner", N, N, count, _predicted_w(word, stats, N))
 
 
 def _edge_keys_s(word: Word, values: tuple[int, ...]) -> list[tuple[int, int]]:
@@ -198,6 +248,7 @@ def _iter_full_tuples(word: Word, p: int, n: int, budget: int | None):
 
 def census_s_exhaustive(word: Word, p: int, n: int, budget: int | None = None) -> CensusResult:
     """Independent oracle: test every circuit tuple against the S-link predicate."""
+    _require_sizes(p=p, n=n)
     _require_circuit_word(word)
     count = sum(
         1
@@ -209,6 +260,7 @@ def census_s_exhaustive(word: Word, p: int, n: int, budget: int | None = None) -
 
 def census_w_exhaustive(word: Word, N: int, budget: int | None = None) -> CensusResult:
     """Independent oracle: test every circuit tuple against the Wigner predicate."""
+    _require_sizes(N=N)
     _require_circuit_word(word)
     count = sum(
         1
@@ -218,22 +270,31 @@ def census_w_exhaustive(word: Word, N: int, budget: int | None = None) -> Census
     return CensusResult(word.text, "wigner", N, N, count, predicted_count_w(word, N))
 
 
-def predicted_count_s(word: Word, p: int, n: int) -> int | None:
-    """p^(r+1) * n^(b-r) for special symmetric words, None otherwise."""
-    _require_circuit_word(word)
+def _predicted_s(word: Word, stats: WordStats, p: int, n: int) -> int | None:
     if not is_special_symmetric(word.to_partition()):
         return None
-    stats = word_statistics(word)
     r = stats.r_plus_1 - 1
     return p ** stats.r_plus_1 * n ** (stats.b - r)
 
 
-def predicted_count_w(word: Word, N: int) -> int | None:
-    """N^(b+1) for special symmetric words, None otherwise."""
-    _require_circuit_word(word)
+def _predicted_w(word: Word, stats: WordStats, N: int) -> int | None:
     if not is_special_symmetric(word.to_partition()):
         return None
-    return N ** (word_statistics(word).b + 1)
+    return N ** (stats.b + 1)
+
+
+def predicted_count_s(word: Word, p: int, n: int) -> int | None:
+    """p^(r+1) * n^(b-r) for special symmetric words, None otherwise."""
+    _require_sizes(p=p, n=n)
+    _require_circuit_word(word)
+    return _predicted_s(word, word_statistics(word), p, n)
+
+
+def predicted_count_w(word: Word, N: int) -> int | None:
+    """N^(b+1) for special symmetric words, None otherwise."""
+    _require_sizes(N=N)
+    _require_circuit_word(word)
+    return _predicted_w(word, word_statistics(word), N)
 
 
 def propagate_slot(
@@ -254,6 +315,25 @@ def propagate_slot(
     if i % 2:
         return col if prev == row else None
     return row if prev == col else None
+
+
+def propagate_slot_w(
+    keys: dict[int, tuple[int, int]], letter: int, i: int, prev: int, fresh: int
+) -> int | None:
+    """One step of Wigner-link propagation, with the signature of
+    `propagate_slot`; `i` is unused because the edge is unordered.
+
+    A new letter records the endpoint pair (prev, fresh) and moves to
+    `fresh`.  A repeated letter moves to the other endpoint of its recorded
+    pair, or returns None when `prev` is neither endpoint.
+    """
+    if letter not in keys:
+        keys[letter] = (prev, fresh)
+        return fresh
+    a, b = keys[letter]
+    if prev == a:
+        return b
+    return a if prev == b else None
 
 
 def slot_classes(word: Word) -> list[int]:
@@ -283,6 +363,7 @@ def slot_classes(word: Word) -> list[int]:
 def verify_containment(word: Word, p: int, n: int, budget: int | None = None) -> bool:
     """Check that every circuit counted under the S link is also compatible
     with the Wigner link on the range {1..max(p, n)}."""
+    _require_sizes(p=p, n=n)
     _require_circuit_word(word)
     for values in _iter_assignments(word, p, n, budget):
         work = list(values)

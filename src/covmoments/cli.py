@@ -114,6 +114,10 @@ def run_count(args) -> int:
 
 def run_census(args) -> int:
     word = Word.from_text(args.word)
+    # the Wigner census runs on N = max(p, n), so check both sizes here
+    for name, size in (("p", args.p), ("n", args.n)):
+        if size < 1:
+            raise ValueError(f"census size {name} must be at least 1, got {size}")
     results = []
     if args.link in ("S", "both"):
         fn = circuits.census_s_exhaustive if args.exhaustive else circuits.census_s

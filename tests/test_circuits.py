@@ -1,9 +1,13 @@
 import itertools
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from covmoments.circuits import (
     CensusResult,
+    _count_s_circuit,
+    _iter_assignments,
     census_s,
     census_s_exhaustive,
     census_w,
@@ -32,6 +36,63 @@ def ss_words(m):
 
 def non_ss_words(m):
     return [p.to_word() for p in enumerate_partitions(m) if not is_special_symmetric(p)]
+
+
+def _count_w_circuit(word, values):
+    """Propagate one assignment under the unordered Wigner link."""
+    m = word.length
+    keys = {}
+    for i in range(1, m + 1):
+        prev = values[i - 1]
+        cur = values[0] if i == m else values[i]
+        letter = word.letters[i - 1]
+        if letter not in keys:
+            keys[letter] = (prev, cur) if prev <= cur else (cur, prev)
+            continue
+        lo, hi = keys[letter]
+        if lo == hi:
+            if prev != lo:
+                return False
+            forced = lo
+        elif prev == lo:
+            forced = hi
+        elif prev == hi:
+            forced = lo
+        else:
+            return False
+        if i == m:
+            if forced != values[0]:
+                return False
+        else:
+            values[i] = forced
+    return True
+
+
+def assignment_census_s(word, p, n):
+    """Oracle: propagate every assignment of the generating vertices (S link)."""
+    return sum(1 for values in _iter_assignments(word, p, n, None) if _count_s_circuit(word, p, values))
+
+
+def assignment_census_w(word, N):
+    """Oracle: propagate every assignment of the generating vertices (Wigner link)."""
+    return sum(1 for values in _iter_assignments(word, N, N, None) if _count_w_circuit(word, values))
+
+
+def canonical(raw):
+    """Relabel a letter sequence by order of first occurrence."""
+    labels = {}
+    return Word(tuple(labels.setdefault(x, len(labels) + 1) for x in raw))
+
+
+def words_of_length(*lengths):
+    return (
+        st.sampled_from(lengths)
+        .flatmap(lambda m: st.lists(st.integers(0, m - 1), min_size=m, max_size=m))
+        .map(canonical)
+    )
+
+
+SIZES = st.integers(1, 3)
 
 
 class TestCensusS:
@@ -154,6 +215,55 @@ class TestContainment:
         for word in all_words(m):
             for p, n in itertools.product((1, 2, 3), (1, 2, 3)):
                 assert verify_containment(word, p, n)
+
+
+class TestPatternCount:
+    @given(words_of_length(2, 4, 6), SIZES, SIZES, SIZES)
+    def test_matches_exhaustive_oracle(self, word, p, n, N):
+        assert census_s(word, p, n).exact_count == census_s_exhaustive(word, p, n).exact_count
+        assert census_w(word, N).exact_count == census_w_exhaustive(word, N).exact_count
+
+    @given(words_of_length(8), SIZES, SIZES, SIZES)
+    def test_len8_matches_assignment_oracle(self, word, p, n, N):
+        assert census_s(word, p, n).exact_count == assignment_census_s(word, p, n)
+        assert census_w(word, N).exact_count == assignment_census_w(word, N)
+
+    def test_len8_totals(self):
+        words = all_words(8)
+        assert len(words) == 4140
+        assert sum(census_s(w, 2, 3).exact_count for w in words) == 99_150
+        assert sum(census_w(w, 3).exact_count for w in words) == 340_032
+
+    def test_ss8_exact_beyond_brute_force(self):
+        p, n = 10**6, 10**6 + 1
+        for word in ss_words(8):
+            s = census_s(word, p, n, budget=10**60)
+            assert s.predicted_count is not None
+            assert s.exact_count == s.predicted_count
+            w = census_w(word, p, budget=10**60)
+            assert w.exact_count == w.predicted_count == p ** (word.distinct_letters + 1)
+
+
+class TestSizes:
+    @pytest.mark.parametrize(
+        "fn,args",
+        [
+            (census_s, (0, 2)),
+            (census_s, (2, -1)),
+            (census_w, (0,)),
+            (census_s_exhaustive, (-1, 2)),
+            (census_s_exhaustive, (2, 0)),
+            (census_w_exhaustive, (0,)),
+            (predicted_count_s, (0, 2)),
+            (predicted_count_s, (2, -1)),
+            (predicted_count_w, (-1,)),
+            (verify_containment, (0, 2)),
+            (verify_containment, (2, 0)),
+        ],
+    )
+    def test_below_one_rejected(self, fn, args):
+        with pytest.raises(ValueError, match="must be at least 1"):
+            fn(W("aa"), *args)
 
 
 class TestCensusResult:

@@ -70,6 +70,15 @@ class TestCensus:
     def test_budget_exit(self, tmp_path, capsys):
         assert run("--out", tmp_path, "census", "--word", "abba", "--p", 10**6, "--n", 10**6) == EXIT_SIZE_LIMIT
 
+    @pytest.mark.parametrize("link", ["S", "wigner", "both"])
+    @pytest.mark.parametrize("p,n", [(-1, 2), (2, 0)])
+    def test_size_below_one_exit(self, tmp_path, capsys, link, p, n):
+        assert run(
+            "--out", tmp_path, "census", "--word", "aa", "--p", p, "--n", n, "--link", link
+        ) == EXIT_CONFIG
+        assert "must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "census.csv").exists()
+
 
 class TestMoments:
     def test_mp_csv(self, tmp_path, capsys):
