@@ -34,7 +34,6 @@ from .partitions import (
     SizeLimitError,
     Word,
     WordStats,
-    is_special_symmetric,
     word_statistics,
 )
 
@@ -196,7 +195,7 @@ def census_s(word: Word, p: int, n: int, budget: int | None = None) -> CensusRes
     _require_circuit_word(word)
     stats = word_statistics(word)
     count = _count_patterns(word, stats, propagate_slot, (p, n), budget)
-    return CensusResult(word.text, "S", p, n, count, _predicted_s(word, stats, p, n))
+    return CensusResult(word.text, "S", p, n, count, _predicted(word, stats, p, n))
 
 
 def census_w(word: Word, N: int, budget: int | None = None) -> CensusResult:
@@ -206,7 +205,7 @@ def census_w(word: Word, N: int, budget: int | None = None) -> CensusResult:
     _require_circuit_word(word)
     stats = word_statistics(word)
     count = _count_patterns(word, stats, propagate_slot_w, (N,), budget)
-    return CensusResult(word.text, "wigner", N, N, count, _predicted_w(word, stats, N))
+    return CensusResult(word.text, "wigner", N, N, count, _predicted(word, stats, N, N))
 
 
 def _edge_keys_s(word: Word, values: tuple[int, ...]) -> list[tuple[int, int]]:
@@ -270,31 +269,29 @@ def census_w_exhaustive(word: Word, N: int, budget: int | None = None) -> Census
     return CensusResult(word.text, "wigner", N, N, count, predicted_count_w(word, N))
 
 
-def _predicted_s(word: Word, stats: WordStats, p: int, n: int) -> int | None:
-    if not is_special_symmetric(word.to_partition()):
+def _predicted(word: Word, stats: WordStats, p: int, n: int) -> int | None:
+    """p^(r+1) * n^(b-r) for special symmetric words, None otherwise; with
+    p = n = N this is the Wigner prediction N^(b+1)."""
+    try:
+        slot_classes(word)
+    except ValueError:
         return None
     r = stats.r_plus_1 - 1
     return p ** stats.r_plus_1 * n ** (stats.b - r)
-
-
-def _predicted_w(word: Word, stats: WordStats, N: int) -> int | None:
-    if not is_special_symmetric(word.to_partition()):
-        return None
-    return N ** (stats.b + 1)
 
 
 def predicted_count_s(word: Word, p: int, n: int) -> int | None:
     """p^(r+1) * n^(b-r) for special symmetric words, None otherwise."""
     _require_sizes(p=p, n=n)
     _require_circuit_word(word)
-    return _predicted_s(word, word_statistics(word), p, n)
+    return _predicted(word, word_statistics(word), p, n)
 
 
 def predicted_count_w(word: Word, N: int) -> int | None:
     """N^(b+1) for special symmetric words, None otherwise."""
     _require_sizes(N=N)
     _require_circuit_word(word)
-    return _predicted_w(word, word_statistics(word), N)
+    return _predicted(word, word_statistics(word), N, N)
 
 
 def propagate_slot(
@@ -340,17 +337,21 @@ def slot_classes(word: Word) -> list[int]:
     """Class id of each circuit slot pi(0..2k-1) under the covariance link,
     one class per generating vertex.
 
-    Valid for special symmetric words, where propagation never needs to
-    equate two distinct generating vertices; raises ValueError otherwise.
+    Valid for special symmetric words: every letter occurs an even number
+    of times and propagation never needs to equate two distinct generating
+    vertices.  Raises ValueError otherwise.
+
+    A letter opens a fresh class at its first occurrence, at the closing
+    slot too, so the letters are the edges of a tree on the classes.  A
+    walk along them that closes at pi(0) crosses every edge an even number
+    of times, which rejects odd multiplicities without counting them.
     """
     m = _require_circuit_word(word)
     cls: list[int] = [0] * m
     next_class = 1
     keys: dict[int, tuple[int, int]] = {}
     for i in range(1, m + 1):
-        # the closing slot pi(2k) is pi(0), so it never opens a class
-        fresh = 0 if i == m else next_class
-        cur = propagate_slot(keys, word.letters[i - 1], i, cls[i - 1], fresh)
+        cur = propagate_slot(keys, word.letters[i - 1], i, cls[i - 1], next_class)
         if cur is None or (i == m and cur != 0):
             raise ValueError(f"word {word.text} is not special symmetric")
         if i < m:

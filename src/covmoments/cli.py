@@ -264,7 +264,7 @@ def load_config(path: str) -> dict:
 def config_to_ensemble(data: dict, seed_override: int | None = None) -> tuple[EnsembleConfig, dict]:
     known = {
         "family", "p", "n", "lam", "alpha", "B", "t_n", "seed", "replicates",
-        "profile", "base_family", "c2", "c4", "K", "workers", "bins",
+        "profile", "base_family", "c2", "c4", "K", "bins",
     }
     unknown = set(data) - known
     if unknown:
@@ -296,7 +296,6 @@ def config_to_ensemble(data: dict, seed_override: int | None = None) -> tuple[En
         raise ConfigError(str(exc)) from exc
     extras = {
         "K": int(data.get("K", 4)),
-        "workers": int(data.get("workers", 1)),
         "bins": data.get("bins", "fd"),
     }
     return cfg, extras
@@ -312,8 +311,7 @@ plot "{csv}" every ::1 using (($1+$2)/2):3:($2-$1) with boxes notitle
 def run_simulate(args) -> int:
     data = load_config(args.config)
     cfg, extras = config_to_ensemble(data, seed_override=args.seed)
-    workers = args.workers or extras["workers"]
-    report = ensembles.run_experiment(cfg, extras["K"], workers=workers, bins=extras["bins"])
+    report = ensembles.run_experiment(cfg, extras["K"], bins=extras["bins"])
     out = _out_dir(args)
 
     _write_csv(
@@ -504,13 +502,18 @@ def _check_simulation():
     second = ensembles.run_experiment(cfg, 3)
     if not np.array_equal(first.moment_mean, second.moment_mean):
         return False, "rerun differed"
-    for sample in first.samples:
+    for r, sample in enumerate(first.samples):
         if sample.eigenvalues[0] < -1e-9:
             return False, "PSD floor violated"
-        power = float(np.mean(sample.eigenvalues))
-        if abs(sample.empirical_moments[0] - power) > 1e-8 * max(1.0, abs(power)):
-            return False, "trace/eigenvalue mismatch"
-    return True, "deterministic rerun, PSD floor and trace consistency hold"
+        # the moments are eigenvalue power sums; check them against dense
+        # matrix powers of the replicate's own S
+        X = ensembles.sample_matrix(cfg, r)
+        S = X @ X.T
+        for k, got in enumerate(sample.empirical_moments, start=1):
+            want = float(np.trace(np.linalg.matrix_power(S, k))) / cfg.p
+            if abs(got - want) > 1e-12 * abs(want):
+                return False, f"replicate {r}: moment k={k} {got!r} != Tr S^{k} / p = {want!r}"
+    return True, "deterministic rerun, PSD floor, moments equal Tr S^k / p within 1e-12"
 
 VERIFY_CHECKS = [
     ("ss-definition-examples", lambda mk: _check_ss_examples()),
@@ -594,7 +597,6 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("simulate", help="sample an ensemble and emit spectra")
     c.add_argument("--config", required=True, help="flat key=value or JSON config file")
     c.add_argument("--seed", type=int, default=None, help="override the config seed")
-    c.add_argument("--workers", type=int, default=None)
     c.add_argument("--gnuplot", action="store_true", help="emit a histogram plot script")
     c.set_defaults(fn=run_simulate)
 

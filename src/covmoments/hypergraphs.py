@@ -94,8 +94,6 @@ def word_to_hypergraph(word: Word) -> Hypergraph:
     """Build the (sigma, tau) hypergraph of a special symmetric word."""
     if word.length % 2:
         raise ValueError("special symmetric words have even length")
-    if not is_special_symmetric(word.to_partition()):
-        raise ValueError(f"word {word.text} is not special symmetric")
     cls = slot_classes(word)
     k = word.length // 2
     sigma_groups: dict[int, list[int]] = defaultdict(list)

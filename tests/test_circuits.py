@@ -14,8 +14,10 @@ from covmoments.circuits import (
     census_w_exhaustive,
     predicted_count_s,
     predicted_count_w,
+    slot_classes,
     verify_containment,
 )
+from covmoments.moments import word_structure
 from covmoments.partitions import (
     SizeLimitError,
     Word,
@@ -203,6 +205,31 @@ class TestPredictions:
 
     def test_wigner_prediction(self):
         assert predicted_count_w(W("abba"), 3) == 27
+
+    def test_predicted_iff_special_symmetric(self):
+        for partition in enumerate_partitions(8):
+            word = partition.to_word()
+            ss = is_special_symmetric(partition)
+            assert (census_s(word, 1, 1).predicted_count is not None) == ss
+            assert (census_w(word, 1).predicted_count is not None) == ss
+
+
+class TestSlotClasses:
+    def test_odd_multiplicity_example(self):
+        # c and d occur once each; d, first met at the closing slot, must
+        # open a class of its own rather than close onto pi(0)
+        with pytest.raises(ValueError, match="aabbcd is not special symmetric"):
+            slot_classes(W("aabbcd"))
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_odd_multiplicities_rejected(self, m):
+        odd = [w for w in all_words(m) if any(c % 2 for c in w.multiplicities())]
+        assert odd
+        for word in odd:
+            with pytest.raises(ValueError):
+                slot_classes(word)
+            with pytest.raises(ValueError):
+                word_structure(word)
 
 
 class TestContainment:

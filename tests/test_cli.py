@@ -1,11 +1,14 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import covmoments
 from covmoments.cli import EXIT_CONFIG, EXIT_SIZE_LIMIT, load_config, main
 from covmoments.moments import moment_sparse, mp_moment, poisson_sandwich
 
@@ -189,6 +192,17 @@ class TestSimulate:
         cfg = self.write_config(tmp_path, "family = iid_standardized\np = 4\nn = 8\nbogus = 1\n")
         assert run("--out", tmp_path, "simulate", "--config", cfg) == EXIT_CONFIG
 
+    def test_workers_removed(self, tmp_path, capsys):
+        # replicates run one after another; a config key or flag that asks
+        # for workers is rejected, not silently ignored
+        cfg = self.write_config(tmp_path, "family = iid_standardized\np = 4\nn = 8\nworkers = 2\n")
+        assert run("--out", tmp_path, "simulate", "--config", cfg) == EXIT_CONFIG
+        assert "'workers'" in capsys.readouterr().err
+        assert not (tmp_path / "moments.csv").exists()
+        with pytest.raises(SystemExit) as exc:
+            run("--out", tmp_path, "simulate", "--config", cfg, "--workers", "2")
+        assert exc.value.code == EXIT_CONFIG
+
     def test_missing_file_exit(self, tmp_path, capsys):
         assert run("simulate", "--config", tmp_path / "nope.cfg") == EXIT_CONFIG
 
@@ -233,9 +247,14 @@ class TestVerify:
 
 
 def test_console_script_installed(tmp_path):
+    # the subprocess must import the same covmoments as this test, which
+    # pytest's `pythonpath` setting does not pass on to child processes
+    package_root = str(Path(covmoments.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "covmoments.cli", "classify", "[[1,2]]"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["is_special_symmetric"] is True

@@ -3,6 +3,8 @@ from fractions import Fraction as F
 from functools import lru_cache
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from covmoments.moments import (
     CarlemanDiagnostic,
@@ -174,6 +176,30 @@ class TestPoissonSandwich:
             lower, upper = poisson_sandwich(k, y, lam)
             beta = moment_sparse(k, y, lam).value
             assert lower < beta < upper
+
+    # the k = 5 moment sums 303 words in Fractions, so fewer examples than
+    # the profile's default keep the test near one second
+    @settings(max_examples=100)
+    @given(
+        k=st.integers(1, 5),
+        y=st.fractions(min_value=F(1, 10), max_value=10, max_denominator=12),
+        lam=st.fractions(min_value=F(1, 10), max_value=10, max_denominator=12),
+    )
+    @example(k=2, y=F(1), lam=F(1, 10))
+    @example(k=3, y=F(1), lam=F(5, 2))
+    @example(k=4, y=F(1), lam=F(1, 3))
+    def test_containment_property(self, k, y, lam):
+        lower, upper = poisson_sandwich(k, y, lam)
+        beta = moment_sparse(k, y, lam).value
+        assert lower <= beta <= upper
+        if k >= 2:
+            assert beta < upper
+            # for k <= 3 every special symmetric partition is non-crossing,
+            # so at y = 1 the moment attains the lower bound
+            if y == 1 and k <= 3:
+                assert beta == lower
+            else:
+                assert lower < beta
 
     @pytest.mark.parametrize("lam", [F(1, 2), 1, 2])
     def test_k1_boundary_coincidence(self, lam):
