@@ -163,7 +163,7 @@ def run_moments(args) -> int:
         source = "sparse"
         lam = Fraction(args.lam)
         for k in ks:
-            report = moments.moment_sparse(k, y, lam)
+            report = moments.moment_sparse(k, y, lam, breakdown=args.breakdown)
             reports[k], values[k] = report, report.value
             if args.sandwich:
                 sandwich_rows[k] = moments.poisson_sandwich(k, y, lam)
@@ -171,7 +171,7 @@ def run_moments(args) -> int:
         source = "constant"
         constants = _parse_constants(args.constant)
         for k in ks:
-            report = moments.moment_constant(k, y, constants)
+            report = moments.moment_constant(k, y, constants, breakdown=args.breakdown)
             reports[k], values[k] = report, report.value
     elif args.profile_csv:
         if not args.constant:
@@ -213,7 +213,8 @@ def run_moments(args) -> int:
         entry = {"value": fmt(values[k])}
         report = reports[k]
         if report is not None:
-            entry["breakdown"] = {w: fmt(v) for w, v in report.breakdown.items()}
+            if args.breakdown:
+                entry["breakdown"] = {w: fmt(v) for w, v in report.breakdown.items()}
             if report.error_estimate is not None:
                 entry["error_estimate"] = fmt(report.error_estimate)
         payload["moments"][str(k)] = entry
@@ -592,6 +593,9 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--profile-csv", default=None, help="variance profile sampled on the grid")
     c.add_argument("--g", action="append", default=[], help='grid function like 2=g2.csv (repeatable)')
     c.add_argument("--grid", type=int, default=64)
+    c.add_argument("--breakdown", action="store_true",
+                   help="write each word's term to moments.json; lists every word, "
+                   f"so 2k <= {partitions.DEFAULT_ENUMERATION_CAP}")
     c.set_defaults(fn=run_moments)
 
     c = sub.add_parser("simulate", help="sample an ensemble and emit spectra")
@@ -603,7 +607,8 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("hypergraph", help="word <-> hypergraph tools and class tables")
     group = c.add_mutually_exclusive_group(required=True)
     group.add_argument("--word", default=None)
-    group.add_argument("--k", type=int, default=None, help="emit class counts for length 2k")
+    group.add_argument("--k", type=int, default=None,
+                       help=f"emit class counts for length 2k, k <= {hypergraphs.MAX_SERIES_ORDER}")
     c.set_defaults(fn=run_hypergraph)
 
     c = sub.add_parser("verify", help="run the cross-module identity suite")

@@ -1,4 +1,5 @@
-"""Bijection between special symmetric words and acyclic hypergraphs.
+"""Bijection between special symmetric words and acyclic hypergraphs, and
+the class tables of those words.
 
 A word of length 2k induces two partitions of {1..k}: sigma groups the even
 circuit slots pi(0), pi(2), ..., pi(2k-2) by shared generating vertex, tau
@@ -6,6 +7,10 @@ does the same for the odd slots pi(1), ..., pi(2k-1).  Viewing sigma-blocks
 as vertices and tau-blocks as edges (an edge touches every vertex block
 adjacent to one of its slots along the circuit) gives a hypergraph that is
 acyclic exactly for special symmetric words, with |sigma| + |tau| = b + 1.
+
+The class tables (`sojourn_tables`, `count_noiry_classes`) come from a
+recursion over the sojourns of a closed walk on a growing tree, so they
+list no word and reach k = MAX_SERIES_ORDER.
 """
 
 from __future__ import annotations
@@ -13,16 +18,26 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
+from operator import add
+from types import MappingProxyType
+from typing import Mapping
 
 from .circuits import propagate_slot, slot_classes
 from .partitions import (
     Partition,
+    SizeLimitError,
     Word,
     _check_cap,
     enumerate_partitions,
     is_special_symmetric,
-    word_statistics,
 )
+
+MAX_SERIES_ORDER = 12
+
+# (l, sizes) -> number of special symmetric words with l odd generating
+# vertices and sorted letter multiplicities `sizes`
+ClassTable = Mapping[tuple[int, tuple[int, ...]], int]
 
 
 @dataclass(frozen=True)
@@ -213,15 +228,94 @@ class NoiryClassKey:
 
 
 def count_noiry_classes(k: int) -> dict[NoiryClassKey, int]:
-    """Group special symmetric words by (distinct letters, odd generating
-    vertices, letter-multiplicity multiset)."""
-    counts: Counter = Counter()
-    for word in enumerate_ss_words(k):
-        stats = word_statistics(word)
-        key = NoiryClassKey(
-            a=stats.b,
-            l=stats.odd_generating,
-            sizes=tuple(sorted(word.multiplicities())),
+    """Group the special symmetric words of length 2k by (distinct letters a,
+    odd generating vertices l, letter-multiplicity multiset).
+
+    The table is read off `sojourn_tables`, so no word is enumerated and k
+    may go up to MAX_SERIES_ORDER (k = 9: 128 classes for 467,963 words).
+    """
+    return {
+        NoiryClassKey(len(sizes), l, sizes): count
+        for (l, sizes), count in sojourn_tables(k)[k].items()
+    }
+
+
+@lru_cache(maxsize=None)
+def sojourn_tables(max_k: int) -> tuple[ClassTable, ...]:
+    """Class tables of the special symmetric words of length 2k for
+    k = 0..max_k, by a recursion over vertex sojourns.  The tables are
+    cached, so they are returned read-only.
+
+    Covariance-link propagation sends each new letter to a fresh class, so a
+    special symmetric word is a closed walk from the root (a row vertex) on a
+    tree that grows as it is walked: a letter is an edge, row and column
+    vertices alternate along it, and a child entered j times from its parent
+    carries multiplicity 2j.  A vertex entered m times splits its E
+    excursions into children over its m sojourns in C(E+m-1, m-1) ways and
+    groups them by child as a set partition, since children are numbered by
+    first visit, as canonical letters are.  With z marking k and, for a
+    child of a vertex of parity s, f_s(j) = [letter of multiplicity 2j]
+    z^j G_(1-s)(j):
+
+        B_s(E) = sum_j C(E-1, j-1) f_s(j) B_s(E-j)   (the first excursion's block)
+        G_s(m) = sum_E C(E+m-1, m-1) B_s(E)
+        table k = [z^k] G_row(1)
+
+    f_s(j) starts at degree j, so a degree-d coefficient needs only lower
+    degrees and the series are built degree by degree, with no fixed-point
+    rounds.  This is the special symmetric analogue of Zakharevich's count
+    of trees with edge multiplicities (2006, A generalization of Wigner's
+    law, Comm. Math. Phys. 268).
+    """
+    if max_k < 1:
+        raise ValueError("k must be >= 1")
+    if max_k > MAX_SERIES_ORDER:
+        raise SizeLimitError(
+            f"moment order {max_k} exceeds the series limit "
+            f"MAX_SERIES_ORDER = {MAX_SERIES_ORDER}"
         )
-        counts[key] += 1
-    return dict(counts)
+    top = max_k
+    # G[s][i][d], f[s][i][d] and B[s][i][d] are the degree-d coefficients of
+    # G_s(i), f_s(i) and B_s(i).  A coefficient maps (l, n) to a count, where
+    # n[j-1] is the number of letters of multiplicity 2j.  s = 0 is a row
+    # vertex, whose children are the column (odd generating) vertices that
+    # l counts.
+    G, f, B = ([[[{}] * (top + 1) for _ in range(top + 1)] for _ in range(2)] for _ in range(3))
+    for s in (0, 1):
+        B[s][0] = [{(0, (0,) * top): 1}] + [{}] * top
+    for d in range(top + 1):
+        for s in (0, 1):
+            for j in range(1, d + 1):
+                f[s][j][d] = {
+                    (l + 1 - s, n[: j - 1] + (n[j - 1] + 1,) + n[j:]): count
+                    for (l, n), count in G[1 - s][j][d - j].items()
+                }
+            for e in range(1, d + 1):
+                acc: dict = {}
+                for j in range(1, e + 1):
+                    for dj in range(j, d - e + j + 1):
+                        _add_product(acc, f[s][j][dj], B[s][e - j][d - dj], comb(e - 1, j - 1))
+                B[s][e][d] = acc
+            # G_s(m) of degree d feeds f_(1-s)(m) of degree d + m <= top
+            for m in range(1, max(1, top - d) + 1):
+                acc = {}
+                for e in range(d + 1):
+                    weight = comb(e + m - 1, m - 1)
+                    for key, count in B[s][e][d].items():
+                        acc[key] = acc.get(key, 0) + weight * count
+                G[s][m][d] = acc
+    return tuple(
+        MappingProxyType({
+            (l, tuple(2 * j for j, times in enumerate(n, start=1) for _ in range(times))): count
+            for (l, n), count in G[0][1][d].items()
+        })
+        for d in range(top + 1)
+    )
+
+
+def _add_product(acc: dict, p: dict, q: dict, scale: int) -> None:
+    """acc += scale * p * q, where keys multiply by adding (l, n) componentwise."""
+    for (l1, n1), c1 in p.items():
+        for (l2, n2), c2 in q.items():
+            key = (l1 + l2, tuple(map(add, n1, n2)))
+            acc[key] = acc.get(key, 0) + scale * c1 * c2

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import covmoments
+from covmoments import circuits, cli, hypergraphs, moments, partitions
 from covmoments.cli import EXIT_CONFIG, EXIT_SIZE_LIMIT, load_config, main
 from covmoments.moments import moment_sparse, mp_moment, poisson_sandwich
 
@@ -112,9 +113,31 @@ class TestMoments:
     def test_constant_breakdown_json(self, tmp_path, capsys):
         assert run(
             "--out", tmp_path, "moments", "--constant", "2=1,4=0.5", "--k", "2", "--y", "1",
+            "--breakdown",
         ) == 0
         payload = json.loads((tmp_path / "moments.json").read_text())
         assert set(payload["moments"]["2"]["breakdown"]) == {"aaaa", "aabb", "abba"}
+
+    @pytest.mark.parametrize("source", [
+        ["--constant", "2=1,4=0.5"],
+        ["--sparse", "--lam", "2"],
+        ["--mp"],
+    ])
+    def test_json_has_no_breakdown_by_default(self, tmp_path, capsys, source):
+        assert run("--out", tmp_path, "moments", *source, "--k", "1..2", "--y", "1") == 0
+        payload = json.loads((tmp_path / "moments.json").read_text())
+        for k in ("1", "2"):
+            assert set(payload["moments"][k]) == {"value"}
+
+    def test_grid_breakdown_only_on_request(self, tmp_path, capsys):
+        np.savetxt(tmp_path / "g2.csv", np.ones((8, 8)), delimiter=",")
+        argv = ["moments", "--g", f"2={tmp_path}/g2.csv", "--k", "1", "--grid", 8]
+        assert run("--out", tmp_path, *argv) == 0
+        entry = json.loads((tmp_path / "moments.json").read_text())["moments"]["1"]
+        assert set(entry) == {"value", "error_estimate"}
+        assert run("--out", tmp_path, *argv, "--breakdown") == 0
+        entry = json.loads((tmp_path / "moments.json").read_text())["moments"]["1"]
+        assert entry["breakdown"] == {"aa": "1"}
 
     def test_grid_csv_input(self, tmp_path, capsys):
         grid = 8
@@ -136,8 +159,34 @@ class TestMoments:
     def test_enumeration_cap_exit(self, tmp_path, capsys):
         assert run(
             "--out", tmp_path, "moments", "--sparse", "--lam", "1", "--y", "1", "--k", "8",
+            "--breakdown",
         ) == EXIT_SIZE_LIMIT
         assert "exceeds the enumeration cap 14" in capsys.readouterr().err
+
+    def test_series_limit_exit(self, tmp_path, capsys):
+        assert run(
+            "--out", tmp_path, "moments", "--sparse", "--lam", "1", "--y", "1", "--k", "13",
+        ) == EXIT_SIZE_LIMIT
+        assert "MAX_SERIES_ORDER = 12" in capsys.readouterr().err
+
+    def test_exact_values_enumerate_no_word(self, tmp_path, capsys, monkeypatch):
+        # the exact verbs read the class table; any word-level work on their
+        # value path would call one of these
+        def forbidden(*args, **kwargs):
+            raise AssertionError("word-level work on the exact value path")
+
+        for module in (circuits, hypergraphs, moments, partitions, cli):
+            for name in ("enumerate_ss_words", "word_structure", "slot_classes"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, forbidden)
+        constants = ",".join(f"{2 * j}={Fraction(1, j)}" for j in range(1, 8))
+        assert run(
+            "--out", tmp_path, "moments", "--sparse", "--lam", "3", "--y", "1/2", "--k", "1..7",
+        ) == 0
+        assert run(
+            "--out", tmp_path, "moments", "--constant", constants, "--y", "2", "--k", "1..7",
+        ) == 0
+        assert run("--out", tmp_path, "hypergraph", "--k", 7) == 0
 
 
 class TestSimulate:
@@ -230,6 +279,12 @@ class TestHypergraphVerb:
         lines = (tmp_path / "counts.csv").read_text().strip().splitlines()
         assert lines[0] == "k,a,l,multiset,count"
         assert set(lines[1:]) == {"2,1,1,4,1", "2,2,1,2|2,1", "2,2,2,2|2,1"}
+
+    def test_class_table_beyond_enumeration(self, tmp_path, capsys):
+        assert run("--out", tmp_path, "hypergraph", "--k", 9) == 0
+        assert "467963 special symmetric words of length 18 in 128 classes" in capsys.readouterr().out
+        assert run("--out", tmp_path, "hypergraph", "--k", 13) == EXIT_SIZE_LIMIT
+        assert "MAX_SERIES_ORDER = 12" in capsys.readouterr().err
 
     def test_non_ss_word(self, capsys):
         assert run("hypergraph", "--word", "abab") == EXIT_CONFIG

@@ -1,3 +1,4 @@
+from collections import Counter
 from functools import lru_cache
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from covmoments.circuits import slot_classes
 from covmoments.hypergraphs import (
+    MAX_SERIES_ORDER,
     Hypergraph,
     NoiryClassKey,
     _word_of_pair,
@@ -14,6 +16,7 @@ from covmoments.hypergraphs import (
     enumerate_ss_words,
     hypergraph_to_word,
     is_acyclic,
+    sojourn_tables,
     word_to_hypergraph,
 )
 from covmoments.partitions import (
@@ -162,6 +165,10 @@ class TestInverse:
         images = [word_to_hypergraph(w) for w in ss_words_by_definition(k)]
         assert len({(h.sigma.blocks, h.tau.blocks) for h in images}) == len(images)
 
+    @given(st.integers(1, 6).flatmap(lambda k: st.sampled_from(enumerate_ss_words(k))))
+    def test_roundtrip_property(self, word):
+        assert hypergraph_to_word(word_to_hypergraph(word)) == word
+
 
 class TestEnumerationByPairs:
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
@@ -220,7 +227,46 @@ class TestSearchCriterion:
         assert is_special_symmetric(word.to_partition()) == (even and propagates(word))
 
 
+def noiry_classes_by_words(k):
+    """Oracle: group the enumerated special symmetric words by (distinct
+    letters, odd generating vertices, letter-multiplicity multiset)."""
+    counts: Counter = Counter()
+    for word in enumerate_ss_words(k):
+        stats = word_statistics(word)
+        key = NoiryClassKey(
+            a=stats.b,
+            l=stats.odd_generating,
+            sizes=tuple(sorted(word.multiplicities())),
+        )
+        counts[key] += 1
+    return dict(counts)
+
+
 class TestNoiryClasses:
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_matches_word_grouping(self, k):
+        assert count_noiry_classes(k) == noiry_classes_by_words(k)
+
+    # the k = 8 figures equal the word search's run with its cap raised to 16,
+    # the k = 9 figures a 467,963-word grouping (about 30 s, so not repeated here)
+    @pytest.mark.parametrize("k,total,classes", [(8, 69331, 86), (9, 467963, 128)])
+    def test_beyond_enumeration(self, k, total, classes):
+        table = count_noiry_classes(k)
+        assert sum(table.values()) == total
+        assert len(table) == classes
+
+    def test_tables_share_the_series(self):
+        # a longer series leaves the lower coefficients as they were
+        tables = sojourn_tables(MAX_SERIES_ORDER)
+        for k in range(1, 8):
+            assert tables[k] == sojourn_tables(k)[k]
+
+    def test_series_limit(self):
+        with pytest.raises(SizeLimitError, match=f"MAX_SERIES_ORDER = {MAX_SERIES_ORDER}"):
+            count_noiry_classes(MAX_SERIES_ORDER + 1)
+        with pytest.raises(ValueError):
+            count_noiry_classes(0)
+
     def test_k1(self):
         assert count_noiry_classes(1) == {NoiryClassKey(1, 1, (2,)): 1}
 

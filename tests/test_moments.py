@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from covmoments.hypergraphs import MAX_SERIES_ORDER, enumerate_ss_words
 from covmoments.moments import (
     CarlemanDiagnostic,
     carleman_diagnostic,
@@ -18,6 +19,7 @@ from covmoments.moments import (
 )
 from covmoments.partitions import (
     Partition,
+    SizeLimitError,
     Word,
     catalan,
     count_ss,
@@ -29,6 +31,26 @@ from covmoments.partitions import (
 )
 
 MP_CONSTANTS = {2: F(1), 4: F(0), 6: F(0), 8: F(0), 10: F(0), 12: F(0)}
+
+
+@lru_cache(maxsize=None)
+def word_terms(k):
+    """Oracle: (r, letter multiplicities) of every special symmetric word of
+    length 2k, read off the words themselves."""
+    return tuple(
+        (word_statistics(w).r_plus_1 - 1, w.multiplicities()) for w in enumerate_ss_words(k)
+    )
+
+
+def moment_by_words(k, y, c):
+    """Oracle: the moment as the word sum of y^r * prod C_multiplicity."""
+    total = F(0)
+    for r, sizes in word_terms(k):
+        term = F(y) ** r
+        for s in sizes:
+            term *= c[s]
+        total += term
+    return total
 
 
 class TestMpMoment:
@@ -61,7 +83,7 @@ class TestMpMoment:
 
 class TestMomentConstant:
     def test_k1_is_c2(self):
-        report = moment_constant(1, F(1, 3), {2: F(7)})
+        report = moment_constant(1, F(1, 3), {2: F(7)}, breakdown=True)
         assert report.value == 7
         assert report.breakdown == {"aa": F(7)}
 
@@ -78,12 +100,59 @@ class TestMomentConstant:
         assert moment_constant(k, y, MP_CONSTANTS).value == mp_moment(k, y)
 
     def test_breakdown_sums_to_value(self):
-        report = moment_constant(3, F(2, 3), {2: F(1, 2), 4: F(3), 6: F(1, 5)})
+        report = moment_constant(3, F(2, 3), {2: F(1, 2), 4: F(3), 6: F(1, 5)}, breakdown=True)
         assert sum(report.breakdown.values()) == report.value
 
     def test_missing_order_raises(self):
         with pytest.raises(ValueError, match="order 4"):
             moment_constant(2, 1, {2: F(1)})
+
+    def test_smallest_missing_order_named(self):
+        for breakdown in (False, True):
+            with pytest.raises(ValueError, match="order 2$"):
+                moment_constant(3, 1, {4: F(1)}, breakdown=breakdown)
+            with pytest.raises(ValueError, match="order 4$"):
+                moment_constant(3, 1, {2: F(1), 8: F(1)}, breakdown=breakdown)
+
+    def test_breakdown_is_opt_in(self):
+        assert moment_constant(3, F(1, 2), {2: 1, 4: 1, 6: 1}).breakdown is None
+        assert moment_sparse(3, F(1, 2), 2).breakdown is None
+
+    def test_breakdown_keeps_enumeration_cap(self):
+        assert moment_sparse(8, 1, 1).value == 69331
+        with pytest.raises(SizeLimitError, match="exceeds the enumeration cap 14"):
+            moment_sparse(8, 1, 1, breakdown=True)
+
+    def test_series_limit(self):
+        moment_sparse(MAX_SERIES_ORDER, 1, 1)
+        with pytest.raises(SizeLimitError, match=f"MAX_SERIES_ORDER = {MAX_SERIES_ORDER}"):
+            moment_sparse(MAX_SERIES_ORDER + 1, 1, 1)
+        # the limit is checked before the constants are looked up
+        with pytest.raises(SizeLimitError, match="MAX_SERIES_ORDER"):
+            moment_constant(MAX_SERIES_ORDER + 1, 1, {2: F(1)})
+
+    # the oracle sums 1,747 words in Fractions at k = 6
+    @settings(max_examples=60)
+    @given(
+        k=st.integers(1, 6),
+        y=st.fractions(min_value=F(1, 10), max_value=10, max_denominator=12),
+        c=st.lists(st.fractions(min_value=0, max_value=10, max_denominator=12), min_size=6, max_size=6),
+    )
+    @example(k=6, y=F(1), c=[F(1)] * 6)
+    def test_equals_word_sum(self, k, y, c):
+        constants = even_sequence(c)
+        assert moment_constant(k, y, constants).value == moment_by_words(k, y, constants)
+
+    @pytest.mark.parametrize(
+        "y,c",
+        [
+            (F(2), [F(1, j) for j in range(1, 8)]),
+            (F(3, 7), [F(5, 2), F(0), F(1, 3), F(7), F(2, 9), F(4), F(1, 11)]),
+        ],
+    )
+    def test_equals_word_sum_k7(self, y, c):
+        constants = even_sequence(c)
+        assert moment_constant(7, y, constants).value == moment_by_words(7, y, constants)
 
     def test_even_sequence_helper(self):
         assert even_sequence([1, F(1, 2)]) == {2: F(1), 4: F(1, 2)}
@@ -101,11 +170,17 @@ class TestMomentSparse:
     def test_k3_unit_weights_count_ss6(self):
         assert moment_sparse(3, 1, 1).value == 12
 
+    @pytest.mark.parametrize("k,total", [(8, 69331), (9, 467963)])
+    def test_unit_weights_count_words_beyond_enumeration(self, k, total):
+        assert moment_sparse(k, 1, 1).value == total
+
     def test_matches_constant_path_exactly(self):
         lam = F(5, 7)
         for k in (1, 2, 3, 4):
-            via_const = moment_constant(k, F(1, 3), {2 * j: lam for j in range(1, k + 1)})
-            via_sparse = moment_sparse(k, F(1, 3), lam)
+            via_const = moment_constant(
+                k, F(1, 3), {2 * j: lam for j in range(1, k + 1)}, breakdown=True
+            )
+            via_sparse = moment_sparse(k, F(1, 3), lam, breakdown=True)
             assert via_sparse.value == via_const.value
             assert via_sparse.breakdown == via_const.breakdown
 
@@ -239,8 +314,6 @@ class TestWordStructure:
             assert sorted(e.multiplicity for e in st.edges) == list(p.block_sizes())
 
     def test_r_matches_word_statistics(self):
-        from covmoments.hypergraphs import enumerate_ss_words
-
         for k in (1, 2, 3, 4):
             for word in enumerate_ss_words(k):
                 assert word_structure(word).r == word_statistics(word).r_plus_1 - 1
