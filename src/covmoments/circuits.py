@@ -82,34 +82,6 @@ def _check_budget(candidates: int, budget: int | None) -> None:
         )
 
 
-def _count_s_circuit(word: Word, p: int, values: list[int]) -> bool:
-    """Propagate one assignment of the generating vertices under the S link."""
-    m = word.length
-    keys: dict[int, tuple[int, int]] = {}
-    for i in range(1, m + 1):
-        prev = values[i - 1]
-        cur = values[0] if i == m else values[i]
-        letter = word.letters[i - 1]
-        if letter not in keys:
-            keys[letter] = (prev, cur) if i % 2 else (cur, prev)
-            continue
-        row, col = keys[letter]
-        if i % 2:
-            if prev != row:
-                return False
-            forced = col
-        else:
-            if prev != col:
-                return False
-            forced = row
-        if i == m:
-            if forced != values[0]:
-                return False
-        else:
-            values[i] = forced
-    return True
-
-
 def _iter_assignments(word: Word, p: int, n: int, budget: int | None):
     """Yield value arrays with the generating slots filled, others None."""
     m = word.length
@@ -363,13 +335,24 @@ def slot_classes(word: Word) -> list[int]:
 
 def verify_containment(word: Word, p: int, n: int, budget: int | None = None) -> bool:
     """Check that every circuit counted under the S link is also compatible
-    with the Wigner link on the range {1..max(p, n)}."""
+    with the Wigner link on the range {1..max(p, n)}.
+
+    Each assignment of the generating vertices is stepped with
+    `propagate_slot`, a new letter taking the assigned value (pi(0) at the
+    closing slot) as its fresh endpoint.
+    """
     _require_sizes(p=p, n=n)
-    _require_circuit_word(word)
+    m = _require_circuit_word(word)
     for values in _iter_assignments(word, p, n, budget):
-        work = list(values)
-        if not _count_s_circuit(word, p, work):
-            continue
-        if not _word_compatible(word, _edge_keys_w(word, tuple(work))):
-            return False
+        keys: dict[int, tuple[int, int]] = {}
+        for i in range(1, m + 1):
+            fresh = values[0] if i == m else values[i]
+            cur = propagate_slot(keys, word.letters[i - 1], i, values[i - 1], fresh)
+            if cur is None or (i == m and cur != values[0]):
+                break
+            if i < m:
+                values[i] = cur
+        else:
+            if not _word_compatible(word, _edge_keys_w(word, tuple(values))):
+                return False
     return True

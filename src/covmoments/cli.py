@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -98,10 +99,13 @@ def run_classify(args) -> int:
 # ---------------------------------------------------------------- count
 
 def run_count(args) -> int:
+    # the (b, r+1) table is a marginal of the sojourn class table: b = a
+    # letters and r+1 = a - l + 1 even generating vertices
     k = args.k
-    table = partitions.count_ss(
-        k, by=("blocks", "even_generating"), pair_only=args.pair_only, cap=args.cap
-    )
+    table: Counter = Counter()
+    for key, count in hypergraphs.count_noiry_classes(k).items():
+        if not args.pair_only or all(s == 2 for s in key.sizes):
+            table[key.a, key.a - key.l + 1] += count
     rows = [[k, b, r, count] for (b, r), count in sorted(table.items())]
     out = _out_dir(args) / "counts.csv"
     _write_csv(out, ["k", "b", "r_plus_1", "count"], rows)
@@ -120,12 +124,9 @@ def run_census(args) -> int:
             raise ValueError(f"census size {name} must be at least 1, got {size}")
     results = []
     if args.link in ("S", "both"):
-        fn = circuits.census_s_exhaustive if args.exhaustive else circuits.census_s
-        results.append(fn(word, args.p, args.n, budget=args.budget))
+        results.append(circuits.census_s(word, args.p, args.n, budget=args.budget))
     if args.link in ("wigner", "both"):
-        N = max(args.p, args.n)
-        fn = circuits.census_w_exhaustive if args.exhaustive else circuits.census_w
-        results.append(fn(word, N, budget=args.budget))
+        results.append(circuits.census_w(word, max(args.p, args.n), budget=args.budget))
     rows = [
         [r.word, r.link, r.p, r.n, r.exact_count,
          "" if r.predicted_count is None else r.predicted_count]
@@ -568,9 +569,9 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(fn=run_classify)
 
     c = sub.add_parser("count", help="count special symmetric partitions of {1..2k}")
-    c.add_argument("--k", type=int, required=True)
+    c.add_argument("--k", type=int, required=True,
+                   help=f"table by (b, r+1) for {{1..2k}}, k <= {hypergraphs.MAX_SERIES_ORDER}")
     c.add_argument("--pair-only", action="store_true")
-    c.add_argument("--cap", type=int, default=None)
     c.set_defaults(fn=run_count)
 
     c = sub.add_parser("census", help="count circuits compatible with a word")
@@ -578,7 +579,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--p", type=int, required=True)
     c.add_argument("--n", type=int, required=True)
     c.add_argument("--link", choices=("S", "wigner", "both"), default="S")
-    c.add_argument("--exhaustive", action="store_true", help="full tuple search instead of propagation")
     c.add_argument("--budget", type=int, default=None)
     c.set_defaults(fn=run_census)
 

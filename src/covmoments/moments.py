@@ -242,11 +242,10 @@ def _grid_moment_value(
     return sum(breakdown.values()), breakdown
 
 
-@lru_cache(maxsize=None)
 def _needed_sizes(k: int) -> frozenset[int]:
-    return frozenset(
-        edge.multiplicity for word in enumerate_ss_words(k) for edge in word_structure(word).edges
-    )
+    # a^(2j) followed by k - j pairs is special symmetric for every j <= k,
+    # so every even multiplicity up to 2k occurs
+    return frozenset(range(2, 2 * k + 1, 2))
 
 
 def moment_grid(

@@ -342,6 +342,8 @@ def count_ss(
     "sizes" (block-size multiset), or a tuple of those for a joint table.
     With pair_only=True only pair partitions are enumerated, which is the
     sub-table whose even-generating slices are the Narayana numbers.
+    The `count` verb reads its table from the sojourn recursion instead;
+    this sweep is the independent check of that table.
     """
     keys = (by,) if isinstance(by, str) else tuple(by)
     for key in keys:

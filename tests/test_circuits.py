@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from covmoments import circuits
 from covmoments.circuits import (
     CensusResult,
-    _count_s_circuit,
     _iter_assignments,
     census_s,
     census_s_exhaustive,
@@ -38,6 +38,34 @@ def ss_words(m):
 
 def non_ss_words(m):
     return [p.to_word() for p in enumerate_partitions(m) if not is_special_symmetric(p)]
+
+
+def _count_s_circuit(word: Word, p: int, values: list[int]) -> bool:
+    """Propagate one assignment of the generating vertices under the S link."""
+    m = word.length
+    keys: dict[int, tuple[int, int]] = {}
+    for i in range(1, m + 1):
+        prev = values[i - 1]
+        cur = values[0] if i == m else values[i]
+        letter = word.letters[i - 1]
+        if letter not in keys:
+            keys[letter] = (prev, cur) if i % 2 else (cur, prev)
+            continue
+        row, col = keys[letter]
+        if i % 2:
+            if prev != row:
+                return False
+            forced = col
+        else:
+            if prev != col:
+                return False
+            forced = row
+        if i == m:
+            if forced != values[0]:
+                return False
+        else:
+            values[i] = forced
+    return True
 
 
 def _count_w_circuit(word, values):
@@ -242,6 +270,31 @@ class TestContainment:
         for word in all_words(m):
             for p, n in itertools.product((1, 2, 3), (1, 2, 3)):
                 assert verify_containment(word, p, n)
+
+    def test_checks_exactly_the_s_circuits(self, monkeypatch):
+        # the circuits handed to the Wigner check are exactly those that the
+        # assignment-loop oracle accepts under the S link, in the same order
+        checked = []
+        edge_keys_w = circuits._edge_keys_w
+
+        def spy(word, values):
+            checked.append(values)
+            return edge_keys_w(word, values)
+
+        monkeypatch.setattr(circuits, "_edge_keys_w", spy)
+        assignments = 0
+        for m in (2, 4, 6):
+            for word in all_words(m):
+                for p, n in itertools.product((1, 2, 3), (1, 2, 3)):
+                    checked.clear()
+                    assert verify_containment(word, p, n)
+                    expected = []
+                    for values in _iter_assignments(word, p, n, None):
+                        assignments += 1
+                        if _count_s_circuit(word, p, values):
+                            expected.append(tuple(values))
+                    assert checked == expected, (word.text, p, n)
+        assert assignments == 58752
 
 
 class TestPatternCount:

@@ -1,7 +1,10 @@
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -53,7 +56,47 @@ class TestCount:
         assert counts == {(3, 1): 1, (3, 2): 3, (3, 3): 1}
 
     def test_cap_exit(self, tmp_path, capsys):
-        assert run("--out", tmp_path, "count", "--k", 9) == EXIT_SIZE_LIMIT
+        assert run("--out", tmp_path, "count", "--k", 13) == EXIT_SIZE_LIMIT
+        assert "MAX_SERIES_ORDER = 12" in capsys.readouterr().err
+
+    @staticmethod
+    def read_counts(path):
+        rows = path.read_text().strip().splitlines()
+        assert rows[0] == "k,b,r_plus_1,count"
+        return [tuple(map(int, row.split(","))) for row in rows[1:]]
+
+    @pytest.mark.parametrize("pair_only", [False, True])
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_matches_exhaustive_census(self, tmp_path, capsys, k, pair_only):
+        flags = ["--pair-only"] if pair_only else []
+        assert run("--out", tmp_path, "count", "--k", k, *flags) == 0
+        table = partitions.count_ss(k, by=("blocks", "even_generating"), pair_only=pair_only)
+        expected = [(k, b, r, count) for (b, r), count in sorted(table.items())]
+        assert self.read_counts(tmp_path / "counts.csv") == expected
+        total = sum(table.values())
+        assert capsys.readouterr().out.startswith(
+            f"count: {total} special symmetric partitions of {{1..{2 * k}}}"
+        )
+
+    @pytest.mark.parametrize("pair_only", [False, True])
+    @pytest.mark.parametrize("k", [6, 7])
+    def test_matches_word_grouping(self, tmp_path, capsys, k, pair_only):
+        flags = ["--pair-only"] if pair_only else []
+        assert run("--out", tmp_path, "count", "--k", k, *flags) == 0
+        table = Counter()
+        for word in hypergraphs.enumerate_ss_words(k):
+            if not pair_only or set(word.multiplicities()) == {2}:
+                stats = partitions.word_statistics(word)
+                table[stats.b, stats.r_plus_1] += 1
+        expected = [(k, b, r, count) for (b, r), count in sorted(table.items())]
+        assert self.read_counts(tmp_path / "counts.csv") == expected
+
+    def test_series_limit(self, tmp_path, capsys):
+        assert run("--out", tmp_path, "count", "--k", 12) == 0
+        assert run("--out", tmp_path, "count", "--k", 0) == EXIT_CONFIG
+        with pytest.raises(SystemExit) as exc:
+            run("--out", tmp_path, "count", "--k", 4, "--cap", 20)
+        assert exc.value.code == EXIT_CONFIG
 
 
 class TestCensus:
@@ -65,11 +108,17 @@ class TestCensus:
     def test_both_links_exhaustive(self, tmp_path, capsys):
         assert run(
             "--out", tmp_path, "census", "--word", "abab", "--p", 2, "--n", 2,
-            "--link", "both", "--exhaustive",
+            "--link", "both",
         ) == 0
         lines = (tmp_path / "census.csv").read_text().strip().splitlines()
         assert lines[1] == "abab,S,2,2,4,"
         assert lines[2].startswith("abab,wigner,2,2,")
+
+    def test_exhaustive_removed(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("--out", tmp_path, "census", "--word", "abab", "--p", 2, "--n", 2, "--exhaustive")
+        assert exc.value.code == EXIT_CONFIG
+        assert not (tmp_path / "census.csv").exists()
 
     def test_budget_exit(self, tmp_path, capsys):
         assert run("--out", tmp_path, "census", "--word", "abba", "--p", 10**6, "--n", 10**6) == EXIT_SIZE_LIMIT
@@ -176,7 +225,8 @@ class TestMoments:
             raise AssertionError("word-level work on the exact value path")
 
         for module in (circuits, hypergraphs, moments, partitions, cli):
-            for name in ("enumerate_ss_words", "word_structure", "slot_classes"):
+            for name in ("enumerate_ss_words", "word_structure", "slot_classes",
+                         "count_ss", "enumerate_partitions", "is_special_symmetric"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, forbidden)
         constants = ",".join(f"{2 * j}={Fraction(1, j)}" for j in range(1, 8))
@@ -187,6 +237,8 @@ class TestMoments:
             "--out", tmp_path, "moments", "--constant", constants, "--y", "2", "--k", "1..7",
         ) == 0
         assert run("--out", tmp_path, "hypergraph", "--k", 7) == 0
+        assert run("--out", tmp_path, "count", "--k", 7) == 0
+        assert run("--out", tmp_path, "count", "--k", 7, "--pair-only") == 0
 
 
 class TestSimulate:
@@ -313,3 +365,21 @@ def test_console_script_installed(tmp_path):
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["is_special_symmetric"] is True
+
+
+def test_readme_command_lines_parse():
+    # every `covmoments ...` line in the README's sh blocks must parse, so a
+    # deleted option cannot linger in the documentation
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, flags=re.M | re.S)
+    lines = [line for block in blocks for line in block.splitlines()
+             if line.startswith("covmoments ")]
+    assert len(lines) >= 10
+    parser = cli.build_parser()
+    for line in lines:
+        argv = [token[1:-1] if token.startswith("[-") and token.endswith("]") else token
+                for token in shlex.split(line)[1:]]
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")

@@ -162,6 +162,11 @@ class TestMomentGrid:
         assert _needed_sizes(3) == frozenset({2, 4, 6})
         assert isinstance(_needed_sizes(3), frozenset)
 
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_needed_sizes_are_the_word_multiplicities(self, k):
+        occurring = {s for word in enumerate_ss_words(k) for s in word.multiplicities()}
+        assert _needed_sizes(k) == occurring
+
     def test_halving_error_estimate(self):
         g = {2: lambda x, u: 0.5 + 0.5 * x * u, 4: lambda x, u: x + u}
         report = moment_grid(2, 1, g, grid=64)
