@@ -163,7 +163,8 @@ def run_moments(args) -> int:
             raise ConfigError("--sparse requires --lam")
         source = "sparse"
         lam = Fraction(args.lam)
-        for k in ks:
+        # largest first: the class table for max(ks) serves every smaller k
+        for k in sorted(ks, reverse=True):
             report = moments.moment_sparse(k, y, lam, breakdown=args.breakdown)
             reports[k], values[k] = report, report.value
             if args.sandwich:
@@ -171,7 +172,7 @@ def run_moments(args) -> int:
     elif args.constant and not args.profile_csv:
         source = "constant"
         constants = _parse_constants(args.constant)
-        for k in ks:
+        for k in sorted(ks, reverse=True):
             report = moments.moment_constant(k, y, constants, breakdown=args.breakdown)
             reports[k], values[k] = report, report.value
     elif args.profile_csv:
@@ -183,7 +184,9 @@ def run_moments(args) -> int:
             raise ConfigError(f"profile grid has shape {sigma.shape}, expected {(args.grid, args.grid)}")
         constants = _parse_constants(args.constant)
         for k in ks:
-            report = moments.moment_profile(k, y, sigma, constants, grid=args.grid)
+            report = moments.moment_profile(
+                k, y, sigma, constants, grid=args.grid, breakdown=args.breakdown
+            )
             reports[k], values[k] = report, report.value
     elif args.g:
         source = "grid"
@@ -194,7 +197,7 @@ def run_moments(args) -> int:
                 raise ConfigError(f"bad --g entry {item!r}; expected like 2=g2.csv")
             g[int(key)] = _load_grid_csv(path)
         for k in ks:
-            report = moments.moment_grid(k, y, g, grid=args.grid)
+            report = moments.moment_grid(k, y, g, grid=args.grid, breakdown=args.breakdown)
             reports[k], values[k] = report, report.value
     else:
         raise ConfigError("choose a source: --mp, --sparse, --constant, --profile-csv or --g")
@@ -478,16 +481,25 @@ def _check_noiry(max_k):
 def _check_grid(max_k):
     constants = {2: Fraction(1), 4: Fraction(1, 4), 6: Fraction(2)}
     g = {s: np.full((16, 16), float(v)) for s, v in constants.items()}
+    # both sides of the constant case run the sojourn series; the word terms
+    # of a varying integrand, by per-word elimination, are an independent sum
+    xs = (np.arange(16) + 0.5) / 16
+    varying = {s: v + np.outer(xs, xs**2) for s, v in g.items()}
     for k in range(1, min(max_k, 3) + 1):
         grid_value = moments.moment_grid(k, Fraction(1, 2), g, grid=16).value
         exact = float(moments.moment_constant(k, Fraction(1, 2), constants).value)
         if abs(grid_value - exact) > 1e-10:
             return False, f"constant integrand mismatch at k={k}"
+        report = moments.moment_grid(k, Fraction(1, 2), varying, grid=16, breakdown=True)
+        words = sum(report.breakdown.values())
+        if abs(report.value - words) > 1e-12 * abs(words):
+            return False, f"c + xu^2 integrand at k={k}: {report.value!r} vs word terms {words!r}"
     xs = (np.arange(128) + 0.5) / 128
     product = moments.moment_grid(1, 1, {2: np.outer(xs, xs)}, grid=128).value
     if abs(product - 0.25) > 1e-6:
         return False, f"xy integral {product}"
-    return True, "quadrature reproduces constant sums to 1e-10 and the xy integral to 1e-6"
+    return True, ("quadrature reproduces constant sums to 1e-10, its word terms to 1e-12 "
+                  "and the xy integral to 1e-6")
 
 def _check_unbounded(max_k):
     g = {2 * j: (np.ones((16, 16)) if j == 1 else np.zeros((16, 16))) for j in range(1, 5)}

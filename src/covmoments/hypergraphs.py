@@ -240,11 +240,40 @@ def count_noiry_classes(k: int) -> dict[NoiryClassKey, int]:
     }
 
 
-@lru_cache(maxsize=None)
+# the class tables of the largest max_k built so far; a smaller max_k reads
+# their prefix, so a verb looping over k = 1..K builds one table
+_built: tuple[ClassTable, ...] = ()
+
+
 def sojourn_tables(max_k: int) -> tuple[ClassTable, ...]:
     """Class tables of the special symmetric words of length 2k for
-    k = 0..max_k, by a recursion over vertex sojourns.  The tables are
-    cached, so they are returned read-only.
+    k = 0..max_k, read off `_sojourn_series`.  The tables are kept for later
+    calls, so they are returned read-only.
+    """
+    global _built
+    if not 1 <= max_k < len(_built):
+        unit = {(0, (0,) * max_k): 1}  # the empty walk: no letter, no odd vertex
+        _built = tuple(
+            MappingProxyType({
+                (l, tuple(2 * j for j, times in enumerate(n, start=1) for _ in range(times))): count
+                for (l, n), count in series.items()
+            })
+            for series in _sojourn_series(max_k, unit, dict, _add_letter, _add_product)
+        )
+    return _built[: max_k + 1]
+
+
+def _add_letter(s: int, j: int, child: dict) -> dict:
+    # a letter of multiplicity 2j over the child's coefficient; a row
+    # vertex's child is a column (odd generating) vertex, which l counts
+    return {
+        (l + 1 - s, n[: j - 1] + (n[j - 1] + 1,) + n[j:]): count
+        for (l, n), count in child.items()
+    }
+
+
+def _sojourn_series(top: int, unit, zero, letter, add_product) -> list:
+    """[z^d] G_row(1) for d = 0..top, by a recursion over vertex sojourns.
 
     Covariance-link propagation sends each new letter to a fresh class, so a
     special symmetric word is a closed walk from the root (a row vertex) on a
@@ -254,68 +283,58 @@ def sojourn_tables(max_k: int) -> tuple[ClassTable, ...]:
     excursions into children over its m sojourns in C(E+m-1, m-1) ways and
     groups them by child as a set partition, since children are numbered by
     first visit, as canonical letters are.  With z marking k and, for a
-    child of a vertex of parity s, f_s(j) = [letter of multiplicity 2j]
-    z^j G_(1-s)(j):
+    child of a vertex of parity s, f_s(j) = letter(s, j, z^j G_(1-s)(j)):
 
         B_s(E) = sum_j C(E-1, j-1) f_s(j) B_s(E-j)   (the first excursion's block)
         G_s(m) = sum_E C(E+m-1, m-1) B_s(E)
-        table k = [z^k] G_row(1)
 
-    f_s(j) starts at degree j, so a degree-d coefficient needs only lower
-    degrees and the series are built degree by degree, with no fixed-point
-    rounds.  This is the special symmetric analogue of Zakharevich's count
-    of trees with edge multiplicities (2006, A generalization of Wigner's
-    law, Comm. Math. Phys. 268).
+    The coefficient type is the caller's: `unit` is the empty walk, `zero()`
+    a fresh zero, and add_product(acc, p, q, scale) returns acc + scale p q,
+    which it may build in acc.  Class counts and grid functions of the
+    vertex variable both fit.  f_s(j) starts at degree j, so a degree-d
+    coefficient needs only lower degrees and the series are built degree by
+    degree, with no fixed-point rounds.  This is the special symmetric
+    analogue of Zakharevich's count of trees with edge multiplicities (2006,
+    A generalization of Wigner's law, Comm. Math. Phys. 268).
     """
-    if max_k < 1:
+    if top < 1:
         raise ValueError("k must be >= 1")
-    if max_k > MAX_SERIES_ORDER:
+    if top > MAX_SERIES_ORDER:
         raise SizeLimitError(
-            f"moment order {max_k} exceeds the series limit "
+            f"moment order {top} exceeds the series limit "
             f"MAX_SERIES_ORDER = {MAX_SERIES_ORDER}"
         )
-    top = max_k
     # G[s][i][d], f[s][i][d] and B[s][i][d] are the degree-d coefficients of
-    # G_s(i), f_s(i) and B_s(i).  A coefficient maps (l, n) to a count, where
-    # n[j-1] is the number of letters of multiplicity 2j.  s = 0 is a row
-    # vertex, whose children are the column (odd generating) vertices that
-    # l counts.
-    G, f, B = ([[[{}] * (top + 1) for _ in range(top + 1)] for _ in range(2)] for _ in range(3))
+    # G_s(i), f_s(i) and B_s(i); s = 0 is a row vertex
+    empty = zero()
+    G, f, B = ([[[empty] * (top + 1) for _ in range(top + 1)] for _ in range(2)] for _ in range(3))
     for s in (0, 1):
-        B[s][0] = [{(0, (0,) * top): 1}] + [{}] * top
+        B[s][0] = [unit] + [empty] * top
     for d in range(top + 1):
         for s in (0, 1):
             for j in range(1, d + 1):
-                f[s][j][d] = {
-                    (l + 1 - s, n[: j - 1] + (n[j - 1] + 1,) + n[j:]): count
-                    for (l, n), count in G[1 - s][j][d - j].items()
-                }
+                f[s][j][d] = letter(s, j, G[1 - s][j][d - j])
             for e in range(1, d + 1):
-                acc: dict = {}
+                acc = zero()
                 for j in range(1, e + 1):
                     for dj in range(j, d - e + j + 1):
-                        _add_product(acc, f[s][j][dj], B[s][e - j][d - dj], comb(e - 1, j - 1))
+                        acc = add_product(acc, f[s][j][dj], B[s][e - j][d - dj], comb(e - 1, j - 1))
                 B[s][e][d] = acc
             # G_s(m) of degree d feeds f_(1-s)(m) of degree d + m <= top
             for m in range(1, max(1, top - d) + 1):
-                acc = {}
+                acc = zero()
                 for e in range(d + 1):
-                    weight = comb(e + m - 1, m - 1)
-                    for key, count in B[s][e][d].items():
-                        acc[key] = acc.get(key, 0) + weight * count
+                    acc = add_product(acc, unit, B[s][e][d], comb(e + m - 1, m - 1))
                 G[s][m][d] = acc
-    return tuple(
-        MappingProxyType({
-            (l, tuple(2 * j for j, times in enumerate(n, start=1) for _ in range(times))): count
-            for (l, n), count in G[0][1][d].items()
-        })
-        for d in range(top + 1)
-    )
+    return [G[0][1][d] for d in range(top + 1)]
 
 
-def _add_product(acc: dict, p: dict, q: dict, scale: int) -> None:
-    """acc += scale * p * q, where keys multiply by adding (l, n) componentwise."""
+def _add_product(acc: dict, p: dict, q: dict, scale: int) -> dict:
+    """acc += scale * p * q, where keys multiply by adding (l, n) componentwise.
+    A coefficient maps (l, n) to a count, where n[j-1] is the number of
+    letters of multiplicity 2j and l the number of odd generating vertices."""
     for (l1, n1), c1 in p.items():
         for (l2, n2), c2 in q.items():
             key = (l1 + l2, tuple(map(add, n1, n2)))
             acc[key] = acc.get(key, 0) + scale * c1 * c2
+    return acc

@@ -7,13 +7,16 @@ multiplicity s is a constant C_s, lam for the sparse family, or a
 two-variable integral of g_s over the generating-vertex variables.
 
 Combinatorial sums (constant, sparse, sandwich, Carleman) are evaluated in
-exact rational arithmetic; quadrature paths use floats.  The constant and
-sparse sums depend on a word only through its class (b, r, multiplicity
-multiset), so they substitute y and the constants into the class table of
-`hypergraphs.sojourn_tables` and enumerate no word: 54 classes in place of
-10,727 words at k = 7, up to k = MAX_SERIES_ORDER.  Their per-word breakdown
-is built only on request (breakdown=True), because it lists every word and
-so stays within the enumeration cap.
+exact rational arithmetic; quadrature paths use floats.  Every moment value
+comes from one recursion over vertex sojourns, `hypergraphs._sojourn_series`,
+and lists no word, up to k = MAX_SERIES_ORDER.  The constant and sparse sums
+depend on a word only through its class (b, r, multiplicity multiset), so
+they substitute y and the constants into the class table that the integer
+form of the recursion builds (`hypergraphs.sojourn_tables`): 54 classes in
+place of 10,727 words at k = 7.  The quadrature sums run the same recursion
+over functions of the generating-vertex variable.  The per-word breakdown of
+every source is built only on request (breakdown=True), because it lists
+every word and so stays within the enumeration cap.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .circuits import slot_classes
-from .hypergraphs import enumerate_ss_words, sojourn_tables
+from .hypergraphs import _sojourn_series, enumerate_ss_words, sojourn_tables
 from .partitions import Word, narayana, word_statistics
 
 GridFunction = Callable[[float, float], float] | np.ndarray
@@ -38,7 +41,8 @@ GridFunction = Callable[[float, float], float] | np.ndarray
 @dataclass(frozen=True)
 class MomentReport:
     """A limiting moment with its per-word additive breakdown, which is None
-    when the exact paths were not asked for it."""
+    unless breakdown=True was asked for, and for the quadrature sources the
+    half-grid error estimate."""
 
     k: int
     value: Fraction | float
@@ -196,50 +200,41 @@ def _coarsen(samples: np.ndarray) -> np.ndarray:
     return samples.reshape(g, 2, g, 2).mean(axis=(1, 3))
 
 
-def _subtree_contribution(
-    key: tuple, samples: Mapping[int, np.ndarray], grid: int, memo: dict[tuple, np.ndarray]
-) -> np.ndarray:
-    """Message a subtree sends to its parent vertex: the integral over the
-    subtree's variables, as a function of the parent's variable.
+def _grid_series_value(k: int, y: float, samples: Mapping[int, np.ndarray], grid: int) -> float:
+    # the sojourn recursion over functions of the vertex variable: a letter
+    # of multiplicity 2j integrates the child's variable out of g_2j, and a
+    # row child (the first argument of g) carries y
+    def letter(s: int, j: int, child: np.ndarray) -> np.ndarray:
+        factor = samples[2 * j]
+        return factor @ child / grid if s == 0 else y * (child @ factor) / grid
 
-    key = (child is the even class, letter multiplicity, children's keys in
-    reverse introduction order) determines the message, so each distinct
-    subtree is integrated once per memo.
-    """
-    contrib = memo.get(key)
-    if contrib is None:
-        child_is_even, multiplicity, children = key
-        message = np.ones(grid)
-        for child in children:
-            message = message * _subtree_contribution(child, samples, grid, memo)
-        factor = samples[multiplicity]
-        if child_is_even:
-            contrib = (factor * message[:, None]).mean(axis=0)
-        else:
-            contrib = (factor * message[None, :]).mean(axis=1)
-        memo[key] = contrib
-    return contrib
+    def add_product(acc: np.ndarray, p: np.ndarray, q: np.ndarray, scale: int) -> np.ndarray:
+        acc += scale * p * q
+        return acc
+
+    series = _sojourn_series(k, np.ones(grid), lambda: np.zeros(grid), letter, add_product)
+    return float(series[k].mean())
 
 
-def _grid_moment_value(
+def _word_terms(
     k: int, y: float, samples: Mapping[int, np.ndarray], grid: int
-) -> tuple[float, dict[str, float]]:
-    # eliminate leaf variables in reverse introduction order; each step is a
-    # G x G quadrature, so a word costs O(b G^2) instead of O(G^(b+1)), and
-    # subtrees shared between words are integrated once
-    breakdown: dict[str, float] = {}
-    memo: dict[tuple, np.ndarray] = {}
+) -> dict[str, float]:
+    # each word's term on its own: eliminate the leaf variables in reverse
+    # introduction order, each step a G x G quadrature
+    terms: dict[str, float] = {}
     for word in enumerate_ss_words(k):
         st = word_structure(word)
-        children: dict[int, list[tuple]] = {cls: [] for cls in range(len(st.edges) + 1)}
+        messages = {cls: np.ones(grid) for cls in range(len(st.edges) + 1)}
         for edge in reversed(st.edges):
-            key = (edge.child == edge.even_class, edge.multiplicity, tuple(children.pop(edge.child)))
-            children[edge.parent].append(key)
-        root = np.ones(grid)
-        for key in children[0]:
-            root = root * _subtree_contribution(key, samples, grid, memo)
-        breakdown[word.text] = y**st.r * float(root.mean())
-    return sum(breakdown.values()), breakdown
+            factor = samples[edge.multiplicity]
+            child = messages.pop(edge.child)
+            if edge.child == edge.even_class:
+                contrib = (factor * child[:, None]).mean(axis=0)
+            else:
+                contrib = (factor * child[None, :]).mean(axis=1)
+            messages[edge.parent] = messages[edge.parent] * contrib
+        terms[word.text] = y**st.r * float(messages[0].mean())
+    return terms
 
 
 def _needed_sizes(k: int) -> frozenset[int]:
@@ -249,14 +244,18 @@ def _needed_sizes(k: int) -> frozenset[int]:
 
 
 def moment_grid(
-    k: int, y: Real, g: Mapping[int, GridFunction], grid: int = 64
+    k: int, y: Real, g: Mapping[int, GridFunction], grid: int = 64, breakdown: bool = False
 ) -> MomentReport:
     """Limiting moment for grid-sampled moment functions g_{2m} on [0,1]^2.
 
     Each word contributes y^r times the integral over its b+1 generating
     variables of prod_letters g_multiplicity(x_even, u_odd), evaluated by the
-    midpoint rule with tree elimination.  The error estimate is the change
-    from re-evaluating at half resolution.
+    midpoint rule.  The sum over words is the sojourn recursion of
+    `hypergraphs._sojourn_series` over functions of the vertex variable, so
+    no word is listed and k may go up to MAX_SERIES_ORDER.  The error
+    estimate is the change from re-evaluating at half resolution.
+    breakdown=True adds each word's term by tree elimination, which
+    enumerates the words (bounded by the enumeration cap).
     """
     if grid < 2:
         raise ValueError("grid resolution must be at least 2")
@@ -266,8 +265,9 @@ def moment_grid(
     if missing:
         raise ValueError(f"no grid function supplied for even moment order {missing[0]}")
     hi = {s: _sample_grid_function(g[s], grid) for s in sizes}
-    value, breakdown = _grid_moment_value(k, yf, hi, grid)
-    error = None
+    value = _grid_series_value(k, yf, hi, grid)
+    terms = _word_terms(k, yf, hi, grid) if breakdown else None
+    lo = None
     half = grid // 2
     if half >= 2:
         if grid % 2 == 0:
@@ -275,13 +275,10 @@ def moment_grid(
                 s: (_coarsen(hi[s]) if isinstance(g[s], np.ndarray) else _sample_grid_function(g[s], half))
                 for s in sizes
             }
-            coarse, _ = _grid_moment_value(k, yf, lo, half)
-            error = abs(value - coarse)
         elif not any(isinstance(g[s], np.ndarray) for s in sizes):
             lo = {s: _sample_grid_function(g[s], half) for s in sizes}
-            coarse, _ = _grid_moment_value(k, yf, lo, half)
-            error = abs(value - coarse)
-    return MomentReport(k, value, breakdown, error)
+    error = None if lo is None else abs(value - _grid_series_value(k, yf, lo, half))
+    return MomentReport(k, value, terms, error)
 
 
 def moment_profile(
@@ -290,6 +287,7 @@ def moment_profile(
     sigma: GridFunction,
     c: Mapping[int, Real],
     grid: int = 64,
+    breakdown: bool = False,
 ) -> MomentReport:
     """Variance-profile limit: the letter factor of multiplicity s is
     sigma(x, u)^s * C_s, so this is moment_grid with derived g functions."""
@@ -302,7 +300,7 @@ def moment_profile(
             return lambda x, u: np.asarray(sigma(x, u), dtype=float) ** s * constants[s]
 
         g = {s: make(s) for s in sizes}
-    return moment_grid(k, y, g, grid)
+    return moment_grid(k, y, g, grid, breakdown)
 
 
 @dataclass(frozen=True)

@@ -240,6 +240,65 @@ class TestMoments:
         assert run("--out", tmp_path, "count", "--k", 7) == 0
         assert run("--out", tmp_path, "count", "--k", 7, "--pair-only") == 0
 
+    @staticmethod
+    def grid_sources(tmp_path, max_k, grid=4):
+        """--profile-csv and --g argument lists covering every order up to 2 max_k."""
+        xs = (np.arange(grid) + 0.5) / grid
+        np.savetxt(tmp_path / "sigma.csv", 0.5 + np.outer(xs, xs), delimiter=",")
+        g_args = []
+        for s in range(2, 2 * max_k + 1, 2):
+            np.savetxt(tmp_path / f"g{s}.csv", 1 / s + np.add.outer(xs, xs), delimiter=",")
+            g_args += ["--g", f"{s}={tmp_path}/g{s}.csv"]
+        constants = ",".join(f"{s}={Fraction(2, s)}" for s in range(2, 2 * max_k + 1, 2))
+        return [
+            ["--profile-csv", tmp_path / "sigma.csv", "--constant", constants],
+            g_args,
+        ], grid
+
+    def test_grid_values_enumerate_no_word(self, tmp_path, capsys, monkeypatch):
+        # the quadrature sources run the sojourn series over grid functions
+        def forbidden(*args, **kwargs):
+            raise AssertionError("word-level work on the grid value path")
+
+        for module in (hypergraphs, moments, cli):
+            for name in ("enumerate_ss_words", "word_structure"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, forbidden)
+        sources, grid = self.grid_sources(tmp_path, 6)
+        for source in sources:
+            assert run(
+                "--out", tmp_path, "moments", *source, "--y", "1/2", "--k", "1..6", "--grid", grid,
+            ) == 0
+
+    def test_grid_sources_reach_the_series_limit(self, tmp_path, capsys):
+        sources, grid = self.grid_sources(tmp_path, 13)
+        for source in sources:
+            argv = ["--out", tmp_path, "moments", *source, "--y", "1/2", "--grid", grid]
+            assert run(*argv, "--k", "8..12") == 0
+            rows = (tmp_path / "moments.csv").read_text().strip().splitlines()[1:]
+            assert [row.split(",")[0] for row in rows] == [str(k) for k in range(8, 13)]
+            capsys.readouterr()
+            assert run(*argv, "--k", "13") == EXIT_SIZE_LIMIT
+            assert "MAX_SERIES_ORDER = 12" in capsys.readouterr().err
+            # the per-word breakdown lists the words, so it keeps the enumeration cap
+            assert run(*argv, "--k", "8", "--breakdown") == EXIT_SIZE_LIMIT
+            assert "exceeds the enumeration cap 14" in capsys.readouterr().err
+
+    def test_one_series_per_exact_verb(self, tmp_path, capsys, monkeypatch):
+        # the largest k is evaluated first, and its class tables serve the rest
+        monkeypatch.setattr(hypergraphs, "_built", ())
+        calls = []
+        series = hypergraphs._sojourn_series
+        monkeypatch.setattr(
+            hypergraphs, "_sojourn_series", lambda *args: calls.append(args[0]) or series(*args)
+        )
+        assert run(
+            "--out", tmp_path, "moments", "--sparse", "--lam", "3", "--y", "1/2", "--k", "1..7",
+        ) == 0
+        assert calls == [7]
+        rows = (tmp_path / "moments.csv").read_text().strip().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == [str(k) for k in range(1, 8)]
+
 
 class TestSimulate:
     def write_config(self, tmp_path, text):

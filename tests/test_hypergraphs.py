@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from covmoments import hypergraphs
 from covmoments.circuits import slot_classes
 from covmoments.hypergraphs import (
     MAX_SERIES_ORDER,
@@ -255,11 +256,29 @@ class TestNoiryClasses:
         assert sum(table.values()) == total
         assert len(table) == classes
 
-    def test_tables_share_the_series(self):
-        # a longer series leaves the lower coefficients as they were
+    def test_tables_share_the_series(self, monkeypatch):
+        # a longer series leaves the lower coefficients as they were; each
+        # table is built afresh, not read back from the longer one
+        monkeypatch.setattr(hypergraphs, "_built", ())
         tables = sojourn_tables(MAX_SERIES_ORDER)
         for k in range(1, 8):
+            monkeypatch.setattr(hypergraphs, "_built", ())
             assert tables[k] == sojourn_tables(k)[k]
+
+    def test_smaller_orders_read_the_built_tables(self, monkeypatch):
+        monkeypatch.setattr(hypergraphs, "_built", ())
+        calls = []
+        series = hypergraphs._sojourn_series
+        monkeypatch.setattr(
+            hypergraphs, "_sojourn_series", lambda *args: calls.append(args[0]) or series(*args)
+        )
+        seven = sojourn_tables(7)
+        assert [sojourn_tables(k) for k in range(1, 8)] == [seven[: k + 1] for k in range(1, 8)]
+        assert calls == [7]
+        sojourn_tables(9)
+        assert calls == [7, 9]
+        with pytest.raises(ValueError):
+            sojourn_tables(0)
 
     def test_series_limit(self):
         with pytest.raises(SizeLimitError, match=f"MAX_SERIES_ORDER = {MAX_SERIES_ORDER}"):

@@ -99,32 +99,58 @@ class TestMomentGrid:
         naive = math.fsum(terms)
         assert abs(moment_grid(k, 0.7, g, grid=grid).value - naive) < 1e-12
 
+    @staticmethod
+    def random_arrays(k):
+        rng = np.random.default_rng(100 + k)
+        return {s: rng.uniform(0.1, 2.0, size=(8, 8)) for s in SIZES}
+
+    @staticmethod
+    def sampled_callables(k, grid):
+        g = random_polynomials(np.random.default_rng(200 + k))
+        return g, {s: _sample_grid_function(f, grid) for s, f in g.items()}
+
     @pytest.mark.parametrize("k", range(1, 7))
     def test_bit_identical_to_per_word_elimination_on_arrays(self, k):
-        rng = np.random.default_rng(100 + k)
-        grid = 8
-        arrays = {s: rng.uniform(0.1, 2.0, size=(grid, grid)) for s in SIZES}
-        report = moment_grid(k, 0.7, arrays, grid=grid)
-        value, breakdown = per_word_elimination(k, 0.7, arrays, grid)
-        coarse, _ = per_word_elimination(k, 0.7, {s: _coarsen(a) for s, a in arrays.items()}, grid // 2)
-        assert report.value == value
+        # the breakdown is the per-word elimination, term by term
+        arrays = self.random_arrays(k)
+        report = moment_grid(k, 0.7, arrays, grid=8, breakdown=True)
+        _, breakdown = per_word_elimination(k, 0.7, arrays, 8)
         assert list(report.breakdown.items()) == list(breakdown.items())
-        assert report.error_estimate == abs(value - coarse)
 
     @pytest.mark.parametrize("k", range(1, 7))
     def test_bit_identical_to_per_word_elimination_on_callables(self, k):
-        g = random_polynomials(np.random.default_rng(200 + k))
-        grid = 9
-        report = moment_grid(k, 1.3, g, grid=grid)
-        value, breakdown = per_word_elimination(
-            k, 1.3, {s: _sample_grid_function(f, grid) for s, f in g.items()}, grid
-        )
-        coarse, _ = per_word_elimination(
-            k, 1.3, {s: _sample_grid_function(f, grid // 2) for s, f in g.items()}, grid // 2
-        )
-        assert report.value == value
+        g, sampled = self.sampled_callables(k, 9)
+        report = moment_grid(k, 1.3, g, grid=9, breakdown=True)
+        _, breakdown = per_word_elimination(k, 1.3, sampled, 9)
         assert list(report.breakdown.items()) == list(breakdown.items())
-        assert report.error_estimate == abs(value - coarse)
+
+    # the value sums the words in the recursion's order, not word by word, so
+    # it agrees with the per-word sum to rounding, not bit for bit
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_value_within_1e13_of_per_word_elimination_on_arrays(self, k):
+        arrays = self.random_arrays(k)
+        report = moment_grid(k, 0.7, arrays, grid=8)
+        value, _ = per_word_elimination(k, 0.7, arrays, 8)
+        coarse, _ = per_word_elimination(k, 0.7, {s: _coarsen(a) for s, a in arrays.items()}, 4)
+        assert report.value == pytest.approx(value, rel=1e-13, abs=0)
+        assert abs(report.error_estimate - abs(value - coarse)) <= 1e-13 * value
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_value_within_1e13_of_per_word_elimination_on_callables(self, k):
+        g, sampled = self.sampled_callables(k, 9)
+        _, coarse_samples = self.sampled_callables(k, 4)
+        report = moment_grid(k, 1.3, g, grid=9)
+        value, _ = per_word_elimination(k, 1.3, sampled, 9)
+        coarse, _ = per_word_elimination(k, 1.3, coarse_samples, 4)
+        assert report.value == pytest.approx(value, rel=1e-13, abs=0)
+        assert abs(report.error_estimate - abs(value - coarse)) <= 1e-13 * value
+
+    # g = 1 at y = 1 weighs every special symmetric word by 1; the totals are
+    # the word search's with its enumeration cap raised
+    @pytest.mark.parametrize("k,words", [(8, 69331), (9, 467963)])
+    def test_counts_the_words_beyond_the_enumeration_cap(self, k, words):
+        g = {s: ONE for s in range(2, 2 * k + 1, 2)}
+        assert moment_grid(k, 1, g, grid=4).value == pytest.approx(words, rel=1e-13, abs=0)
 
     # each example evaluates up to 303 words twice, so fewer examples than
     # the profile's default keep the test near one second
@@ -189,8 +215,8 @@ class TestMomentGrid:
 
     def test_weights_are_unity_at_y1_and_scale_as_powers(self):
         g = {2: lambda x, u: x + u, 4: lambda x, u: x * u + 0.3, 6: ONE}
-        at_y1 = moment_grid(3, 1, g, grid=8)
-        at_y2 = moment_grid(3, 2, g, grid=8)
+        at_y1 = moment_grid(3, 1, g, grid=8, breakdown=True)
+        at_y2 = moment_grid(3, 2, g, grid=8, breakdown=True)
         assert abs(at_y1.value - sum(at_y1.breakdown.values())) < 1e-12
         for text, base in at_y1.breakdown.items():
             if abs(base) < 1e-15:

@@ -2,6 +2,7 @@ from collections import Counter
 from fractions import Fraction as F
 from functools import lru_cache
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,8 @@ from covmoments.moments import (
     carleman_diagnostic,
     even_sequence,
     moment_constant,
+    moment_grid,
+    moment_profile,
     moment_sparse,
     mp_moment,
     poisson_sandwich,
@@ -117,6 +120,9 @@ class TestMomentConstant:
     def test_breakdown_is_opt_in(self):
         assert moment_constant(3, F(1, 2), {2: 1, 4: 1, 6: 1}).breakdown is None
         assert moment_sparse(3, F(1, 2), 2).breakdown is None
+        ones = np.ones((8, 8))
+        assert moment_grid(3, F(1, 2), {2: ones, 4: ones, 6: ones}, grid=8).breakdown is None
+        assert moment_profile(3, F(1, 2), ones, {2: 1, 4: 1, 6: 1}, grid=8).breakdown is None
 
     def test_breakdown_keeps_enumeration_cap(self):
         assert moment_sparse(8, 1, 1).value == 69331
