@@ -183,11 +183,10 @@ def run_moments(args) -> int:
         if sigma.shape != (args.grid, args.grid):
             raise ConfigError(f"profile grid has shape {sigma.shape}, expected {(args.grid, args.grid)}")
         constants = _parse_constants(args.constant)
-        for k in ks:
-            report = moments.moment_profile(
-                k, y, sigma, constants, grid=args.grid, breakdown=args.breakdown
-            )
-            reports[k], values[k] = report, report.value
+        reports = moments.profile_moments(
+            ks, y, sigma, constants, grid=args.grid, breakdown=args.breakdown
+        )
+        values = {k: report.value for k, report in reports.items()}
     elif args.g:
         source = "grid"
         g = {}
@@ -196,9 +195,8 @@ def run_moments(args) -> int:
             if not _:
                 raise ConfigError(f"bad --g entry {item!r}; expected like 2=g2.csv")
             g[int(key)] = _load_grid_csv(path)
-        for k in ks:
-            report = moments.moment_grid(k, y, g, grid=args.grid, breakdown=args.breakdown)
-            reports[k], values[k] = report, report.value
+        reports = moments.grid_moments(ks, y, g, grid=args.grid, breakdown=args.breakdown)
+        values = {k: report.value for k, report in reports.items()}
     else:
         raise ConfigError("choose a source: --mp, --sparse, --constant, --profile-csv or --g")
 
@@ -485,12 +483,15 @@ def _check_grid(max_k):
     # of a varying integrand, by per-word elimination, are an independent sum
     xs = (np.arange(16) + 0.5) / 16
     varying = {s: v + np.outer(xs, xs**2) for s, v in g.items()}
-    for k in range(1, min(max_k, 3) + 1):
-        grid_value = moments.moment_grid(k, Fraction(1, 2), g, grid=16).value
+    ks = range(1, min(max_k, 3) + 1)
+    constant_reports = moments.grid_moments(ks, Fraction(1, 2), g, grid=16)
+    varying_reports = moments.grid_moments(ks, Fraction(1, 2), varying, grid=16, breakdown=True)
+    for k in ks:
+        grid_value = constant_reports[k].value
         exact = float(moments.moment_constant(k, Fraction(1, 2), constants).value)
         if abs(grid_value - exact) > 1e-10:
             return False, f"constant integrand mismatch at k={k}"
-        report = moments.moment_grid(k, Fraction(1, 2), varying, grid=16, breakdown=True)
+        report = varying_reports[k]
         words = sum(report.breakdown.values())
         if abs(report.value - words) > 1e-12 * abs(words):
             return False, f"c + xu^2 integrand at k={k}: {report.value!r} vs word terms {words!r}"
@@ -503,10 +504,12 @@ def _check_grid(max_k):
 
 def _check_unbounded(max_k):
     g = {2 * j: (np.ones((16, 16)) if j == 1 else np.zeros((16, 16))) for j in range(1, 5)}
-    for t in range(1, min(max_k, 4) + 1):
+    ts = range(1, min(max_k, 4) + 1)
+    reports = {y: moments.grid_moments(ts, y, g, grid=16) for y in (0.5, 1.0)}
+    for t in ts:
         bound = float(moments.unbounded_support_bound(1, t, np.ones(64), grid=64))
         for y in (0.5, 1.0):
-            if bound > moments.moment_grid(t, y, g, grid=16).value + 1e-12:
+            if bound > reports[y][t].value + 1e-12:
                 return False, f"bound exceeds moment at t={t}, y={y}"
     return True, "factorial lower bounds stay below the quadrature moments"
 

@@ -14,7 +14,9 @@ depend on a word only through its class (b, r, multiplicity multiset), so
 they substitute y and the constants into the class table that the integer
 form of the recursion builds (`hypergraphs.sojourn_tables`): 54 classes in
 place of 10,727 words at k = 7.  The quadrature sums run the same recursion
-over functions of the generating-vertex variable.  The per-word breakdown of
+over functions of the generating-vertex variable; one pass of order K gives
+every k <= K, so `grid_moments` and `profile_moments` sample, coarsen and
+recurse once for a whole range of k.  The per-word breakdown of
 every source is built only on request (breakdown=True), because it lists
 every word and so stays within the enumeration cap.
 """
@@ -200,7 +202,7 @@ def _coarsen(samples: np.ndarray) -> np.ndarray:
     return samples.reshape(g, 2, g, 2).mean(axis=(1, 3))
 
 
-def _grid_series_value(k: int, y: float, samples: Mapping[int, np.ndarray], grid: int) -> float:
+def _grid_series(top: int, y: float, samples: Mapping[int, np.ndarray], grid: int) -> list[float]:
     # the sojourn recursion over functions of the vertex variable: a letter
     # of multiplicity 2j integrates the child's variable out of g_2j, and a
     # row child (the first argument of g) carries y
@@ -212,8 +214,8 @@ def _grid_series_value(k: int, y: float, samples: Mapping[int, np.ndarray], grid
         acc += scale * p * q
         return acc
 
-    series = _sojourn_series(k, np.ones(grid), lambda: np.zeros(grid), letter, add_product)
-    return float(series[k].mean())
+    series = _sojourn_series(top, np.ones(grid), lambda: np.zeros(grid), letter, add_product)
+    return [float(coefficient.mean()) for coefficient in series]
 
 
 def _word_terms(
@@ -243,30 +245,44 @@ def _needed_sizes(k: int) -> frozenset[int]:
     return frozenset(range(2, 2 * k + 1, 2))
 
 
-def moment_grid(
-    k: int, y: Real, g: Mapping[int, GridFunction], grid: int = 64, breakdown: bool = False
-) -> MomentReport:
-    """Limiting moment for grid-sampled moment functions g_{2m} on [0,1]^2.
+def grid_moments(
+    ks: Sequence[int],
+    y: Real,
+    g: Mapping[int, GridFunction],
+    grid: int = 64,
+    breakdown: bool = False,
+) -> dict[int, MomentReport]:
+    """Limiting moments k in ks for grid-sampled moment functions g_{2m} on
+    [0,1]^2, from one pass of the recursion.
 
     Each word contributes y^r times the integral over its b+1 generating
     variables of prod_letters g_multiplicity(x_even, u_odd), evaluated by the
     midpoint rule.  The sum over words is the sojourn recursion of
     `hypergraphs._sojourn_series` over functions of the vertex variable, so
-    no word is listed and k may go up to MAX_SERIES_ORDER.  The error
-    estimate is the change from re-evaluating at half resolution.
+    no word is listed and k may go up to MAX_SERIES_ORDER.  One series of
+    order K = max(ks) gives every k <= K: each g_s is sampled once, and the
+    recursion runs once at full and once at half resolution, whose change
+    is the error estimate.  A degree-k coefficient takes the same float
+    operations whatever K is, so each value equals moment_grid(k, ...).
     breakdown=True adds each word's term by tree elimination, which
     enumerates the words (bounded by the enumeration cap).
     """
     if grid < 2:
         raise ValueError("grid resolution must be at least 2")
+    if any(k < 1 for k in ks):
+        raise ValueError("k must be >= 1")
+    if not ks:
+        return {}
+    top = max(ks)
     yf = float(Fraction(y))
-    sizes = _needed_sizes(k)
-    missing = sorted(s for s in sizes if s not in g)
+    sizes = sorted(_needed_sizes(top))
+    missing = [s for s in sizes if s not in g]
     if missing:
         raise ValueError(f"no grid function supplied for even moment order {missing[0]}")
     hi = {s: _sample_grid_function(g[s], grid) for s in sizes}
-    value = _grid_series_value(k, yf, hi, grid)
-    terms = _word_terms(k, yf, hi, grid) if breakdown else None
+    values = _grid_series(top, yf, hi, grid)
+    # largest first, so a k beyond the enumeration cap fails before any listing
+    terms = {k: _word_terms(k, yf, hi, grid) for k in sorted(ks, reverse=True)} if breakdown else {}
     lo = None
     half = grid // 2
     if half >= 2:
@@ -277,8 +293,47 @@ def moment_grid(
             }
         elif not any(isinstance(g[s], np.ndarray) for s in sizes):
             lo = {s: _sample_grid_function(g[s], half) for s in sizes}
-    error = None if lo is None else abs(value - _grid_series_value(k, yf, lo, half))
-    return MomentReport(k, value, terms, error)
+    coarse = None if lo is None else _grid_series(top, yf, lo, half)
+    return {
+        k: MomentReport(
+            k,
+            values[k],
+            terms.get(k),
+            None if coarse is None else abs(values[k] - coarse[k]),
+        )
+        for k in ks
+    }
+
+
+def moment_grid(
+    k: int, y: Real, g: Mapping[int, GridFunction], grid: int = 64, breakdown: bool = False
+) -> MomentReport:
+    """Limiting moment k for grid-sampled moment functions g_{2m} on [0,1]^2:
+    grid_moments for the single order k, half-grid error estimate included."""
+    return grid_moments([k], y, g, grid, breakdown)[k]
+
+
+def profile_moments(
+    ks: Sequence[int],
+    y: Real,
+    sigma: GridFunction,
+    c: Mapping[int, Real],
+    grid: int = 64,
+    breakdown: bool = False,
+) -> dict[int, MomentReport]:
+    """Variance-profile limits for every k in ks: the letter factor of
+    multiplicity s is sigma(x, u)^s * C_s, so this is grid_moments with g
+    functions derived once for the largest k."""
+    sizes = sorted(_needed_sizes(max(ks, default=0)))
+    constants = {s: float(_lookup(c, s)) for s in sizes}
+    if isinstance(sigma, np.ndarray):
+        g: dict[int, GridFunction] = {s: sigma**s * constants[s] for s in sizes}
+    else:
+        def make(s: int) -> Callable[[float, float], float]:
+            return lambda x, u: np.asarray(sigma(x, u), dtype=float) ** s * constants[s]
+
+        g = {s: make(s) for s in sizes}
+    return grid_moments(ks, y, g, grid, breakdown)
 
 
 def moment_profile(
@@ -289,18 +344,8 @@ def moment_profile(
     grid: int = 64,
     breakdown: bool = False,
 ) -> MomentReport:
-    """Variance-profile limit: the letter factor of multiplicity s is
-    sigma(x, u)^s * C_s, so this is moment_grid with derived g functions."""
-    sizes = _needed_sizes(k)
-    constants = {s: float(_lookup(c, s)) for s in sizes}
-    if isinstance(sigma, np.ndarray):
-        g: dict[int, GridFunction] = {s: sigma**s * constants[s] for s in sizes}
-    else:
-        def make(s: int) -> Callable[[float, float], float]:
-            return lambda x, u: np.asarray(sigma(x, u), dtype=float) ** s * constants[s]
-
-        g = {s: make(s) for s in sizes}
-    return moment_grid(k, y, g, grid, breakdown)
+    """Variance-profile limit for the single order k: profile_moments([k])."""
+    return profile_moments([k], y, sigma, c, grid, breakdown)[k]
 
 
 @dataclass(frozen=True)

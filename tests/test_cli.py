@@ -284,6 +284,100 @@ class TestMoments:
             assert run(*argv, "--k", "8", "--breakdown") == EXIT_SIZE_LIMIT
             assert "exceeds the enumeration cap 14" in capsys.readouterr().err
 
+    def test_one_series_pass_per_grid_call(self, tmp_path, capsys, monkeypatch):
+        # one series at full and one at half resolution serve every k
+        calls = []
+        series = moments._sojourn_series
+        monkeypatch.setattr(
+            moments, "_sojourn_series", lambda *args: calls.append(args[0]) or series(*args)
+        )
+        sources, grid = self.grid_sources(tmp_path, 6, grid=64)
+        for source in sources:
+            calls.clear()
+            assert run(
+                "--out", tmp_path, "moments", *source, "--y", "1/2", "--k", "1..6", "--grid", grid,
+            ) == 0
+            assert calls == [6, 6]
+
+    @staticmethod
+    def grid_inputs(tmp_path, max_k):
+        """The sigma, constants and g functions that grid_sources wrote, as the CLI reads them."""
+        sigma = np.loadtxt(tmp_path / "sigma.csv", delimiter=",", ndmin=2)
+        constants = {s: Fraction(2, s) for s in range(2, 2 * max_k + 1, 2)}
+        g = {s: np.loadtxt(tmp_path / f"g{s}.csv", delimiter=",", ndmin=2) for s in constants}
+        return sigma, constants, g
+
+    def test_grid_outputs_equal_per_k_reports(self, tmp_path, capsys):
+        sources, grid = self.grid_sources(tmp_path, 6, grid=8)
+        sigma, constants, g = self.grid_inputs(tmp_path, 6)
+        per_k = {
+            "profile": lambda k: moments.moment_profile(k, Fraction(1, 2), sigma, constants, grid=grid),
+            "grid": lambda k: moments.moment_grid(k, Fraction(1, 2), g, grid=grid),
+        }
+        for source, name in zip(sources, ("profile", "grid")):
+            assert run(
+                "--out", tmp_path, "moments", *source, "--y", "1/2", "--k", "1..6", "--grid", grid,
+            ) == 0
+            reports = [per_k[name](k) for k in range(1, 7)]
+            assert (tmp_path / "moments.csv").read_text() == "k,value\n" + "".join(
+                f"{r.k},{cli.fmt(r.value)}\n" for r in reports
+            )
+            payload = {"source": name, "y": "0.5", "moments": {
+                str(r.k): {"value": cli.fmt(r.value), "error_estimate": cli.fmt(r.error_estimate)}
+                for r in reports
+            }}
+            assert (tmp_path / "moments.json").read_text() == json.dumps(payload, indent=1)
+
+    def test_grid_breakdown_lists_every_word(self, tmp_path, capsys):
+        sources, grid = self.grid_sources(tmp_path, 4, grid=8)
+        sigma, constants, g = self.grid_inputs(tmp_path, 4)
+        for source, name in zip(sources, ("profile", "grid")):
+            assert run(
+                "--out", tmp_path, "moments", *source, "--y", "1/2", "--k", "1..4", "--grid", grid,
+                "--breakdown",
+            ) == 0
+            entries = json.loads((tmp_path / "moments.json").read_text())["moments"]
+            for k in range(1, 5):
+                if name == "profile":
+                    report = moments.moment_profile(k, Fraction(1, 2), sigma, constants, grid, True)
+                else:
+                    report = moments.moment_grid(k, Fraction(1, 2), g, grid, True)
+                words = [w.text for w in hypergraphs.enumerate_ss_words(k)]
+                assert list(entries[str(k)]["breakdown"]) == words
+                assert entries[str(k)]["breakdown"] == {
+                    w: cli.fmt(v) for w, v in report.breakdown.items()
+                }
+
+    def test_grid_failures_write_no_csv(self, tmp_path, capsys):
+        # the g functions and constants stop at order 10, which k = 6 needs as 12
+        sources, grid = self.grid_sources(tmp_path, 5)
+        for i, source in enumerate(sources):
+            out = tmp_path / f"out{i}"
+            argv = ["--out", out, "moments", *source, "--y", "1/2", "--grid", grid]
+            assert run(*argv, "--k", "1..6") == EXIT_CONFIG
+            assert "even moment order 12" in capsys.readouterr().err
+            assert not (out / "moments.csv").exists()
+        sources, grid = self.grid_sources(tmp_path, 13)
+        for i, source in enumerate(sources):
+            out = tmp_path / f"limit{i}"
+            argv = ["--out", out, "moments", *source, "--y", "1/2", "--grid", grid]
+            assert run(*argv, "--k", "1..13") == EXIT_SIZE_LIMIT
+            assert "MAX_SERIES_ORDER = 12" in capsys.readouterr().err
+            assert not (out / "moments.csv").exists()
+
+    def test_grid_breakdown_beyond_the_cap_lists_no_word(self, tmp_path, capsys, monkeypatch):
+        # the largest k's breakdown is built first, so the cap fails before any listing
+        calls = []
+        search = moments.enumerate_ss_words
+        monkeypatch.setattr(moments, "enumerate_ss_words", lambda k: calls.append(k) or search(k))
+        sources, grid = self.grid_sources(tmp_path, 8)
+        for source in sources:
+            calls.clear()
+            argv = ["--out", tmp_path, "moments", *source, "--y", "1/2", "--grid", grid]
+            assert run(*argv, "--k", "1..8", "--breakdown") == EXIT_SIZE_LIMIT
+            assert "exceeds the enumeration cap 14" in capsys.readouterr().err
+            assert calls == [8]
+
     def test_one_series_per_exact_verb(self, tmp_path, capsys, monkeypatch):
         # the largest k is evaluated first, and its class tables serve the rest
         monkeypatch.setattr(hypergraphs, "_built", ())

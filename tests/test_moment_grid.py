@@ -13,10 +13,12 @@ from covmoments.moments import (
     _coarsen,
     _needed_sizes,
     _sample_grid_function,
+    grid_moments,
     moment_constant,
     moment_grid,
     moment_profile,
     mp_moment,
+    profile_moments,
     unbounded_support_bound,
     word_structure,
 )
@@ -243,6 +245,87 @@ class TestMomentGrid:
     def test_grid_too_small(self):
         with pytest.raises(ValueError):
             moment_grid(1, 1, {2: ONE}, grid=1)
+
+
+@st.composite
+def k_ranges(draw, breakdown):
+    """A range lo..hi within 1..6; a breakdown lists every word, so it stops at 4."""
+    hi = draw(st.integers(1, 4 if breakdown else 6))
+    return list(range(draw(st.integers(1, hi)), hi + 1))
+
+
+def random_grid_inputs(seed, grid, callables):
+    """Arrays of the given grid, or polynomial callables, for every order up to 12."""
+    rng = np.random.default_rng(seed)
+    if callables:
+        return random_polynomials(rng)
+    return {s: rng.uniform(0.1, 2.0, size=(grid, grid)) for s in SIZES}
+
+
+class TestGridMoments:
+    """One series of order max(ks) gives each k the report of its own call, bit
+    for bit: a degree-k coefficient takes the same float operations whatever the
+    series order is."""
+
+    # each example makes one multi-k call and up to six single-k calls
+    @settings(max_examples=40)
+    @given(
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+        y=st.floats(0.1, 3.0),
+        breakdown=st.booleans(),
+    )
+    @pytest.mark.parametrize("grid,callables", [
+        (4, False), (8, False),  # arrays at even grids: the half grid is coarsened
+        (5, True), (9, True),  # callables at odd grids: the half grid is resampled
+        (2, False), (3, True),  # no half grid of at least 2 points: no error estimate
+    ])
+    def test_each_k_equals_its_own_call(self, data, seed, y, breakdown, grid, callables):
+        ks = data.draw(k_ranges(breakdown))
+        g = random_grid_inputs(seed, grid, callables)
+        reports = grid_moments(ks, y, g, grid=grid, breakdown=breakdown)
+        assert list(reports) == ks
+        for k in ks:
+            single = moment_grid(k, y, g, grid=grid, breakdown=breakdown)
+            assert reports[k] == single
+            assert (single.error_estimate is None) == (grid < 4)
+            assert (single.breakdown is None) != breakdown
+
+    @settings(max_examples=40)
+    @given(
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+        y=st.floats(0.1, 3.0),
+        breakdown=st.booleans(),
+    )
+    @pytest.mark.parametrize("grid,callable_sigma", [(8, False), (9, True)])
+    def test_each_profile_k_equals_its_own_call(self, data, seed, y, breakdown, grid, callable_sigma):
+        ks = data.draw(k_ranges(breakdown))
+        rng = np.random.default_rng(seed)
+        a, b = rng.uniform(0.2, 1.5, 2)
+        if callable_sigma:
+            sigma = lambda x, u: a + b * x * u
+        else:
+            sigma = rng.uniform(0.2, 1.5, size=(grid, grid))
+        constants = {s: F(int(rng.integers(1, 6)), s) for s in SIZES}
+        reports = profile_moments(ks, y, sigma, constants, grid=grid, breakdown=breakdown)
+        assert list(reports) == ks
+        for k in ks:
+            assert reports[k] == moment_profile(k, y, sigma, constants, grid=grid, breakdown=breakdown)
+
+    def test_missing_order_of_the_largest_k(self):
+        g = {s: ONE for s in SIZES[:5]}
+        assert grid_moments([1, 2, 3, 4, 5], 1, g, grid=4)[5].error_estimate is not None
+        with pytest.raises(ValueError, match="order 12"):
+            grid_moments([1, 6], 1, g, grid=4)
+        with pytest.raises(ValueError, match="order 12"):
+            profile_moments([1, 6], 1, ONE, dict.fromkeys(SIZES[:5], 1), grid=4)
+
+    def test_k_below_one_and_empty_range(self):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            grid_moments([0, 1], 1, {2: ONE}, grid=4)
+        assert grid_moments([], 1, {}, grid=4) == {}
+        assert profile_moments([], 1, ONE, {}, grid=4) == {}
 
 
 class TestSampleGridFunction:
