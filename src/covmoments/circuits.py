@@ -19,15 +19,17 @@ on which slots hold equal values.  `census_s` and `census_w` therefore count
 value patterns: a depth-first search gives each generating vertex one of the
 values already opened on its side or one new value, weighted by the number of
 values still unused there, and propagates the repeated letters.  The budget
-bounds the number of generating-vertex assignments, which is also an upper
-bound on the patterns the search visits.  `census_s_exhaustive` and
+`DEFAULT_CENSUS_BUDGET` bounds the value patterns the search may visit: each
+generating vertex after pi(0) offers at most one branch per earlier
+generating vertex on its side (pi(0) counts as the first row) plus one new
+value, and never more than its side holds.  Past p, n >= 2k that bound no
+longer depends on the sizes.  `census_s_exhaustive` and
 `census_w_exhaustive` test every circuit tuple and serve as oracles.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 from .partitions import (
@@ -74,31 +76,13 @@ def _free_slots(m: int, stats: WordStats) -> list[int]:
     return [0] + [i for i in stats.first_positions if i < m]
 
 
-def _check_budget(candidates: int, budget: int | None) -> None:
+def _check_budget(count: int, what: str, budget: int | None = None) -> None:
     limit = DEFAULT_CENSUS_BUDGET if budget is None else budget
-    if candidates > limit:
-        raise SizeLimitError(
-            f"census would evaluate {candidates} candidate assignments, over the budget {limit}"
-        )
+    if count > limit:
+        raise SizeLimitError(f"census would visit up to {count} {what}, over the budget {limit}")
 
 
-def _iter_assignments(word: Word, p: int, n: int, budget: int | None):
-    """Yield value arrays with the generating slots filled, others None."""
-    m = word.length
-    slots = _free_slots(m, word_statistics(word))
-    ranges = [range(1, (p if s % 2 == 0 else n) + 1) for s in slots]
-    candidates = math.prod(len(r) for r in ranges)
-    _check_budget(candidates, budget)
-    for assignment in itertools.product(*ranges):
-        values: list = [None] * m
-        for slot, value in zip(slots, assignment):
-            values[slot] = value
-        yield values
-
-
-def _count_patterns(
-    word: Word, stats: WordStats, step, sizes: tuple[int, ...], budget: int | None
-) -> int:
+def _count_patterns(word: Word, stats: WordStats, step, sizes: tuple[int, ...]) -> int:
     """Number of circuits compatible with `word`, counted by value pattern.
 
     Slot i draws its values from side `i % len(sizes)` of size `sizes[side]`:
@@ -106,8 +90,15 @@ def _count_patterns(
     link's shared range.  `step` is the link's propagation step.
     """
     m = word.length
-    slots = _free_slots(m, stats)
-    _check_budget(math.prod(sizes[s % len(sizes)] for s in slots), budget)
+    # a generating slot branches over the values its side has opened so far,
+    # at most one per earlier generating slot there, plus one new value
+    earlier = [1] + [0] * (len(sizes) - 1)
+    patterns = 1
+    for slot in _free_slots(m, stats)[1:]:
+        side = slot % len(sizes)
+        patterns *= min(earlier[side] + 1, sizes[side])
+        earlier[side] += 1
+    _check_budget(patterns, "value patterns")
     # a value class is named by the slot that opened it, so pi(0) is class 0
     opened: list[list[int]] = [[] for _ in sizes]
     opened[0].append(0)
@@ -153,30 +144,30 @@ def _extend(letters, new_letter, step, sizes, i, values, opened, keys) -> int:
     return total
 
 
-def census_s(word: Word, p: int, n: int, budget: int | None = None) -> CensusResult:
+def census_s(word: Word, p: int, n: int) -> CensusResult:
     """Count circuits compatible with `word` under the covariance link.
 
     Counts value patterns rather than assignments: each generating vertex
     takes a row (even slot) or column (odd slot) value already in use, or
     one new value weighted by the number still unused, and `propagate_slot`
-    forces the repeated letters.  The count is exact.  `budget` bounds the
-    number of generating-vertex assignments (the product of their ranges),
-    which is an upper bound on the patterns the search visits.
+    forces the repeated letters.  The count is exact.  Raises SizeLimitError
+    when the bound on the patterns visited exceeds `DEFAULT_CENSUS_BUDGET`;
+    that bound stops growing with p and n once both reach the word length.
     """
     _require_sizes(p=p, n=n)
     _require_circuit_word(word)
     stats = word_statistics(word)
-    count = _count_patterns(word, stats, propagate_slot, (p, n), budget)
+    count = _count_patterns(word, stats, propagate_slot, (p, n))
     return CensusResult(word.text, "S", p, n, count, _predicted(word, stats, p, n))
 
 
-def census_w(word: Word, N: int, budget: int | None = None) -> CensusResult:
+def census_w(word: Word, N: int) -> CensusResult:
     """Count circuits compatible with `word` under the Wigner link on {1..N},
     by value pattern as in `census_s`, with `propagate_slot_w` as the step."""
     _require_sizes(N=N)
     _require_circuit_word(word)
     stats = word_statistics(word)
-    count = _count_patterns(word, stats, propagate_slot_w, (N,), budget)
+    count = _count_patterns(word, stats, propagate_slot_w, (N,))
     return CensusResult(word.text, "wigner", N, N, count, _predicted(word, stats, N, N))
 
 
@@ -212,7 +203,7 @@ def _word_compatible(word: Word, keys: list[tuple[int, int]]) -> bool:
 
 def _iter_full_tuples(word: Word, p: int, n: int, budget: int | None):
     m = word.length
-    _check_budget((p * n) ** (m // 2), budget)
+    _check_budget((p * n) ** (m // 2), "circuit tuples", budget)
     ranges = [range(1, (p if i % 2 == 0 else n) + 1) for i in range(m)]
     yield from itertools.product(*ranges)
 
@@ -333,26 +324,14 @@ def slot_classes(word: Word) -> list[int]:
     return cls
 
 
-def verify_containment(word: Word, p: int, n: int, budget: int | None = None) -> bool:
+def verify_containment(word: Word, p: int, n: int) -> bool:
     """Check that every circuit counted under the S link is also compatible
-    with the Wigner link on the range {1..max(p, n)}.
-
-    Each assignment of the generating vertices is stepped with
-    `propagate_slot`, a new letter taking the assigned value (pi(0) at the
-    closing slot) as its fresh endpoint.
-    """
+    with the Wigner link on the range {1..max(p, n)}, by testing every
+    circuit tuple as `census_s_exhaustive` and `census_w_exhaustive` do."""
     _require_sizes(p=p, n=n)
-    m = _require_circuit_word(word)
-    for values in _iter_assignments(word, p, n, budget):
-        keys: dict[int, tuple[int, int]] = {}
-        for i in range(1, m + 1):
-            fresh = values[0] if i == m else values[i]
-            cur = propagate_slot(keys, word.letters[i - 1], i, values[i - 1], fresh)
-            if cur is None or (i == m and cur != values[0]):
-                break
-            if i < m:
-                values[i] = cur
-        else:
-            if not _word_compatible(word, _edge_keys_w(word, tuple(values))):
-                return False
-    return True
+    _require_circuit_word(word)
+    return all(
+        _word_compatible(word, _edge_keys_w(word, values))
+        for values in _iter_full_tuples(word, p, n, None)
+        if _word_compatible(word, _edge_keys_s(word, values))
+    )

@@ -124,9 +124,9 @@ def run_census(args) -> int:
             raise ValueError(f"census size {name} must be at least 1, got {size}")
     results = []
     if args.link in ("S", "both"):
-        results.append(circuits.census_s(word, args.p, args.n, budget=args.budget))
+        results.append(circuits.census_s(word, args.p, args.n))
     if args.link in ("wigner", "both"):
-        results.append(circuits.census_w(word, max(args.p, args.n), budget=args.budget))
+        results.append(circuits.census_w(word, max(args.p, args.n)))
     rows = [
         [r.word, r.link, r.p, r.n, r.exact_count,
          "" if r.predicted_count is None else r.predicted_count]
@@ -548,6 +548,8 @@ VERIFY_CHECKS = [
 ]
 
 def run_verify(args) -> int:
+    if args.max_k < 1:
+        raise ConfigError(f"--max-k must be at least 1, got {args.max_k}")
     results = []
     all_ok = True
     for name, check in VERIFY_CHECKS:
@@ -594,7 +596,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--p", type=int, required=True)
     c.add_argument("--n", type=int, required=True)
     c.add_argument("--link", choices=("S", "wigner", "both"), default="S")
-    c.add_argument("--budget", type=int, default=None)
     c.set_defaults(fn=run_census)
 
     c = sub.add_parser("moments", help="evaluate limiting moment formulas")

@@ -13,10 +13,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .partitions import SizeLimitError
-
 DEFAULT_SEED = 1729
-MAX_MOMENT_ORDER = 8
 
 FAMILIES = (
     "iid_standardized",
@@ -238,8 +235,6 @@ def _power_sums(w: np.ndarray, K: int) -> tuple[float, ...]:
     """(1/p) sum_i w_i^k for k = 1..K over the spectrum w of a p x p matrix."""
     if K < 1:
         raise ValueError("K must be >= 1")
-    if K > MAX_MOMENT_ORDER:
-        raise SizeLimitError(f"moment order {K} exceeds the cost guard {MAX_MOMENT_ORDER}")
     p = w.shape[0]
     return tuple(float((w**k).sum()) / p for k in range(1, K + 1))
 
@@ -296,9 +291,6 @@ class ExperimentReport:
     hist_edges: np.ndarray
     hist_counts: np.ndarray
     achieved_sequence: dict[int, float] | None = None
-
-    def pooled_eigenvalues(self) -> np.ndarray:
-        return np.concatenate([s.eigenvalues for s in self.samples])
 
 
 def _one_replicate(

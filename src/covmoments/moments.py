@@ -135,10 +135,9 @@ def moment_constant(
     if breakdown:
         terms = {}
         for word in enumerate_ss_words(k):
-            st = word_structure(word)
-            term = y**st.r
-            for edge in st.edges:
-                term *= constants[edge.multiplicity]
+            term = y ** (word_statistics(word).r_plus_1 - 1)
+            for multiplicity in word.multiplicities():
+                term *= constants[multiplicity]
             terms[word.text] = term
     return MomentReport(k, value, terms)
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from covmoments import circuits
 from covmoments.circuits import (
     CensusResult,
-    _iter_assignments,
     census_s,
     census_s_exhaustive,
     census_w,
@@ -23,9 +22,13 @@ from covmoments.partitions import (
     Word,
     enumerate_partitions,
     is_special_symmetric,
+    word_statistics,
 )
 
 W = Word.from_text
+
+# twenty nested letters: 1.4e14 value patterns at p = n = 10^6
+NESTED_40 = W("abcdefghijklmnopqrst" + "abcdefghijklmnopqrst"[::-1])
 
 
 def all_words(m):
@@ -38,6 +41,18 @@ def ss_words(m):
 
 def non_ss_words(m):
     return [p.to_word() for p in enumerate_partitions(m) if not is_special_symmetric(p)]
+
+
+def _iter_assignments(word: Word, p: int, n: int):
+    """Yield value arrays with the generating slots filled, others None."""
+    m = word.length
+    slots = circuits._free_slots(m, word_statistics(word))
+    ranges = [range(1, (p if s % 2 == 0 else n) + 1) for s in slots]
+    for assignment in itertools.product(*ranges):
+        values: list = [None] * m
+        for slot, value in zip(slots, assignment):
+            values[slot] = value
+        yield values
 
 
 def _count_s_circuit(word: Word, p: int, values: list[int]) -> bool:
@@ -100,12 +115,12 @@ def _count_w_circuit(word, values):
 
 def assignment_census_s(word, p, n):
     """Oracle: propagate every assignment of the generating vertices (S link)."""
-    return sum(1 for values in _iter_assignments(word, p, n, None) if _count_s_circuit(word, p, values))
+    return sum(1 for values in _iter_assignments(word, p, n) if _count_s_circuit(word, p, values))
 
 
 def assignment_census_w(word, N):
     """Oracle: propagate every assignment of the generating vertices (Wigner link)."""
-    return sum(1 for values in _iter_assignments(word, N, N, None) if _count_w_circuit(word, values))
+    return sum(1 for values in _iter_assignments(word, N, N) if _count_w_circuit(word, values))
 
 
 def canonical(raw):
@@ -173,10 +188,20 @@ class TestCensusS:
             assert ratios[0] >= ratios[1] >= ratios[2]
             assert ratios[2] < 1
 
-    def test_budget(self):
-        with pytest.raises(SizeLimitError):
-            census_s(W("aabb"), 100, 100, budget=10)
-        with pytest.raises(SizeLimitError):
+    def test_budget(self, monkeypatch):
+        # the budget bounds value patterns, not the product of the ranges
+        assert census_s(W("aabb"), 10**6, 10**6).exact_count == 10**18
+        with pytest.raises(SizeLimitError, match="value patterns"):
+            census_s(NESTED_40, 10**6, 10**6)
+        with pytest.raises(SizeLimitError, match="value patterns"):
+            census_w(NESTED_40, 10**6)
+        # aabb visits at most 2 patterns: b's column is a's or a new one
+        monkeypatch.setattr(circuits, "DEFAULT_CENSUS_BUDGET", 2)
+        assert census_s(W("aabb"), 3, 3).exact_count == 27
+        monkeypatch.setattr(circuits, "DEFAULT_CENSUS_BUDGET", 1)
+        with pytest.raises(SizeLimitError, match="2 value patterns, over the budget 1"):
+            census_s(W("aabb"), 3, 3)
+        with pytest.raises(SizeLimitError, match="circuit tuples"):
             census_s_exhaustive(W("aabb"), 100, 100, budget=10)
 
     def test_odd_length_rejected(self):
@@ -272,8 +297,7 @@ class TestContainment:
                 assert verify_containment(word, p, n)
 
     def test_checks_exactly_the_s_circuits(self, monkeypatch):
-        # the circuits handed to the Wigner check are exactly those that the
-        # assignment-loop oracle accepts under the S link, in the same order
+        # the Wigner check sees each S-link circuit once, and nothing else
         checked = []
         edge_keys_w = circuits._edge_keys_w
 
@@ -282,19 +306,16 @@ class TestContainment:
             return edge_keys_w(word, values)
 
         monkeypatch.setattr(circuits, "_edge_keys_w", spy)
-        assignments = 0
+        circuits_checked = 0
         for m in (2, 4, 6):
             for word in all_words(m):
                 for p, n in itertools.product((1, 2, 3), (1, 2, 3)):
                     checked.clear()
                     assert verify_containment(word, p, n)
-                    expected = []
-                    for values in _iter_assignments(word, p, n, None):
-                        assignments += 1
-                        if _count_s_circuit(word, p, values):
-                            expected.append(tuple(values))
-                    assert checked == expected, (word.text, p, n)
-        assert assignments == 58752
+                    assert len(set(checked)) == len(checked)
+                    assert len(checked) == census_s(word, p, n).exact_count, (word.text, p, n)
+                    circuits_checked += len(checked)
+        assert circuits_checked == 21652
 
 
 class TestPatternCount:
@@ -308,6 +329,40 @@ class TestPatternCount:
         assert census_s(word, p, n).exact_count == assignment_census_s(word, p, n)
         assert census_w(word, N).exact_count == assignment_census_w(word, N)
 
+    @given(words_of_length(2, 4, 6, 8), st.integers(1, 4), st.integers(1, 4), st.integers(0, 10**6))
+    def test_budget_bounds_the_search(self, word, p, n, extra):
+        # the value checked against the budget bounds the _extend calls per
+        # generating slot, and stops growing once both sizes reach 2k
+        generating = len(circuits._free_slots(word.length, word_statistics(word)))
+        bounds, calls = [], [0]
+        check_budget, extend = circuits._check_budget, circuits._extend
+
+        def record(count, what, budget=None):
+            bounds.append(count)
+            check_budget(count, what, budget)
+
+        def counted(*args):
+            calls[0] += 1
+            return extend(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(circuits, "_check_budget", record)
+            mp.setattr(circuits, "_extend", counted)
+            for census in (lambda: census_s(word, p, n), lambda: census_w(word, p)):
+                bounds.clear()
+                calls[0] = 0
+                census()
+                (bound,) = bounds
+                assert 1 <= calls[0] <= generating * bound
+            m = word.length
+            large = []
+            for size_p, size_n in ((m, m), (m + extra, m), (m, m + extra), (m + extra, m + 2 * extra)):
+                bounds.clear()
+                census_s(word, size_p, size_n)
+                census_w(word, size_p)
+                large.append(tuple(bounds))
+            assert len(set(large)) == 1, large
+
     def test_len8_totals(self):
         words = all_words(8)
         assert len(words) == 4140
@@ -317,10 +372,10 @@ class TestPatternCount:
     def test_ss8_exact_beyond_brute_force(self):
         p, n = 10**6, 10**6 + 1
         for word in ss_words(8):
-            s = census_s(word, p, n, budget=10**60)
+            s = census_s(word, p, n)
             assert s.predicted_count is not None
             assert s.exact_count == s.predicted_count
-            w = census_w(word, p, budget=10**60)
+            w = census_w(word, p)
             assert w.exact_count == w.predicted_count == p ** (word.distinct_letters + 1)
 
 

@@ -121,7 +121,26 @@ class TestCensus:
         assert not (tmp_path / "census.csv").exists()
 
     def test_budget_exit(self, tmp_path, capsys):
-        assert run("--out", tmp_path, "census", "--word", "abba", "--p", 10**6, "--n", 10**6) == EXIT_SIZE_LIMIT
+        # the budget bounds value patterns, so short words run at any size
+        assert run("--out", tmp_path, "census", "--word", "abba", "--p", 10**6, "--n", 10**6) == 0
+        lines = (tmp_path / "census.csv").read_text().strip().splitlines()
+        assert lines[1] == f"abba,S,{10**6},{10**6},{10**18},{10**18}"
+        assert run("--out", tmp_path, "census", "--word", "abcabc", "--p", 500, "--n", 1000) == 0
+        lines = (tmp_path / "census.csv").read_text().strip().splitlines()
+        assert lines[1] == "abcabc,S,500,1000,500000,"
+        (tmp_path / "census.csv").unlink()
+        nested = "abcdefghijklmnopqrst" + "abcdefghijklmnopqrst"[::-1]
+        assert run(
+            "--out", tmp_path, "census", "--word", nested, "--p", 10**6, "--n", 10**6
+        ) == EXIT_SIZE_LIMIT
+        assert "value patterns" in capsys.readouterr().err
+        assert not (tmp_path / "census.csv").exists()
+
+    def test_budget_removed(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("--out", tmp_path, "census", "--word", "abba", "--p", 2, "--n", 2, "--budget", 10)
+        assert exc.value.code == EXIT_CONFIG
+        assert not (tmp_path / "census.csv").exists()
 
     @pytest.mark.parametrize("link", ["S", "wigner", "both"])
     @pytest.mark.parametrize("p,n", [(-1, 2), (2, 0)])
@@ -504,6 +523,14 @@ class TestVerify:
         out = capsys.readouterr().out
         assert out.count("PASS") == 12
         assert "FAIL" not in out
+
+    @pytest.mark.parametrize("max_k", [0, -1])
+    def test_max_k_below_one_exit(self, tmp_path, capsys, max_k):
+        assert run("--out", tmp_path, "verify", "--max-k", max_k) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "--max-k must be at least 1" in captured.err
+        assert "PASS" not in captured.out
+        assert not (tmp_path / "verify_report.json").exists()
 
 
 def test_console_script_installed(tmp_path):
