@@ -9,6 +9,7 @@ configuration, including seeds.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 
@@ -571,7 +572,10 @@ def run_verify(args) -> int:
 
 # ---------------------------------------------------------------- main
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # built on the first main() call and reused by later calls in the same
+    # process; parse_args leaves the parser unchanged
     parser = argparse.ArgumentParser(
         prog="covmoments",
         description="Limiting spectral moments of sample covariance matrices "

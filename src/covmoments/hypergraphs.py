@@ -19,7 +19,6 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from operator import add
 from types import MappingProxyType
 from typing import Mapping
 
@@ -36,7 +35,8 @@ from .partitions import (
 MAX_SERIES_ORDER = 12
 
 # (l, sizes) -> number of special symmetric words with l odd generating
-# vertices and sorted letter multiplicities `sizes`
+# vertices and sorted letter multiplicities `sizes`; `sojourn_tables` builds
+# it over keys packed into one int and decodes each finished key once
 ClassTable = Mapping[tuple[int, tuple[int, ...]], int]
 
 
@@ -249,27 +249,35 @@ def sojourn_tables(max_k: int) -> tuple[ClassTable, ...]:
     """Class tables of the special symmetric words of length 2k for
     k = 0..max_k, read off `_sojourn_series`.  The tables are kept for later
     calls, so they are returned read-only.
+
+    Inside the recursion a class key (l, n_1, ..., n_max_k), where n_j is
+    the number of letters of multiplicity 2j, is one int holding field i at
+    bit i * width.  A degree-k coefficient has at most k letters, so no
+    field exceeds max_k < 2^(width - 1): adding two keys adds their fields
+    with no carry, and each finished key is decoded once into (l, sizes).
     """
     global _built
     if not 1 <= max_k < len(_built):
-        unit = {(0, (0,) * max_k): 1}  # the empty walk: no letter, no odd vertex
+        width = max_k.bit_length() + 1
+        mask = (1 << width) - 1
+
+        def letter(s: int, j: int, child: dict) -> dict:
+            # a letter of multiplicity 2j over the child's coefficient; a row
+            # vertex's child is a column (odd generating) vertex, which l counts
+            step = 1 - s + (1 << j * width)
+            return {key + step: count for key, count in child.items()}
+
+        def decode(key: int) -> tuple[int, tuple[int, ...]]:
+            sizes = tuple(
+                2 * j for j in range(1, max_k + 1) for _ in range(key >> j * width & mask)
+            )
+            return key & mask, sizes
+
         _built = tuple(
-            MappingProxyType({
-                (l, tuple(2 * j for j, times in enumerate(n, start=1) for _ in range(times))): count
-                for (l, n), count in series.items()
-            })
-            for series in _sojourn_series(max_k, unit, dict, _add_letter, _add_product)
+            MappingProxyType({decode(key): count for key, count in series.items()})
+            for series in _sojourn_series(max_k, {0: 1}, dict, letter, _add_product)
         )
     return _built[: max_k + 1]
-
-
-def _add_letter(s: int, j: int, child: dict) -> dict:
-    # a letter of multiplicity 2j over the child's coefficient; a row
-    # vertex's child is a column (odd generating) vertex, which l counts
-    return {
-        (l + 1 - s, n[: j - 1] + (n[j - 1] + 1,) + n[j:]): count
-        for (l, n), count in child.items()
-    }
 
 
 def _sojourn_series(top: int, unit, zero, letter, add_product) -> list:
@@ -330,11 +338,12 @@ def _sojourn_series(top: int, unit, zero, letter, add_product) -> list:
 
 
 def _add_product(acc: dict, p: dict, q: dict, scale: int) -> dict:
-    """acc += scale * p * q, where keys multiply by adding (l, n) componentwise.
-    A coefficient maps (l, n) to a count, where n[j-1] is the number of
-    letters of multiplicity 2j and l the number of odd generating vertices."""
-    for (l1, n1), c1 in p.items():
-        for (l2, n2), c2 in q.items():
-            key = (l1 + l2, tuple(map(add, n1, n2)))
-            acc[key] = acc.get(key, 0) + scale * c1 * c2
+    """acc += scale * p * q over packed class keys (see `sojourn_tables`):
+    a coefficient maps a key to a count, and keys multiply by adding, which
+    adds l and each n_j field by field."""
+    for k1, c1 in p.items():
+        c1 *= scale
+        for k2, c2 in q.items():
+            key = k1 + k2
+            acc[key] = acc.get(key, 0) + c1 * c2
     return acc

@@ -13,7 +13,12 @@ and lists no word, up to k = MAX_SERIES_ORDER.  The constant and sparse sums
 depend on a word only through its class (b, r, multiplicity multiset), so
 they substitute y and the constants into the class table that the integer
 form of the recursion builds (`hypergraphs.sojourn_tables`): 54 classes in
-place of 10,727 words at k = 7.  The quadrature sums run the same recursion
+place of 10,727 words at k = 7.  That recursion packs each class key
+(l, n_1, ..., n_k) into one int, a fixed-width field per entry, so keys
+multiply by integer addition; the finished keys are decoded once into
+(l, sizes).  The y-weights of the classes that share a multiplicity
+multiset are summed before its constants multiply in: 15 products in place
+of 54 at k = 7.  The quadrature sums run the same recursion
 over functions of the generating-vertex variable; one pass of order K gives
 every k <= K, so `grid_moments` and `profile_moments` sample, coarsen and
 recurse once for a whole range of k.  The per-word breakdown of
@@ -117,20 +122,26 @@ def moment_constant(
     sum over special symmetric words of y^r * prod_letters C_multiplicity.
 
     The sum is taken over the class table of `sojourn_tables`, each class
-    weighing its count times y^(a-l) prod C_s.  breakdown=True adds each
-    word's term, which enumerates the words (bounded by the enumeration cap).
+    weighing its count times y^(a-l) prod C_s.  The classes of one
+    multiplicity multiset share prod C_s, so their y-weights are summed
+    first and the product is taken once per multiset.  breakdown=True adds
+    each word's term, which enumerates the words (bounded by the
+    enumeration cap).
     """
     y = Fraction(y)
     table = sojourn_tables(k)[k]
     constants = {
         size: _lookup(c, size) for size in sorted({s for _, sizes in table for s in sizes})
     }
-    value = Fraction(0)
+    powers = [Fraction(1)]
+    for _ in range(k):
+        powers.append(powers[-1] * y)
+    weights: dict[tuple[int, ...], Fraction] = {}
     for (l, sizes), count in table.items():
-        term = count * y ** (len(sizes) - l)
-        for size in sizes:
-            term *= constants[size]
-        value += term
+        weights[sizes] = weights.get(sizes, 0) + count * powers[len(sizes) - l]
+    value = Fraction(0)
+    for sizes, weight in weights.items():
+        value += math.prod((constants[size] for size in sizes), start=weight)
     terms = None
     if breakdown:
         terms = {}

@@ -265,6 +265,24 @@ class TestNoiryClasses:
             monkeypatch.setattr(hypergraphs, "_built", ())
             assert tables[k] == sojourn_tables(k)[k]
 
+    # per k = 1..12, recorded while the class keys were still tuples
+    CLASSES = [1, 3, 6, 12, 20, 35, 54, 86, 128, 192, 275, 399]
+    TOTALS = [1, 3, 12, 57, 303, 1747, 10727, 69331, 467963, 3280353, 23785699, 177877932]
+
+    def test_packed_fields_never_carry(self, monkeypatch):
+        # a carry between the packed fields of a class key would move letters
+        # between multiplicities or into l; build at every max_k, so every
+        # field width is covered
+        for max_k in range(1, MAX_SERIES_ORDER + 1):
+            monkeypatch.setattr(hypergraphs, "_built", ())
+            tables = sojourn_tables(max_k)
+            for k in range(1, max_k + 1):
+                for l, sizes in tables[k]:
+                    assert sum(sizes) == 2 * k
+                    assert 1 <= l <= len(sizes)
+            assert [len(tables[k]) for k in range(1, max_k + 1)] == self.CLASSES[:max_k]
+            assert [sum(tables[k].values()) for k in range(1, max_k + 1)] == self.TOTALS[:max_k]
+
     def test_smaller_orders_read_the_built_tables(self, monkeypatch):
         monkeypatch.setattr(hypergraphs, "_built", ())
         calls = []

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from covmoments.hypergraphs import MAX_SERIES_ORDER, enumerate_ss_words
+from covmoments.hypergraphs import MAX_SERIES_ORDER, enumerate_ss_words, sojourn_tables
 from covmoments.moments import (
     CarlemanDiagnostic,
     carleman_diagnostic,
@@ -50,6 +50,18 @@ def moment_by_words(k, y, c):
     total = F(0)
     for r, sizes in word_terms(k):
         term = F(y) ** r
+        for s in sizes:
+            term *= c[s]
+        total += term
+    return total
+
+
+def moment_by_classes(k, y, c):
+    """Oracle: the class-table sum taken one class at a time, each class
+    weighing count * y^(a-l) * prod C_s."""
+    total = F(0)
+    for (l, sizes), count in sojourn_tables(k)[k].items():
+        term = count * F(y) ** (len(sizes) - l)
         for s in sizes:
             term *= c[s]
         total += term
@@ -159,6 +171,25 @@ class TestMomentConstant:
     def test_equals_word_sum_k7(self, y, c):
         constants = even_sequence(c)
         assert moment_constant(7, y, constants).value == moment_by_words(7, y, constants)
+
+    # moment_constant sums the y-weights of a multiset's classes before
+    # multiplying by its constants; exact arithmetic makes the order immaterial
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.integers(1, MAX_SERIES_ORDER),
+        y=st.fractions(min_value=F(1, 10), max_value=10, max_denominator=12),
+        c=st.lists(
+            st.fractions(min_value=F(1, 12), max_value=10, max_denominator=12),
+            min_size=MAX_SERIES_ORDER,
+            max_size=MAX_SERIES_ORDER,
+        ),
+    )
+    @example(k=MAX_SERIES_ORDER, y=F(3, 7), c=[F(j, j + 2) for j in range(1, MAX_SERIES_ORDER + 1)])
+    def test_equals_class_sum(self, k, y, c):
+        constants = even_sequence(c)
+        assert moment_constant(k, y, constants).value == moment_by_classes(k, y, constants)
+        lam = c[-1]
+        assert moment_sparse(k, y, lam).value == moment_by_classes(k, y, dict.fromkeys(constants, lam))
 
     def test_even_sequence_helper(self):
         assert even_sequence([1, F(1, 2)]) == {2: F(1), 4: F(1, 2)}
