@@ -24,7 +24,9 @@ generating vertex after pi(0) offers at most one branch per earlier
 generating vertex on its side (pi(0) counts as the first row) plus one new
 value, and never more than its side holds.  Past p, n >= 2k that bound no
 longer depends on the sizes.  `census_s_exhaustive` and
-`census_w_exhaustive` test every circuit tuple and serve as oracles.
+`census_w_exhaustive` test every circuit tuple and serve as oracles; the
+same budget bounds the tuples they try.  The budget is read at call time,
+so a caller who needs another one sets the module constant.
 """
 
 from __future__ import annotations
@@ -76,8 +78,8 @@ def _free_slots(m: int, stats: WordStats) -> list[int]:
     return [0] + [i for i in stats.first_positions if i < m]
 
 
-def _check_budget(count: int, what: str, budget: int | None = None) -> None:
-    limit = DEFAULT_CENSUS_BUDGET if budget is None else budget
+def _check_budget(count: int, what: str) -> None:
+    limit = DEFAULT_CENSUS_BUDGET
     if count > limit:
         raise SizeLimitError(f"census would visit up to {count} {what}, over the budget {limit}")
 
@@ -201,32 +203,32 @@ def _word_compatible(word: Word, keys: list[tuple[int, int]]) -> bool:
     return True
 
 
-def _iter_full_tuples(word: Word, p: int, n: int, budget: int | None):
+def _iter_full_tuples(word: Word, p: int, n: int):
     m = word.length
-    _check_budget((p * n) ** (m // 2), "circuit tuples", budget)
+    _check_budget((p * n) ** (m // 2), "circuit tuples")
     ranges = [range(1, (p if i % 2 == 0 else n) + 1) for i in range(m)]
     yield from itertools.product(*ranges)
 
 
-def census_s_exhaustive(word: Word, p: int, n: int, budget: int | None = None) -> CensusResult:
+def census_s_exhaustive(word: Word, p: int, n: int) -> CensusResult:
     """Independent oracle: test every circuit tuple against the S-link predicate."""
     _require_sizes(p=p, n=n)
     _require_circuit_word(word)
     count = sum(
         1
-        for values in _iter_full_tuples(word, p, n, budget)
+        for values in _iter_full_tuples(word, p, n)
         if _word_compatible(word, _edge_keys_s(word, values))
     )
     return CensusResult(word.text, "S", p, n, count, predicted_count_s(word, p, n))
 
 
-def census_w_exhaustive(word: Word, N: int, budget: int | None = None) -> CensusResult:
+def census_w_exhaustive(word: Word, N: int) -> CensusResult:
     """Independent oracle: test every circuit tuple against the Wigner predicate."""
     _require_sizes(N=N)
     _require_circuit_word(word)
     count = sum(
         1
-        for values in _iter_full_tuples(word, N, N, budget)
+        for values in _iter_full_tuples(word, N, N)
         if _word_compatible(word, _edge_keys_w(word, values))
     )
     return CensusResult(word.text, "wigner", N, N, count, predicted_count_w(word, N))
@@ -332,6 +334,6 @@ def verify_containment(word: Word, p: int, n: int) -> bool:
     _require_circuit_word(word)
     return all(
         _word_compatible(word, _edge_keys_w(word, values))
-        for values in _iter_full_tuples(word, p, n, None)
+        for values in _iter_full_tuples(word, p, n)
         if _word_compatible(word, _edge_keys_s(word, values))
     )

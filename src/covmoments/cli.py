@@ -61,13 +61,19 @@ def _parse_k_range(text: str) -> list[int]:
         raise ConfigError(f"bad k range {text!r}")
     return ks
 
+def _parse_fraction(text: str, name: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"bad {name} value {text!r}; expected a rational like 3/4") from exc
+
 def _parse_constants(text: str) -> dict[int, Fraction]:
     out = {}
     for item in text.split(","):
         key, _, value = item.partition("=")
         if not _:
             raise ConfigError(f"bad constant entry {item!r}; expected like 2=1,4=0.5")
-        out[int(key)] = Fraction(value)
+        out[int(key)] = _parse_fraction(value, f"--constant {key}")
     return out
 
 # ---------------------------------------------------------------- classify
@@ -148,34 +154,30 @@ def _load_grid_csv(path: str) -> np.ndarray:
 
 def run_moments(args) -> int:
     ks = _parse_k_range(args.k)
-    y = Fraction(args.y)
-    source = None
-    reports: dict[int, moments.MomentReport | None] = {}
-    values: dict[int, Fraction | float] = {}
+    y = _parse_fraction(args.y, "--y")
+    if y < 0:
+        raise ConfigError(f"--y must be >= 0, got {args.y!r}")
+    reports: dict[int, moments.MomentReport] = {}
     sandwich_rows = {}
 
     if args.mp:
         source = "mp"
-        for k in ks:
-            values[k] = moments.mp_moment(k, y)
-            reports[k] = None
+        reports = {k: moments.MomentReport(k, moments.mp_moment(k, y), None) for k in ks}
     elif args.sparse:
         if args.lam is None:
             raise ConfigError("--sparse requires --lam")
         source = "sparse"
-        lam = Fraction(args.lam)
+        lam = _parse_fraction(args.lam, "--lam")
         # largest first: the class table for max(ks) serves every smaller k
         for k in sorted(ks, reverse=True):
-            report = moments.moment_sparse(k, y, lam, breakdown=args.breakdown)
-            reports[k], values[k] = report, report.value
+            reports[k] = moments.moment_sparse(k, y, lam, breakdown=args.breakdown)
             if args.sandwich:
                 sandwich_rows[k] = moments.poisson_sandwich(k, y, lam)
     elif args.constant and not args.profile_csv:
         source = "constant"
         constants = _parse_constants(args.constant)
         for k in sorted(ks, reverse=True):
-            report = moments.moment_constant(k, y, constants, breakdown=args.breakdown)
-            reports[k], values[k] = report, report.value
+            reports[k] = moments.moment_constant(k, y, constants, breakdown=args.breakdown)
     elif args.profile_csv:
         if not args.constant:
             raise ConfigError("--profile-csv requires --constant for the base sequence")
@@ -187,7 +189,6 @@ def run_moments(args) -> int:
         reports = moments.profile_moments(
             ks, y, sigma, constants, grid=args.grid, breakdown=args.breakdown
         )
-        values = {k: report.value for k, report in reports.items()}
     elif args.g:
         source = "grid"
         g = {}
@@ -197,29 +198,22 @@ def run_moments(args) -> int:
                 raise ConfigError(f"bad --g entry {item!r}; expected like 2=g2.csv")
             g[int(key)] = _load_grid_csv(path)
         reports = moments.grid_moments(ks, y, g, grid=args.grid, breakdown=args.breakdown)
-        values = {k: report.value for k, report in reports.items()}
     else:
         raise ConfigError("choose a source: --mp, --sparse, --constant, --profile-csv or --g")
 
     header = ["k", "value"] + (["lower", "upper"] if sandwich_rows else [])
-    rows = []
-    for k in ks:
-        row = [k, values[k]]
-        if sandwich_rows:
-            row += list(sandwich_rows[k])
-        rows.append(row)
+    rows = [[k, reports[k].value, *sandwich_rows.get(k, ())] for k in ks]
     out = _out_dir(args) / "moments.csv"
     _write_csv(out, header, rows)
 
     payload = {"source": source, "y": fmt(y), "moments": {}}
     for k in ks:
-        entry = {"value": fmt(values[k])}
         report = reports[k]
-        if report is not None:
-            if args.breakdown:
-                entry["breakdown"] = {w: fmt(v) for w, v in report.breakdown.items()}
-            if report.error_estimate is not None:
-                entry["error_estimate"] = fmt(report.error_estimate)
+        entry = {"value": fmt(report.value)}
+        if report.breakdown is not None:
+            entry["breakdown"] = {w: fmt(v) for w, v in report.breakdown.items()}
+        if report.error_estimate is not None:
+            entry["error_estimate"] = fmt(report.error_estimate)
         payload["moments"][str(k)] = entry
     with open(_out_dir(args) / "moments.json", "w") as fh:
         json.dump(payload, fh, indent=1)

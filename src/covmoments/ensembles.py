@@ -8,7 +8,7 @@ entries are filled row-major, so a replicate's draws depend only on (seed, r).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -155,9 +155,7 @@ def _entry_mask(cfg: EnsembleConfig) -> np.ndarray | None:
     if cfg.family == "variance_profile":
         return profile_matrix(cfg)
     if cfg.family == "dt_triangular":
-        return profile_matrix(
-            EnsembleConfig("variance_profile", cfg.p, cfg.n, lam=1.0, profile="upper_triangle")
-        )
+        return profile_matrix(replace(cfg, profile="upper_triangle"))
     return None
 
 
@@ -191,44 +189,55 @@ def _effective_truncation(cfg: EnsembleConfig) -> float:
     return resolve_truncation(cfg.t_n, cfg.n)
 
 
-def sample_matrix(cfg: EnsembleConfig, replicate: int) -> np.ndarray:
-    """Draw the p x n entry matrix for one replicate, truncation applied."""
-    raw = _raw_entries(cfg, _rng(cfg.seed, replicate), _entry_mask(cfg))
+def _truncated_entries(cfg: EnsembleConfig, replicate: int, mask: np.ndarray | None) -> tuple[np.ndarray, float]:
+    """One replicate's entries with truncation applied, and the truncation
+    mass (1/n) sum y^2 over the entries it zeroed."""
+    raw = _raw_entries(cfg, _rng(cfg.seed, replicate), mask)
     level = _effective_truncation(cfg)
     if math.isinf(level):
-        return raw
-    return raw * (np.abs(raw) <= level)
+        return raw, 0.0
+    keep = np.abs(raw) <= level
+    return raw * keep, float((raw[~keep] ** 2).sum()) / cfg.n
 
 
-def entry_second_moment(cfg: EnsembleConfig) -> np.ndarray | None:
-    """Per-entry E[y^2] of the truncated law, when it has a closed form."""
-    p, n = cfg.p, cfg.n
-    level = _effective_truncation(cfg)
-    if cfg.family == "sparse_bernoulli":
+def sample_matrix(cfg: EnsembleConfig, replicate: int) -> np.ndarray:
+    """Draw the p x n entry matrix for one replicate, truncation applied."""
+    return _truncated_entries(cfg, replicate, _entry_mask(cfg))[0]
+
+
+def _second_moment_total(cfg: EnsembleConfig, mask: np.ndarray | None) -> np.float64 | None:
+    """`entry_second_moment(cfg)` from the run's `mask = _entry_mask(cfg)`."""
+    n, level, family = cfg.n, _effective_truncation(cfg), cfg.family
+    if mask is not None:
+        # truncating the profile-scaled entry has no simple closed form
+        if not math.isinf(level):
+            return None
+        family = "iid_standardized" if family == "dt_triangular" else cfg.base_family
+    if family == "sparse_bernoulli":
         value = cfg.lam / n if level >= 1 else 0.0
-        return np.full((p, n), value)
-    if cfg.family == "triangular_iid":
+    elif family == "triangular_iid":
         a, lam_t = triangular_two_point(cfg.c_seq, n)
         value = lam_t / n * a * a if a <= level else 0.0
-        return np.full((p, n), value)
-    if cfg.family == "iid_standardized":
-        if math.isinf(level):
-            return np.full((p, n), 1.0 / n)
+    elif family == "iid_standardized" and math.isinf(level):
+        value = 1.0 / n
+    elif family == "iid_standardized":
         c = level * math.sqrt(n)
         phi = math.exp(-c * c / 2) / math.sqrt(2 * math.pi)
         tail = (1 - math.erf(c / math.sqrt(2))) / 2
-        return np.full((p, n), (1.0 - 2 * c * phi - 2 * tail) / n)
-    if cfg.family in ("dt_triangular", "variance_profile"):
-        if cfg.family == "dt_triangular":
-            base = EnsembleConfig("iid_standardized", p, n, t_n=cfg.t_n, seed=cfg.seed)
-        else:
-            base = EnsembleConfig(cfg.base_family, p, n, lam=cfg.lam, t_n=cfg.t_n, seed=cfg.seed)
-        inner = entry_second_moment(base)
-        # truncating the profile-scaled entry has no simple closed form
-        if inner is None or not math.isinf(level):
-            return None
-        return _entry_mask(cfg) ** 2 * inner
-    return None  # heavy tails: centered diagnostic falls back to pooled mean
+        value = (1.0 - 2 * c * phi - 2 * tail) / n
+    else:
+        return None  # heavy tails: centered diagnostic falls back to pooled mean
+    if mask is None:
+        return np.float64(cfg.p * n * value)
+    return (mask**2 * value).sum()
+
+
+def entry_second_moment(cfg: EnsembleConfig) -> np.float64 | None:
+    """Total sum of E[y^2] over the p x n entries of the truncated law, or
+    None without a closed form.  A scalar family gives p n E[y^2] and
+    allocates no array; a profile family sums its squared mask times the
+    base law's E[y^2]."""
+    return _second_moment_total(cfg, _entry_mask(cfg))
 
 
 def _power_sums(w: np.ndarray, K: int) -> tuple[float, ...]:
@@ -300,17 +309,9 @@ def _one_replicate(
     mask: np.ndarray | None,
     expected_sq_total: float | None,
 ) -> SpectralSample:
-    """One replicate; `mask` is `_entry_mask(cfg)` and `expected_sq_total` the
-    sum of `entry_second_moment(cfg)` (None without a closed form), both per run."""
-    raw = _raw_entries(cfg, _rng(cfg.seed, replicate), mask)
-    level = _effective_truncation(cfg)
-    if math.isinf(level):
-        truncated = raw
-        mass = 0.0
-    else:
-        keep = np.abs(raw) <= level
-        truncated = raw * keep
-        mass = float((raw[~keep] ** 2).sum()) / cfg.n
+    """One replicate; `mask` is `_entry_mask(cfg)` and `expected_sq_total`
+    `entry_second_moment(cfg)` (None without a closed form), both per run."""
+    truncated, mass = _truncated_entries(cfg, replicate, mask)
     S = truncated @ truncated.T
     eigs = eigenvalues(S)
     scale = max(1.0, float(eigs[-1]))
@@ -329,13 +330,16 @@ def run_experiment(
     bins: str | int | Sequence[float] = "fd",
 ) -> ExperimentReport:
     """Sample all replicates, aggregate spectral moments and the pooled
-    eigenvalue histogram (Freedman-Diaconis bins unless overridden)."""
-    # the p x n expectation is summed and freed before the mask is built,
-    # so the two never occupy memory together
-    expected_sq = entry_second_moment(cfg)
-    expected_sq_total = None if expected_sq is None else expected_sq.sum()
-    del expected_sq
+    eigenvalue histogram (Freedman-Diaconis bins unless overridden).  K and
+    `bins` are checked before the first draw."""
+    if K < 1:
+        raise ValueError("K must be >= 1")
+    try:  # numpy's own rules for `bins`, applied to a two-point sample
+        np.histogram_bin_edges([0.0, 1.0], bins=bins)
+    except TypeError as exc:
+        raise ValueError(str(exc)) from exc
     mask = _entry_mask(cfg)
+    expected_sq_total = _second_moment_total(cfg, mask)
     samples = tuple(
         _one_replicate(cfg, r, K, mask, expected_sq_total) for r in range(cfg.replicates)
     )
@@ -354,19 +358,11 @@ def run_experiment(
         achieved = achieved_triangular_sequence(cfg.c_seq, cfg.n, [2 * j for j in range(1, K + 1)])
 
     # centered diagnostic for families without a closed-form E[y^2]
-    if samples and samples[0].second_moment_gap is None:
+    if expected_sq_total is None:
         sums = np.array([(s.eigenvalues.sum()) for s in samples])  # tr S = sum y^2
         center = sums.mean()
         samples = tuple(
-            SpectralSample(
-                s.replicate_id,
-                s.seed_used,
-                s.eigenvalues,
-                s.empirical_moments,
-                s.truncation_mass,
-                float((sums[i] - center) / cfg.p),
-            )
-            for i, s in enumerate(samples)
+            replace(s, second_moment_gap=float((total - center) / cfg.p)) for s, total in zip(samples, sums)
         )
 
     return ExperimentReport(cfg, K, samples, mean, stderr, edges, counts, achieved)

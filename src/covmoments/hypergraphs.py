@@ -159,7 +159,7 @@ def _word_of_pair(sigma: Partition, tau: Partition) -> Word:
 
 
 @lru_cache(maxsize=None)
-def enumerate_ss_words(k: int, cap: int | None = None) -> tuple[Word, ...]:
+def enumerate_ss_words(k: int) -> tuple[Word, ...]:
     """All special symmetric words of length 2k, in lexicographic order.
 
     A canonical word is special symmetric exactly when every letter occurs
@@ -167,11 +167,12 @@ def enumerate_ss_words(k: int, cap: int | None = None) -> tuple[Word, ...]:
     closes without a contradiction.  Propagation is decided prefix by
     prefix, so a depth-first search over canonical words, one letter at a
     time, drops a branch as soon as propagation fails or the letters of odd
-    count outnumber the positions left to pair them.
+    count outnumber the positions left to pair them.  The result is cached
+    per k, so the enumeration cap is checked on the first call for each k.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    _check_cap(2 * k, cap)
+    _check_cap(2 * k)
     m = 2 * k
     letters = [0] * m
     cls = [0] * m

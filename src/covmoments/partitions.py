@@ -4,6 +4,10 @@ symmetric class that governs limiting covariance-matrix moments.
 A partition is stored as blocks ordered by least element; its canonical
 word assigns letter j to the j-th block in that order, so partitions of
 {1..m} and canonical words of length m are the same data.
+
+Exhaustive enumerations refuse a ground set larger than
+`DEFAULT_ENUMERATION_CAP` with SizeLimitError.  The limit is read at call
+time, so a caller who needs another one sets the module constant.
 """
 
 from __future__ import annotations
@@ -173,8 +177,8 @@ def word_statistics(word: Word) -> WordStats:
     return WordStats(b=len(firsts), r_plus_1=r_plus_1, first_positions=tuple(firsts))
 
 
-def _check_cap(m: int, cap: int | None) -> None:
-    limit = DEFAULT_ENUMERATION_CAP if cap is None else cap
+def _check_cap(m: int) -> None:
+    limit = DEFAULT_ENUMERATION_CAP
     if m > limit:
         raise SizeLimitError(
             f"ground set of size {m} exceeds the enumeration cap {limit} "
@@ -182,11 +186,11 @@ def _check_cap(m: int, cap: int | None) -> None:
         )
 
 
-def enumerate_partitions(m: int, cap: int | None = None) -> Iterator[Partition]:
+def enumerate_partitions(m: int) -> Iterator[Partition]:
     """Yield every partition of {1..m} once, in restricted-growth order."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    _check_cap(m, cap)
+    _check_cap(m)
     letters = [1] * m
 
     def rec(i: int, maxletter: int) -> Iterator[Partition]:
@@ -200,11 +204,11 @@ def enumerate_partitions(m: int, cap: int | None = None) -> Iterator[Partition]:
     yield from rec(1, 1)
 
 
-def enumerate_pair_partitions(m: int, cap: int | None = None) -> Iterator[Partition]:
+def enumerate_pair_partitions(m: int) -> Iterator[Partition]:
     """Yield every pair partition of {1..m} (empty for odd m)."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    _check_cap(m, cap)
+    _check_cap(m)
     if m % 2:
         return
 
@@ -334,7 +338,6 @@ def count_ss(
     k: int,
     by: str | Sequence[str] = "total",
     pair_only: bool = False,
-    cap: int | None = None,
 ) -> dict:
     """Exhaustively count special symmetric partitions of {1..2k}.
 
@@ -351,7 +354,7 @@ def count_ss(
             raise ValueError(f"unknown grouping key {key!r}; expected one of {_GROUP_KEYS}")
     source = enumerate_pair_partitions if pair_only else enumerate_partitions
     counts: dict = defaultdict(int)
-    for p in source(2 * k, cap=cap):
+    for p in source(2 * k):
         if not is_special_symmetric(p):
             continue
         stats = word_statistics(p.to_word())

@@ -5,7 +5,13 @@ import ast
 import importlib
 from pathlib import Path
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+import pytest
+
+from covmoments.cli import config_to_ensemble, load_config
+from covmoments.ensembles import entry_second_moment
+
+ROOT = Path(__file__).resolve().parents[1]
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
 
 
 def covmoments_names(source: str) -> set[tuple[str, str]]:
@@ -50,3 +56,12 @@ def test_a_renamed_name_is_reported():
     names = covmoments_names("from covmoments import moments\nmoments.no_such_name(1)\n")
     assert names == {("covmoments.moments", "no_such_name")}
     assert not hasattr(importlib.import_module("covmoments.moments"), "no_such_name")
+
+
+@pytest.mark.parametrize("name", ["fig1", "fig2", "mp"])
+def test_shipped_configs_sum_the_second_moment(name):
+    # the simulate gate reads entry_second_moment(cfg).sum() for each shipped config
+    cfg, _ = config_to_ensemble(load_config(str(ROOT / "configs" / f"{name}.cfg")))
+    total = entry_second_moment(cfg)
+    assert total.sum() == total
+    assert total.sum() / cfg.p > 0

@@ -201,8 +201,9 @@ class TestCensusS:
         monkeypatch.setattr(circuits, "DEFAULT_CENSUS_BUDGET", 1)
         with pytest.raises(SizeLimitError, match="2 value patterns, over the budget 1"):
             census_s(W("aabb"), 3, 3)
+        monkeypatch.setattr(circuits, "DEFAULT_CENSUS_BUDGET", 10)
         with pytest.raises(SizeLimitError, match="circuit tuples"):
-            census_s_exhaustive(W("aabb"), 100, 100, budget=10)
+            census_s_exhaustive(W("aabb"), 100, 100)
 
     def test_odd_length_rejected(self):
         with pytest.raises(ValueError):
@@ -337,9 +338,9 @@ class TestPatternCount:
         bounds, calls = [], [0]
         check_budget, extend = circuits._check_budget, circuits._extend
 
-        def record(count, what, budget=None):
+        def record(count, what):
             bounds.append(count)
-            check_budget(count, what, budget)
+            check_budget(count, what)
 
         def counted(*args):
             calls[0] += 1

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import covmoments
-from covmoments import circuits, cli, hypergraphs, moments, partitions
+from covmoments import circuits, cli, ensembles, hypergraphs, moments, partitions
 from covmoments.cli import EXIT_CONFIG, EXIT_SIZE_LIMIT, load_config, main
 from covmoments.moments import moment_sparse, mp_moment, poisson_sandwich
 
@@ -223,6 +223,26 @@ class TestMoments:
 
     def test_sparse_requires_lam(self, tmp_path, capsys):
         assert run("--out", tmp_path, "moments", "--sparse", "--k", "1") == EXIT_CONFIG
+
+    @pytest.mark.parametrize("source, bad", [
+        (["--mp", "--y", "1/0"], "--y"),
+        (["--mp", "--y", "half"], "--y"),
+        (["--sparse", "--lam", "1/0"], "--lam"),
+        (["--constant", "2=1/0"], "--constant 2"),
+    ])
+    def test_malformed_rational_exit(self, tmp_path, capsys, source, bad):
+        assert run("--out", tmp_path, "moments", *source, "--k", "1") == EXIT_CONFIG
+        assert f"bad {bad} value" in capsys.readouterr().err
+        assert not (tmp_path / "moments.csv").exists()
+
+    def test_negative_y_exit(self, tmp_path, capsys):
+        assert run("--out", tmp_path, "moments", "--mp", "--y", "-1", "--k", "2") == EXIT_CONFIG
+        assert "--y must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "moments.csv").exists()
+        # y = 0 is the p/n -> 0 limit, where every moment is 1
+        assert run("--out", tmp_path, "moments", "--mp", "--y", "0", "--k", "1..3") == 0
+        lines = (tmp_path / "moments.csv").read_text().strip().splitlines()
+        assert lines[1:] == ["1,1", "2,1", "3,1"]
 
     def test_enumeration_cap_exit(self, tmp_path, capsys):
         assert run(
@@ -478,6 +498,16 @@ class TestSimulate:
 
     def test_missing_file_exit(self, tmp_path, capsys):
         assert run("simulate", "--config", tmp_path / "nope.cfg") == EXIT_CONFIG
+
+    @pytest.mark.parametrize("line", ['bins = "bogus"', "bins = 2.5", "bins = 0", "K = 0"])
+    def test_bad_bins_or_order_fail_before_sampling(self, tmp_path, capsys, monkeypatch, line):
+        def no_draw(*args):
+            raise AssertionError("sampled before the config was checked")
+
+        monkeypatch.setattr(ensembles, "_raw_entries", no_draw)
+        cfg = self.write_config(tmp_path, f"family = iid_standardized\np = 4\nn = 8\n{line}\n")
+        assert run("--out", tmp_path, "simulate", "--config", cfg) == EXIT_CONFIG
+        assert not (tmp_path / "moments.csv").exists()
 
 
 class TestLoadConfig:

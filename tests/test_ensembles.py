@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +35,39 @@ FAMILY_CASES = {
     ),
     "dt_triangular": dict(family="dt_triangular"),
 }
+
+
+def entry_second_moment_array(cfg):
+    """Oracle for entry_second_moment: the per-entry p x n array of E[y^2]
+    of the truncated law, built as the total was before it became a sum."""
+    p, n = cfg.p, cfg.n
+    level = ensembles._effective_truncation(cfg)
+    if cfg.family == "sparse_bernoulli":
+        value = cfg.lam / n if level >= 1 else 0.0
+        return np.full((p, n), value)
+    if cfg.family == "triangular_iid":
+        a, lam_t = ensembles.triangular_two_point(cfg.c_seq, n)
+        value = lam_t / n * a * a if a <= level else 0.0
+        return np.full((p, n), value)
+    if cfg.family == "iid_standardized":
+        if math.isinf(level):
+            return np.full((p, n), 1.0 / n)
+        c = level * math.sqrt(n)
+        phi = math.exp(-c * c / 2) / math.sqrt(2 * math.pi)
+        tail = (1 - math.erf(c / math.sqrt(2))) / 2
+        return np.full((p, n), (1.0 - 2 * c * phi - 2 * tail) / n)
+    if cfg.family in ("dt_triangular", "variance_profile"):
+        if cfg.family == "dt_triangular":
+            base = EnsembleConfig("iid_standardized", p, n, t_n=cfg.t_n, seed=cfg.seed)
+            mask = profile_matrix(EnsembleConfig("variance_profile", p, n, lam=1.0, profile="upper_triangle"))
+        else:
+            base = EnsembleConfig(cfg.base_family, p, n, lam=cfg.lam, t_n=cfg.t_n, seed=cfg.seed)
+            mask = profile_matrix(cfg)
+        inner = entry_second_moment_array(base)
+        if inner is None or not math.isinf(level):
+            return None
+        return mask**2 * inner
+    return None
 
 
 def dense_power_traces(S, K):
@@ -361,7 +395,35 @@ class TestRunExperiment:
         for replicates in (1, 5):
             calls.clear()
             run_experiment(EnsembleConfig(p=6, n=8, replicates=replicates, **FAMILY_CASES[case]), 2)
-            assert len(calls) <= 2  # the mask, and entry_second_moment's own
+            assert len(calls) == 1  # the mask, which also gives the second-moment total
+
+    @pytest.mark.parametrize("t_n", [None, 0.3])
+    @pytest.mark.parametrize("case", sorted(FAMILY_CASES))
+    def test_entry_second_moment_is_the_array_sum(self, case, t_n):
+        # a case's own truncation rule wins over the parametrized one
+        cfg = EnsembleConfig(p=24, n=40, seed=21, **{"t_n": t_n, **FAMILY_CASES[case]})
+        total, oracle = entry_second_moment(cfg), entry_second_moment_array(cfg)
+        if oracle is None:
+            assert total is None
+            return
+        assert isinstance(total, np.float64)
+        if ensembles._entry_mask(cfg) is None:
+            assert total == pytest.approx(oracle.sum(), rel=1e-15, abs=0)
+        else:
+            assert total == oracle.sum()
+
+    @pytest.mark.parametrize("case", ["iid_standardized", "iid_truncated", "sparse_bernoulli", "triangular_iid"])
+    def test_scalar_second_moment_allocates_no_array(self, case):
+        # one p x n float array would take 8 MB; numpy reports its buffers to tracemalloc
+        cfg = EnsembleConfig(p=1000, n=1000, **FAMILY_CASES[case])
+        tracemalloc.start()
+        try:
+            total = entry_second_moment(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert isinstance(total, np.float64)
+        assert peak < 10**5
 
     def test_truncation_mass_reported(self):
         cfg = EnsembleConfig("iid_standardized", 40, 80, t_n="n^{-1/3}", seed=13, replicates=3)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from covmoments import hypergraphs
+from covmoments import hypergraphs, partitions
 from covmoments.circuits import slot_classes
 from covmoments.hypergraphs import (
     MAX_SERIES_ORDER,
@@ -192,9 +192,12 @@ class TestEnumerationByPairs:
         with pytest.raises(SizeLimitError):
             enumerate_ss_words(8)
 
-    def test_explicit_cap_message(self):
+    def test_explicit_cap_message(self, monkeypatch):
+        # the result is cached per k, so a cached k would skip the check
+        enumerate_ss_words.cache_clear()
+        monkeypatch.setattr(partitions, "DEFAULT_ENUMERATION_CAP", 4)
         with pytest.raises(SizeLimitError, match=r"ground set of size 6 exceeds the enumeration cap 4"):
-            enumerate_ss_words(3, cap=4)
+            enumerate_ss_words(3)
 
 
 def canonical(raw):

@@ -1,5 +1,9 @@
+import importlib
+import inspect
+
 import pytest
 
+from covmoments import partitions
 from covmoments.partitions import (
     DEFAULT_ENUMERATION_CAP,
     Partition,
@@ -53,14 +57,32 @@ class TestEnumeration:
         direct = {p.blocks for p in enumerate_pair_partitions(6)}
         assert full == direct
 
-    def test_cap_exceeded_names_cap(self):
+    def test_cap_exceeded_names_cap(self, monkeypatch):
         with pytest.raises(SizeLimitError, match=str(DEFAULT_ENUMERATION_CAP)):
             list(enumerate_partitions(DEFAULT_ENUMERATION_CAP + 1))
         with pytest.raises(SizeLimitError):
             list(enumerate_pair_partitions(16))
-        # explicit cap overrides the default
+        # the module constant is read at call time
+        monkeypatch.setattr(partitions, "DEFAULT_ENUMERATION_CAP", 4)
         with pytest.raises(SizeLimitError, match="4"):
-            list(enumerate_partitions(5, cap=4))
+            list(enumerate_partitions(5))
+
+
+def test_no_public_cap_or_budget_parameter():
+    # the limits are the module constants DEFAULT_ENUMERATION_CAP and DEFAULT_CENSUS_BUDGET;
+    # unwrap, so that cached functions such as enumerate_ss_words are checked too
+    names = ("circuits", "cli", "ensembles", "hypergraphs", "moments", "partitions")
+    modules = [importlib.import_module(f"covmoments.{name}") for name in names]
+    knobs = [
+        f"{module.__name__}.{name}({param})"
+        for module in modules
+        for name, fn in vars(module).items()
+        if not name.startswith("_") and inspect.isfunction(inspect.unwrap(fn))
+        and fn.__module__ == module.__name__
+        for param in inspect.signature(fn).parameters
+        if param in ("cap", "budget")
+    ]
+    assert not knobs
 
 
 class TestSpecialSymmetric:
