@@ -52,13 +52,13 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
             fh.write(",".join(fmt(v) for v in row) + "\n")
 
 def _parse_k_range(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        ks = list(range(int(lo), int(hi) + 1))
-    else:
-        ks = [int(text)]
+    lo, dots, hi = text.partition("..")
+    try:
+        ks = list(range(int(lo), int(hi if dots else lo) + 1))
+    except ValueError:
+        ks = []
     if not ks or ks[0] < 1:
-        raise ConfigError(f"bad k range {text!r}")
+        raise ConfigError(f"bad --k value {text!r}; expected k >= 1 or a range like 1..6")
     return ks
 
 def _parse_fraction(text: str, name: str) -> Fraction:
@@ -67,14 +67,23 @@ def _parse_fraction(text: str, name: str) -> Fraction:
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"bad {name} value {text!r}; expected a rational like 3/4") from exc
 
-def _parse_constants(text: str) -> dict[int, Fraction]:
+def _parse_orders(items: list[str], flag: str, parse) -> dict:
+    """{order: parse(value, f"{flag} {order}")} for entries like 2=value; each
+    order is read before its value is parsed (or its file opened)."""
     out = {}
-    for item in text.split(","):
-        key, _, value = item.partition("=")
-        if not _:
-            raise ConfigError(f"bad constant entry {item!r}; expected like 2=1,4=0.5")
-        out[int(key)] = _parse_fraction(value, f"--constant {key}")
+    for item in items:
+        key, sep, value = item.partition("=")
+        try:
+            order = int(key)
+        except ValueError:
+            sep = ""
+        if not sep:
+            raise ConfigError(f"bad {flag} entry {item!r}; expected an integer order before '='")
+        out[order] = parse(value, f"{flag} {key}")
     return out
+
+def _parse_constants(text: str) -> dict[int, Fraction]:
+    return _parse_orders(text.split(","), "--constant", _parse_fraction)
 
 # ---------------------------------------------------------------- classify
 
@@ -152,54 +161,65 @@ def run_census(args) -> int:
 def _load_grid_csv(path: str) -> np.ndarray:
     return np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
 
+# the moments sources that read each option besides --k and --y; the first
+# option given must choose a source, and --constant, listed after the other
+# choosers, is then either that source or the base sequence of --profile-csv
+_READERS = {
+    "mp": ("mp",), "sparse": ("sparse",), "profile_csv": ("profile",), "g": ("grid",),
+    "constant": ("constant", "profile"), "lam": ("sparse",), "sandwich": ("sparse",),
+    "grid": ("profile", "grid"), "breakdown": ("sparse", "constant", "profile", "grid"),
+}
+
+def _moments_source(args) -> str:
+    """The one source the options choose; an option it does not read is an
+    error, not ignored."""
+    given = [d for d in _READERS if getattr(args, d) is not None and getattr(args, d) is not False]
+    if not given or given[0] not in ("mp", "sparse", "profile_csv", "g", "constant"):
+        raise ConfigError("choose a source: --mp, --sparse, --constant, --profile-csv or --g")
+    source = _READERS[given[0]][0]
+    for dest in given:
+        if source not in _READERS[dest]:
+            raise ConfigError(f"--{dest.replace('_', '-')} does not apply to the {source} source")
+    return source
+
 def run_moments(args) -> int:
+    source = _moments_source(args)
     ks = _parse_k_range(args.k)
     y = _parse_fraction(args.y, "--y")
     if y < 0:
         raise ConfigError(f"--y must be >= 0, got {args.y!r}")
+    grid = 64 if args.grid is None else args.grid
     reports: dict[int, moments.MomentReport] = {}
     sandwich_rows = {}
 
-    if args.mp:
-        source = "mp"
+    if source == "mp":
         reports = {k: moments.MomentReport(k, moments.mp_moment(k, y), None) for k in ks}
-    elif args.sparse:
+    elif source == "sparse":
         if args.lam is None:
             raise ConfigError("--sparse requires --lam")
-        source = "sparse"
         lam = _parse_fraction(args.lam, "--lam")
         # largest first: the class table for max(ks) serves every smaller k
         for k in sorted(ks, reverse=True):
             reports[k] = moments.moment_sparse(k, y, lam, breakdown=args.breakdown)
             if args.sandwich:
                 sandwich_rows[k] = moments.poisson_sandwich(k, y, lam)
-    elif args.constant and not args.profile_csv:
-        source = "constant"
+    elif source == "constant":
         constants = _parse_constants(args.constant)
         for k in sorted(ks, reverse=True):
             reports[k] = moments.moment_constant(k, y, constants, breakdown=args.breakdown)
-    elif args.profile_csv:
+    elif source == "profile":
         if not args.constant:
             raise ConfigError("--profile-csv requires --constant for the base sequence")
-        source = "profile"
         sigma = _load_grid_csv(args.profile_csv)
-        if sigma.shape != (args.grid, args.grid):
-            raise ConfigError(f"profile grid has shape {sigma.shape}, expected {(args.grid, args.grid)}")
+        if sigma.shape != (grid, grid):
+            raise ConfigError(f"profile grid has shape {sigma.shape}, expected {(grid, grid)}")
         constants = _parse_constants(args.constant)
         reports = moments.profile_moments(
-            ks, y, sigma, constants, grid=args.grid, breakdown=args.breakdown
+            ks, y, sigma, constants, grid=grid, breakdown=args.breakdown
         )
-    elif args.g:
-        source = "grid"
-        g = {}
-        for item in args.g:
-            key, _, path = item.partition("=")
-            if not _:
-                raise ConfigError(f"bad --g entry {item!r}; expected like 2=g2.csv")
-            g[int(key)] = _load_grid_csv(path)
-        reports = moments.grid_moments(ks, y, g, grid=args.grid, breakdown=args.breakdown)
     else:
-        raise ConfigError("choose a source: --mp, --sparse, --constant, --profile-csv or --g")
+        g = _parse_orders(args.g, "--g", lambda path, name: _load_grid_csv(path))
+        reports = moments.grid_moments(ks, y, g, grid=grid, breakdown=args.breakdown)
 
     header = ["k", "value"] + (["lower", "upper"] if sandwich_rows else [])
     rows = [[k, reports[k].value, *sandwich_rows.get(k, ())] for k in ks]
@@ -605,8 +625,9 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--sandwich", action="store_true", help="append Poisson sandwich bounds")
     c.add_argument("--constant", default=None, help='constant sequence like "2=1,4=0.5"')
     c.add_argument("--profile-csv", default=None, help="variance profile sampled on the grid")
-    c.add_argument("--g", action="append", default=[], help='grid function like 2=g2.csv (repeatable)')
-    c.add_argument("--grid", type=int, default=64)
+    c.add_argument("--g", action="append", default=None, help='grid function like 2=g2.csv (repeatable)')
+    c.add_argument("--grid", type=int, default=None,
+                   help="grid resolution for --profile-csv and --g (default 64)")
     c.add_argument("--breakdown", action="store_true",
                    help="write each word's term to moments.json; lists every word, "
                    f"so 2k <= {partitions.DEFAULT_ENUMERATION_CAP}")

@@ -159,28 +159,32 @@ def _entry_mask(cfg: EnsembleConfig) -> np.ndarray | None:
     return None
 
 
+def _base_family(cfg: EnsembleConfig) -> str:
+    """The law of an entry before `_entry_mask` scales it."""
+    if cfg.family == "variance_profile":
+        return cfg.base_family
+    return "iid_standardized" if cfg.family == "dt_triangular" else cfg.family
+
+
 def _raw_entries(cfg: EnsembleConfig, rng: np.random.Generator, mask: np.ndarray | None) -> np.ndarray:
     """Untruncated entries; `mask` is `_entry_mask(cfg)`, built once per run by the caller."""
     p, n = cfg.p, cfg.n
-    family = cfg.family
+    family = _base_family(cfg)
     if family == "iid_standardized":
-        return rng.standard_normal((p, n)) / math.sqrt(n)
-    if family == "sparse_bernoulli":
-        return (rng.random((p, n)) < cfg.lam / n).astype(float)
-    if family == "triangular_iid":
+        raw = rng.standard_normal((p, n)) / math.sqrt(n)
+    elif family == "sparse_bernoulli":
+        raw = (rng.random((p, n)) < cfg.lam / n).astype(float)
+    elif family == "triangular_iid":
         a, lam_t = triangular_two_point(cfg.c_seq, n)
         u = rng.random((p, n))
         prob = lam_t / n
-        return a * (u < prob / 2) - a * ((u >= prob / 2) & (u < prob))
-    if family == "heavy_tail_stable":
+        raw = a * (u < prob / 2) - a * ((u >= prob / 2) & (u < prob))
+    else:  # heavy_tail_stable
         a_p = float(p) ** (1.0 / cfg.alpha)  # Pareto-tail surrogate for the stable quantile
-        return _stable_symmetric(rng, cfg.alpha, (p, n)) / a_p
-    if family in ("dt_triangular", "variance_profile"):
-        base_family = "iid_standardized" if family == "dt_triangular" else cfg.base_family
-        raw = _raw_entries(EnsembleConfig(base_family, p, n, lam=cfg.lam), rng, None)
+        raw = _stable_symmetric(rng, cfg.alpha, (p, n)) / a_p
+    if mask is not None:
         raw *= mask
-        return raw
-    raise ValueError(f"unknown family {family!r}")
+    return raw
 
 
 def _effective_truncation(cfg: EnsembleConfig) -> float:
@@ -207,12 +211,9 @@ def sample_matrix(cfg: EnsembleConfig, replicate: int) -> np.ndarray:
 
 def _second_moment_total(cfg: EnsembleConfig, mask: np.ndarray | None) -> np.float64 | None:
     """`entry_second_moment(cfg)` from the run's `mask = _entry_mask(cfg)`."""
-    n, level, family = cfg.n, _effective_truncation(cfg), cfg.family
-    if mask is not None:
-        # truncating the profile-scaled entry has no simple closed form
-        if not math.isinf(level):
-            return None
-        family = "iid_standardized" if family == "dt_triangular" else cfg.base_family
+    n, level, family = cfg.n, _effective_truncation(cfg), _base_family(cfg)
+    if mask is not None and not math.isinf(level):
+        return None  # truncating the profile-scaled entry has no simple closed form
     if family == "sparse_bernoulli":
         value = cfg.lam / n if level >= 1 else 0.0
     elif family == "triangular_iid":

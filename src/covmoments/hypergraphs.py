@@ -8,9 +8,9 @@ as vertices and tau-blocks as edges (an edge touches every vertex block
 adjacent to one of its slots along the circuit) gives a hypergraph that is
 acyclic exactly for special symmetric words, with |sigma| + |tau| = b + 1.
 
-The class tables (`sojourn_tables`, `count_noiry_classes`) come from a
-recursion over the sojourns of a closed walk on a growing tree, so they
-list no word and reach k = MAX_SERIES_ORDER.
+The class table (`count_noiry_classes`) comes from a recursion over the
+sojourns of a closed walk on a growing tree, so it lists no word and
+reaches k = MAX_SERIES_ORDER.
 """
 
 from __future__ import annotations
@@ -33,11 +33,6 @@ from .partitions import (
 )
 
 MAX_SERIES_ORDER = 12
-
-# (l, sizes) -> number of special symmetric words with l odd generating
-# vertices and sorted letter multiplicities `sizes`; `sojourn_tables` builds
-# it over keys packed into one int and decodes each finished key once
-ClassTable = Mapping[tuple[int, tuple[int, ...]], int]
 
 
 @dataclass(frozen=True)
@@ -228,38 +223,29 @@ class NoiryClassKey:
             raise ValueError("sizes must list one multiplicity >= 2 per edge")
 
 
-def count_noiry_classes(k: int) -> dict[NoiryClassKey, int]:
+# the class tables for k = 0..K of the largest K built so far; a smaller k
+# reads its entry, so a verb looping over k = 1..K builds one table
+_built: tuple[Mapping[NoiryClassKey, int], ...] = ()
+
+
+def count_noiry_classes(k: int) -> Mapping[NoiryClassKey, int]:
     """Group the special symmetric words of length 2k by (distinct letters a,
     odd generating vertices l, letter-multiplicity multiset).
 
-    The table is read off `sojourn_tables`, so no word is enumerated and k
+    The table is read off `_sojourn_series`, so no word is enumerated and k
     may go up to MAX_SERIES_ORDER (k = 9: 128 classes for 467,963 words).
-    """
-    return {
-        NoiryClassKey(len(sizes), l, sizes): count
-        for (l, sizes), count in sojourn_tables(k)[k].items()
-    }
+    The tables of every order up to k are kept for later calls, so the
+    table is returned read-only.
 
-
-# the class tables of the largest max_k built so far; a smaller max_k reads
-# their prefix, so a verb looping over k = 1..K builds one table
-_built: tuple[ClassTable, ...] = ()
-
-
-def sojourn_tables(max_k: int) -> tuple[ClassTable, ...]:
-    """Class tables of the special symmetric words of length 2k for
-    k = 0..max_k, read off `_sojourn_series`.  The tables are kept for later
-    calls, so they are returned read-only.
-
-    Inside the recursion a class key (l, n_1, ..., n_max_k), where n_j is
-    the number of letters of multiplicity 2j, is one int holding field i at
-    bit i * width.  A degree-k coefficient has at most k letters, so no
-    field exceeds max_k < 2^(width - 1): adding two keys adds their fields
-    with no carry, and each finished key is decoded once into (l, sizes).
+    Inside the recursion a class key (l, n_1, ..., n_k), where n_j is the
+    number of letters of multiplicity 2j, is one int holding field i at bit
+    i * width.  A degree-d coefficient has at most d letters, so no field
+    exceeds k < 2^(width - 1): adding two keys adds their fields with no
+    carry, and each finished key is decoded once into a NoiryClassKey.
     """
     global _built
-    if not 1 <= max_k < len(_built):
-        width = max_k.bit_length() + 1
+    if not 1 <= k < len(_built):
+        width = k.bit_length() + 1
         mask = (1 << width) - 1
 
         def letter(s: int, j: int, child: dict) -> dict:
@@ -268,17 +254,17 @@ def sojourn_tables(max_k: int) -> tuple[ClassTable, ...]:
             step = 1 - s + (1 << j * width)
             return {key + step: count for key, count in child.items()}
 
-        def decode(key: int) -> tuple[int, tuple[int, ...]]:
+        def decode(key: int) -> NoiryClassKey:
             sizes = tuple(
-                2 * j for j in range(1, max_k + 1) for _ in range(key >> j * width & mask)
+                2 * j for j in range(1, k + 1) for _ in range(key >> j * width & mask)
             )
-            return key & mask, sizes
+            return NoiryClassKey(len(sizes), key & mask, sizes)
 
         _built = tuple(
             MappingProxyType({decode(key): count for key, count in series.items()})
-            for series in _sojourn_series(max_k, {0: 1}, dict, letter, _add_product)
+            for series in _sojourn_series(k, {0: 1}, dict, letter, _add_product)
         )
-    return _built[: max_k + 1]
+    return _built[k]
 
 
 def _sojourn_series(top: int, unit, zero, letter, add_product) -> list:
@@ -339,7 +325,7 @@ def _sojourn_series(top: int, unit, zero, letter, add_product) -> list:
 
 
 def _add_product(acc: dict, p: dict, q: dict, scale: int) -> dict:
-    """acc += scale * p * q over packed class keys (see `sojourn_tables`):
+    """acc += scale * p * q over packed class keys (see `count_noiry_classes`):
     a coefficient maps a key to a count, and keys multiply by adding, which
     adds l and each n_j field by field."""
     for k1, c1 in p.items():

@@ -10,20 +10,16 @@ Combinatorial sums (constant, sparse, sandwich, Carleman) are evaluated in
 exact rational arithmetic; quadrature paths use floats.  Every moment value
 comes from one recursion over vertex sojourns, `hypergraphs._sojourn_series`,
 and lists no word, up to k = MAX_SERIES_ORDER.  The constant and sparse sums
-depend on a word only through its class (b, r, multiplicity multiset), so
-they substitute y and the constants into the class table that the integer
-form of the recursion builds (`hypergraphs.sojourn_tables`): 54 classes in
-place of 10,727 words at k = 7.  That recursion packs each class key
-(l, n_1, ..., n_k) into one int, a fixed-width field per entry, so keys
-multiply by integer addition; the finished keys are decoded once into
-(l, sizes).  The y-weights of the classes that share a multiplicity
-multiset are summed before its constants multiply in: 15 products in place
-of 54 at k = 7.  The quadrature sums run the same recursion
-over functions of the generating-vertex variable; one pass of order K gives
-every k <= K, so `grid_moments` and `profile_moments` sample, coarsen and
-recurse once for a whole range of k.  The per-word breakdown of
-every source is built only on request (breakdown=True), because it lists
-every word and so stays within the enumeration cap.
+depend on a word only through its class (letters a, odd generating vertices
+l, multiplicity multiset), so they substitute y and the constants into the
+class table `hypergraphs.count_noiry_classes`, summing the y-weights of the
+classes that share a multiplicity multiset before its constants multiply
+in.  The quadrature sums run the same recursion over functions of the
+generating-vertex variable; one pass of order K gives every k <= K, so
+`grid_moments` and `profile_moments` sample, coarsen and recurse once for a
+whole range of k.  The per-word breakdown of every source is built only on
+request (breakdown=True), because it lists every word and so stays within
+the enumeration cap.
 """
 
 from __future__ import annotations
@@ -39,7 +35,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .circuits import slot_classes
-from .hypergraphs import _sojourn_series, enumerate_ss_words, sojourn_tables
+from .hypergraphs import _sojourn_series, count_noiry_classes, enumerate_ss_words
 from .partitions import Word, narayana, word_statistics
 
 GridFunction = Callable[[float, float], float] | np.ndarray
@@ -121,27 +117,22 @@ def moment_constant(
     """Limiting moment when the n-scaled entry moments converge to constants:
     sum over special symmetric words of y^r * prod_letters C_multiplicity.
 
-    The sum is taken over the class table of `sojourn_tables`, each class
-    weighing its count times y^(a-l) prod C_s.  The classes of one
+    The sum is taken over the class table of `count_noiry_classes`, each
+    class weighing its count times y^(a-l) prod C_s.  The classes of one
     multiplicity multiset share prod C_s, so their y-weights are summed
     first and the product is taken once per multiset.  breakdown=True adds
     each word's term, which enumerates the words (bounded by the
     enumeration cap).
     """
     y = Fraction(y)
-    table = sojourn_tables(k)[k]
-    constants = {
-        size: _lookup(c, size) for size in sorted({s for _, sizes in table for s in sizes})
-    }
-    powers = [Fraction(1)]
-    for _ in range(k):
-        powers.append(powers[-1] * y)
+    # the table first, so a k above the series limit fails before a lookup
+    table = count_noiry_classes(k)
+    constants = {size: _lookup(c, size) for size in sorted(_needed_sizes(k))}
+    powers = [y**i for i in range(k + 1)]
     weights: dict[tuple[int, ...], Fraction] = {}
-    for (l, sizes), count in table.items():
-        weights[sizes] = weights.get(sizes, 0) + count * powers[len(sizes) - l]
-    value = Fraction(0)
-    for sizes, weight in weights.items():
-        value += math.prod((constants[size] for size in sizes), start=weight)
+    for key, count in table.items():
+        weights[key.sizes] = weights.get(key.sizes, 0) + count * powers[key.a - key.l]
+    value = sum(math.prod((constants[s] for s in sizes), start=w) for sizes, w in weights.items())
     terms = None
     if breakdown:
         terms = {}

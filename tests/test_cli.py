@@ -235,6 +235,44 @@ class TestMoments:
         assert f"bad {bad} value" in capsys.readouterr().err
         assert not (tmp_path / "moments.csv").exists()
 
+    @pytest.mark.parametrize("source, bad", [
+        (["--mp", "--k", "x"], "bad --k value 'x'"),
+        (["--mp", "--k", "1.."], "bad --k value '1..'"),
+        (["--mp", "--k", "3..1"], "bad --k value '3..1'"),
+        (["--constant", "x=1", "--k", "1"], "bad --constant entry 'x=1'"),
+        (["--constant", "2=1,4", "--k", "1"], "bad --constant entry '4'"),
+        (["--g", "x=f.csv", "--k", "1"], "bad --g entry 'x=f.csv'"),
+    ])
+    def test_malformed_integer_exit(self, tmp_path, capsys, source, bad):
+        assert run("--out", tmp_path, "moments", *source) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert bad in err
+        assert "invalid literal" not in err
+        assert not (tmp_path / "moments.csv").exists()
+
+    @pytest.mark.parametrize("source, message", [
+        (["--mp", "--y", "2", "--k", "1..5", "--breakdown"], "--breakdown does not apply to the mp source"),
+        (["--mp", "--k", "1..3", "--sandwich"], "--sandwich does not apply to the mp source"),
+        (["--mp", "--k", "1", "--lam", "3"], "--lam does not apply to the mp source"),
+        (["--lam", "3", "--sandwich", "--k", "1"], "choose a source"),
+        (["--constant", "2=1", "--lam", "3", "--k", "1"], "--lam does not apply to the constant source"),
+        (["--constant", "2=1", "--sandwich", "--k", "1"], "--sandwich does not apply to the constant source"),
+        (["--mp", "--sparse", "--lam", "3", "--k", "1..2"], "--sparse does not apply to the mp source"),
+        (["--sparse", "--lam", "3", "--constant", "2=1", "--k", "1"],
+         "--constant does not apply to the sparse source"),
+        # the grid file is never opened
+        (["--constant", "2=1", "--g", "2=nofile.csv", "--k", "1"],
+         "--constant does not apply to the grid source"),
+        (["--profile-csv", "nofile.csv", "--constant", "2=1", "--g", "2=nofile.csv", "--k", "1"],
+         "--g does not apply to the profile source"),
+        (["--sparse", "--lam", "3", "--k", "1", "--grid", "8"], "--grid does not apply to the sparse source"),
+        (["--g", "2=nofile.csv", "--k", "1", "--sandwich"], "--sandwich does not apply to the grid source"),
+    ])
+    def test_option_its_source_does_not_read_exits(self, tmp_path, capsys, source, message):
+        assert run("--out", tmp_path, "moments", *source) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "moments.csv").exists()
+
     def test_negative_y_exit(self, tmp_path, capsys):
         assert run("--out", tmp_path, "moments", "--mp", "--y", "-1", "--k", "2") == EXIT_CONFIG
         assert "--y must be >= 0" in capsys.readouterr().err

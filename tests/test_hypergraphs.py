@@ -17,7 +17,6 @@ from covmoments.hypergraphs import (
     enumerate_ss_words,
     hypergraph_to_word,
     is_acyclic,
-    sojourn_tables,
     word_to_hypergraph,
 )
 from covmoments.partitions import (
@@ -263,10 +262,11 @@ class TestNoiryClasses:
         # a longer series leaves the lower coefficients as they were; each
         # table is built afresh, not read back from the longer one
         monkeypatch.setattr(hypergraphs, "_built", ())
-        tables = sojourn_tables(MAX_SERIES_ORDER)
+        count_noiry_classes(MAX_SERIES_ORDER)
+        tables = hypergraphs._built
         for k in range(1, 8):
             monkeypatch.setattr(hypergraphs, "_built", ())
-            assert tables[k] == sojourn_tables(k)[k]
+            assert tables[k] == count_noiry_classes(k)
 
     # per k = 1..12, recorded while the class keys were still tuples
     CLASSES = [1, 3, 6, 12, 20, 35, 54, 86, 128, 192, 275, 399]
@@ -278,11 +278,13 @@ class TestNoiryClasses:
         # field width is covered
         for max_k in range(1, MAX_SERIES_ORDER + 1):
             monkeypatch.setattr(hypergraphs, "_built", ())
-            tables = sojourn_tables(max_k)
+            count_noiry_classes(max_k)
+            tables = hypergraphs._built
+            assert len(tables) == max_k + 1
             for k in range(1, max_k + 1):
-                for l, sizes in tables[k]:
-                    assert sum(sizes) == 2 * k
-                    assert 1 <= l <= len(sizes)
+                for key in tables[k]:
+                    assert sum(key.sizes) == 2 * k
+                    assert 1 <= key.l <= key.a
             assert [len(tables[k]) for k in range(1, max_k + 1)] == self.CLASSES[:max_k]
             assert [sum(tables[k].values()) for k in range(1, max_k + 1)] == self.TOTALS[:max_k]
 
@@ -293,13 +295,20 @@ class TestNoiryClasses:
         monkeypatch.setattr(
             hypergraphs, "_sojourn_series", lambda *args: calls.append(args[0]) or series(*args)
         )
-        seven = sojourn_tables(7)
-        assert [sojourn_tables(k) for k in range(1, 8)] == [seven[: k + 1] for k in range(1, 8)]
+        count_noiry_classes(7)
+        tables = hypergraphs._built
+        assert all(count_noiry_classes(k) is tables[k] for k in range(1, 8))
         assert calls == [7]
-        sojourn_tables(9)
+        count_noiry_classes(9)
         assert calls == [7, 9]
         with pytest.raises(ValueError):
-            sojourn_tables(0)
+            count_noiry_classes(0)
+
+    def test_table_is_read_only(self):
+        table = count_noiry_classes(2)
+        with pytest.raises(TypeError):
+            table[NoiryClassKey(1, 1, (4,))] = 2
+        assert table[NoiryClassKey(1, 1, (4,))] == 1
 
     def test_series_limit(self):
         with pytest.raises(SizeLimitError, match=f"MAX_SERIES_ORDER = {MAX_SERIES_ORDER}"):

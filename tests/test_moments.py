@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from covmoments.hypergraphs import MAX_SERIES_ORDER, enumerate_ss_words, sojourn_tables
+from covmoments.hypergraphs import MAX_SERIES_ORDER, count_noiry_classes, enumerate_ss_words
 from covmoments.moments import (
     CarlemanDiagnostic,
     carleman_diagnostic,
@@ -60,9 +60,9 @@ def moment_by_classes(k, y, c):
     """Oracle: the class-table sum taken one class at a time, each class
     weighing count * y^(a-l) * prod C_s."""
     total = F(0)
-    for (l, sizes), count in sojourn_tables(k)[k].items():
-        term = count * F(y) ** (len(sizes) - l)
-        for s in sizes:
+    for key, count in count_noiry_classes(k).items():
+        term = count * F(y) ** (key.a - key.l)
+        for s in key.sizes:
             term *= c[s]
         total += term
     return total
