@@ -68,9 +68,10 @@ def _parse_fraction(text: str, name: str) -> Fraction:
         raise ConfigError(f"bad {name} value {text!r}; expected a rational like 3/4") from exc
 
 def _parse_orders(items: list[str], flag: str, parse) -> dict:
-    """{order: parse(value, f"{flag} {order}")} for entries like 2=value; each
-    order is read before its value is parsed (or its file opened)."""
-    out = {}
+    """{order: parse(value, f"{flag} {order}")} for entries like 2=value.
+    Every order must be a positive even integer, given once; all of them are
+    checked before any value is parsed (or its file opened)."""
+    entries = {}
     for item in items:
         key, sep, value = item.partition("=")
         try:
@@ -79,8 +80,12 @@ def _parse_orders(items: list[str], flag: str, parse) -> dict:
             sep = ""
         if not sep:
             raise ConfigError(f"bad {flag} entry {item!r}; expected an integer order before '='")
-        out[order] = parse(value, f"{flag} {key}")
-    return out
+        if order < 2 or order % 2:
+            raise ConfigError(f"bad {flag} order {order}; only positive even orders are read")
+        if order in entries:
+            raise ConfigError(f"{flag} order {order} is given twice")
+        entries[order] = (key, value)
+    return {order: parse(value, f"{flag} {key}") for order, (key, value) in entries.items()}
 
 def _parse_constants(text: str) -> dict[int, Fraction]:
     return _parse_orders(text.split(","), "--constant", _parse_fraction)
@@ -210,10 +215,10 @@ def run_moments(args) -> int:
     elif source == "profile":
         if not args.constant:
             raise ConfigError("--profile-csv requires --constant for the base sequence")
+        constants = _parse_constants(args.constant)
         sigma = _load_grid_csv(args.profile_csv)
         if sigma.shape != (grid, grid):
             raise ConfigError(f"profile grid has shape {sigma.shape}, expected {(grid, grid)}")
-        constants = _parse_constants(args.constant)
         reports = moments.profile_moments(
             ks, y, sigma, constants, grid=grid, breakdown=args.breakdown
         )
@@ -279,6 +284,15 @@ def load_config(path: str) -> dict:
         out[key.strip()] = _coerce_scalar(value)
     return out
 
+def _config_number(data: dict, key: str, kind: type, default=None):
+    """data[key] as kind (int or float), default when absent; a bool, a
+    string, or a float where an int is wanted fails naming the key."""
+    value = data.get(key, default)
+    if key in data and (isinstance(value, bool) or not isinstance(value, (int, kind))):
+        expected = "an integer" if kind is int else "a number"
+        raise ConfigError(f"config key {key!r} must be {expected}, got {value!r}")
+    return value if value is None else kind(value)
+
 def config_to_ensemble(data: dict, seed_override: int | None = None) -> tuple[EnsembleConfig, dict]:
     known = {
         "family", "p", "n", "lam", "alpha", "B", "t_n", "seed", "replicates",
@@ -292,28 +306,29 @@ def config_to_ensemble(data: dict, seed_override: int | None = None) -> tuple[En
             raise ConfigError(f"config is missing {required!r}")
     c_seq = None
     if "c2" in data or "c4" in data:
-        c_seq = {2: float(data.get("c2", 0.0))}
+        c_seq = {2: _config_number(data, "c2", float, 0.0)}
         if "c4" in data:
-            c_seq[4] = float(data["c4"])
+            c_seq[4] = _config_number(data, "c4", float)
+    seed = _config_number(data, "seed", int, ensembles.DEFAULT_SEED)
     try:
         cfg = EnsembleConfig(
             family=str(data["family"]),
-            p=int(data["p"]),
-            n=int(data["n"]),
-            lam=float(data["lam"]) if "lam" in data else None,
+            p=_config_number(data, "p", int),
+            n=_config_number(data, "n", int),
+            lam=_config_number(data, "lam", float),
             c_seq=c_seq,
-            alpha=float(data["alpha"]) if "alpha" in data else None,
-            B=float(data["B"]) if "B" in data else None,
+            alpha=_config_number(data, "alpha", float),
+            B=_config_number(data, "B", float),
             profile=data.get("profile"),
             base_family=str(data.get("base_family", "sparse_bernoulli")),
             t_n=data.get("t_n"),
-            seed=int(seed_override if seed_override is not None else data.get("seed", ensembles.DEFAULT_SEED)),
-            replicates=int(data.get("replicates", 1)),
+            seed=seed_override if seed_override is not None else seed,
+            replicates=_config_number(data, "replicates", int, 1),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     extras = {
-        "K": int(data.get("K", 4)),
+        "K": _config_number(data, "K", int, 4),
         "bins": data.get("bins", "fd"),
     }
     return cfg, extras

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -33,6 +33,8 @@ class ContractViolation(RuntimeError):
 
 @dataclass(frozen=True)
 class EnsembleConfig:
+    """An ensemble; `profile` is a name in NAMED_PROFILES or a p x n array."""
+
     family: str
     p: int
     n: int
@@ -40,7 +42,7 @@ class EnsembleConfig:
     c_seq: Mapping[int, float] | None = None
     alpha: float | None = None
     B: float | None = None
-    profile: str | Callable | np.ndarray | None = None
+    profile: str | np.ndarray | None = None
     base_family: str = "sparse_bernoulli"
     t_n: float | str | None = None
     seed: int = DEFAULT_SEED
@@ -51,6 +53,15 @@ class EnsembleConfig:
             raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
         if self.p < 1 or self.n < 1 or self.replicates < 1:
             raise ValueError("p, n and replicates must be >= 1")
+        prof, shape = self.profile, (self.p, self.n)
+        if isinstance(prof, np.ndarray) and prof.shape != shape:
+            raise ValueError(f"profile array has shape {prof.shape}, expected {shape}")
+        named = isinstance(prof, str) and prof in NAMED_PROFILES
+        if not (named or prof is None or isinstance(prof, np.ndarray)):
+            # a JSON list may be long, so its repr is cut short
+            raise ValueError(
+                f"profile {prof!r:.40} is neither one of {NAMED_PROFILES} nor an array of shape {shape}"
+            )
         if self.family in ("sparse_bernoulli",) and not self.lam:
             raise ValueError("sparse_bernoulli requires lam > 0")
         if self.family == "triangular_iid" and not (self.c_seq and self.c_seq.get(2)):
@@ -127,27 +138,19 @@ def _stable_symmetric(rng: np.random.Generator, alpha: float, shape: tuple[int, 
 
 
 def profile_matrix(cfg: EnsembleConfig) -> np.ndarray:
-    """The p x n entry-scaling matrix of a variance profile."""
+    """The p x n entry-scaling matrix of a variance profile: the profile's
+    array as floats, or its name evaluated at the entry indices."""
     p, n = cfg.p, cfg.n
+    prof = cfg.profile
+    if isinstance(prof, np.ndarray):
+        return np.asarray(prof, dtype=float)
     i = np.arange(1, p + 1, dtype=float)[:, None]
     j = np.arange(1, n + 1, dtype=float)[None, :]
-    prof = cfg.profile
-    if isinstance(prof, str):
-        if prof == "fig1_quadratic":
-            return (i + j) ** 2 / (2.0 * n * n)
-        if prof == "fig2_sine":
-            return np.sin(np.pi * (i + j) / (2.0 * n))
-        if prof == "upper_triangle":
-            return (i / p <= j / n).astype(float)
-        raise ValueError(f"unknown named profile {prof!r}; expected one of {NAMED_PROFILES}")
-    if isinstance(prof, np.ndarray):
-        if prof.shape != (p, n):
-            raise ValueError(f"profile array has shape {prof.shape}, expected {(p, n)}")
-        return np.asarray(prof, dtype=float)
-    out = np.asarray(prof(i / p, j / n), dtype=float)
-    if out.shape != (p, n):
-        out = np.array([[float(prof(ii / p, jj / n)) for jj in range(1, n + 1)] for ii in range(1, p + 1)])
-    return out
+    if prof == "fig1_quadratic":
+        return (i + j) ** 2 / (2.0 * n * n)
+    if prof == "fig2_sine":
+        return np.sin(np.pi * (i + j) / (2.0 * n))
+    return (i / p <= j / n).astype(float)  # "upper_triangle", checked by EnsembleConfig
 
 
 def _entry_mask(cfg: EnsembleConfig) -> np.ndarray | None:

@@ -15,11 +15,12 @@ l, multiplicity multiset), so they substitute y and the constants into the
 class table `hypergraphs.count_noiry_classes`, summing the y-weights of the
 classes that share a multiplicity multiset before its constants multiply
 in.  The quadrature sums run the same recursion over functions of the
-generating-vertex variable; one pass of order K gives every k <= K, so
-`grid_moments` and `profile_moments` sample, coarsen and recurse once for a
-whole range of k.  The per-word breakdown of every source is built only on
-request (breakdown=True), because it lists every word and so stays within
-the enumeration cap.
+generating-vertex variable, taken only as arrays sampled at grid midpoints;
+one pass of order K gives every k <= K, so `grid_moments` and
+`profile_moments` coarsen and recurse once for a whole range of k.  The
+per-word breakdown of every source is built only on request
+(breakdown=True), because it lists every word and so stays within the
+enumeration cap.
 """
 
 from __future__ import annotations
@@ -30,15 +31,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from numbers import Real
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .circuits import slot_classes
 from .hypergraphs import _sojourn_series, count_noiry_classes, enumerate_ss_words
 from .partitions import Word, narayana, word_statistics
-
-GridFunction = Callable[[float, float], float] | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -182,19 +181,13 @@ def poisson_sandwich(k: int, y: Real, lam: Real) -> tuple[Fraction, Fraction]:
     return lower, upper
 
 
-def _sample_grid_function(g: GridFunction, grid: int) -> np.ndarray:
-    if isinstance(g, np.ndarray):
-        if g.shape != (grid, grid):
-            raise ValueError(f"grid-sampled array has shape {g.shape}, expected {(grid, grid)}")
-        return np.asarray(g, dtype=float)
-    xs = (np.arange(grid) + 0.5) / grid
-    try:
-        out = np.asarray(g(xs[:, None], xs[None, :]), dtype=float)
-        if out.shape == (grid, grid):
-            return out
-    except (TypeError, ValueError):
-        pass  # what a scalar-only callable raises on arrays; sample it point by point
-    return np.array([[float(g(x, u)) for u in xs] for x in xs])
+def _sampled(values: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    # the one input form of the quadrature: an array of midpoint samples
+    if not isinstance(values, np.ndarray):
+        raise ValueError(f"expected a grid-sampled array of shape {shape}, got a {type(values).__name__}")
+    if values.shape != shape:
+        raise ValueError(f"grid-sampled array has shape {values.shape}, expected {shape}")
+    return np.asarray(values, dtype=float)
 
 
 def _coarsen(samples: np.ndarray) -> np.ndarray:
@@ -249,22 +242,24 @@ def _needed_sizes(k: int) -> frozenset[int]:
 def grid_moments(
     ks: Sequence[int],
     y: Real,
-    g: Mapping[int, GridFunction],
+    g: Mapping[int, np.ndarray],
     grid: int = 64,
     breakdown: bool = False,
 ) -> dict[int, MomentReport]:
-    """Limiting moments k in ks for grid-sampled moment functions g_{2m} on
-    [0,1]^2, from one pass of the recursion.
+    """Limiting moments k in ks for moment functions g_{2m} on [0,1]^2, each
+    a grid x grid array of samples at the cell midpoints, from one pass of
+    the recursion.
 
     Each word contributes y^r times the integral over its b+1 generating
     variables of prod_letters g_multiplicity(x_even, u_odd), evaluated by the
     midpoint rule.  The sum over words is the sojourn recursion of
     `hypergraphs._sojourn_series` over functions of the vertex variable, so
     no word is listed and k may go up to MAX_SERIES_ORDER.  One series of
-    order K = max(ks) gives every k <= K: each g_s is sampled once, and the
-    recursion runs once at full and once at half resolution, whose change
-    is the error estimate.  A degree-k coefficient takes the same float
-    operations whatever K is, so each value equals moment_grid(k, ...).
+    order K = max(ks) gives every k <= K.  On an even grid of at least 4
+    points the recursion runs again on the 2x2 block means of every array,
+    and the change is the error estimate; other grids have none.  A degree-k
+    coefficient takes the same float operations whatever K is, so each
+    value equals moment_grid(k, ...).
     breakdown=True adds each word's term by tree elimination, which
     enumerates the words (bounded by the enumeration cap).
     """
@@ -280,21 +275,13 @@ def grid_moments(
     missing = [s for s in sizes if s not in g]
     if missing:
         raise ValueError(f"no grid function supplied for even moment order {missing[0]}")
-    hi = {s: _sample_grid_function(g[s], grid) for s in sizes}
+    hi = {s: _sampled(g[s], (grid, grid)) for s in sizes}
     values = _grid_series(top, yf, hi, grid)
     # largest first, so a k beyond the enumeration cap fails before any listing
     terms = {k: _word_terms(k, yf, hi, grid) for k in sorted(ks, reverse=True)} if breakdown else {}
-    lo = None
-    half = grid // 2
-    if half >= 2:
-        if grid % 2 == 0:
-            lo = {
-                s: (_coarsen(hi[s]) if isinstance(g[s], np.ndarray) else _sample_grid_function(g[s], half))
-                for s in sizes
-            }
-        elif not any(isinstance(g[s], np.ndarray) for s in sizes):
-            lo = {s: _sample_grid_function(g[s], half) for s in sizes}
-    coarse = None if lo is None else _grid_series(top, yf, lo, half)
+    coarse = None
+    if grid % 2 == 0 and grid >= 4:
+        coarse = _grid_series(top, yf, {s: _coarsen(hi[s]) for s in sizes}, grid // 2)
     return {
         k: MomentReport(
             k,
@@ -307,40 +294,35 @@ def grid_moments(
 
 
 def moment_grid(
-    k: int, y: Real, g: Mapping[int, GridFunction], grid: int = 64, breakdown: bool = False
+    k: int, y: Real, g: Mapping[int, np.ndarray], grid: int = 64, breakdown: bool = False
 ) -> MomentReport:
-    """Limiting moment k for grid-sampled moment functions g_{2m} on [0,1]^2:
-    grid_moments for the single order k, half-grid error estimate included."""
+    """Limiting moment k for grid x grid sampled moment functions g_{2m} on
+    [0,1]^2: grid_moments for the single order k, error estimate included."""
     return grid_moments([k], y, g, grid, breakdown)[k]
 
 
 def profile_moments(
     ks: Sequence[int],
     y: Real,
-    sigma: GridFunction,
+    sigma: np.ndarray,
     c: Mapping[int, Real],
     grid: int = 64,
     breakdown: bool = False,
 ) -> dict[int, MomentReport]:
-    """Variance-profile limits for every k in ks: the letter factor of
-    multiplicity s is sigma(x, u)^s * C_s, so this is grid_moments with g
-    functions derived once for the largest k."""
+    """Variance-profile limits for every k in ks, sigma a grid x grid array
+    of midpoint samples: the letter factor of multiplicity s is
+    sigma(x, u)^s * C_s, so this is grid_moments with g arrays derived once
+    for the largest k."""
+    sigma = _sampled(sigma, (grid, grid))
     sizes = sorted(_needed_sizes(max(ks, default=0)))
     constants = {s: float(_lookup(c, s)) for s in sizes}
-    if isinstance(sigma, np.ndarray):
-        g: dict[int, GridFunction] = {s: sigma**s * constants[s] for s in sizes}
-    else:
-        def make(s: int) -> Callable[[float, float], float]:
-            return lambda x, u: np.asarray(sigma(x, u), dtype=float) ** s * constants[s]
-
-        g = {s: make(s) for s in sizes}
-    return grid_moments(ks, y, g, grid, breakdown)
+    return grid_moments(ks, y, {s: sigma**s * constants[s] for s in sizes}, grid, breakdown)
 
 
 def moment_profile(
     k: int,
     y: Real,
-    sigma: GridFunction,
+    sigma: np.ndarray,
     c: Mapping[int, Real],
     grid: int = 64,
     breakdown: bool = False,
@@ -403,20 +385,14 @@ def carleman_diagnostic(M: Mapping[int, Real], K: int) -> CarlemanDiagnostic:
 
 
 def unbounded_support_bound(
-    m: int, t: int, f: Callable[[float], float] | np.ndarray, grid: int = 256
+    m: int, t: int, f: np.ndarray, grid: int = 256
 ) -> Fraction:
     """Lower bound (mt)! / (t! (m!)^t) * integral of f_{2m}(x)^t dx for the
     moment of order k = m*t; f is the partial integral of g_{2m} in its
-    second argument.  The combinatorial prefactor is kept exact."""
+    second argument, sampled at the midpoints of a grid-point grid.  The
+    combinatorial prefactor is kept exact."""
     if m < 1 or t < 1:
         raise ValueError("m and t must be >= 1")
     prefactor = math.factorial(m * t) // (math.factorial(t) * math.factorial(m) ** t)
-    if isinstance(f, np.ndarray):
-        if f.shape != (grid,):
-            raise ValueError(f"sampled f has shape {f.shape}, expected {(grid,)}")
-        values = np.asarray(f, dtype=float)
-    else:
-        xs = (np.arange(grid) + 0.5) / grid
-        values = np.asarray([float(f(x)) for x in xs])
-    integral = float(np.mean(values**t))
+    integral = float(np.mean(_sampled(f, (grid,)) ** t))
     return Fraction(prefactor) * Fraction(integral)

@@ -187,7 +187,8 @@ def test_criterion_9_quadrature_consistency():
         grid_value = moments.moment_grid(k, F(1, 2), g, grid=64).value
         exact = float(moments.moment_constant(k, F(1, 2), constants).value)
         assert abs(grid_value - exact) <= 1e-10, f"k={k}"
-    product = moments.moment_grid(1, 1, {2: lambda x, u: x * u}, grid=128).value
+    xs = (np.arange(128) + 0.5) / 128  # the grid midpoints
+    product = moments.moment_grid(1, 1, {2: xs[:, None] * xs[None, :]}, grid=128).value
     assert abs(product - 0.25) <= 1e-6
     _report(9, "quadrature consistency", start, 60.0)
 

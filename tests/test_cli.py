@@ -242,6 +242,16 @@ class TestMoments:
         (["--constant", "x=1", "--k", "1"], "bad --constant entry 'x=1'"),
         (["--constant", "2=1,4", "--k", "1"], "bad --constant entry '4'"),
         (["--g", "x=f.csv", "--k", "1"], "bad --g entry 'x=f.csv'"),
+        # a repeated, odd, zero or negative order; the grid files named do
+        # not exist, so the message shows the orders were checked first
+        (["--constant", "2=1,3=5,2=7", "--k", "1"], "bad --constant order 3"),
+        (["--constant", "2=1,4=2,2=7", "--k", "2"], "--constant order 2 is given twice"),
+        (["--constant", "0=1", "--k", "1"], "bad --constant order 0"),
+        (["--constant", "2=1,-2=1", "--k", "1"], "bad --constant order -2"),
+        (["--g", "2=g2.csv", "--g", "2=g2.csv", "--k", "1"], "--g order 2 is given twice"),
+        (["--g", "2=g2.csv", "--g", "3=g3.csv", "--k", "1"], "bad --g order 3"),
+        (["--profile-csv", "sigma.csv", "--constant", "2=1,2=1", "--k", "1"],
+         "--constant order 2 is given twice"),
     ])
     def test_malformed_integer_exit(self, tmp_path, capsys, source, bad):
         assert run("--out", tmp_path, "moments", *source) == EXIT_CONFIG
@@ -536,6 +546,34 @@ class TestSimulate:
 
     def test_missing_file_exit(self, tmp_path, capsys):
         assert run("simulate", "--config", tmp_path / "nope.cfg") == EXIT_CONFIG
+
+    @pytest.mark.parametrize("key, value", [
+        ("p", 3.9), ("n", True), ("K", 2.7), ("replicates", True), ("seed", 1.5),
+        ("p", "x"), ("K", "x"), ("lam", "x"), ("alpha", "x"), ("B", "x"), ("c2", "x"), ("c4", "x"),
+        ("lam", None),
+    ])
+    def test_malformed_number_names_its_key(self, tmp_path, capsys, monkeypatch, key, value):
+        def no_draw(*args):
+            raise AssertionError("sampled before the config was checked")
+
+        monkeypatch.setattr(ensembles, "_raw_entries", no_draw)
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"family": "iid_standardized", "p": 4, "n": 8, key: value}))
+        assert run("--out", tmp_path, "simulate", "--config", cfg) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"config key {key!r} must be" in err
+        assert "invalid literal" not in err
+        assert not (tmp_path / "moments.csv").exists()
+
+    @pytest.mark.parametrize("profile", [[[1, 2, 3, 4]] * 3, 2.5, "nope"], ids=["list", "number", "name"])
+    def test_bad_profile_exits_before_output(self, tmp_path, capsys, profile):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "family": "variance_profile", "lam": 3, "p": 3, "n": 4, "profile": profile,
+        }))
+        assert run("--out", tmp_path / "out", "simulate", "--config", cfg) == EXIT_CONFIG
+        assert "array of shape (3, 4)" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("line", ['bins = "bogus"', "bins = 2.5", "bins = 0", "K = 0"])
     def test_bad_bins_or_order_fail_before_sampling(self, tmp_path, capsys, monkeypatch, line):

@@ -22,7 +22,17 @@ from covmoments.ensembles import (
 )
 from covmoments.moments import moment_profile, moment_sparse, mp_moment, poisson_sandwich
 
-# one small configuration per sampling path, as keyword arguments of EnsembleConfig
+def profile_samples(f, p, n):
+    """f at the entry indices (i/p, j/n), i = 1..p and j = 1..n: the p x n
+    array form of a profile formula."""
+    i = np.arange(1, p + 1, dtype=float)[:, None]
+    j = np.arange(1, n + 1, dtype=float)[None, :]
+    return np.asarray(f(i / p, j / n), dtype=float)
+
+
+# one small configuration per sampling path, as keyword arguments of
+# EnsembleConfig; the profile of "profile_callable" is a formula, which
+# `case_config` samples into the p x n array that EnsembleConfig takes
 FAMILY_CASES = {
     "iid_standardized": dict(family="iid_standardized"),
     "iid_truncated": dict(family="iid_standardized", t_n="n^{-1/3}"),
@@ -35,6 +45,15 @@ FAMILY_CASES = {
     ),
     "dt_triangular": dict(family="dt_triangular"),
 }
+
+
+def case_config(case, p, n, **defaults):
+    """The EnsembleConfig of a FAMILY_CASES case at size p x n, with defaults
+    for the fields the case leaves unset."""
+    fields = {**defaults, **FAMILY_CASES[case]}
+    if callable(fields.get("profile")):
+        fields["profile"] = profile_samples(fields["profile"], p, n)
+    return EnsembleConfig(p=p, n=n, **fields)
 
 
 def entry_second_moment_array(cfg):
@@ -159,7 +178,7 @@ class TestSampling:
         replicate=st.integers(0, 1000),
     )
     def test_seed_determinism_property(self, case, p, n, seed, replicate):
-        cfg = EnsembleConfig(p=p, n=n, seed=seed, **FAMILY_CASES[case])
+        cfg = case_config(case, p, n, seed=seed)
         first = sample_matrix(cfg, replicate)
         assert np.array_equal(first, sample_matrix(cfg, replicate))
         assert not np.array_equal(first, sample_matrix(cfg, replicate + 1))
@@ -182,12 +201,6 @@ class TestProfiles:
         M = profile_matrix(cfg)
         assert M[2, 3] == pytest.approx(math.sin(math.pi * 7 / 12))
 
-    def test_callable_profile(self):
-        cfg = EnsembleConfig("variance_profile", 5, 10, lam=1.0, profile=lambda x, u: x * u)
-        M = profile_matrix(cfg)
-        assert M[4, 9] == pytest.approx(1.0)
-        assert M[0, 0] == pytest.approx(0.2 * 0.1)
-
     def test_profile_applied_multiplicatively(self):
         # Bernoulli with lam = n fires every entry, exposing the bare profile
         cfg = EnsembleConfig(
@@ -196,15 +209,23 @@ class TestProfiles:
         X = sample_matrix(cfg, 0)
         assert np.allclose(X, profile_matrix(cfg))
 
+    # a profile is checked when the config is built, before any sampling
     def test_unknown_name(self):
-        cfg = EnsembleConfig("variance_profile", 4, 6, lam=1.0, profile="nope")
         with pytest.raises(ValueError, match="nope"):
-            profile_matrix(cfg)
+            EnsembleConfig("variance_profile", 4, 6, lam=1.0, profile="nope")
 
     def test_array_shape_mismatch(self):
-        cfg = EnsembleConfig("variance_profile", 4, 6, lam=1.0, profile=np.ones((3, 3)))
         with pytest.raises(ValueError, match="shape"):
-            profile_matrix(cfg)
+            EnsembleConfig("variance_profile", 4, 6, lam=1.0, profile=np.ones((3, 3)))
+
+    @pytest.mark.parametrize("profile", [
+        [[1, 2, 3, 4]] * 3,  # a nested list, as a JSON config gives it
+        2.5,
+        lambda x, u: x * u,
+    ], ids=["list", "number", "callable"])
+    def test_profile_that_is_no_name_or_array_is_rejected(self, profile):
+        with pytest.raises(ValueError, match=r"array of shape \(3, 4\)"):
+            EnsembleConfig("variance_profile", 3, 4, lam=1.0, profile=profile)
 
 
 class TestConfigValidation:
@@ -365,7 +386,7 @@ class TestRunExperiment:
     def test_replicates_replay_through_public_functions(self, case):
         # the benchmark's traced replay rebuilds every replicate this way and
         # must reproduce run_experiment bit for bit
-        cfg = EnsembleConfig(p=24, n=40, seed=21, replicates=3, **FAMILY_CASES[case])
+        cfg = case_config(case, 24, 40, seed=21, replicates=3)
         K = 4
         report = run_experiment(cfg, K)
         # X @ X.T on one array is what run_experiment computes (numpy takes
@@ -394,14 +415,14 @@ class TestRunExperiment:
         monkeypatch.setattr(ensembles, "profile_matrix", lambda cfg: calls.append(cfg) or real(cfg))
         for replicates in (1, 5):
             calls.clear()
-            run_experiment(EnsembleConfig(p=6, n=8, replicates=replicates, **FAMILY_CASES[case]), 2)
+            run_experiment(case_config(case, 6, 8, replicates=replicates), 2)
             assert len(calls) == 1  # the mask, which also gives the second-moment total
 
     @pytest.mark.parametrize("t_n", [None, 0.3])
     @pytest.mark.parametrize("case", sorted(FAMILY_CASES))
     def test_entry_second_moment_is_the_array_sum(self, case, t_n):
         # a case's own truncation rule wins over the parametrized one
-        cfg = EnsembleConfig(p=24, n=40, seed=21, **{"t_n": t_n, **FAMILY_CASES[case]})
+        cfg = case_config(case, 24, 40, seed=21, t_n=t_n)
         total, oracle = entry_second_moment(cfg), entry_second_moment_array(cfg)
         if oracle is None:
             assert total is None
@@ -415,7 +436,7 @@ class TestRunExperiment:
     @pytest.mark.parametrize("case", ["iid_standardized", "iid_truncated", "sparse_bernoulli", "triangular_iid"])
     def test_scalar_second_moment_allocates_no_array(self, case):
         # one p x n float array would take 8 MB; numpy reports its buffers to tracemalloc
-        cfg = EnsembleConfig(p=1000, n=1000, **FAMILY_CASES[case])
+        cfg = case_config(case, 1000, 1000)
         tracemalloc.start()
         try:
             total = entry_second_moment(cfg)
@@ -491,12 +512,14 @@ class TestDTOracle:
     FROZEN = {1: 0.500994, 2: 0.670233, 3: 1.135597}
 
     @staticmethod
-    def _indicator(x, u):
-        return (np.asarray(x) <= np.asarray(u)).astype(float)
+    def _indicator(grid):
+        # 1{x <= u} at the midpoints of a grid x grid grid
+        xs = (np.arange(grid) + 0.5) / grid
+        return (xs[:, None] <= xs[None, :]).astype(float)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_profile_quadrature_matches_frozen_constants(self, k):
-        report = moment_profile(k, 1, self._indicator, {2: 1, 4: 0, 6: 0}, grid=256)
+        report = moment_profile(k, 1, self._indicator(256), {2: 1, 4: 0, 6: 0}, grid=256)
         assert report.value == pytest.approx(self.FROZEN[k], rel=0.01)
 
     def test_monte_carlo_oracle_reproduces_frozen_constants(self):

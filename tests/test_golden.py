@@ -7,6 +7,7 @@ formatting shows here.
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from covmoments.cli import main
@@ -47,5 +48,57 @@ def test_exact_artifacts_are_byte_identical(tmp_path, capsys, name):
     assert main(["--out", str(tmp_path), *argv]) == 0
     written = {
         file: hashlib.sha256((tmp_path / file).read_bytes()).hexdigest() for file in digests
+    }
+    assert written == digests
+
+
+def midpoint_samples(f, grid):
+    xs = (np.arange(grid) + 0.5) / grid
+    return f(xs[:, None], xs[None, :])
+
+
+# the quadrature verbs read CSV grids; each is written at 17 significant
+# digits, so the file reads back as the exact float array
+GRID_INPUTS = {
+    "sigma8.csv": (lambda x, u: 0.5 + x * u**2, 8),
+    "sigma9.csv": (lambda x, u: 0.5 + x * u**2, 9),
+    "g2.csv": (lambda x, u: 0.5 + x * u**2, 8),
+    "g4.csv": (lambda x, u: 1 + x + u, 8),
+    "g6.csv": (lambda x, u: np.cos(x - u), 8),
+}
+PROFILE_CONSTANTS = "2=1,4=1/2,6=1/3,8=1/4"
+
+QUADRATURE_GOLDEN = {
+    # an even grid of at least 4 points: the half-grid error estimate is written
+    "profile-grid8": (["moments", "--profile-csv", "{dir}/sigma8.csv", "--constant", PROFILE_CONSTANTS,
+                       "--y", "1/2", "--k", "1..4", "--grid", "8"], {
+        "moments.csv": "0f53bd52465fee6f3fa30d4be70a4401ddf717c5949c5fe2714ecbc453d92a83",
+        "moments.json": "ca5b183666ff1d9b263707362d89e8ea90f75a4f7936100487cd080a78cb7162",
+    }),
+    # an odd grid: no error estimate
+    "profile-grid9": (["moments", "--profile-csv", "{dir}/sigma9.csv", "--constant", PROFILE_CONSTANTS,
+                       "--y", "2", "--k", "1..4", "--grid", "9"], {
+        "moments.csv": "aafa00cd4e24209f4b853823bd92b717698299f84b4b8cab061b797bcb2e68fa",
+        "moments.json": "421cf1d4b25e3157a4410741f36a168329380ea5fcf57e07a0d5e1d662e0f0dd",
+    }),
+    "g-breakdown": (["moments", "--g", "2={dir}/g2.csv", "--g", "4={dir}/g4.csv", "--g", "6={dir}/g6.csv",
+                     "--y", "3/4", "--k", "1..3", "--grid", "8", "--breakdown"], {
+        "moments.csv": "2676d2dc4f6a5261ae6ed24ccb07236182c345036b7cbbd6afadc6a49cb304e7",
+        "moments.json": "bb63d4fd64ed2abf46d1c147d3ecbf9e005833ef6f709d740340af04ea8169e0",
+    }),
+}
+
+
+@pytest.mark.parametrize("name", QUADRATURE_GOLDEN)
+def test_quadrature_artifacts_are_byte_identical(tmp_path, capsys, name):
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    for file, (f, grid) in GRID_INPUTS.items():
+        np.savetxt(inputs / file, midpoint_samples(f, grid), fmt="%.17g", delimiter=",")
+    argv, digests = QUADRATURE_GOLDEN[name]
+    out = tmp_path / "out"
+    assert main(["--out", str(out), *(a.format(dir=inputs) for a in argv)]) == 0
+    written = {
+        file: hashlib.sha256((out / file).read_bytes()).hexdigest() for file in digests
     }
     assert written == digests

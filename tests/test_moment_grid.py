@@ -12,7 +12,6 @@ from covmoments.hypergraphs import enumerate_ss_words
 from covmoments.moments import (
     _coarsen,
     _needed_sizes,
-    _sample_grid_function,
     grid_moments,
     moment_constant,
     moment_grid,
@@ -23,6 +22,17 @@ from covmoments.moments import (
     word_structure,
 )
 from covmoments.partitions import Word, word_statistics
+
+
+def sample(f, grid):
+    """f(x, u) at the midpoints of a grid x grid grid, the array form every
+    quadrature function takes."""
+    xs = (np.arange(grid) + 0.5) / grid
+    return np.asarray(f(xs[:, None], xs[None, :]), dtype=float)
+
+
+def sample_all(g, grid):
+    return {s: sample(f, grid) for s, f in g.items()}
 
 
 def const(v):
@@ -66,17 +76,17 @@ class TestMomentGrid:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_constant_integrand_reproduces_constant_path(self, k):
         values = {2: 1.0, 4: 0.25, 6: 2.0}
-        g = {s: const(v) for s, v in values.items()}
+        g = {s: sample(const(v), 32) for s, v in values.items()}
         grid_value = moment_grid(k, 0.5, g, grid=32).value
         exact = moment_constant(k, F(1, 2), {s: F(v) for s, v in values.items()}).value
         assert abs(grid_value - float(exact)) < 1e-10
 
     def test_separable_product_integral(self):
-        report = moment_grid(1, 1, {2: lambda x, u: x * u}, grid=128)
+        report = moment_grid(1, 1, {2: sample(lambda x, u: x * u, 128)}, grid=128)
         assert abs(report.value - 0.25) < 1e-6
 
     def test_mp_reduction_catalan(self):
-        g = {2: ONE, 4: ZERO, 6: ZERO}
+        g = sample_all({2: ONE, 4: ZERO, 6: ZERO}, 8)
         assert abs(moment_grid(3, 1, g, grid=8).value - 5.0) < 1e-12
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -99,7 +109,7 @@ class TestMomentGrid:
         # fsum rounds the sum of the grid^(b+1) terms once, so the oracle's own
         # error stays below the tolerance at k = 4, where the moment is ~600
         naive = math.fsum(terms)
-        assert abs(moment_grid(k, 0.7, g, grid=grid).value - naive) < 1e-12
+        assert abs(moment_grid(k, 0.7, sample_all(g, grid), grid=grid).value - naive) < 1e-12
 
     @staticmethod
     def random_arrays(k):
@@ -107,9 +117,10 @@ class TestMomentGrid:
         return {s: rng.uniform(0.1, 2.0, size=(8, 8)) for s in SIZES}
 
     @staticmethod
-    def sampled_callables(k, grid):
-        g = random_polynomials(np.random.default_rng(200 + k))
-        return g, {s: _sample_grid_function(f, grid) for s, f in g.items()}
+    def sampled_polynomials(k, grid):
+        # random polynomial formulas, the callables of the "on_callables"
+        # tests, sampled at the midpoints
+        return sample_all(random_polynomials(np.random.default_rng(200 + k)), grid)
 
     @pytest.mark.parametrize("k", range(1, 7))
     def test_bit_identical_to_per_word_elimination_on_arrays(self, k):
@@ -121,8 +132,8 @@ class TestMomentGrid:
 
     @pytest.mark.parametrize("k", range(1, 7))
     def test_bit_identical_to_per_word_elimination_on_callables(self, k):
-        g, sampled = self.sampled_callables(k, 9)
-        report = moment_grid(k, 1.3, g, grid=9, breakdown=True)
+        sampled = self.sampled_polynomials(k, 9)
+        report = moment_grid(k, 1.3, sampled, grid=9, breakdown=True)
         _, breakdown = per_word_elimination(k, 1.3, sampled, 9)
         assert list(report.breakdown.items()) == list(breakdown.items())
 
@@ -137,21 +148,20 @@ class TestMomentGrid:
         assert report.value == pytest.approx(value, rel=1e-13, abs=0)
         assert abs(report.error_estimate - abs(value - coarse)) <= 1e-13 * value
 
+    # an odd grid has no 2x2 block means, so it gives no error estimate
     @pytest.mark.parametrize("k", range(1, 7))
     def test_value_within_1e13_of_per_word_elimination_on_callables(self, k):
-        g, sampled = self.sampled_callables(k, 9)
-        _, coarse_samples = self.sampled_callables(k, 4)
-        report = moment_grid(k, 1.3, g, grid=9)
+        sampled = self.sampled_polynomials(k, 9)
+        report = moment_grid(k, 1.3, sampled, grid=9)
         value, _ = per_word_elimination(k, 1.3, sampled, 9)
-        coarse, _ = per_word_elimination(k, 1.3, coarse_samples, 4)
         assert report.value == pytest.approx(value, rel=1e-13, abs=0)
-        assert abs(report.error_estimate - abs(value - coarse)) <= 1e-13 * value
+        assert report.error_estimate is None
 
     # g = 1 at y = 1 weighs every special symmetric word by 1; the totals are
     # the word search's with its enumeration cap raised
     @pytest.mark.parametrize("k,words", [(8, 69331), (9, 467963)])
     def test_counts_the_words_beyond_the_enumeration_cap(self, k, words):
-        g = {s: ONE for s in range(2, 2 * k + 1, 2)}
+        g = {s: np.ones((4, 4)) for s in range(2, 2 * k + 1, 2)}
         assert moment_grid(k, 1, g, grid=4).value == pytest.approx(words, rel=1e-13, abs=0)
 
     # each example evaluates up to 303 words twice, so fewer examples than
@@ -197,15 +207,15 @@ class TestMomentGrid:
 
     def test_halving_error_estimate(self):
         g = {2: lambda x, u: 0.5 + 0.5 * x * u, 4: lambda x, u: x + u}
-        report = moment_grid(2, 1, g, grid=64)
-        finer = moment_grid(2, 1, g, grid=128)
+        report = moment_grid(2, 1, sample_all(g, 64), grid=64)
+        finer = moment_grid(2, 1, sample_all(g, 128), grid=128)
         assert report.error_estimate is not None
         assert abs(report.value - finer.value) <= report.error_estimate + 1e-12
 
     def test_first_order_convergence_smooth_profile(self):
         sigma = lambda x, u: 0.5 + 0.5 * x * u
-        v64 = moment_profile(3, 1, sigma, {2: 1, 4: 1, 6: 1}, grid=64).value
-        v128 = moment_profile(3, 1, sigma, {2: 1, 4: 1, 6: 1}, grid=128).value
+        v64 = moment_profile(3, 1, sample(sigma, 64), {2: 1, 4: 1, 6: 1}, grid=64).value
+        v128 = moment_profile(3, 1, sample(sigma, 128), {2: 1, 4: 1, 6: 1}, grid=128).value
         assert abs(v64 - v128) <= 1e-3
 
     def test_nonnegative_integrands_give_nonnegative_moments(self):
@@ -216,7 +226,7 @@ class TestMomentGrid:
                 assert moment_grid(k, 0.5, arrays, grid=8).value >= 0
 
     def test_weights_are_unity_at_y1_and_scale_as_powers(self):
-        g = {2: lambda x, u: x + u, 4: lambda x, u: x * u + 0.3, 6: ONE}
+        g = sample_all({2: lambda x, u: x + u, 4: lambda x, u: x * u + 0.3, 6: ONE}, 8)
         at_y1 = moment_grid(3, 1, g, grid=8, breakdown=True)
         at_y2 = moment_grid(3, 2, g, grid=8, breakdown=True)
         assert abs(at_y1.value - sum(at_y1.breakdown.values())) < 1e-12
@@ -240,11 +250,11 @@ class TestMomentGrid:
 
     def test_missing_order(self):
         with pytest.raises(ValueError, match="order 4"):
-            moment_grid(2, 1, {2: ONE}, grid=8)
+            moment_grid(2, 1, {2: np.ones((8, 8))}, grid=8)
 
     def test_grid_too_small(self):
         with pytest.raises(ValueError):
-            moment_grid(1, 1, {2: ONE}, grid=1)
+            moment_grid(1, 1, {2: np.ones((1, 1))}, grid=1)
 
 
 @st.composite
@@ -254,11 +264,12 @@ def k_ranges(draw, breakdown):
     return list(range(draw(st.integers(1, hi)), hi + 1))
 
 
-def random_grid_inputs(seed, grid, callables):
-    """Arrays of the given grid, or polynomial callables, for every order up to 12."""
+def random_grid_inputs(seed, grid, formulas):
+    """Uniform random arrays, or random polynomials sampled at the midpoints,
+    on the given grid for every order up to 12."""
     rng = np.random.default_rng(seed)
-    if callables:
-        return random_polynomials(rng)
+    if formulas:
+        return sample_all(random_polynomials(rng), grid)
     return {s: rng.uniform(0.1, 2.0, size=(grid, grid)) for s in SIZES}
 
 
@@ -275,20 +286,20 @@ class TestGridMoments:
         y=st.floats(0.1, 3.0),
         breakdown=st.booleans(),
     )
-    @pytest.mark.parametrize("grid,callables", [
-        (4, False), (8, False),  # arrays at even grids: the half grid is coarsened
-        (5, True), (9, True),  # callables at odd grids: the half grid is resampled
+    @pytest.mark.parametrize("grid,formulas", [
+        (4, False), (8, False),  # even grids: the half grid is coarsened
+        (5, True), (9, True),  # odd grids: no error estimate
         (2, False), (3, True),  # no half grid of at least 2 points: no error estimate
     ])
-    def test_each_k_equals_its_own_call(self, data, seed, y, breakdown, grid, callables):
+    def test_each_k_equals_its_own_call(self, data, seed, y, breakdown, grid, formulas):
         ks = data.draw(k_ranges(breakdown))
-        g = random_grid_inputs(seed, grid, callables)
+        g = random_grid_inputs(seed, grid, formulas)
         reports = grid_moments(ks, y, g, grid=grid, breakdown=breakdown)
         assert list(reports) == ks
         for k in ks:
             single = moment_grid(k, y, g, grid=grid, breakdown=breakdown)
             assert reports[k] == single
-            assert (single.error_estimate is None) == (grid < 4)
+            assert (single.error_estimate is None) == (grid % 2 == 1 or grid < 4)
             assert (single.breakdown is None) != breakdown
 
     @settings(max_examples=40)
@@ -298,13 +309,13 @@ class TestGridMoments:
         y=st.floats(0.1, 3.0),
         breakdown=st.booleans(),
     )
-    @pytest.mark.parametrize("grid,callable_sigma", [(8, False), (9, True)])
-    def test_each_profile_k_equals_its_own_call(self, data, seed, y, breakdown, grid, callable_sigma):
+    @pytest.mark.parametrize("grid,formula", [(8, False), (9, True)])
+    def test_each_profile_k_equals_its_own_call(self, data, seed, y, breakdown, grid, formula):
         ks = data.draw(k_ranges(breakdown))
         rng = np.random.default_rng(seed)
         a, b = rng.uniform(0.2, 1.5, 2)
-        if callable_sigma:
-            sigma = lambda x, u: a + b * x * u
+        if formula:
+            sigma = sample(lambda x, u: a + b * x * u, grid)
         else:
             sigma = rng.uniform(0.2, 1.5, size=(grid, grid))
         constants = {s: F(int(rng.integers(1, 6)), s) for s in SIZES}
@@ -314,46 +325,48 @@ class TestGridMoments:
             assert reports[k] == moment_profile(k, y, sigma, constants, grid=grid, breakdown=breakdown)
 
     def test_missing_order_of_the_largest_k(self):
-        g = {s: ONE for s in SIZES[:5]}
+        g = {s: np.ones((4, 4)) for s in SIZES[:5]}
         assert grid_moments([1, 2, 3, 4, 5], 1, g, grid=4)[5].error_estimate is not None
         with pytest.raises(ValueError, match="order 12"):
             grid_moments([1, 6], 1, g, grid=4)
         with pytest.raises(ValueError, match="order 12"):
-            profile_moments([1, 6], 1, ONE, dict.fromkeys(SIZES[:5], 1), grid=4)
+            profile_moments([1, 6], 1, np.ones((4, 4)), dict.fromkeys(SIZES[:5], 1), grid=4)
 
     def test_k_below_one_and_empty_range(self):
         with pytest.raises(ValueError, match="k must be >= 1"):
-            grid_moments([0, 1], 1, {2: ONE}, grid=4)
+            grid_moments([0, 1], 1, {2: np.ones((4, 4))}, grid=4)
         assert grid_moments([], 1, {}, grid=4) == {}
-        assert profile_moments([], 1, ONE, {}, grid=4) == {}
+        assert profile_moments([], 1, np.ones((4, 4)), {}, grid=4) == {}
 
 
-class TestSampleGridFunction:
-    def test_scalar_only_callable_equals_vectorised_twin(self):
-        scalar = lambda x, u: math.sin(x) + math.sin(2 * u)
-        vectorised = lambda x, u: np.sin(x) + np.sin(2 * u)
-        assert np.array_equal(_sample_grid_function(scalar, 7), _sample_grid_function(vectorised, 7))
+class TestArrayInputsOnly:
+    def test_callable_is_rejected_uncalled(self):
+        # no quadrature function evaluates a callable, point by point or at all
+        def never_called(*args):
+            raise AssertionError("a callable input was evaluated")
 
-    def test_unexpected_error_propagates(self):
-        # a point-by-point retry would succeed here and hide the error
-        def broken_on_arrays(x, u):
-            if np.ndim(x):
-                raise RuntimeError("bug inside the grid function")
-            return x * u
-
-        with pytest.raises(RuntimeError, match="bug inside"):
-            _sample_grid_function(broken_on_arrays, 4)
+        calls = [
+            lambda f: grid_moments([1], 1, {2: f}, grid=4),
+            lambda f: moment_grid(1, 1, {2: f}, grid=4),
+            lambda f: profile_moments([1], 1, f, {2: 1}, grid=4),
+            lambda f: moment_profile(1, 1, f, {2: 1}, grid=4),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=r"array of shape \(4, 4\)"):
+                call(never_called)
+        with pytest.raises(ValueError, match=r"array of shape \(4,\)"):
+            unbounded_support_bound(1, 1, never_called, grid=4)
 
 
 class TestMomentProfile:
     def test_unit_profile_equals_constant_path(self):
-        report = moment_profile(2, 0.5, ONE, {2: 1, 4: 2}, grid=16)
+        report = moment_profile(2, 0.5, sample(ONE, 16), {2: 1, 4: 2}, grid=16)
         exact = moment_constant(2, F(1, 2), {2: 1, 4: 2}).value
         assert report.value == pytest.approx(float(exact), abs=1e-12)
 
     def test_triangular_indicator_first_moment(self):
         sigma = lambda x, u: (np.asarray(x) <= np.asarray(u)).astype(float)
-        report = moment_profile(1, 1, sigma, {2: 1}, grid=128)
+        report = moment_profile(1, 1, sample(sigma, 128), {2: 1}, grid=128)
         assert report.value == pytest.approx(0.5, abs=0.005)
 
     def test_array_profile(self):
@@ -366,18 +379,18 @@ class TestMomentProfile:
 
 class TestUnboundedSupportBound:
     def test_trivial_cases(self):
-        assert unbounded_support_bound(1, 1, lambda x: 1.0) == 1
-        assert unbounded_support_bound(1, 2, lambda x: 1.0) == 1
+        assert unbounded_support_bound(1, 1, np.ones(256)) == 1
+        assert unbounded_support_bound(1, 2, np.ones(256)) == 1
 
     def test_prefactor(self):
         # m=2, t=2: (4)!/(2! * 2!^2) = 3
-        assert unbounded_support_bound(2, 2, lambda x: 1.0) == 3
+        assert unbounded_support_bound(2, 2, np.ones(256)) == 3
 
     @pytest.mark.parametrize("t", [1, 2, 3, 4])
     def test_bounds_mp_moments_from_below(self, t):
         # MP data: g_2 = 1 so f_2 = 1; the bound must sit below the k = t moment
-        g = {2: ONE, 4: ZERO, 6: ZERO, 8: ZERO}
-        bound = unbounded_support_bound(1, t, lambda x: 1.0)
+        g = sample_all({2: ONE, 4: ZERO, 6: ZERO, 8: ZERO}, 16)
+        bound = unbounded_support_bound(1, t, np.ones(256))
         for y in (0.5, 1.0):
             value = moment_grid(t, y, g, grid=16).value
             assert float(bound) <= value + 1e-12
@@ -388,6 +401,6 @@ class TestUnboundedSupportBound:
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
-            unbounded_support_bound(0, 1, lambda x: 1.0)
+            unbounded_support_bound(0, 1, np.ones(256))
         with pytest.raises(ValueError, match="shape"):
             unbounded_support_bound(1, 1, np.ones(8), grid=16)
