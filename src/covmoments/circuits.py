@@ -18,7 +18,11 @@ Both links compare vertex values only for equality, so a count depends only
 on which slots hold equal values.  `census_s` and `census_w` therefore count
 value patterns: a depth-first search gives each generating vertex one of the
 values already opened on its side or one new value, weighted by the number of
-values still unused there, and propagates the repeated letters.  The budget
+values still unused there, and propagates the repeated letters with one
+step, `propagate_slot`, inlined.  That step, shared with `slot_classes` and
+`enumerate_ss_words`, matches an edge as an unordered pair, which decides
+the covariance link too: each class is opened on one side and every edge
+joins the two sides, so a row class never equals a column class.  The budget
 `DEFAULT_CENSUS_BUDGET` bounds the value patterns the search may visit: each
 generating vertex after pi(0) offers at most one branch per earlier
 generating vertex on its side (pi(0) counts as the first row) plus one new
@@ -84,12 +88,12 @@ def _check_budget(count: int, what: str) -> None:
         raise SizeLimitError(f"census would visit up to {count} {what}, over the budget {limit}")
 
 
-def _count_patterns(word: Word, stats: WordStats, step, sizes: tuple[int, ...]) -> int:
+def _count_patterns(word: Word, stats: WordStats, sizes: tuple[int, ...]) -> int:
     """Number of circuits compatible with `word`, counted by value pattern.
 
     Slot i draws its values from side `i % len(sizes)` of size `sizes[side]`:
     (p, n) gives the covariance link's rows and columns, (N,) the Wigner
-    link's shared range.  `step` is the link's propagation step.
+    link's shared range.
     """
     m = word.length
     # a generating slot branches over the values its side has opened so far,
@@ -101,47 +105,50 @@ def _count_patterns(word: Word, stats: WordStats, step, sizes: tuple[int, ...]) 
         patterns *= min(earlier[side] + 1, sizes[side])
         earlier[side] += 1
     _check_budget(patterns, "value patterns")
-    # a value class is named by the slot that opened it, so pi(0) is class 0
+    # a value class is named by the slot that opened it, so pi(0) is class 0;
+    # it stays on its opener's side, so one unordered step serves both links
     opened: list[list[int]] = [[] for _ in sizes]
     opened[0].append(0)
-    values = [0] * m
     new_letter = [False] * (m + 1)
     for i in stats.first_positions:
         new_letter[i] = True
-    return sizes[0] * _extend(word.letters, new_letter, step, sizes, 1, values, opened, {})
+    # keys[letter] is the letter's edge; a key a backtracked branch left is
+    # overwritten at the letter's first occurrence before anything reads it
+    keys: list[tuple[int, int] | None] = [None] * (stats.b + 1)
+    return sizes[0] * _extend(word.letters, new_letter, sizes, 1, 0, opened, keys)
 
 
-def _extend(letters, new_letter, step, sizes, i, values, opened, keys) -> int:
-    """Weighted count of the completions of the pattern prefix values[:i]."""
+def _extend(letters, new_letter, sizes, i, prev, opened, keys) -> int:
+    """Weighted count of the completions of a pattern prefix whose slot i-1
+    holds class `prev`."""
     m = len(letters)
     while True:
         letter = letters[i - 1]
-        prev = values[i - 1]
-        if i == m:
-            closes = step(keys, letter, i, prev, 0) == 0
-            if new_letter[i]:
-                del keys[letter]
-            return int(closes)
         if new_letter[i]:
+            if i == m:
+                return 1  # the edge (prev, 0) closes the circuit
             break
-        cur = step(keys, letter, i, prev, i)  # a repeated letter ignores `fresh`
-        if cur is None:
+        a, b = keys[letter]
+        if prev == a:
+            prev = b
+        elif prev == b:
+            prev = a
+        else:
             return 0
-        values[i] = cur
+        if i == m:
+            return int(prev == 0)
         i += 1
     side = i % len(sizes)
     pool = opened[side]
     total = 0
     for cls in tuple(pool):
-        values[i] = step(keys, letter, i, prev, cls)
-        total += _extend(letters, new_letter, step, sizes, i + 1, values, opened, keys)
-        del keys[letter]
+        keys[letter] = (prev, cls)
+        total += _extend(letters, new_letter, sizes, i + 1, cls, opened, keys)
     unused = sizes[side] - len(pool)
     if unused > 0:
+        keys[letter] = (prev, i)
         pool.append(i)
-        values[i] = step(keys, letter, i, prev, i)
-        total += unused * _extend(letters, new_letter, step, sizes, i + 1, values, opened, keys)
-        del keys[letter]
+        total += unused * _extend(letters, new_letter, sizes, i + 1, i, opened, keys)
         pool.pop()
     return total
 
@@ -151,25 +158,26 @@ def census_s(word: Word, p: int, n: int) -> CensusResult:
 
     Counts value patterns rather than assignments: each generating vertex
     takes a row (even slot) or column (odd slot) value already in use, or
-    one new value weighted by the number still unused, and `propagate_slot`
-    forces the repeated letters.  The count is exact.  Raises SizeLimitError
+    one new value weighted by the number still unused, and the unordered
+    `propagate_slot` step forces the repeated letters (rows and columns never
+    share a class).  The count is exact.  Raises SizeLimitError
     when the bound on the patterns visited exceeds `DEFAULT_CENSUS_BUDGET`;
     that bound stops growing with p and n once both reach the word length.
     """
     _require_sizes(p=p, n=n)
     _require_circuit_word(word)
     stats = word_statistics(word)
-    count = _count_patterns(word, stats, propagate_slot, (p, n))
+    count = _count_patterns(word, stats, (p, n))
     return CensusResult(word.text, "S", p, n, count, _predicted(word, stats, p, n))
 
 
 def census_w(word: Word, N: int) -> CensusResult:
     """Count circuits compatible with `word` under the Wigner link on {1..N},
-    by value pattern as in `census_s`, with `propagate_slot_w` as the step."""
+    by value pattern with the same step as `census_s`, on one shared side."""
     _require_sizes(N=N)
     _require_circuit_word(word)
     stats = word_statistics(word)
-    count = _count_patterns(word, stats, propagate_slot_w, (N,))
+    count = _count_patterns(word, stats, (N,))
     return CensusResult(word.text, "wigner", N, N, count, _predicted(word, stats, N, N))
 
 
@@ -260,34 +268,21 @@ def predicted_count_w(word: Word, N: int) -> int | None:
 
 
 def propagate_slot(
-    keys: dict[int, tuple[int, int]], letter: int, i: int, prev: int, fresh: int
+    keys: dict[int, tuple[int, int]], letter: int, prev: int, fresh: int
 ) -> int | None:
-    """One step of symbolic covariance-link propagation: the class of slot i,
-    given the class `prev` of slot i-1.
+    """One propagation step, for both links: the class of the next slot,
+    given the class `prev` of the slot before it.
 
-    A letter met for the first time records its edge (row, col) in `keys` and
-    moves to the class `fresh`.  A repeated letter forces the far endpoint of
-    its recorded edge, or returns None when `prev` is not the matching
+    A letter met for the first time records its edge (prev, fresh) in `keys`
+    and moves to the class `fresh`.  A repeated letter moves to the other
+    endpoint of its recorded edge, or returns None when `prev` is neither
     endpoint, i.e. when two distinct generating vertices would be equated.
-    """
-    if letter not in keys:
-        keys[letter] = (prev, fresh) if i % 2 else (fresh, prev)
-        return fresh
-    row, col = keys[letter]
-    if i % 2:
-        return col if prev == row else None
-    return row if prev == col else None
 
-
-def propagate_slot_w(
-    keys: dict[int, tuple[int, int]], letter: int, i: int, prev: int, fresh: int
-) -> int | None:
-    """One step of Wigner-link propagation, with the signature of
-    `propagate_slot`; `i` is unused because the edge is unordered.
-
-    A new letter records the endpoint pair (prev, fresh) and moves to
-    `fresh`.  A repeated letter moves to the other endpoint of its recorded
-    pair, or returns None when `prev` is neither endpoint.
+    The edge is unordered, as under the Wigner link.  The covariance link's
+    ordered (row, col) check gives the same answer: a class is opened at one
+    slot and only ever reached at slots of the same parity, so a row class
+    never equals a column class, and `prev` can match only the endpoint on
+    its own side, the one the ordered check tests.
     """
     if letter not in keys:
         keys[letter] = (prev, fresh)
@@ -316,7 +311,7 @@ def slot_classes(word: Word) -> list[int]:
     next_class = 1
     keys: dict[int, tuple[int, int]] = {}
     for i in range(1, m + 1):
-        cur = propagate_slot(keys, word.letters[i - 1], i, cls[i - 1], next_class)
+        cur = propagate_slot(keys, word.letters[i - 1], cls[i - 1], next_class)
         if cur is None or (i == m and cur != 0):
             raise ValueError(f"word {word.text} is not special symmetric")
         if i < m:

@@ -67,10 +67,11 @@ def _parse_fraction(text: str, name: str) -> Fraction:
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"bad {name} value {text!r}; expected a rational like 3/4") from exc
 
-def _parse_orders(items: list[str], flag: str, parse) -> dict:
+def _parse_orders(items: list[str], flag: str, parse, max_order: int | None = None) -> dict:
     """{order: parse(value, f"{flag} {order}")} for entries like 2=value.
-    Every order must be a positive even integer, given once; all of them are
-    checked before any value is parsed (or its file opened)."""
+    Every order must be a positive even integer, given once and, when
+    `max_order` is given, at most that; all of them are checked before any
+    value is parsed (or its file opened)."""
     entries = {}
     for item in items:
         key, sep, value = item.partition("=")
@@ -84,6 +85,8 @@ def _parse_orders(items: list[str], flag: str, parse) -> dict:
             raise ConfigError(f"bad {flag} order {order}; only positive even orders are read")
         if order in entries:
             raise ConfigError(f"{flag} order {order} is given twice")
+        if max_order is not None and order > max_order:
+            raise ConfigError(f"{flag} order {order} is above 2 max(k) = {max_order}; no sum reads it")
         entries[order] = (key, value)
     return {order: parse(value, f"{flag} {key}") for order, (key, value) in entries.items()}
 
@@ -223,7 +226,7 @@ def run_moments(args) -> int:
             ks, y, sigma, constants, grid=grid, breakdown=args.breakdown
         )
     else:
-        g = _parse_orders(args.g, "--g", lambda path, name: _load_grid_csv(path))
+        g = _parse_orders(args.g, "--g", lambda path, name: _load_grid_csv(path), 2 * max(ks))
         reports = moments.grid_moments(ks, y, g, grid=grid, breakdown=args.breakdown)
 
     header = ["k", "value"] + (["lower", "upper"] if sandwich_rows else [])
@@ -284,13 +287,18 @@ def load_config(path: str) -> dict:
         out[key.strip()] = _coerce_scalar(value)
     return out
 
+def _config_error(key: str, expected: str, value) -> ConfigError:
+    return ConfigError(f"config key {key!r} must be {expected}, got {value!r}")
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
 def _config_number(data: dict, key: str, kind: type, default=None):
     """data[key] as kind (int or float), default when absent; a bool, a
     string, or a float where an int is wanted fails naming the key."""
     value = data.get(key, default)
-    if key in data and (isinstance(value, bool) or not isinstance(value, (int, kind))):
-        expected = "an integer" if kind is int else "a number"
-        raise ConfigError(f"config key {key!r} must be {expected}, got {value!r}")
+    if key in data and not (_is_number(value) and isinstance(value, (int, kind))):
+        raise _config_error(key, "an integer" if kind is int else "a number", value)
     return value if value is None else kind(value)
 
 def config_to_ensemble(data: dict, seed_override: int | None = None) -> tuple[EnsembleConfig, dict]:
@@ -310,6 +318,13 @@ def config_to_ensemble(data: dict, seed_override: int | None = None) -> tuple[En
         if "c4" in data:
             c_seq[4] = _config_number(data, "c4", float)
     seed = _config_number(data, "seed", int, ensembles.DEFAULT_SEED)
+    t_n = data.get("t_n")
+    if "t_n" in data and not (_is_number(t_n) or isinstance(t_n, str)):
+        raise _config_error("t_n", "a number or a string", t_n)
+    bins = data.get("bins", "fd")
+    if not (isinstance(bins, (int, str)) and not isinstance(bins, bool)
+            or isinstance(bins, list) and all(map(_is_number, bins))):
+        raise _config_error("bins", "an integer, a string or a list of numbers", bins)
     try:
         cfg = EnsembleConfig(
             family=str(data["family"]),
@@ -321,7 +336,7 @@ def config_to_ensemble(data: dict, seed_override: int | None = None) -> tuple[En
             B=_config_number(data, "B", float),
             profile=data.get("profile"),
             base_family=str(data.get("base_family", "sparse_bernoulli")),
-            t_n=data.get("t_n"),
+            t_n=t_n,
             seed=seed_override if seed_override is not None else seed,
             replicates=_config_number(data, "replicates", int, 1),
         )
@@ -329,7 +344,7 @@ def config_to_ensemble(data: dict, seed_override: int | None = None) -> tuple[En
         raise ConfigError(str(exc)) from exc
     extras = {
         "K": _config_number(data, "K", int, 4),
-        "bins": data.get("bins", "fd"),
+        "bins": bins,
     }
     return cfg, extras
 

@@ -158,8 +158,10 @@ def enumerate_ss_words(k: int) -> tuple[Word, ...]:
     """All special symmetric words of length 2k, in lexicographic order.
 
     A canonical word is special symmetric exactly when every letter occurs
-    an even number of times and covariance-link propagation (`slot_classes`)
-    closes without a contradiction.  Propagation is decided prefix by
+    an even number of times and propagation (`slot_classes`) closes without
+    a contradiction.  Its `propagate_slot` step is the one both links share:
+    the unordered edge match also decides the covariance link, because a row
+    class never equals a column class.  Propagation is decided prefix by
     prefix, so a depth-first search over canonical words, one letter at a
     time, drops a branch as soon as propagation fails or the letters of odd
     count outnumber the positions left to pair them.  The result is cached
@@ -180,7 +182,7 @@ def enumerate_ss_words(k: int) -> tuple[Word, ...]:
         # `top` is the largest letter so far and also the last class opened
         fresh = 0 if i == m else top + 1
         for letter in range(1, top + 2):
-            cur = propagate_slot(keys, letter, i, cls[i - 1], fresh)
+            cur = propagate_slot(keys, letter, cls[i - 1], fresh)
             if cur is not None:
                 counts[letter] += 1
                 now_odd = odd + (1 if counts[letter] % 2 else -1)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -140,6 +141,35 @@ def words_of_length(*lengths):
 SIZES = st.integers(1, 3)
 
 
+def ordered_propagate_slot(keys, letter, i, prev, fresh):
+    """Oracle: the covariance-link step with the edge ordered (row, col),
+    the row being the endpoint at the even slot of positions i-1 and i."""
+    if letter not in keys:
+        keys[letter] = (prev, fresh) if i % 2 else (fresh, prev)
+        return fresh
+    row, col = keys[letter]
+    if i % 2:
+        return col if prev == row else None
+    return row if prev == col else None
+
+
+def ordered_slot_classes(word):
+    """Oracle: the slot-class walk of `slot_classes` driven by the ordered step."""
+    m = word.length
+    cls = [0] * m
+    next_class = 1
+    keys = {}
+    for i in range(1, m + 1):
+        cur = ordered_propagate_slot(keys, word.letters[i - 1], i, cls[i - 1], next_class)
+        if cur is None or (i == m and cur != 0):
+            raise ValueError(f"word {word.text} is not special symmetric")
+        if i < m:
+            cls[i] = cur
+            if cur == next_class:
+                next_class += 1
+    return cls
+
+
 class TestCensusS:
     def test_single_letter_base_case(self):
         assert census_s(W("aa"), 2, 3).exact_count == 6
@@ -269,6 +299,30 @@ class TestPredictions:
 
 
 class TestSlotClasses:
+    @given(words_of_length(2, 4, 6, 8, 10))
+    def test_unordered_step_matches_ordered_oracle(self, word):
+        # classes are side-disjoint, so the unordered step decides the
+        # ordered covariance-link match: same classes, same rejections
+        try:
+            expected = ordered_slot_classes(word)
+        except ValueError:
+            with pytest.raises(ValueError):
+                slot_classes(word)
+        else:
+            assert slot_classes(word) == expected
+
+    @pytest.mark.parametrize("m", [2, 4, 6, 8])
+    def test_unordered_step_matches_ordered_oracle_on_every_word(self, m):
+        for word in all_words(m):
+            try:
+                expected = ordered_slot_classes(word)
+            except ValueError:
+                expected = None
+            try:
+                assert slot_classes(word) == expected
+            except ValueError:
+                assert expected is None
+
     def test_odd_multiplicity_example(self):
         # c and d occur once each; d, first met at the closing slot, must
         # open a class of its own rather than close onto pi(0)
@@ -365,10 +419,14 @@ class TestPatternCount:
             assert len(set(large)) == 1, large
 
     def test_len8_totals(self):
+        # the digest pins every word's pair of counts, in enumeration order
         words = all_words(8)
         assert len(words) == 4140
-        assert sum(census_s(w, 2, 3).exact_count for w in words) == 99_150
-        assert sum(census_w(w, 3).exact_count for w in words) == 340_032
+        lines = [(w.text, census_s(w, 2, 3).exact_count, census_w(w, 3).exact_count) for w in words]
+        assert sum(s for _, s, _ in lines) == 99_150
+        assert sum(w for _, _, w in lines) == 340_032
+        digest = hashlib.sha256("".join(f"{t},{s},{w}\n" for t, s, w in lines).encode()).hexdigest()
+        assert digest == "23ee11744e9905dd40d7a2d4031364f3728845371f3bdabb6caf8c588578ac50"
 
     def test_ss8_exact_beyond_brute_force(self):
         p, n = 10**6, 10**6 + 1

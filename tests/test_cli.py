@@ -250,6 +250,10 @@ class TestMoments:
         (["--constant", "2=1,-2=1", "--k", "1"], "bad --constant order -2"),
         (["--g", "2=g2.csv", "--g", "2=g2.csv", "--k", "1"], "--g order 2 is given twice"),
         (["--g", "2=g2.csv", "--g", "3=g3.csv", "--k", "1"], "bad --g order 3"),
+        # an order above 2 max(k) is read by no sum
+        (["--g", "2=g2.csv", "--g", "4=g4.csv", "--k", "1"], "--g order 4 is above 2 max(k) = 2"),
+        (["--g", "2=g2.csv", "--g", "4=g4.csv", "--g", "8=g8.csv", "--k", "1..3"],
+         "--g order 8 is above 2 max(k) = 6"),
         (["--profile-csv", "sigma.csv", "--constant", "2=1,2=1", "--k", "1"],
          "--constant order 2 is given twice"),
     ])
@@ -358,17 +362,24 @@ class TestMoments:
             ) == 0
 
     def test_grid_sources_reach_the_series_limit(self, tmp_path, capsys):
-        sources, grid = self.grid_sources(tmp_path, 13)
+        # each run's --g files stop at 2 max(k), the highest order it reads
+        def argv(source, grid):
+            return ["--out", tmp_path, "moments", *source, "--y", "1/2", "--grid", grid]
+
+        sources, grid = self.grid_sources(tmp_path, 12)
         for source in sources:
-            argv = ["--out", tmp_path, "moments", *source, "--y", "1/2", "--grid", grid]
-            assert run(*argv, "--k", "8..12") == 0
+            assert run(*argv(source, grid), "--k", "8..12") == 0
             rows = (tmp_path / "moments.csv").read_text().strip().splitlines()[1:]
             assert [row.split(",")[0] for row in rows] == [str(k) for k in range(8, 13)]
-            capsys.readouterr()
-            assert run(*argv, "--k", "13") == EXIT_SIZE_LIMIT
+        capsys.readouterr()
+        sources, grid = self.grid_sources(tmp_path, 13)
+        for source in sources:
+            assert run(*argv(source, grid), "--k", "13") == EXIT_SIZE_LIMIT
             assert "MAX_SERIES_ORDER = 12" in capsys.readouterr().err
-            # the per-word breakdown lists the words, so it keeps the enumeration cap
-            assert run(*argv, "--k", "8", "--breakdown") == EXIT_SIZE_LIMIT
+        # the per-word breakdown lists the words, so it keeps the enumeration cap
+        sources, grid = self.grid_sources(tmp_path, 8)
+        for source in sources:
+            assert run(*argv(source, grid), "--k", "8", "--breakdown") == EXIT_SIZE_LIMIT
             assert "exceeds the enumeration cap 14" in capsys.readouterr().err
 
     def test_one_series_pass_per_grid_call(self, tmp_path, capsys, monkeypatch):
@@ -551,6 +562,8 @@ class TestSimulate:
         ("p", 3.9), ("n", True), ("K", 2.7), ("replicates", True), ("seed", 1.5),
         ("p", "x"), ("K", "x"), ("lam", "x"), ("alpha", "x"), ("B", "x"), ("c2", "x"), ("c4", "x"),
         ("lam", None),
+        ("t_n", True), ("t_n", None), ("t_n", [0.5]),
+        ("bins", True), ("bins", 2.5), ("bins", None), ("bins", [0, True]), ("bins", [0, "1"]),
     ])
     def test_malformed_number_names_its_key(self, tmp_path, capsys, monkeypatch, key, value):
         def no_draw(*args):
@@ -564,6 +577,13 @@ class TestSimulate:
         assert f"config key {key!r} must be" in err
         assert "invalid literal" not in err
         assert not (tmp_path / "moments.csv").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("t_n", 0.5), ("t_n", 2), ("t_n", "n^{-1/3}"), ("bins", 7), ("bins", "fd"), ("bins", [0, 0.5, 10]),
+    ])
+    def test_truncation_and_bins_forms_accepted(self, key, value):
+        cfg, extras = cli.config_to_ensemble({"family": "iid_standardized", "p": 4, "n": 8, key: value})
+        assert (cfg.t_n if key == "t_n" else extras["bins"]) == value
 
     @pytest.mark.parametrize("profile", [[[1, 2, 3, 4]] * 3, 2.5, "nope"], ids=["list", "number", "name"])
     def test_bad_profile_exits_before_output(self, tmp_path, capsys, profile):
