@@ -250,12 +250,12 @@ class TestMoments:
         (["--constant", "2=1,-2=1", "--k", "1"], "bad --constant order -2"),
         (["--g", "2=g2.csv", "--g", "2=g2.csv", "--k", "1"], "--g order 2 is given twice"),
         (["--g", "2=g2.csv", "--g", "3=g3.csv", "--k", "1"], "bad --g order 3"),
+        (["--profile-csv", "sigma.csv", "--constant", "2=1,2=1", "--k", "1"],
+         "--constant order 2 is given twice"),
         # an order above 2 max(k) is read by no sum
         (["--g", "2=g2.csv", "--g", "4=g4.csv", "--k", "1"], "--g order 4 is above 2 max(k) = 2"),
         (["--g", "2=g2.csv", "--g", "4=g4.csv", "--g", "8=g8.csv", "--k", "1..3"],
          "--g order 8 is above 2 max(k) = 6"),
-        (["--profile-csv", "sigma.csv", "--constant", "2=1,2=1", "--k", "1"],
-         "--constant order 2 is given twice"),
     ])
     def test_malformed_integer_exit(self, tmp_path, capsys, source, bad):
         assert run("--out", tmp_path, "moments", *source) == EXIT_CONFIG
