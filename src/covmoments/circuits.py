@@ -16,21 +16,25 @@ distinct letters and r+1 the number of even generating vertices.
 
 Both links compare vertex values only for equality, so a count depends only
 on which slots hold equal values.  `census_s` and `census_w` therefore count
-value patterns: a depth-first search gives each generating vertex one of the
-values already opened on its side or one new value, weighted by the number of
-values still unused there, and propagates the repeated letters with one
-step, `propagate_slot`, inlined.  That step, shared with `slot_classes` and
-`enumerate_ss_words`, matches an edge as an unordered pair, which decides
-the covariance link too: each class is opened on one side and every edge
-joins the two sides, so a row class never equals a column class.  The budget
-`DEFAULT_CENSUS_BUDGET` bounds the value patterns the search may visit: each
-generating vertex after pi(0) offers at most one branch per earlier
-generating vertex on its side (pi(0) counts as the first row) plus one new
-value, and never more than its side holds.  Past p, n >= 2k that bound no
-longer depends on the sizes.  `census_s_exhaustive` and
-`census_w_exhaustive` test every circuit tuple and serve as oracles; the
-same budget bounds the tuples they try.  The budget is read at call time,
-so a caller who needs another one sets the module constant.
+value patterns, after one shared prologue that takes the word's statistics
+and decides special symmetry with one walk of `propagate_slot`.  A
+depth-first search gives each generating vertex one of the values already
+opened on its side or one new value, weighted by the number of values still
+unused there, and propagates the repeated letters with `propagate_slot`
+inlined.  That step, shared with `slot_classes` and `enumerate_ss_words`,
+matches an edge as an unordered pair, which decides the covariance link
+too: each class is opened on one side and every edge joins the two sides,
+so a row class never equals a column class.  The search checks forward:
+when the letter leaving a generating vertex is an earlier one, other than
+the letter entering it, only the endpoints of its recorded edge can
+continue, so no new value is tried.  The budget `DEFAULT_CENSUS_BUDGET`
+bounds the value patterns the search may visit: each generating vertex
+after pi(0) offers at most one branch per earlier generating vertex on its
+side (pi(0) counts as the first row) plus one new value, and never more
+than its side holds.  Past p, n >= 2k that bound no longer depends on the
+sizes.  `verify_containment` tests every circuit tuple; the same budget
+bounds the tuples it tries.  The budget is read at call time, so a caller
+who needs another one sets the module constant.
 """
 
 from __future__ import annotations
@@ -88,7 +92,27 @@ def _check_budget(count: int, what: str) -> None:
         raise SizeLimitError(f"census would visit up to {count} {what}, over the budget {limit}")
 
 
-def _count_patterns(word: Word, stats: WordStats, sizes: tuple[int, ...]) -> int:
+def _prologue(word: Word) -> tuple[WordStats, list[bool], bool]:
+    """The word's statistics, first-occurrence flags, and whether it is
+    special symmetric: whether one `propagate_slot` walk closes at pi(0)."""
+    m = _require_circuit_word(word)
+    stats = word_statistics(word)
+    new_letter = [False] * (m + 1)
+    for i in stats.first_positions:
+        new_letter[i] = True
+    # a new letter opens the class named by its slot, so one met last cannot close
+    keys: dict[int, tuple[int, int]] = {}
+    cur = 0
+    for i, letter in enumerate(word.letters, start=1):
+        cur = propagate_slot(keys, letter, cur, i)
+        if cur is None:
+            break
+    return stats, new_letter, cur == 0
+
+
+def _count_patterns(
+    word: Word, stats: WordStats, new_letter: list[bool], sizes: tuple[int, ...]
+) -> int:
     """Number of circuits compatible with `word`, counted by value pattern.
 
     Slot i draws its values from side `i % len(sizes)` of size `sizes[side]`:
@@ -96,6 +120,7 @@ def _count_patterns(word: Word, stats: WordStats, sizes: tuple[int, ...]) -> int
     link's shared range.
     """
     m = word.length
+    letters = word.letters
     # a generating slot branches over the values its side has opened so far,
     # at most one per earlier generating slot there, plus one new value
     earlier = [1] + [0] * (len(sizes) - 1)
@@ -109,16 +134,21 @@ def _count_patterns(word: Word, stats: WordStats, sizes: tuple[int, ...]) -> int
     # it stays on its opener's side, so one unordered step serves both links
     opened: list[list[int]] = [[] for _ in sizes]
     opened[0].append(0)
-    new_letter = [False] * (m + 1)
+    # slot i's side is i % len(sizes), and m is even, so both repeat whole
+    pools = opened * (m // len(sizes))
+    caps = sizes * (m // len(sizes))
+    # the earlier letter leaving generating slot i, if not the one entering it
+    follow = [0] * m
     for i in stats.first_positions:
-        new_letter[i] = True
+        if i < m and not new_letter[i + 1] and letters[i] != letters[i - 1]:
+            follow[i] = letters[i]
     # keys[letter] is the letter's edge; a key a backtracked branch left is
     # overwritten at the letter's first occurrence before anything reads it
     keys: list[tuple[int, int] | None] = [None] * (stats.b + 1)
-    return sizes[0] * _extend(word.letters, new_letter, sizes, 1, 0, opened, keys)
+    return sizes[0] * _extend(letters, new_letter, follow, pools, caps, 1, 0, keys)
 
 
-def _extend(letters, new_letter, sizes, i, prev, opened, keys) -> int:
+def _extend(letters, new_letter, follow, pools, caps, i, prev, keys) -> int:
     """Weighted count of the completions of a pattern prefix whose slot i-1
     holds class `prev`."""
     m = len(letters)
@@ -138,19 +168,36 @@ def _extend(letters, new_letter, sizes, i, prev, opened, keys) -> int:
         if i == m:
             return int(prev == 0)
         i += 1
-    side = i % len(sizes)
-    pool = opened[side]
+    pool = pools[i]
     total = 0
+    nxt = follow[i]
+    if nxt:
+        # a new value is no endpoint of a recorded edge; a self-loop (c, c)
+        # offers its class once
+        a, b = keys[nxt]
+        for cls in (a,) if a == b else (a, b):
+            if cls in pool:
+                keys[letter] = (prev, cls)
+                total += _extend(letters, new_letter, follow, pools, caps, i + 1, cls, keys)
+        return total
     for cls in tuple(pool):
         keys[letter] = (prev, cls)
-        total += _extend(letters, new_letter, sizes, i + 1, cls, opened, keys)
-    unused = sizes[side] - len(pool)
+        total += _extend(letters, new_letter, follow, pools, caps, i + 1, cls, keys)
+    unused = caps[i] - len(pool)
     if unused > 0:
         keys[letter] = (prev, i)
         pool.append(i)
-        total += unused * _extend(letters, new_letter, sizes, i + 1, i, opened, keys)
+        total += unused * _extend(letters, new_letter, follow, pools, caps, i + 1, i, keys)
         pool.pop()
     return total
+
+
+def _census(word: Word, sizes: tuple[int, ...], link: str, p: int, n: int) -> CensusResult:
+    # the prediction p^(r+1) * n^(b-r) is given for special symmetric words
+    stats, new_letter, special = _prologue(word)
+    count = _count_patterns(word, stats, new_letter, sizes)
+    predicted = p**stats.r_plus_1 * n ** (stats.b + 1 - stats.r_plus_1) if special else None
+    return CensusResult(word.text, link, p, n, count, predicted)
 
 
 def census_s(word: Word, p: int, n: int) -> CensusResult:
@@ -165,20 +212,14 @@ def census_s(word: Word, p: int, n: int) -> CensusResult:
     that bound stops growing with p and n once both reach the word length.
     """
     _require_sizes(p=p, n=n)
-    _require_circuit_word(word)
-    stats = word_statistics(word)
-    count = _count_patterns(word, stats, (p, n))
-    return CensusResult(word.text, "S", p, n, count, _predicted(word, stats, p, n))
+    return _census(word, (p, n), "S", p, n)
 
 
 def census_w(word: Word, N: int) -> CensusResult:
     """Count circuits compatible with `word` under the Wigner link on {1..N},
     by value pattern with the same step as `census_s`, on one shared side."""
     _require_sizes(N=N)
-    _require_circuit_word(word)
-    stats = word_statistics(word)
-    count = _count_patterns(word, stats, (N,))
-    return CensusResult(word.text, "wigner", N, N, count, _predicted(word, stats, N, N))
+    return _census(word, (N,), "wigner", N, N)
 
 
 def _edge_keys_s(word: Word, values: tuple[int, ...]) -> list[tuple[int, int]]:
@@ -216,55 +257,6 @@ def _iter_full_tuples(word: Word, p: int, n: int):
     _check_budget((p * n) ** (m // 2), "circuit tuples")
     ranges = [range(1, (p if i % 2 == 0 else n) + 1) for i in range(m)]
     yield from itertools.product(*ranges)
-
-
-def census_s_exhaustive(word: Word, p: int, n: int) -> CensusResult:
-    """Independent oracle: test every circuit tuple against the S-link predicate."""
-    _require_sizes(p=p, n=n)
-    _require_circuit_word(word)
-    count = sum(
-        1
-        for values in _iter_full_tuples(word, p, n)
-        if _word_compatible(word, _edge_keys_s(word, values))
-    )
-    return CensusResult(word.text, "S", p, n, count, predicted_count_s(word, p, n))
-
-
-def census_w_exhaustive(word: Word, N: int) -> CensusResult:
-    """Independent oracle: test every circuit tuple against the Wigner predicate."""
-    _require_sizes(N=N)
-    _require_circuit_word(word)
-    count = sum(
-        1
-        for values in _iter_full_tuples(word, N, N)
-        if _word_compatible(word, _edge_keys_w(word, values))
-    )
-    return CensusResult(word.text, "wigner", N, N, count, predicted_count_w(word, N))
-
-
-def _predicted(word: Word, stats: WordStats, p: int, n: int) -> int | None:
-    """p^(r+1) * n^(b-r) for special symmetric words, None otherwise; with
-    p = n = N this is the Wigner prediction N^(b+1)."""
-    try:
-        slot_classes(word)
-    except ValueError:
-        return None
-    r = stats.r_plus_1 - 1
-    return p ** stats.r_plus_1 * n ** (stats.b - r)
-
-
-def predicted_count_s(word: Word, p: int, n: int) -> int | None:
-    """p^(r+1) * n^(b-r) for special symmetric words, None otherwise."""
-    _require_sizes(p=p, n=n)
-    _require_circuit_word(word)
-    return _predicted(word, word_statistics(word), p, n)
-
-
-def predicted_count_w(word: Word, N: int) -> int | None:
-    """N^(b+1) for special symmetric words, None otherwise."""
-    _require_sizes(N=N)
-    _require_circuit_word(word)
-    return _predicted(word, word_statistics(word), N, N)
 
 
 def propagate_slot(

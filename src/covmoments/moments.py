@@ -89,11 +89,6 @@ def word_structure(word: Word) -> WordStructure:
     return WordStructure(word, stats.r_plus_1 - 1, tuple(edges))
 
 
-def even_sequence(values: Sequence[Real]) -> dict[int, Fraction]:
-    """[c2, c4, c6, ...] -> {2: c2, 4: c4, 6: c6, ...} (odd orders are zero)."""
-    return {2 * (i + 1): Fraction(v) for i, v in enumerate(values)}
-
-
 def _lookup(c: Mapping[int, Real], size: int) -> Fraction:
     try:
         return Fraction(c[size])

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass
-from typing import ClassVar, Iterable, Iterator, Sequence
+from dataclasses import dataclass, field
+from typing import Iterable, Iterator, Sequence
 
 DEFAULT_ENUMERATION_CAP = 14
 
@@ -84,8 +84,11 @@ class Partition:
         return owner
 
     def to_word(self) -> "Word":
-        owner = self.block_of()
-        return Word(tuple(owner[i] + 1 for i in range(1, self.m + 1)))
+        letters = [0] * self.m
+        for letter, block in enumerate(self.blocks, start=1):
+            for e in block:
+                letters[e - 1] = letter
+        return Word(tuple(letters))
 
     def block_sizes(self) -> tuple[int, ...]:
         return tuple(sorted(len(b) for b in self.blocks))
@@ -97,24 +100,22 @@ class Partition:
         return "{" + ", ".join("{" + ",".join(map(str, b)) + "}" for b in self.blocks) + "}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Word:
     """Canonical word: letters 1..b, letter j first appearing before letter j+1."""
 
     letters: tuple[int, ...]
-    # `text` is built on first read and stored on the instance, outside the
-    # dataclass fields, so equality and hash still use only `letters`.
-    # functools.cached_property would materialise the instance __dict__,
-    # which on CPython 3.11 makes every later `word.letters` load in the
-    # census loops about 1.7x slower.
-    _text: ClassVar[str | None] = None
+    # `text` is built on first read and kept in a slot that equality, hash
+    # and repr leave out
+    _text: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         seen = 0
         for letter in self.letters:
             if letter > seen + 1 or letter < 1:
                 raise ValueError(f"word {self.letters} is not in canonical first-occurrence form")
-            seen = max(seen, letter)
+            if letter > seen:
+                seen = letter
 
     @staticmethod
     def from_text(text: str) -> "Word":
@@ -164,17 +165,19 @@ def word_statistics(word: Word) -> WordStats:
     """Generating-vertex statistics of a word.
 
     The generating indices are 0 together with the first-occurrence position of
-    each letter; r+1 counts the even ones (index 0 included).
+    each letter; r+1 counts the even ones (index 0 included).  In canonical
+    form a new letter is one above every letter before it.
     """
     firsts = []
-    seen: set[int] = set()
+    top = 0
+    r_plus_1 = 1
     for pos, letter in enumerate(word.letters, start=1):
-        if letter not in seen:
-            seen.add(letter)
+        if letter > top:
+            top = letter
             firsts.append(pos)
-    generating = {0} | set(firsts)
-    r_plus_1 = sum(1 for i in generating if i % 2 == 0)
-    return WordStats(b=len(firsts), r_plus_1=r_plus_1, first_positions=tuple(firsts))
+            if pos % 2 == 0:
+                r_plus_1 += 1
+    return WordStats(b=top, r_plus_1=r_plus_1, first_positions=tuple(firsts))
 
 
 def _check_cap(m: int) -> None:
@@ -187,21 +190,26 @@ def _check_cap(m: int) -> None:
 
 
 def enumerate_partitions(m: int) -> Iterator[Partition]:
-    """Yield every partition of {1..m} once, in restricted-growth order."""
+    """Yield every partition of {1..m} once, in restricted-growth order:
+    element e joins each open block in turn, then opens its own."""
     if m < 1:
         raise ValueError("m must be >= 1")
     _check_cap(m)
-    letters = [1] * m
+    blocks = [[1]]
 
-    def rec(i: int, maxletter: int) -> Iterator[Partition]:
-        if i == m:
-            yield Partition.from_word(Word(tuple(letters)))
+    def rec(e: int) -> Iterator[Partition]:
+        if e > m:
+            yield Partition.from_blocks(blocks)
             return
-        for letter in range(1, maxletter + 2):
-            letters[i] = letter
-            yield from rec(i + 1, max(maxletter, letter))
+        for block in blocks[:]:
+            block.append(e)
+            yield from rec(e + 1)
+            block.pop()
+        blocks.append([e])
+        yield from rec(e + 1)
+        blocks.pop()
 
-    yield from rec(1, 1)
+    yield from rec(2)
 
 
 def enumerate_pair_partitions(m: int) -> Iterator[Partition]:

@@ -9,11 +9,7 @@ from covmoments import circuits
 from covmoments.circuits import (
     CensusResult,
     census_s,
-    census_s_exhaustive,
     census_w,
-    census_w_exhaustive,
-    predicted_count_s,
-    predicted_count_w,
     slot_classes,
     verify_containment,
 )
@@ -24,6 +20,12 @@ from covmoments.partitions import (
     enumerate_partitions,
     is_special_symmetric,
     word_statistics,
+)
+from oracles import (
+    census_s_exhaustive,
+    census_w_exhaustive,
+    predicted_count_s,
+    predicted_count_w,
 )
 
 W = Word.from_text
@@ -338,6 +340,54 @@ class TestSlotClasses:
                 slot_classes(word)
             with pytest.raises(ValueError):
                 word_structure(word)
+
+
+def forward_checked(word):
+    """Generating slots whose outgoing letter is repeated and differs from
+    the incoming one, where the census offers only that edge's endpoints."""
+    m, letters = word.length, word.letters
+    firsts = word_statistics(word).first_positions
+    return [i for i in firsts if i < m and i + 1 not in firsts and letters[i] != letters[i - 1]]
+
+
+class TestPrologue:
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_special_flag_is_slot_classes_success(self, m):
+        for word in all_words(m):
+            try:
+                slot_classes(word)
+            except ValueError:
+                expected = False
+            else:
+                expected = True
+            if m % 2:
+                assert not expected
+                with pytest.raises(ValueError, match="positive even length"):
+                    circuits._prologue(word)
+                continue
+            stats, new_letter, special = circuits._prologue(word)
+            assert special == expected, word.text
+            assert stats == word_statistics(word)
+            assert [i for i, new in enumerate(new_letter) if new] == list(stats.first_positions)
+
+
+class TestForwardCheck:
+    def test_wigner_self_loop(self):
+        # with b's edge the self-loop (c, c), c's generating slot can only
+        # leave through c, which the search must offer once, not once per
+        # endpoint; at N = 1 every edge is a self-loop and one circuit exists
+        word = W("abcb")
+        assert forward_checked(word) == [3]
+        for N in (1, 2, 3):
+            assert census_w(word, N).exact_count == census_w_exhaustive(word, N).exact_count
+        assert census_w(word, 1).exact_count == 1
+
+    @pytest.mark.parametrize("text", ["abcbcaca", "abcdcbda", "abacbcdd", "aabcbcdd"])
+    def test_len8_forward_checked_words(self, text):
+        word = W(text)
+        assert forward_checked(word)
+        for N in (1, 2, 3):
+            assert census_w(word, N).exact_count == census_w_exhaustive(word, N).exact_count
 
 
 class TestContainment:

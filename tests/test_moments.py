@@ -11,7 +11,6 @@ from covmoments.hypergraphs import MAX_SERIES_ORDER, count_noiry_classes, enumer
 from covmoments.moments import (
     CarlemanDiagnostic,
     carleman_diagnostic,
-    even_sequence,
     moment_constant,
     moment_grid,
     moment_profile,
@@ -32,6 +31,7 @@ from covmoments.partitions import (
     narayana,
     word_statistics,
 )
+from oracles import even_sequence
 
 MP_CONSTANTS = {2: F(1), 4: F(0), 6: F(0), 8: F(0), 10: F(0), 12: F(0)}
 

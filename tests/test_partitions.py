@@ -2,6 +2,8 @@ import importlib
 import inspect
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from covmoments import partitions
 from covmoments.partitions import (
@@ -9,6 +11,7 @@ from covmoments.partitions import (
     Partition,
     SizeLimitError,
     Word,
+    WordStats,
     bell,
     catalan,
     classify,
@@ -28,6 +31,41 @@ def blocks(*bs):
     return Partition.from_blocks(bs)
 
 
+def restricted_growth_strings(m):
+    """Restricted-growth strings of length m in lexicographic order, by the
+    successor rule: raise the rightmost letter that does not exceed every
+    letter before it, and reset the letters after it to 1."""
+    letters = [1] * m
+    while True:
+        yield tuple(letters)
+        for i in range(m - 1, 0, -1):
+            if letters[i] <= max(letters[:i]):
+                letters[i] += 1
+                letters[i + 1:] = [1] * (m - i - 1)
+                break
+        else:
+            return
+
+
+def set_based_statistics(word):
+    """Oracle: word_statistics as sets of seen letters and generating indices."""
+    firsts = []
+    seen = set()
+    for pos, letter in enumerate(word.letters, start=1):
+        if letter not in seen:
+            seen.add(letter)
+            firsts.append(pos)
+    generating = {0} | set(firsts)
+    r_plus_1 = sum(1 for i in generating if i % 2 == 0)
+    return WordStats(b=len(firsts), r_plus_1=r_plus_1, first_positions=tuple(firsts))
+
+
+def canonical(raw):
+    """Relabel a letter sequence by order of first occurrence."""
+    labels = {}
+    return Word(tuple(labels.setdefault(x, len(labels) + 1) for x in raw))
+
+
 class TestEnumeration:
     @pytest.mark.parametrize("m,count", [(1, 1), (3, 5), (4, 15)])
     def test_partition_counts_small(self, m, count):
@@ -36,6 +74,14 @@ class TestEnumeration:
     @pytest.mark.parametrize("m", range(1, 9))
     def test_counts_match_bell(self, m):
         assert len(list(enumerate_partitions(m))) == bell(m)
+
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_order_is_restricted_growth(self, m):
+        # the blocks grown in place give, in order, the partitions of the
+        # restricted-growth strings read as words
+        expected = [Partition.from_word(Word(rgs)) for rgs in restricted_growth_strings(m)]
+        assert len(expected) == bell(m)
+        assert list(enumerate_partitions(m)) == expected
 
     def test_no_duplicates_and_valid(self):
         seen = set()
@@ -217,6 +263,12 @@ class TestWords:
         stats = word_statistics(Word.from_text("aabb"))
         assert stats.first_positions == (1, 3)
         assert stats.odd_generating == 2
+
+    @given(st.integers(0, 12).flatmap(
+        lambda m: st.lists(st.integers(0, max(m - 1, 0)), min_size=m, max_size=m)
+    ).map(canonical))
+    def test_one_pass_statistics_match_set_definition(self, word):
+        assert word_statistics(word) == set_based_statistics(word)
 
     def test_odd_plus_even_generating_is_b_plus_1(self):
         for p in enumerate_partitions(6):
