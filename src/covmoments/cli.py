@@ -424,14 +424,17 @@ def run_hypergraph(args) -> int:
 
 # ---------------------------------------------------------------- verify
 
-def _check_ss_examples():
+# each check takes its ranges as arguments and returns (ok, detail); verify
+# caps the ranges by --max-k, tests/test_acceptance.py runs wider ones
+
+def check_ss_examples():
     member = Partition.from_blocks([[1, 2, 5, 6], [3, 4, 7, 8]])
     non_member = Partition.from_blocks([[1, 2, 6, 7], [3, 4, 5, 8]])
     ok = partitions.is_special_symmetric(member) and not partitions.is_special_symmetric(non_member)
     return ok, "both reference partitions of {1..8} classify as stated"
 
-def _check_nc2(max_k):
-    for k in range(1, min(max_k, 5) + 1):
+def check_nc2(ks):
+    for k in ks:
         ss_pairs, nc_pairs = set(), set()
         for p in partitions.enumerate_pair_partitions(2 * k):
             if partitions.is_special_symmetric(p):
@@ -440,97 +443,88 @@ def _check_nc2(max_k):
                 nc_pairs.add(p.blocks)
         if ss_pairs != nc_pairs or len(nc_pairs) != partitions.catalan(k):
             return False, f"failed at k={k}"
-    return True, f"pair censuses match Catalan numbers up to k={min(max_k, 5)}"
+    return True, f"pair censuses match Catalan numbers up to k={max(ks)}"
 
-def _check_narayana(max_k):
-    top = min(max_k, 6)
-    for k in range(1, top + 1):
+def check_narayana(ks):
+    for k in ks:
         table = partitions.count_ss(k, "even_generating", pair_only=True)
-        for r in range(k):
-            if table.get(r + 1, 0) != partitions.narayana(k, r):
-                return False, f"failed at k={k}, r={r}"
-    return True, f"pair-matched counts equal Narayana numbers up to k={top}"
+        expected = {r + 1: partitions.narayana(k, r) for r in range(k)}
+        if table != expected:
+            return False, f"failed at k={k}: {table} != {expected}"
+    return True, f"pair-matched counts equal Narayana numbers up to k={max(ks)}"
 
-def _check_census_product_law(max_k):
-    top = min(2 * max_k, 6)
+def check_census_product_law(top, sizes):
     for m in range(2, top + 1, 2):
         for p in partitions.enumerate_partitions(m):
             word = p.to_word()
-            ss = partitions.is_special_symmetric(p)
-            for pp, nn in itertools.product((1, 2, 3), (1, 2, 3)):
-                result = circuits.census_s(word, pp, nn)
-                if ss and result.exact_count != result.predicted_count:
-                    return False, f"SS word {word.text} ({pp},{nn})"
-            if not ss:
+            if partitions.is_special_symmetric(p):
+                for pp, nn in itertools.product(sizes, sizes):
+                    result = circuits.census_s(word, pp, nn)
+                    if result.exact_count != result.predicted_count:
+                        return False, f"SS word {word.text} ({pp},{nn})"
+            else:
                 b = word.distinct_letters
                 ratios = [circuits.census_s(word, N, N).exact_count / N ** (b + 1) for N in (2, 3, 4)]
                 if not (ratios[0] >= ratios[1] >= ratios[2] and ratios[2] < 1):
                     return False, f"non-SS word {word.text} ratios {ratios}"
     return True, f"exact counts p^(r+1) n^(b-r) for all words of length <= {top}"
 
-def _check_containment(max_k):
-    top = min(2 * max_k, 4)
+def check_containment(top, sizes):
     for m in range(2, top + 1, 2):
         for p in partitions.enumerate_partitions(m):
-            for pp, nn in itertools.product((1, 2, 3), (1, 2, 3)):
+            for pp, nn in itertools.product(sizes, sizes):
                 if not circuits.verify_containment(p.to_word(), pp, nn):
-                    return False, f"word {p.to_word().text}"
+                    return False, f"word {p.to_word().text} ({pp},{nn})"
     return True, f"covariance circuits embed in Wigner circuits, lengths <= {top}"
 
-def _check_mp_reduction(max_k):
-    constants = {2 * j: Fraction(int(j == 1)) for j in range(1, min(max_k, 6) + 1)}
-    for k in range(1, min(max_k, 6) + 1):
-        for y in (Fraction(1, 2), Fraction(2)):
-            if moments.moment_constant(k, y, constants).value != moments.mp_moment(k, y):
-                return False, f"k={k}, y={y}"
-    return True, f"constant-sequence reduction equals the Narayana polynomial up to k={min(max_k, 6)}"
+def check_mp_reduction(ks, ys):
+    constants = {2 * j: Fraction(int(j == 1)) for j in range(1, max(ks) + 1)}
+    for k, y in itertools.product(ks, ys):
+        if moments.moment_constant(k, y, constants).value != moments.mp_moment(k, y):
+            return False, f"k={k}, y={y}"
+    return True, f"constant-sequence reduction equals the Narayana polynomial up to k={max(ks)}"
 
-def _check_sandwich(max_k):
-    top = min(max_k, 4)
-    for k in range(1, top + 1):
-        for lam in (Fraction(1, 2), Fraction(1), Fraction(2)):
-            for y in (Fraction(1, 2), Fraction(2)):
-                lower, upper = moments.poisson_sandwich(k, y, lam)
-                beta = moments.moment_sparse(k, y, lam).value
-                if not (lower <= beta <= upper):
-                    return False, f"containment failed at k={k}, lam={lam}, y={y}"
-                if k >= 2 and not (lower < beta < upper):
-                    return False, f"strictness failed at k={k}, lam={lam}, y={y}"
-    return True, f"bounds contain the sparse moments (strictly for 2 <= k <= {top})"
+def check_sandwich(ks, lams, ys, strict_from):
+    for k, lam, y in itertools.product(ks, lams, ys):
+        lower, upper = moments.poisson_sandwich(k, y, lam)
+        beta = moments.moment_sparse(k, y, lam).value
+        if not (lower <= beta <= upper):
+            return False, f"containment failed at k={k}, lam={lam}, y={y}"
+        if k >= strict_from and not (lower < beta < upper):
+            return False, f"strictness failed at k={k}, lam={lam}, y={y}"
+    return True, f"bounds contain the sparse moments (strictly for {strict_from} <= k <= {max(ks)})"
 
-def _check_hypergraph(max_k):
-    top = min(max_k, 4)
-    for k in range(1, top + 1):
-        ss = list(hypergraphs.enumerate_ss_words(k))
-        by_b: dict[int, int] = {}
-        for word in ss:
+def check_hypergraph(ks):
+    for k in ks:
+        by_b = Counter()
+        for word in hypergraphs.enumerate_ss_words(k):
             h = hypergraphs.word_to_hypergraph(word)
-            if hypergraphs.hypergraph_to_word(h) != word:
+            if not hypergraphs.is_acyclic(h) or hypergraphs.hypergraph_to_word(h) != word:
                 return False, f"round trip failed for {word.text}"
-            by_b[word.distinct_letters] = by_b.get(word.distinct_letters, 0) + 1
+            by_b[word.distinct_letters] += 1
         if hypergraphs.count_acyclic_pairs(k) != by_b:
             return False, f"count identity failed at k={k}"
-    return True, f"round trips and acyclic-pair counts agree up to 2k={2 * top}"
+        if sum(by_b.values()) != partitions.count_ss(k)["total"]:
+            return False, f"word total differs from the census at k={k}"
+    return True, f"round trips and acyclic-pair counts agree up to 2k={2 * max(ks)}"
 
-def _check_noiry(max_k):
-    top = min(max_k, 4)
-    for k in range(1, top + 1):
+def check_noiry(ks):
+    for k in ks:
         total = sum(hypergraphs.count_noiry_classes(k).values())
         census = partitions.count_ss(k)["total"]
         if total != census:
             return False, f"k={k}: classes {total} vs census {census}"
-    return True, f"class totals equal the special symmetric census up to 2k={2 * top}"
+    return True, f"class totals equal the special symmetric census up to 2k={2 * max(ks)}"
 
-def _check_grid(max_k):
+def check_grid(ks, grid):
     constants = {2: Fraction(1), 4: Fraction(1, 4), 6: Fraction(2)}
-    g = {s: np.full((16, 16), float(v)) for s, v in constants.items()}
+    g = {s: np.full((grid, grid), float(v)) for s, v in constants.items()}
     # both sides of the constant case run the sojourn series; the word terms
     # of a varying integrand, by per-word elimination, are an independent sum
-    xs = (np.arange(16) + 0.5) / 16
+    xs = (np.arange(grid) + 0.5) / grid
     varying = {s: v + np.outer(xs, xs**2) for s, v in g.items()}
-    ks = range(1, min(max_k, 3) + 1)
-    constant_reports = moments.grid_moments(ks, Fraction(1, 2), g, grid=16)
-    varying_reports = moments.grid_moments(ks, Fraction(1, 2), varying, grid=16, breakdown=True)
+    constant_reports = moments.grid_moments(ks, Fraction(1, 2), g, grid=grid)
+    varying_reports = moments.grid_moments(ks, Fraction(1, 2), varying, grid=grid, breakdown=True)
     for k in ks:
         grid_value = constant_reports[k].value
         exact = float(moments.moment_constant(k, Fraction(1, 2), constants).value)
@@ -547,18 +541,17 @@ def _check_grid(max_k):
     return True, ("quadrature reproduces constant sums to 1e-10, its word terms to 1e-12 "
                   "and the xy integral to 1e-6")
 
-def _check_unbounded(max_k):
-    g = {2 * j: (np.ones((16, 16)) if j == 1 else np.zeros((16, 16))) for j in range(1, 5)}
-    ts = range(1, min(max_k, 4) + 1)
-    reports = {y: moments.grid_moments(ts, y, g, grid=16) for y in (0.5, 1.0)}
+def check_unbounded(ts, grid):
+    g = {2 * j: np.full((grid, grid), float(j == 1)) for j in range(1, max(ts) + 1)}
+    reports = {y: moments.grid_moments(ts, y, g, grid=grid) for y in (0.5, 1.0)}
     for t in ts:
-        bound = float(moments.unbounded_support_bound(1, t, np.ones(64), grid=64))
+        bound = float(moments.unbounded_support_bound(1, t, np.ones(4 * grid), grid=4 * grid))
         for y in (0.5, 1.0):
             if bound > reports[y][t].value + 1e-12:
                 return False, f"bound exceeds moment at t={t}, y={y}"
     return True, "factorial lower bounds stay below the quadrature moments"
 
-def _check_simulation():
+def check_simulation():
     cfg = EnsembleConfig("sparse_bernoulli", 30, 60, lam=2.0, seed=ensembles.DEFAULT_SEED, replicates=3)
     first = ensembles.run_experiment(cfg, 3)
     second = ensembles.run_experiment(cfg, 3)
@@ -577,19 +570,25 @@ def _check_simulation():
                 return False, f"replicate {r}: moment k={k} {got!r} != Tr S^{k} / p = {want!r}"
     return True, "deterministic rerun, PSD floor, moments equal Tr S^k / p within 1e-12"
 
+def _upto(max_k: int, cap: int) -> range:
+    return range(1, min(max_k, cap) + 1)
+
+_YS = (Fraction(1, 2), Fraction(2))
+
 VERIFY_CHECKS = [
-    ("ss-definition-examples", lambda mk: _check_ss_examples()),
-    ("nc2-catalan", _check_nc2),
-    ("narayana-pair-census", _check_narayana),
-    ("census-exact-counts", _check_census_product_law),
-    ("wigner-containment", _check_containment),
-    ("mp-constant-reduction", _check_mp_reduction),
-    ("sparse-sandwich", _check_sandwich),
-    ("hypergraph-roundtrip", _check_hypergraph),
-    ("noiry-class-totals", _check_noiry),
-    ("grid-quadrature", _check_grid),
-    ("unbounded-support-bound", _check_unbounded),
-    ("simulation-contracts", lambda mk: _check_simulation()),
+    ("ss-definition-examples", lambda mk: check_ss_examples()),
+    ("nc2-catalan", lambda mk: check_nc2(_upto(mk, 5))),
+    ("narayana-pair-census", lambda mk: check_narayana(_upto(mk, 6))),
+    ("census-exact-counts", lambda mk: check_census_product_law(min(2 * mk, 6), (1, 2, 3))),
+    ("wigner-containment", lambda mk: check_containment(min(2 * mk, 4), (1, 2, 3))),
+    ("mp-constant-reduction", lambda mk: check_mp_reduction(_upto(mk, 6), _YS)),
+    ("sparse-sandwich",
+     lambda mk: check_sandwich(_upto(mk, 4), (Fraction(1, 2), Fraction(1), Fraction(2)), _YS, 2)),
+    ("hypergraph-roundtrip", lambda mk: check_hypergraph(_upto(mk, 4))),
+    ("noiry-class-totals", lambda mk: check_noiry(_upto(mk, 4))),
+    ("grid-quadrature", lambda mk: check_grid(_upto(mk, 3), 16)),
+    ("unbounded-support-bound", lambda mk: check_unbounded(_upto(mk, 4), 16)),
+    ("simulation-contracts", lambda mk: check_simulation()),
 ]
 
 def run_verify(args) -> int:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -640,7 +641,109 @@ class TestHypergraphVerb:
         assert run("hypergraph", "--word", "abab") == EXIT_CONFIG
 
 
+# the ordered (name, detail) lines of `verify --max-k 3` and `--max-k 6`
+_QUADRATURE_DETAIL = ("quadrature reproduces constant sums to 1e-10, its word terms to 1e-12 "
+                      "and the xy integral to 1e-6")
+VERIFY_DETAILS = {
+    3: [
+        ("ss-definition-examples", "both reference partitions of {1..8} classify as stated"),
+        ("nc2-catalan", "pair censuses match Catalan numbers up to k=3"),
+        ("narayana-pair-census", "pair-matched counts equal Narayana numbers up to k=3"),
+        ("census-exact-counts", "exact counts p^(r+1) n^(b-r) for all words of length <= 6"),
+        ("wigner-containment", "covariance circuits embed in Wigner circuits, lengths <= 4"),
+        ("mp-constant-reduction", "constant-sequence reduction equals the Narayana polynomial up to k=3"),
+        ("sparse-sandwich", "bounds contain the sparse moments (strictly for 2 <= k <= 3)"),
+        ("hypergraph-roundtrip", "round trips and acyclic-pair counts agree up to 2k=6"),
+        ("noiry-class-totals", "class totals equal the special symmetric census up to 2k=6"),
+        ("grid-quadrature", _QUADRATURE_DETAIL),
+        ("unbounded-support-bound", "factorial lower bounds stay below the quadrature moments"),
+        ("simulation-contracts", "deterministic rerun, PSD floor, moments equal Tr S^k / p within 1e-12"),
+    ],
+    6: [
+        ("ss-definition-examples", "both reference partitions of {1..8} classify as stated"),
+        ("nc2-catalan", "pair censuses match Catalan numbers up to k=5"),
+        ("narayana-pair-census", "pair-matched counts equal Narayana numbers up to k=6"),
+        ("census-exact-counts", "exact counts p^(r+1) n^(b-r) for all words of length <= 6"),
+        ("wigner-containment", "covariance circuits embed in Wigner circuits, lengths <= 4"),
+        ("mp-constant-reduction", "constant-sequence reduction equals the Narayana polynomial up to k=6"),
+        ("sparse-sandwich", "bounds contain the sparse moments (strictly for 2 <= k <= 4)"),
+        ("hypergraph-roundtrip", "round trips and acyclic-pair counts agree up to 2k=8"),
+        ("noiry-class-totals", "class totals equal the special symmetric census up to 2k=8"),
+        ("grid-quadrature", _QUADRATURE_DETAIL),
+        ("unbounded-support-bound", "factorial lower bounds stay below the quadrature moments"),
+        ("simulation-contracts", "deterministic rerun, PSD floor, moments equal Tr S^k / p within 1e-12"),
+    ],
+}
+
+
+def _raise(f):
+    def broken(*args, **kwargs):
+        raise RuntimeError("injected")
+    return broken
+
+
+# one library function per check, wrapped so that it returns a wrong value
+# (or, in the last case, raises); each wrapper leaves the other checks'
+# calls at --max-k 3 correct
+VERIFY_BREAKS = [
+    ("ss-definition-examples", partitions, "is_special_symmetric",
+     lambda f: lambda p: f(p) or p.as_lists() == [[1, 2, 6, 7], [3, 4, 5, 8]]),
+    ("nc2-catalan", partitions, "catalan", lambda f: lambda k: f(k) + 1),
+    ("narayana-pair-census", partitions, "narayana", lambda f: lambda k, r: f(k, r) + 1),
+    ("census-exact-counts", circuits, "census_s",
+     lambda f: lambda w, p, n: dataclasses.replace(f(w, p, n), exact_count=f(w, p, n).exact_count + 1)),
+    ("wigner-containment", circuits, "verify_containment", lambda f: lambda w, p, n: False),
+    ("mp-constant-reduction", moments, "mp_moment", lambda f: lambda k, y: f(k, y) + 1),
+    ("sparse-sandwich", moments, "poisson_sandwich", lambda f: lambda k, y, lam: f(k, y, lam)[::-1]),
+    ("hypergraph-roundtrip", hypergraphs, "count_acyclic_pairs", lambda f: lambda k: {**f(k), 0: 1}),
+    ("noiry-class-totals", hypergraphs, "count_noiry_classes", lambda f: lambda k: {**f(k), None: 1}),
+    ("grid-quadrature", moments, "moment_grid",
+     lambda f: lambda *a, **kw: dataclasses.replace(f(*a, **kw), value=f(*a, **kw).value + 1)),
+    ("unbounded-support-bound", moments, "unbounded_support_bound",
+     lambda f: lambda *a, **kw: f(*a, **kw) + 100),
+    ("simulation-contracts", ensembles, "sample_matrix", lambda f: lambda cfg, r: 2 * f(cfg, r)),
+    pytest.param("wigner-containment", circuits, "verify_containment", _raise, id="raises"),
+]
+
+
+def _verify_lines(out: str) -> list[tuple[str, str, str]]:
+    """(status, name, detail) of each check line, without the seconds column."""
+    lines = out.splitlines()
+    assert lines[-1].startswith("verify: ")
+    parsed = [re.fullmatch(r"(PASS|FAIL)  (\S+) +\d+\.\d\ds  (.*)", line) for line in lines[:-1]]
+    assert all(parsed), lines
+    return [m.groups() for m in parsed]
+
+
 class TestVerify:
+    @pytest.mark.parametrize("max_k", sorted(VERIFY_DETAILS))
+    def test_pinned_output(self, tmp_path, capsys, max_k):
+        assert run("--out", tmp_path, "verify", "--max-k", max_k) == 0
+        expected = VERIFY_DETAILS[max_k]
+        lines = _verify_lines(capsys.readouterr().out)
+        assert lines == [("PASS", name, detail) for name, detail in expected]
+        report = json.loads((tmp_path / "verify_report.json").read_text())
+        assert report["max_k"] == max_k and report["all_passed"] is True
+        assert [(c["name"], c["detail"]) for c in report["checks"]] == expected
+        assert all(c["passed"] is True for c in report["checks"])
+
+    @pytest.mark.parametrize("name,module,attr,make", VERIFY_BREAKS)
+    def test_broken_library_function_fails_its_check(self, tmp_path, capsys, monkeypatch,
+                                                     name, module, attr, make):
+        monkeypatch.setattr(module, attr, make(getattr(module, attr)))
+        assert run("--out", tmp_path, "verify", "--max-k", 3) == cli.EXIT_CONTRACT
+        out = capsys.readouterr().out
+        lines = _verify_lines(out)
+        assert [line[1] for line in lines] == [n for n, _ in VERIFY_DETAILS[3]]
+        assert [line[1] for line in lines if line[0] == "FAIL"] == [name]
+        assert "verify: FAILURES PRESENT" in out
+        if make is _raise:
+            failed = next(line for line in lines if line[0] == "FAIL")
+            assert failed[2] == "RuntimeError: injected"
+        report = json.loads((tmp_path / "verify_report.json").read_text())
+        assert report["all_passed"] is False
+        assert [c["name"] for c in report["checks"] if not c["passed"]] == [name]
+
     def test_all_pass(self, tmp_path, capsys):
         assert run("--out", tmp_path, "verify", "--max-k", 2) == 0
         report = json.loads((tmp_path / "verify_report.json").read_text())
