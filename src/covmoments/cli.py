@@ -575,6 +575,9 @@ def _upto(max_k: int, cap: int) -> range:
 
 _YS = (Fraction(1, 2), Fraction(2))
 
+# the largest cap below: a larger --max-k would run the same suite
+MAX_VERIFY_K = 6
+
 VERIFY_CHECKS = [
     ("ss-definition-examples", lambda mk: check_ss_examples()),
     ("nc2-catalan", lambda mk: check_nc2(_upto(mk, 5))),
@@ -594,6 +597,11 @@ VERIFY_CHECKS = [
 def run_verify(args) -> int:
     if args.max_k < 1:
         raise ConfigError(f"--max-k must be at least 1, got {args.max_k}")
+    if args.max_k > MAX_VERIFY_K:
+        raise ConfigError(
+            f"--max-k must be at most {MAX_VERIFY_K}, the largest value that adds checks, "
+            f"got {args.max_k}"
+        )
     results = []
     all_ok = True
     for name, check in VERIFY_CHECKS:

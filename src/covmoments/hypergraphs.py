@@ -287,12 +287,14 @@ def _sojourn_series(top: int, unit, zero, letter, add_product) -> list:
 
     The coefficient type is the caller's: `unit` is the empty walk, `zero()`
     a fresh zero, and add_product(acc, p, q, scale) returns acc + scale p q,
-    which it may build in acc.  Class counts and grid functions of the
-    vertex variable both fit.  f_s(j) starts at degree j, so a degree-d
-    coefficient needs only lower degrees and the series are built degree by
-    degree, with no fixed-point rounds.  This is the special symmetric
-    analogue of Zakharevich's count of trees with edge multiplicities (2006,
-    A generalization of Wigner's law, Comm. Math. Phys. 268).
+    which it may build in acc; p is `unit` itself wherever that factor is 1.
+    Class counts and grid functions of the vertex variable both fit.  No
+    product that is zero by construction is formed.  f_s(j) starts at
+    degree j, so a degree-d coefficient needs only lower degrees and the
+    series are built degree by degree, with no fixed-point rounds.  This is
+    the special symmetric analogue of Zakharevich's count of trees with edge
+    multiplicities (2006, A generalization of Wigner's law, Comm. Math.
+    Phys. 268).
     """
     if top < 1:
         raise ValueError("k must be >= 1")
@@ -311,16 +313,19 @@ def _sojourn_series(top: int, unit, zero, letter, add_product) -> list:
         for s in (0, 1):
             for j in range(1, d + 1):
                 f[s][j][d] = letter(s, j, G[1 - s][j][d - j])
+            # B_s(0) is the unit alone, so its products with a nonzero degree
+            # are left out: the last block (j = e) has only its top degree,
+            # and G_s(m) takes B_s(0) only at degree 0
             for e in range(1, d + 1):
                 acc = zero()
-                for j in range(1, e + 1):
+                for j in range(1, e):
                     for dj in range(j, d - e + j + 1):
                         acc = add_product(acc, f[s][j][dj], B[s][e - j][d - dj], comb(e - 1, j - 1))
-                B[s][e][d] = acc
+                B[s][e][d] = add_product(acc, unit, f[s][e][d], 1)
             # G_s(m) of degree d feeds f_(1-s)(m) of degree d + m <= top
             for m in range(1, max(1, top - d) + 1):
                 acc = zero()
-                for e in range(d + 1):
+                for e in range(min(d, 1), d + 1):
                     acc = add_product(acc, unit, B[s][e][d], comb(e + m - 1, m - 1))
                 G[s][m][d] = acc
     return [G[0][1][d] for d in range(top + 1)]

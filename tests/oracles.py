@@ -1,5 +1,6 @@
 """Test-only oracles: brute-force censuses, the product-law prediction taken
-from `slot_classes`, and a small helper for even constant sequences.
+from `slot_classes`, the sojourn recursion and its grid kernel with every
+product formed, and a small helper for even constant sequences.
 
 The censuses test every circuit tuple with the same predicates and budget
 as `circuits.verify_containment`, independently of the value-pattern
@@ -7,8 +8,11 @@ search they check.
 """
 
 from fractions import Fraction
+from math import comb
 from numbers import Real
-from typing import Sequence
+from typing import Mapping, Sequence
+
+import numpy as np
 
 from covmoments import circuits
 from covmoments.circuits import CensusResult, slot_classes
@@ -66,3 +70,51 @@ def predicted_count_w(word: Word, N: int) -> int | None:
 def even_sequence(values: Sequence[Real]) -> dict[int, Fraction]:
     """[c2, c4, c6, ...] -> {2: c2, 4: c4, 6: c6, ...} (odd orders are zero)."""
     return {2 * (i + 1): Fraction(v) for i, v in enumerate(values)}
+
+
+def sojourn_series_untightened(top: int, unit, zero, letter, add_product) -> list:
+    """`hypergraphs._sojourn_series` with the full loop bounds: it also forms
+    the products with B_s(0) at nonzero degree, which are zero by
+    construction, in the same order as every other product."""
+    empty = zero()
+    G, f, B = ([[[empty] * (top + 1) for _ in range(top + 1)] for _ in range(2)] for _ in range(3))
+    for s in (0, 1):
+        B[s][0] = [unit] + [empty] * top
+    for d in range(top + 1):
+        for s in (0, 1):
+            for j in range(1, d + 1):
+                f[s][j][d] = letter(s, j, G[1 - s][j][d - j])
+            for e in range(1, d + 1):
+                acc = zero()
+                for j in range(1, e + 1):
+                    for dj in range(j, d - e + j + 1):
+                        acc = add_product(acc, f[s][j][dj], B[s][e - j][d - dj], comb(e - 1, j - 1))
+                B[s][e][d] = acc
+            for m in range(1, max(1, top - d) + 1):
+                acc = zero()
+                for e in range(d + 1):
+                    acc = add_product(acc, unit, B[s][e][d], comb(e + m - 1, m - 1))
+                G[s][m][d] = acc
+    return [G[0][1][d] for d in range(top + 1)]
+
+
+def grid_series_untightened(top: int, y: float, samples: Mapping[int, np.ndarray], grid: int) -> list[float]:
+    """`moments._grid_series` over the untightened recursion, each product
+    formed as scale * p * q, units and zeros included."""
+
+    def letter(s: int, j: int, child: np.ndarray) -> np.ndarray:
+        factor = samples[2 * j]
+        return factor @ child / grid if s == 0 else y * (child @ factor) / grid
+
+    def add_product(acc: np.ndarray, p: np.ndarray, q: np.ndarray, scale: int) -> np.ndarray:
+        acc += scale * p * q
+        return acc
+
+    series = sojourn_series_untightened(top, np.ones(grid), lambda: np.zeros(grid), letter, add_product)
+    return [float(coefficient.mean()) for coefficient in series]
+
+
+def coarsen_by_mean(samples: np.ndarray) -> np.ndarray:
+    """2x2 block means by numpy's strided reduction."""
+    g = samples.shape[0] // 2
+    return samples.reshape(g, 2, g, 2).mean(axis=(1, 3))

@@ -464,6 +464,23 @@ class TestMoments:
             assert "MAX_SERIES_ORDER = 12" in capsys.readouterr().err
             assert not (out / "moments.csv").exists()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_grid_sample_exit(self, tmp_path, capsys, bad):
+        # the first non-finite sample is named, and nothing is written
+        sources, grid = self.grid_sources(tmp_path, 2)
+        for name, path in (("sigma", "sigma.csv"), ("g_4", "g4.csv")):
+            samples = np.loadtxt(tmp_path / path, delimiter=",", ndmin=2)
+            samples[3, 1] = bad
+            samples[3, 2] = np.nan
+            np.savetxt(tmp_path / path, samples, delimiter=",")
+            source = sources[0] if name == "sigma" else sources[1]
+            out = tmp_path / name
+            argv = ["--out", out, "moments", *source, "--y", "1/2", "--grid", grid, "--k", "1..2"]
+            assert run(*argv) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert f"{name} has the non-finite sample {bad} at index (3, 1)" in err
+            assert not out.exists()
+
     def test_grid_breakdown_beyond_the_cap_lists_no_word(self, tmp_path, capsys, monkeypatch):
         # the largest k's breakdown is built first, so the cap fails before any listing
         calls = []
@@ -752,6 +769,29 @@ class TestVerify:
         out = capsys.readouterr().out
         assert out.count("PASS") == 12
         assert "FAIL" not in out
+
+    def test_largest_max_k_is_where_the_ranges_stop_growing(self, monkeypatch):
+        def ranges(max_k):
+            received = []
+            for name in dir(cli):
+                if name.startswith("check_"):
+                    monkeypatch.setattr(cli, name, lambda *args, name=name: received.append((name, args)))
+            for _, check in cli.VERIFY_CHECKS:
+                check(max_k)
+            return received
+
+        top = cli.MAX_VERIFY_K
+        assert ranges(top - 1) != ranges(top) == ranges(top + 1) == ranges(100)
+
+    @pytest.mark.parametrize("max_k", [7, 20])
+    def test_max_k_above_the_largest_cap_exit(self, tmp_path, capsys, max_k):
+        # no check's range grows past --max-k 6, so a larger value would run
+        # the --max-k 6 suite under another name
+        assert run("--out", tmp_path, "verify", "--max-k", max_k) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert f"--max-k must be at most 6, the largest value that adds checks, got {max_k}" in captured.err
+        assert "PASS" not in captured.out
+        assert not (tmp_path / "verify_report.json").exists()
 
     @pytest.mark.parametrize("max_k", [0, -1])
     def test_max_k_below_one_exit(self, tmp_path, capsys, max_k):

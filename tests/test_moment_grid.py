@@ -1,13 +1,16 @@
 import gc
 import itertools
 import math
+import re
 from fractions import Fraction as F
 
 import numpy as np
+import oracles
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from covmoments import moments
 from covmoments.hypergraphs import enumerate_ss_words
 from covmoments.moments import (
     _coarsen,
@@ -404,3 +407,126 @@ class TestUnboundedSupportBound:
             unbounded_support_bound(0, 1, np.ones(256))
         with pytest.raises(ValueError, match="shape"):
             unbounded_support_bound(1, 1, np.ones(8), grid=16)
+
+
+def report_bits(reports):
+    return [
+        (r.value.hex(), None if r.error_estimate is None else r.error_estimate.hex())
+        for r in reports.values()
+    ]
+
+
+class TestKernelAgainstOracles:
+    """The pairwise block sums, the recursion without its zero products and
+    the kernel without its unit products give the bits of the kernel that
+    forms every product, and of numpy's strided block mean."""
+
+    @settings(max_examples=100)
+    @example(half=2, seed=0, signed=True, magnitude=-300, spread=20)
+    @example(half=512, seed=1, signed=True, magnitude=-10, spread=20)
+    @example(half=512, seed=2, signed=False, magnitude=280, spread=20)
+    @given(
+        half=st.integers(2, 512),
+        seed=st.integers(0, 2**32 - 1),
+        signed=st.booleans(),
+        magnitude=st.integers(-300, 280),
+        spread=st.integers(0, 20),
+    )
+    def test_coarsen_equals_the_strided_mean(self, half, seed, signed, magnitude, spread):
+        rng = np.random.default_rng(seed)
+        shape = (2 * half, 2 * half)
+        samples = rng.uniform(1, 10, shape) * 10.0 ** rng.integers(magnitude, magnitude + spread + 1, shape)
+        if signed:
+            samples *= rng.choice([-1.0, 1.0], shape)
+        assert _coarsen(samples).tobytes() == oracles.coarsen_by_mean(samples).tobytes()
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("grid", [4, 8, 9, 64])
+    def test_grid_moments_equal_the_untightened_kernel(self, monkeypatch, grid, seed):
+        rng = np.random.default_rng(seed)
+        y = float(rng.uniform(0.1, 3.0))
+        shape = (grid, grid)
+        g = {s: rng.uniform(-1, 1, shape) * 10.0 ** rng.integers(-3, 4, shape) for s in SIZES}
+        fast = grid_moments(range(1, 7), y, g, grid=grid)
+        monkeypatch.setattr(moments, "_grid_series", oracles.grid_series_untightened)
+        monkeypatch.setattr(moments, "_coarsen", oracles.coarsen_by_mean)
+        assert report_bits(fast) == report_bits(grid_moments(range(1, 7), y, g, grid=grid))
+
+
+class TestNonFiniteSamples:
+    """A NaN or inf sample is rejected, naming the first one, before the
+    recursion could carry it into every value."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_grid_moments(self, bad):
+        g = {s: np.ones((8, 8)) for s in (2, 4)}
+        g[4][5, 1] = bad
+        g[4][6, 0] = np.nan
+        message = f"g_4 has the non-finite sample {bad} at index (5, 1)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            grid_moments([1, 2], 1, g, grid=8)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            moment_grid(2, 1, g, grid=8)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_profile_moments(self, bad):
+        sigma = np.ones((8, 8))
+        sigma[0, 7] = bad
+        message = f"sigma has the non-finite sample {bad} at index (0, 7)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            profile_moments([1, 2], 1, sigma, {2: 1, 4: 1}, grid=8)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            moment_profile(2, 1, sigma, {2: 1, 4: 1}, grid=8)
+
+    def test_profile_power_that_overflows(self):
+        sigma = np.ones((8, 8))
+        sigma[2, 3] = 1e100
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match=re.escape("g_4 has the non-finite sample inf at index (2, 3)")):
+                profile_moments([1, 2], 1, sigma, {2: 1, 4: 1}, grid=8)
+
+    def test_unbounded_support_bound(self):
+        f = np.ones(16)
+        f[9] = np.nan
+        with pytest.raises(ValueError, match=re.escape("f has the non-finite sample nan at index (9,)")):
+            unbounded_support_bound(1, 2, f, grid=16)
+
+
+class TestClosedFormLimits:
+    """The midpoint quadrature converges to exact limits at the order of the
+    midpoint rule on the integrand."""
+
+    # DT: the upper-triangle profile 1{x <= u} with C_2 = 1 and every other
+    # constant 0, at y = 1, has the limit k^k / (k+1)! (Sniady 2003).  The
+    # indicator jumps on the diagonal, so the error is O(1/G); (value -
+    # limit) * G measured 0.5, 1.005, 2.27, 5.41, 13.25, 33.1 at G = 64 and
+    # 0.5, 1.0, 2.25, 5.34, 13.04, 32.4 at G = 1024, and stays within 2 %
+    # beyond those two ends at every grid in between
+    DT_SCALED_ERROR = {
+        1: (0.49, 0.51),
+        2: (0.98, 1.03),
+        3: (2.20, 2.32),
+        4: (5.23, 5.52),
+        5: (12.77, 13.52),
+        6: (31.75, 33.77),
+    }
+
+    @pytest.mark.parametrize("grid", [64, 128, 256, 512, 1024])
+    def test_dt_first_order(self, grid):
+        sigma = sample(lambda x, u: (x <= u).astype(float), grid)
+        constants = {s: int(s == 2) for s in SIZES}
+        reports = profile_moments(range(1, 7), 1, sigma, constants, grid=grid)
+        for k, (lower, upper) in self.DT_SCALED_ERROR.items():
+            limit = k**k / math.factorial(k + 1)
+            assert lower <= (reports[k].value - limit) * grid <= upper, k
+
+    @pytest.mark.parametrize("grid", [64, 128, 256, 512, 1024])
+    def test_fig1_second_order(self, grid):
+        # sigma = (x/2 + u)^2 / 2, C_2 = 3, y = 1/2: the k = 1 value is the
+        # midpoint rule for f = 3 (x/2 + u)^4 / 4, whose limit is 83/160.  Its
+        # leading error term -(1/24) G^-2 integral(f_xx + f_uu) is -(5/16) G^-2
+        # and the next is O(G^-4), so (value - limit) G^2 is -5/16 to within
+        # 0.005 from G = 64 on
+        sigma = sample(lambda x, u: (x / 2 + u) ** 2 / 2, grid)
+        value = moment_profile(1, F(1, 2), sigma, {2: 3}, grid=grid).value
+        assert abs((value - 83 / 160) * grid**2 + 5 / 16) <= 0.005
