@@ -14,27 +14,27 @@ value to equal the letter's first-occurrence edge value.  For special
 symmetric words this count is exactly p^(r+1) * n^(b-r), with b the number of
 distinct letters and r+1 the number of even generating vertices.
 
-Both links compare vertex values only for equality, so a count depends only
-on which slots hold equal values.  `census_s` and `census_w` therefore count
-value patterns, after one shared prologue that takes the word's statistics
-and decides special symmetry with one walk of `propagate_slot`.  A
+Under the covariance link the census is closed-form.  An ordered pair is
+equal only componentwise, so each repeated letter forces two plain vertex
+equalities, and `census_s` counts p^rows * n^cols, with rows and columns the
+classes of even and odd slots that one union-find pass over those
+equalities leaves.  For special symmetric words rows + cols = b+1 and
+rows = r+1, which is the law above; every other word has fewer classes.
+
+The Wigner edge is an unordered pair, so a repeated letter forces one of two
+ways of matching its endpoints and no such pass decides it.  `census_w`
+counts value patterns instead, since the link compares vertex values only
+for equality, after the prologue `census_s` shares: the word's statistics
+and, from one walk of `propagate_slot`, whether it is special symmetric.  A
 depth-first search gives each generating vertex one of the values already
-opened on its side or one new value, weighted by the number of values still
-unused there, and propagates the repeated letters with `propagate_slot`
-inlined.  That step, shared with `slot_classes` and `enumerate_ss_words`,
-matches an edge as an unordered pair, which decides the covariance link
-too: each class is opened on one side and every edge joins the two sides,
-so a row class never equals a column class.  The search checks forward:
-when the letter leaving a generating vertex is an earlier one, other than
-the letter entering it, only the endpoints of its recorded edge can
-continue, so no new value is tried.  The budget `DEFAULT_CENSUS_BUDGET`
-bounds the value patterns the search may visit: each generating vertex
-after pi(0) offers at most one branch per earlier generating vertex on its
-side (pi(0) counts as the first row) plus one new value, and never more
-than its side holds.  Past p, n >= 2k that bound no longer depends on the
-sizes.  `verify_containment` tests every circuit tuple; the same budget
-bounds the tuples it tries.  The budget is read at call time, so a caller
-who needs another one sets the module constant.
+opened or one new value, weighted by the number of values still unused, and
+propagates the repeated letters with `propagate_slot` inlined.  The search
+checks forward: when the letter leaving a generating vertex is an earlier
+one, other than the letter entering it, only the endpoints of its recorded
+edge can continue, so no new value is tried.  The budget
+`DEFAULT_CENSUS_BUDGET` bounds the value patterns the search may visit and
+the circuit tuples `verify_containment` tries; it is read at call time, so a
+caller who needs another one sets the module constant.
 """
 
 from __future__ import annotations
@@ -50,6 +50,12 @@ from .partitions import (
 )
 
 DEFAULT_CENSUS_BUDGET = 10**8
+"""The largest number of Wigner value patterns `census_w` may visit, and of
+circuit tuples `verify_containment` may try, before SizeLimitError.  Each
+generating vertex after pi(0) offers at most one value per earlier
+generating vertex plus one new value, and never more than N, so past
+N >= 2k the pattern bound no longer depends on N.  `census_s` is closed-form
+and needs no budget."""
 
 
 @dataclass(frozen=True)
@@ -110,33 +116,58 @@ def _prologue(word: Word) -> tuple[WordStats, list[bool], bool]:
     return stats, new_letter, cur == 0
 
 
-def _count_patterns(
-    word: Word, stats: WordStats, new_letter: list[bool], sizes: tuple[int, ...]
-) -> int:
-    """Number of circuits compatible with `word`, counted by value pattern.
+def _vertex_classes(letters: tuple[int, ...]) -> tuple[int, int]:
+    """Numbers of row and column classes of the slots pi(0..m-1) under the
+    vertex equalities that the covariance link forces on a circuit word.
 
-    Slot i draws its values from side `i % len(sizes)` of size `sizes[side]`:
-    (p, n) gives the covariance link's rows and columns, (N,) the Wigner
-    link's shared range.
+    Edge i joins slots i-1 and i mod m.  A letter repeated at i, first seen
+    at j, equates its ordered (row, col) pair with the one at j: slot i-1
+    with slot j-1 and slot i with slot j when i-j is even, slot i-1 with
+    slot j and slot i with slot j-1 when it is odd.  Every equality joins
+    two slots of one parity, so even slots (rows) and odd slots (columns)
+    are counted apart.
     """
+    m = len(letters)
+    parent = list(range(m))
+    rows = cols = m // 2
+    first = [0] * (m + 1)
+    for i, letter in enumerate(letters, start=1):
+        j = first[letter]
+        if not j:
+            first[letter] = i
+            continue
+        if (i - j) % 2:
+            pairs = ((i - 1, j), (i % m, j - 1))
+        else:
+            pairs = ((i - 1, j - 1), (i % m, j))
+        for a, b in pairs:
+            # find both roots, halving the paths on the way
+            while parent[a] != a:
+                parent[a] = a = parent[parent[a]]
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
+            if a != b:
+                parent[a] = b
+                if a % 2:
+                    cols -= 1
+                else:
+                    rows -= 1
+    return rows, cols
+
+
+def _count_patterns(word: Word, stats: WordStats, new_letter: list[bool], N: int) -> int:
+    """Number of Wigner-link circuits on {1..N} compatible with `word`,
+    counted by value pattern."""
     m = word.length
     letters = word.letters
-    # a generating slot branches over the values its side has opened so far,
-    # at most one per earlier generating slot there, plus one new value
-    earlier = [1] + [0] * (len(sizes) - 1)
+    # a generating slot branches over the values opened so far, at most one
+    # per earlier generating slot, plus one new value
     patterns = 1
-    for slot in _free_slots(m, stats)[1:]:
-        side = slot % len(sizes)
-        patterns *= min(earlier[side] + 1, sizes[side])
-        earlier[side] += 1
+    for earlier in range(1, len(_free_slots(m, stats))):
+        patterns *= min(earlier + 1, N)
     _check_budget(patterns, "value patterns")
-    # a value class is named by the slot that opened it, so pi(0) is class 0;
-    # it stays on its opener's side, so one unordered step serves both links
-    opened: list[list[int]] = [[] for _ in sizes]
-    opened[0].append(0)
-    # slot i's side is i % len(sizes), and m is even, so both repeat whole
-    pools = opened * (m // len(sizes))
-    caps = sizes * (m // len(sizes))
+    # a value class is named by the slot that opened it, so pi(0) is class 0
+    pool = [0]
     # the earlier letter leaving generating slot i, if not the one entering it
     follow = [0] * m
     for i in stats.first_positions:
@@ -145,10 +176,10 @@ def _count_patterns(
     # keys[letter] is the letter's edge; a key a backtracked branch left is
     # overwritten at the letter's first occurrence before anything reads it
     keys: list[tuple[int, int] | None] = [None] * (stats.b + 1)
-    return sizes[0] * _extend(letters, new_letter, follow, pools, caps, 1, 0, keys)
+    return N * _extend(letters, new_letter, follow, pool, N, 1, 0, keys)
 
 
-def _extend(letters, new_letter, follow, pools, caps, i, prev, keys) -> int:
+def _extend(letters, new_letter, follow, pool, cap, i, prev, keys) -> int:
     """Weighted count of the completions of a pattern prefix whose slot i-1
     holds class `prev`."""
     m = len(letters)
@@ -168,7 +199,6 @@ def _extend(letters, new_letter, follow, pools, caps, i, prev, keys) -> int:
         if i == m:
             return int(prev == 0)
         i += 1
-    pool = pools[i]
     total = 0
     nxt = follow[i]
     if nxt:
@@ -178,48 +208,53 @@ def _extend(letters, new_letter, follow, pools, caps, i, prev, keys) -> int:
         for cls in (a,) if a == b else (a, b):
             if cls in pool:
                 keys[letter] = (prev, cls)
-                total += _extend(letters, new_letter, follow, pools, caps, i + 1, cls, keys)
+                total += _extend(letters, new_letter, follow, pool, cap, i + 1, cls, keys)
         return total
     for cls in tuple(pool):
         keys[letter] = (prev, cls)
-        total += _extend(letters, new_letter, follow, pools, caps, i + 1, cls, keys)
-    unused = caps[i] - len(pool)
+        total += _extend(letters, new_letter, follow, pool, cap, i + 1, cls, keys)
+    unused = cap - len(pool)
     if unused > 0:
         keys[letter] = (prev, i)
         pool.append(i)
-        total += unused * _extend(letters, new_letter, follow, pools, caps, i + 1, i, keys)
+        total += unused * _extend(letters, new_letter, follow, pool, cap, i + 1, i, keys)
         pool.pop()
     return total
 
 
-def _census(word: Word, sizes: tuple[int, ...], link: str, p: int, n: int) -> CensusResult:
+def _predicted(stats: WordStats, special: bool, p: int, n: int) -> int | None:
     # the prediction p^(r+1) * n^(b-r) is given for special symmetric words
-    stats, new_letter, special = _prologue(word)
-    count = _count_patterns(word, stats, new_letter, sizes)
-    predicted = p**stats.r_plus_1 * n ** (stats.b + 1 - stats.r_plus_1) if special else None
-    return CensusResult(word.text, link, p, n, count, predicted)
+    return p**stats.r_plus_1 * n ** (stats.b + 1 - stats.r_plus_1) if special else None
 
 
 def census_s(word: Word, p: int, n: int) -> CensusResult:
     """Count circuits compatible with `word` under the covariance link.
 
-    Counts value patterns rather than assignments: each generating vertex
-    takes a row (even slot) or column (odd slot) value already in use, or
-    one new value weighted by the number still unused, and the unordered
-    `propagate_slot` step forces the repeated letters (rows and columns never
-    share a class).  The count is exact.  Raises SizeLimitError
-    when the bound on the patterns visited exceeds `DEFAULT_CENSUS_BUDGET`;
-    that bound stops growing with p and n once both reach the word length.
+    Closed-form: p^rows * n^cols, with rows and cols the classes of even and
+    odd slots left by the vertex equalities the repeated letters force
+    (`_vertex_classes`).  Exact at every size, and never searches, so no
+    budget applies.
     """
     _require_sizes(p=p, n=n)
-    return _census(word, (p, n), "S", p, n)
+    stats, _, special = _prologue(word)
+    rows, cols = _vertex_classes(word.letters)
+    return CensusResult(word.text, "S", p, n, p**rows * n**cols, _predicted(stats, special, p, n))
 
 
 def census_w(word: Word, N: int) -> CensusResult:
-    """Count circuits compatible with `word` under the Wigner link on {1..N},
-    by value pattern with the same step as `census_s`, on one shared side."""
+    """Count circuits compatible with `word` under the Wigner link on {1..N}.
+
+    Counts value patterns rather than assignments: each generating vertex
+    takes a value already in use, or one new value weighted by the number
+    still unused, and the unordered `propagate_slot` step forces the
+    repeated letters.  The count is exact.  Raises SizeLimitError when the
+    bound on the patterns visited exceeds `DEFAULT_CENSUS_BUDGET`; that
+    bound stops growing with N once N reaches the word length.
+    """
     _require_sizes(N=N)
-    return _census(word, (N,), "wigner", N, N)
+    stats, new_letter, special = _prologue(word)
+    count = _count_patterns(word, stats, new_letter, N)
+    return CensusResult(word.text, "wigner", N, N, count, _predicted(stats, special, N, N))
 
 
 def _edge_keys_s(word: Word, values: tuple[int, ...]) -> list[tuple[int, int]]:

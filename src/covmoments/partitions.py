@@ -119,7 +119,22 @@ class Word:
 
     @staticmethod
     def from_text(text: str) -> "Word":
-        return Word(tuple(ord(c) - ord("a") + 1 for c in text))
+        """The word spelled by `text`, letter a = 1; raises ValueError naming
+        the text and either its first character outside a-z or, for a text
+        not in first-occurrence form, its canonical spelling."""
+        try:
+            return Word(tuple(ord(c) - ord("a") + 1 for c in text))
+        except ValueError:
+            pass
+        for c in text:
+            if not "a" <= c <= "z":
+                raise ValueError(f"word {text!r} has the character {c!r} outside a-z")
+        labels: dict[str, str] = {}
+        canonical = "".join(labels.setdefault(c, chr(ord("a") + len(labels))) for c in text)
+        raise ValueError(
+            f"word {text!r} is not in canonical first-occurrence form; "
+            f"its canonical spelling is {canonical!r}"
+        )
 
     @property
     def text(self) -> str:
@@ -191,7 +206,10 @@ def _check_cap(m: int) -> None:
 
 def enumerate_partitions(m: int) -> Iterator[Partition]:
     """Yield every partition of {1..m} once, in restricted-growth order:
-    element e joins each open block in turn, then opens its own."""
+    element e joins each open block in turn, then opens its own.
+
+    Blocks grow in ascending order and open in order of their least
+    element, so each partition is built already normalized."""
     if m < 1:
         raise ValueError("m must be >= 1")
     _check_cap(m)
@@ -199,7 +217,7 @@ def enumerate_partitions(m: int) -> Iterator[Partition]:
 
     def rec(e: int) -> Iterator[Partition]:
         if e > m:
-            yield Partition.from_blocks(blocks)
+            yield Partition(m, tuple(map(tuple, blocks)))
             return
         for block in blocks[:]:
             block.append(e)
@@ -213,7 +231,10 @@ def enumerate_partitions(m: int) -> Iterator[Partition]:
 
 
 def enumerate_pair_partitions(m: int) -> Iterator[Partition]:
-    """Yield every pair partition of {1..m} (empty for odd m)."""
+    """Yield every pair partition of {1..m} (empty for odd m).
+
+    Each pair is (first, partner) with `first` the least element left, so
+    the pairs come normalized and in order of their least element."""
     if m < 1:
         raise ValueError("m must be >= 1")
     _check_cap(m)
@@ -222,7 +243,7 @@ def enumerate_pair_partitions(m: int) -> Iterator[Partition]:
 
     def rec(remaining: tuple[int, ...], acc: list[tuple[int, int]]) -> Iterator[Partition]:
         if not remaining:
-            yield Partition.from_blocks(list(acc))
+            yield Partition(m, tuple(acc))
             return
         first, rest = remaining[0], remaining[1:]
         for i, partner in enumerate(rest):

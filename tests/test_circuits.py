@@ -30,7 +30,7 @@ from oracles import (
 
 W = Word.from_text
 
-# twenty nested letters: 1.4e14 value patterns at p = n = 10^6
+# twenty nested letters: 5.1e19 Wigner value patterns at N = 10^6
 NESTED_40 = W("abcdefghijklmnopqrst" + "abcdefghijklmnopqrst"[::-1])
 
 
@@ -191,7 +191,7 @@ class TestCensusS:
     @pytest.mark.parametrize("m", [2, 4, 6])
     def test_propagation_matches_exhaustive_oracle(self, m):
         for word in all_words(m):
-            for p, n in itertools.product((1, 2, 3), (1, 2, 3)):
+            for p, n in itertools.product(range(1, 5), range(1, 5)):
                 assert (
                     census_s(word, p, n).exact_count
                     == census_s_exhaustive(word, p, n).exact_count
@@ -221,18 +221,23 @@ class TestCensusS:
             assert ratios[2] < 1
 
     def test_budget(self, monkeypatch):
-        # the budget bounds value patterns, not the product of the ranges
-        assert census_s(W("aabb"), 10**6, 10**6).exact_count == 10**18
-        with pytest.raises(SizeLimitError, match="value patterns"):
-            census_s(NESTED_40, 10**6, 10**6)
+        # the S census is closed-form, so no budget applies to it; the budget
+        # bounds Wigner value patterns, not the product of the ranges
+        p, n = 10**6, 10**6 + 1
+        result = census_s(NESTED_40, p, n)
+        assert result.exact_count == p**11 * n**10 == result.predicted_count
+        assert census_w(W("aabb"), 10**6).exact_count == 10**18
         with pytest.raises(SizeLimitError, match="value patterns"):
             census_w(NESTED_40, 10**6)
-        # aabb visits at most 2 patterns: b's column is a's or a new one
-        monkeypatch.setattr(circuits, "DEFAULT_CENSUS_BUDGET", 2)
-        assert census_s(W("aabb"), 3, 3).exact_count == 27
+        # aabb's Wigner bound at N = 3 is 2 * 3 patterns: slot 1 takes pi(0)'s
+        # value or a new one, slot 3 one of the values opened or a new one
+        monkeypatch.setattr(circuits, "DEFAULT_CENSUS_BUDGET", 6)
+        assert census_w(W("aabb"), 3).exact_count == 27
+        monkeypatch.setattr(circuits, "DEFAULT_CENSUS_BUDGET", 5)
+        with pytest.raises(SizeLimitError, match="6 value patterns, over the budget 5"):
+            census_w(W("aabb"), 3)
         monkeypatch.setattr(circuits, "DEFAULT_CENSUS_BUDGET", 1)
-        with pytest.raises(SizeLimitError, match="2 value patterns, over the budget 1"):
-            census_s(W("aabb"), 3, 3)
+        assert census_s(W("aabb"), 3, 3).exact_count == 27
         monkeypatch.setattr(circuits, "DEFAULT_CENSUS_BUDGET", 10)
         with pytest.raises(SizeLimitError, match="circuit tuples"):
             census_s_exhaustive(W("aabb"), 100, 100)
@@ -423,6 +428,43 @@ class TestContainment:
         assert circuits_checked == 21652
 
 
+class TestVertexClasses:
+    """The paper's membership criterion as an identity on the closed form:
+    the covariance link leaves rows + cols <= b+1 vertex classes, with
+    equality exactly for special symmetric words, which then have r+1 rows."""
+
+    @staticmethod
+    def check_membership(word):
+        rows, cols = circuits._vertex_classes(word.letters)
+        stats = word_statistics(word)
+        try:
+            slot_classes(word)
+        except ValueError:
+            special = False
+        else:
+            special = True
+        assert rows + cols <= stats.b + 1, word.text
+        assert (rows + cols == stats.b + 1) == special, word.text
+        if special:
+            assert rows == stats.r_plus_1, word.text
+
+    @pytest.mark.parametrize("m", [2, 4, 6, 8])
+    def test_membership_identity_on_every_word(self, m):
+        for word in all_words(m):
+            self.check_membership(word)
+
+    @given(words_of_length(10, 12, 14))
+    def test_membership_identity_long_words(self, word):
+        self.check_membership(word)
+
+    @pytest.mark.parametrize("m", [2, 4, 6, 8])
+    def test_s_count_within_wigner_count(self, m):
+        # every S-link circuit is a Wigner circuit on {1..N}
+        for word in all_words(m):
+            for N in range(1, 5):
+                assert census_s(word, N, N).exact_count <= census_w(word, N).exact_count
+
+
 class TestPatternCount:
     @given(words_of_length(2, 4, 6), SIZES, SIZES, SIZES)
     def test_matches_exhaustive_oracle(self, word, p, n, N):
@@ -437,7 +479,8 @@ class TestPatternCount:
     @given(words_of_length(2, 4, 6, 8), st.integers(1, 4), st.integers(1, 4), st.integers(0, 10**6))
     def test_budget_bounds_the_search(self, word, p, n, extra):
         # the value checked against the budget bounds the _extend calls per
-        # generating slot, and stops growing once both sizes reach 2k
+        # generating slot, and stops growing once N reaches 2k; the S census
+        # neither searches nor checks a budget
         generating = len(circuits._free_slots(word.length, word_statistics(word)))
         bounds, calls = [], [0]
         check_budget, extend = circuits._check_budget, circuits._extend
@@ -453,18 +496,19 @@ class TestPatternCount:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(circuits, "_check_budget", record)
             mp.setattr(circuits, "_extend", counted)
-            for census in (lambda: census_s(word, p, n), lambda: census_w(word, p)):
+            census_s(word, p, n)
+            assert bounds == [] and calls[0] == 0
+            for N in (p, n):
                 bounds.clear()
                 calls[0] = 0
-                census()
+                census_w(word, N)
                 (bound,) = bounds
                 assert 1 <= calls[0] <= generating * bound
             m = word.length
             large = []
-            for size_p, size_n in ((m, m), (m + extra, m), (m, m + extra), (m + extra, m + 2 * extra)):
+            for N in (m, m + extra, m + 2 * extra):
                 bounds.clear()
-                census_s(word, size_p, size_n)
-                census_w(word, size_p)
+                census_w(word, N)
                 large.append(tuple(bounds))
             assert len(set(large)) == 1, large
 

@@ -122,19 +122,41 @@ class TestCensus:
         assert not (tmp_path / "census.csv").exists()
 
     def test_budget_exit(self, tmp_path, capsys):
-        # the budget bounds value patterns, so short words run at any size
-        assert run("--out", tmp_path, "census", "--word", "abba", "--p", 10**6, "--n", 10**6) == 0
+        # the S census is closed-form and answers at any size; the budget
+        # bounds Wigner value patterns, so short words run at any size there
+        assert run(
+            "--out", tmp_path, "census", "--word", "abba", "--p", 10**6, "--n", 10**6,
+            "--link", "both",
+        ) == 0
         lines = (tmp_path / "census.csv").read_text().strip().splitlines()
         assert lines[1] == f"abba,S,{10**6},{10**6},{10**18},{10**18}"
+        assert lines[2] == f"abba,wigner,{10**6},{10**6},{10**18},{10**18}"
         assert run("--out", tmp_path, "census", "--word", "abcabc", "--p", 500, "--n", 1000) == 0
         lines = (tmp_path / "census.csv").read_text().strip().splitlines()
         assert lines[1] == "abcabc,S,500,1000,500000,"
-        (tmp_path / "census.csv").unlink()
         nested = "abcdefghijklmnopqrst" + "abcdefghijklmnopqrst"[::-1]
+        p, n = 10**6, 10**6 + 1
+        assert run("--out", tmp_path, "census", "--word", nested, "--p", p, "--n", n) == 0
+        lines = (tmp_path / "census.csv").read_text().strip().splitlines()
+        assert lines[1] == f"{nested},S,{p},{n},{p**11 * n**10},{p**11 * n**10}"
+        (tmp_path / "census.csv").unlink()
         assert run(
-            "--out", tmp_path, "census", "--word", nested, "--p", 10**6, "--n", 10**6
+            "--out", tmp_path, "census", "--word", nested, "--p", p, "--n", n, "--link", "wigner"
         ) == EXIT_SIZE_LIMIT
         assert "value patterns" in capsys.readouterr().err
+        assert not (tmp_path / "census.csv").exists()
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("ABBA", "word 'ABBA' has the character 'A' outside a-z"),
+            ("baab", "word 'baab' is not in canonical first-occurrence form; "
+                     "its canonical spelling is 'abba'"),
+        ],
+    )
+    def test_malformed_word_exit(self, tmp_path, capsys, text, message):
+        assert run("--out", tmp_path, "census", "--word", text, "--p", 2, "--n", 2) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "census.csv").exists()
 
     def test_budget_removed(self, tmp_path, capsys):

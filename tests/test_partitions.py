@@ -98,6 +98,14 @@ class TestEnumeration:
             expected *= i
         assert len(list(enumerate_pair_partitions(m))) == expected
 
+    @pytest.mark.parametrize("m", range(1, 11))
+    @pytest.mark.parametrize("source", [enumerate_partitions, enumerate_pair_partitions])
+    def test_enumerators_yield_normalized_partitions(self, source, m):
+        # the enumerators build partitions without from_blocks, so their
+        # blocks must already be in its normal form
+        yielded = list(source(m))
+        assert yielded == [Partition.from_blocks(p.blocks) for p in yielded]
+
     def test_pair_enumeration_matches_filtered_full(self):
         full = {p.blocks for p in enumerate_partitions(6) if is_pair(p)}
         direct = {p.blocks for p in enumerate_pair_partitions(6)}
