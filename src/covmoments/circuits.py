@@ -16,25 +16,25 @@ distinct letters and r+1 the number of even generating vertices.
 
 Under the covariance link the census is closed-form.  An ordered pair is
 equal only componentwise, so each repeated letter forces two plain vertex
-equalities, and `census_s` counts p^rows * n^cols, with rows and columns the
-classes of even and odd slots that one union-find pass over those
-equalities leaves.  For special symmetric words rows + cols = b+1 and
-rows = r+1, which is the law above; every other word has fewer classes.
+equalities, and `census_s` counts p^rows * n^cols over the classes of even
+and odd slots that one union-find pass leaves (`_vertex_classes`).  With
+the letters as edges they form the word's quotient graph, a tree with
+rows + cols = b+1 and rows = r+1 exactly for special symmetric words, which
+is the law above.  So that pass decides the prediction of both censuses.
 
 The Wigner edge is an unordered pair, so a repeated letter forces one of two
 ways of matching its endpoints and no such pass decides it.  `census_w`
 counts value patterns instead, since the link compares vertex values only
-for equality, after the prologue `census_s` shares: the word's statistics
-and, from one walk of `propagate_slot`, whether it is special symmetric.  A
-depth-first search gives each generating vertex one of the values already
-opened or one new value, weighted by the number of values still unused, and
-propagates the repeated letters with `propagate_slot` inlined.  The search
-checks forward: when the letter leaving a generating vertex is an earlier
-one, other than the letter entering it, only the endpoints of its recorded
-edge can continue, so no new value is tried.  The budget
-`DEFAULT_CENSUS_BUDGET` bounds the value patterns the search may visit and
-the circuit tuples `verify_containment` tries; it is read at call time, so a
-caller who needs another one sets the module constant.
+for equality.  A depth-first search gives each generating vertex one of the
+values already opened or one new value, weighted by the number of values
+still unused, and propagates the repeated letters with the unordered
+`propagate_slot` step inlined.  The search checks forward: when the letter
+leaving a generating vertex is an earlier one, other than the letter
+entering it, only the endpoints of its recorded edge can continue, so no
+new value is tried.  The budget `DEFAULT_CENSUS_BUDGET` bounds the value
+patterns the search may visit and the circuit tuples `verify_containment`
+tries; it is read at call time, so a caller who needs another one sets the
+module constant.
 """
 
 from __future__ import annotations
@@ -42,12 +42,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .partitions import (
-    SizeLimitError,
-    Word,
-    WordStats,
-    word_statistics,
-)
+from .partitions import SizeLimitError, Word
 
 DEFAULT_CENSUS_BUDGET = 10**8
 """The largest number of Wigner value patterns `census_w` may visit, and of
@@ -86,96 +81,102 @@ def _require_sizes(**sizes: int) -> None:
             raise ValueError(f"census size {name} must be at least 1, got {size}")
 
 
-def _free_slots(m: int, stats: WordStats) -> list[int]:
-    # pi(0) plus the vertex at each letter's first occurrence; a first
-    # occurrence at the closing position 2k reuses pi(0) and is not free.
-    return [0] + [i for i in stats.first_positions if i < m]
-
-
 def _check_budget(count: int, what: str) -> None:
     limit = DEFAULT_CENSUS_BUDGET
     if count > limit:
         raise SizeLimitError(f"census would visit up to {count} {what}, over the budget {limit}")
 
 
-def _prologue(word: Word) -> tuple[WordStats, list[bool], bool]:
-    """The word's statistics, first-occurrence flags, and whether it is
-    special symmetric: whether one `propagate_slot` walk closes at pi(0)."""
-    m = _require_circuit_word(word)
-    stats = word_statistics(word)
-    new_letter = [False] * (m + 1)
-    for i in stats.first_positions:
-        new_letter[i] = True
-    # a new letter opens the class named by its slot, so one met last cannot close
-    keys: dict[int, tuple[int, int]] = {}
-    cur = 0
-    for i, letter in enumerate(word.letters, start=1):
-        cur = propagate_slot(keys, letter, cur, i)
-        if cur is None:
-            break
-    return stats, new_letter, cur == 0
-
-
-def _vertex_classes(letters: tuple[int, ...]) -> tuple[int, int]:
-    """Numbers of row and column classes of the slots pi(0..m-1) under the
-    vertex equalities that the covariance link forces on a circuit word.
+def _vertex_classes(word: Word) -> tuple[int, int, int, int, list[int], list[int]]:
+    """One pass over a circuit word: the numbers of row and column classes
+    the covariance link leaves on the slots pi(0..m-1), the number b of
+    letters, r+1, the first position first[j] of each letter j = 1..b, and
+    the union-find forest `parent` over the slots.
 
     Edge i joins slots i-1 and i mod m.  A letter repeated at i, first seen
-    at j, equates its ordered (row, col) pair with the one at j: slot i-1
-    with slot j-1 and slot i with slot j when i-j is even, slot i-1 with
-    slot j and slot i with slot j-1 when it is odd.  Every equality joins
-    two slots of one parity, so even slots (rows) and odd slots (columns)
-    are counted apart.
+    at j, equates its ordered (row, col) pair with the one at j: slots i-1
+    and i with slots j-1 and j when i-j is even, with j and j-1 when it is
+    odd.  Each equality joins two slots of one parity, so even slots (rows)
+    and odd slots (columns) are counted apart.
+
+    With the letters as edges the classes form the quotient graph, and
+    rows + cols <= b+1, with equality exactly for special symmetric words,
+    which then have rows = r+1:
+      - The circuit passes every slot, so the graph is connected; with
+        rows + cols vertices and b edges, rows + cols <= b+1, with equality
+        iff it is a tree.
+      - A word is special symmetric iff its letters occur an even number of
+        times and its propagation walk closes at pi(0): the `propagate_slot`
+        walk of `hypergraphs.enumerate_ss_words`, which opens a class at
+        each new letter and follows the recorded edge at a repeated one.
+        On such a word its b+1 classes, pi(0)'s and one per letter, satisfy
+        every forced equality; the union-find classes are the finest that
+        do, so there are at least b+1 of them.
+      - On a tree, a new letter's edge, none of those walked so far, leads
+        to a class not yet visited, and a repeated letter's edge leads on
+        to its other endpoint.  So the walk never fails, opens one class
+        per union-find class, returns at slot m to pi(0)'s, and crosses
+        every edge an even number of times.  Its row classes are pi(0)'s
+        and those opened at even slots, r+1.
     """
-    m = len(letters)
+    m = _require_circuit_word(word)
     parent = list(range(m))
     rows = cols = m // 2
+    b = 0
+    r_plus_1 = 1
     first = [0] * (m + 1)
-    for i, letter in enumerate(letters, start=1):
+    for i, letter in enumerate(word.letters, start=1):
         j = first[letter]
         if not j:
             first[letter] = i
+            b = letter
+            if not i % 2:
+                r_plus_1 += 1
             continue
         if (i - j) % 2:
             pairs = ((i - 1, j), (i % m, j - 1))
         else:
             pairs = ((i - 1, j - 1), (i % m, j))
-        for a, b in pairs:
+        for x, y in pairs:
             # find both roots, halving the paths on the way
-            while parent[a] != a:
-                parent[a] = a = parent[parent[a]]
-            while parent[b] != b:
-                parent[b] = b = parent[parent[b]]
-            if a != b:
-                parent[a] = b
-                if a % 2:
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]
+            while parent[y] != y:
+                parent[y] = y = parent[parent[y]]
+            if x != y:
+                parent[x] = y
+                if x % 2:
                     cols -= 1
                 else:
                     rows -= 1
-    return rows, cols
+    return rows, cols, b, r_plus_1, first, parent
 
 
-def _count_patterns(word: Word, stats: WordStats, new_letter: list[bool], N: int) -> int:
-    """Number of Wigner-link circuits on {1..N} compatible with `word`,
-    counted by value pattern."""
+def _count_patterns(word: Word, firsts: list[int], N: int) -> int:
+    """Number of Wigner-link circuits on {1..N} compatible with `word`, whose
+    letters first occur at `firsts`, counted by value pattern."""
     m = word.length
     letters = word.letters
-    # a generating slot branches over the values opened so far, at most one
-    # per earlier generating slot, plus one new value
+    new_letter = [False] * (m + 1)
+    for i in firsts:
+        new_letter[i] = True
+    # the generating slots after pi(0) are the first occurrences before the
+    # closing position 2k, which reuses pi(0); each branches over the values
+    # opened so far, at most one per earlier generating slot, plus one new one
     patterns = 1
-    for earlier in range(1, len(_free_slots(m, stats))):
+    for earlier in range(1, len(firsts) + 1 - new_letter[m]):
         patterns *= min(earlier + 1, N)
     _check_budget(patterns, "value patterns")
     # a value class is named by the slot that opened it, so pi(0) is class 0
     pool = [0]
     # the earlier letter leaving generating slot i, if not the one entering it
     follow = [0] * m
-    for i in stats.first_positions:
+    for i in firsts:
         if i < m and not new_letter[i + 1] and letters[i] != letters[i - 1]:
             follow[i] = letters[i]
     # keys[letter] is the letter's edge; a key a backtracked branch left is
     # overwritten at the letter's first occurrence before anything reads it
-    keys: list[tuple[int, int] | None] = [None] * (stats.b + 1)
+    keys: list[tuple[int, int] | None] = [None] * (len(firsts) + 1)
     return N * _extend(letters, new_letter, follow, pool, N, 1, 0, keys)
 
 
@@ -222,9 +223,10 @@ def _extend(letters, new_letter, follow, pool, cap, i, prev, keys) -> int:
     return total
 
 
-def _predicted(stats: WordStats, special: bool, p: int, n: int) -> int | None:
-    # the prediction p^(r+1) * n^(b-r) is given for special symmetric words
-    return p**stats.r_plus_1 * n ** (stats.b + 1 - stats.r_plus_1) if special else None
+def _predicted(rows: int, cols: int, b: int, r_plus_1: int, p: int, n: int) -> int | None:
+    # the prediction p^(r+1) * n^(b-r) is given for special symmetric words,
+    # the words whose quotient graph is a tree (`_vertex_classes`)
+    return p**r_plus_1 * n ** (b + 1 - r_plus_1) if rows + cols == b + 1 else None
 
 
 def census_s(word: Word, p: int, n: int) -> CensusResult:
@@ -236,9 +238,9 @@ def census_s(word: Word, p: int, n: int) -> CensusResult:
     budget applies.
     """
     _require_sizes(p=p, n=n)
-    stats, _, special = _prologue(word)
-    rows, cols = _vertex_classes(word.letters)
-    return CensusResult(word.text, "S", p, n, p**rows * n**cols, _predicted(stats, special, p, n))
+    rows, cols, b, r_plus_1, _, _ = _vertex_classes(word)
+    predicted = _predicted(rows, cols, b, r_plus_1, p, n)
+    return CensusResult(word.text, "S", p, n, p**rows * n**cols, predicted)
 
 
 def census_w(word: Word, N: int) -> CensusResult:
@@ -247,14 +249,17 @@ def census_w(word: Word, N: int) -> CensusResult:
     Counts value patterns rather than assignments: each generating vertex
     takes a value already in use, or one new value weighted by the number
     still unused, and the unordered `propagate_slot` step forces the
-    repeated letters.  The count is exact.  Raises SizeLimitError when the
-    bound on the patterns visited exceeds `DEFAULT_CENSUS_BUDGET`; that
-    bound stops growing with N once N reaches the word length.
+    repeated letters.  The generating vertices and the prediction come
+    from `_vertex_classes`, as in `census_s`.  The count is exact.  Raises
+    SizeLimitError when the bound on the patterns visited exceeds
+    `DEFAULT_CENSUS_BUDGET`; that bound stops growing with N once N
+    reaches the word length.
     """
     _require_sizes(N=N)
-    stats, new_letter, special = _prologue(word)
-    count = _count_patterns(word, stats, new_letter, N)
-    return CensusResult(word.text, "wigner", N, N, count, _predicted(stats, special, N, N))
+    rows, cols, b, r_plus_1, first, _ = _vertex_classes(word)
+    count = _count_patterns(word, first[1 : b + 1], N)
+    predicted = _predicted(rows, cols, b, r_plus_1, N, N)
+    return CensusResult(word.text, "wigner", N, N, count, predicted)
 
 
 def _edge_keys_s(word: Word, values: tuple[int, ...]) -> list[tuple[int, int]]:
@@ -297,8 +302,9 @@ def _iter_full_tuples(word: Word, p: int, n: int):
 def propagate_slot(
     keys: dict[int, tuple[int, int]], letter: int, prev: int, fresh: int
 ) -> int | None:
-    """One propagation step, for both links: the class of the next slot,
-    given the class `prev` of the slot before it.
+    """One propagation step, for both links and for the prefix pruning of
+    `hypergraphs.enumerate_ss_words` (`census_w` inlines it): the class of
+    the next slot, given the class `prev` of the slot before it.
 
     A letter met for the first time records its edge (prev, fresh) in `keys`
     and moves to the class `fresh`.  A repeated letter moves to the other
@@ -320,32 +326,37 @@ def propagate_slot(
     return a if prev == b else None
 
 
+def quotient_graph(word: Word) -> tuple[list[int], list[tuple[int, int, int]], int]:
+    """The quotient graph of a special symmetric word (`_vertex_classes`):
+    the class of each slot pi(0..2k-1), numbered by first slot so that class
+    j is the one letter j opens, each letter's (row class, column class,
+    multiplicity), and r+1.  Raises ValueError for any other word."""
+    rows, cols, b, r_plus_1, first, parent = _vertex_classes(word)
+    if rows + cols != b + 1:
+        raise ValueError(f"word {word.text} is not special symmetric")
+    m = word.length
+    ids: dict[int, int] = {}
+    cls = []
+    counts = [0] * (b + 1)
+    for slot, letter in enumerate(word.letters):
+        root = slot
+        while parent[root] != root:
+            root = parent[root]
+        cls.append(ids.setdefault(root, len(ids)))
+        counts[letter] += 1
+    edges = []
+    for j in range(1, b + 1):
+        # the edge at position i joins the even slot i-1 or i mod m to the odd one
+        i = first[j]
+        even_slot, odd_slot = (i - 1, i) if i % 2 else (i % m, i - 1)
+        edges.append((cls[even_slot], cls[odd_slot], counts[j]))
+    return cls, edges, r_plus_1
+
+
 def slot_classes(word: Word) -> list[int]:
-    """Class id of each circuit slot pi(0..2k-1) under the covariance link,
-    one class per generating vertex.
-
-    Valid for special symmetric words: every letter occurs an even number
-    of times and propagation never needs to equate two distinct generating
-    vertices.  Raises ValueError otherwise.
-
-    A letter opens a fresh class at its first occurrence, at the closing
-    slot too, so the letters are the edges of a tree on the classes.  A
-    walk along them that closes at pi(0) crosses every edge an even number
-    of times, which rejects odd multiplicities without counting them.
-    """
-    m = _require_circuit_word(word)
-    cls: list[int] = [0] * m
-    next_class = 1
-    keys: dict[int, tuple[int, int]] = {}
-    for i in range(1, m + 1):
-        cur = propagate_slot(keys, word.letters[i - 1], cls[i - 1], next_class)
-        if cur is None or (i == m and cur != 0):
-            raise ValueError(f"word {word.text} is not special symmetric")
-        if i < m:
-            cls[i] = cur
-            if cur == next_class:
-                next_class += 1
-    return cls
+    """The slot classes of `quotient_graph`, one per generating vertex;
+    raises ValueError for words that are not special symmetric."""
+    return quotient_graph(word)[0]
 
 
 def verify_containment(word: Word, p: int, n: int) -> bool:

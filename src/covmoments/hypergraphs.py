@@ -158,14 +158,14 @@ def enumerate_ss_words(k: int) -> tuple[Word, ...]:
     """All special symmetric words of length 2k, in lexicographic order.
 
     A canonical word is special symmetric exactly when every letter occurs
-    an even number of times and propagation (`slot_classes`) closes without
-    a contradiction.  Its `propagate_slot` step is the one both links share:
-    the unordered edge match also decides the covariance link, because a row
-    class never equals a column class.  Propagation is decided prefix by
-    prefix, so a depth-first search over canonical words, one letter at a
-    time, drops a branch as soon as propagation fails or the letters of odd
-    count outnumber the positions left to pair them.  The result is cached
-    per k, so the enumeration cap is checked on the first call for each k.
+    an even number of times and its `propagate_slot` walk from pi(0) closes
+    at pi(0) without a contradiction; the unordered step decides the
+    covariance link too, because a row class never equals a column class.
+    Propagation is decided prefix by prefix, so a depth-first search over
+    canonical words, one letter at a time, drops a branch as soon as
+    propagation fails or the letters of odd count outnumber the positions
+    left to pair them.  The result is cached per k, so the enumeration cap
+    is checked on the first call for each k.
     """
     if k < 1:
         raise ValueError("k must be >= 1")

@@ -26,7 +26,6 @@ enumeration cap.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -35,7 +34,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .circuits import slot_classes
+from .circuits import quotient_graph
 from .hypergraphs import _sojourn_series, count_noiry_classes, enumerate_ss_words
 from .partitions import Word, narayana, word_statistics
 
@@ -77,23 +76,18 @@ class WordStructure:
 
 @lru_cache(maxsize=None)
 def word_structure(word: Word) -> WordStructure:
-    """Generating-vertex layout of a special symmetric word.
+    """Generating-vertex layout of a special symmetric word, read off its
+    quotient graph (`circuits.quotient_graph`).
 
     Letter j's first occurrence joins a fresh class j to an earlier one, so
     the b edges over the b+1 classes always form a tree rooted at class 0.
     """
-    cls = slot_classes(word)
-    m = word.length
-    counts = Counter(word.letters)
-    stats = word_statistics(word)
+    _, letters, r_plus_1 = quotient_graph(word)
     edges = []
-    for j, pos in enumerate(stats.first_positions, start=1):
-        even_slot = (pos - 1) if pos % 2 else (pos % m)
-        odd_slot = pos if pos % 2 else pos - 1
-        even_class, odd_class = cls[even_slot], cls[odd_slot]
+    for j, (even_class, odd_class, multiplicity) in enumerate(letters, start=1):
         parent = odd_class if even_class == j else even_class
-        edges.append(LetterEdge(even_class, odd_class, counts[j], j, parent))
-    return WordStructure(word, stats.r_plus_1 - 1, tuple(edges))
+        edges.append(LetterEdge(even_class, odd_class, multiplicity, j, parent))
+    return WordStructure(word, r_plus_1 - 1, tuple(edges))
 
 
 def _lookup(c: Mapping[int, Real], size: int) -> Fraction:

@@ -1,6 +1,7 @@
-"""Test-only oracles: brute-force censuses, the product-law prediction taken
-from `slot_classes`, the sojourn recursion and its grid kernel with every
-product formed, and a small helper for even constant sequences.
+"""Test-only oracles: brute-force censuses, the product-law prediction for
+the words that the literal definition `partitions.is_special_symmetric`
+accepts, the sojourn recursion and its grid kernel with every product
+formed, and a small helper for even constant sequences.
 
 The censuses test every circuit tuple with the same predicates and budget
 as `circuits.verify_containment`, independently of the value-pattern
@@ -15,8 +16,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from covmoments import circuits
-from covmoments.circuits import CensusResult, slot_classes
-from covmoments.partitions import Word, word_statistics
+from covmoments.circuits import CensusResult
+from covmoments.partitions import Word, is_special_symmetric, word_statistics
 
 
 def census_s_exhaustive(word: Word, p: int, n: int) -> CensusResult:
@@ -44,9 +45,7 @@ def census_w_exhaustive(word: Word, N: int) -> CensusResult:
 
 
 def _predicted(word: Word, p: int, n: int) -> int | None:
-    try:
-        slot_classes(word)
-    except ValueError:
+    if not is_special_symmetric(word.to_partition()):
         return None
     stats = word_statistics(word)
     r = stats.r_plus_1 - 1

@@ -46,10 +46,16 @@ def non_ss_words(m):
     return [p.to_word() for p in enumerate_partitions(m) if not is_special_symmetric(p)]
 
 
+def free_slots(word: Word) -> list[int]:
+    """pi(0) plus the vertex at each letter's first occurrence; a first
+    occurrence at the closing position 2k reuses pi(0) and is not free."""
+    return [0] + [i for i in word_statistics(word).first_positions if i < word.length]
+
+
 def _iter_assignments(word: Word, p: int, n: int):
     """Yield value arrays with the generating slots filled, others None."""
     m = word.length
-    slots = circuits._free_slots(m, word_statistics(word))
+    slots = free_slots(word)
     ranges = [range(1, (p if s % 2 == 0 else n) + 1) for s in slots]
     for assignment in itertools.product(*ranges):
         values: list = [None] * m
@@ -243,7 +249,7 @@ class TestCensusS:
             census_s_exhaustive(W("aabb"), 100, 100)
 
     def test_odd_length_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="positive even length"):
             census_s(W("aab"), 2, 2)
 
 
@@ -280,6 +286,10 @@ class TestCensusW:
             b = word.distinct_letters
             ratios = [census_w(word, N).exact_count / N ** (b + 1) for N in (2, 3, 4)]
             assert ratios[0] >= ratios[1] >= ratios[2]
+
+    def test_odd_length_rejected(self):
+        with pytest.raises(ValueError, match="positive even length"):
+            census_w(W("aab"), 2)
 
 
 class TestPredictions:
@@ -330,6 +340,26 @@ class TestSlotClasses:
             except ValueError:
                 assert expected is None
 
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_success_is_special_symmetric(self, m):
+        # slot_classes succeeds exactly on the words the literal definition
+        # accepts, and then numbers pi(0)'s class 0 and the class letter j
+        # opens at its first position j
+        for word in all_words(m):
+            if m % 2:
+                with pytest.raises(ValueError, match="positive even length"):
+                    slot_classes(word)
+                continue
+            if not is_special_symmetric(word.to_partition()):
+                with pytest.raises(ValueError, match="is not special symmetric"):
+                    slot_classes(word)
+                continue
+            cls = slot_classes(word)
+            firsts = word_statistics(word).first_positions
+            assert cls[0] == 0, word.text
+            assert [cls[i] for i in firsts] == list(range(1, len(firsts) + 1)), word.text
+            assert max(cls) == len(firsts), word.text
+
     def test_odd_multiplicity_example(self):
         # c and d occur once each; d, first met at the closing slot, must
         # open a class of its own rather than close onto pi(0)
@@ -353,27 +383,6 @@ def forward_checked(word):
     m, letters = word.length, word.letters
     firsts = word_statistics(word).first_positions
     return [i for i in firsts if i < m and i + 1 not in firsts and letters[i] != letters[i - 1]]
-
-
-class TestPrologue:
-    @pytest.mark.parametrize("m", range(1, 11))
-    def test_special_flag_is_slot_classes_success(self, m):
-        for word in all_words(m):
-            try:
-                slot_classes(word)
-            except ValueError:
-                expected = False
-            else:
-                expected = True
-            if m % 2:
-                assert not expected
-                with pytest.raises(ValueError, match="positive even length"):
-                    circuits._prologue(word)
-                continue
-            stats, new_letter, special = circuits._prologue(word)
-            assert special == expected, word.text
-            assert stats == word_statistics(word)
-            assert [i for i, new in enumerate(new_letter) if new] == list(stats.first_positions)
 
 
 class TestForwardCheck:
@@ -435,20 +444,18 @@ class TestVertexClasses:
 
     @staticmethod
     def check_membership(word):
-        rows, cols = circuits._vertex_classes(word.letters)
+        rows, cols, b, r_plus_1, first, _ = circuits._vertex_classes(word)
         stats = word_statistics(word)
-        try:
-            slot_classes(word)
-        except ValueError:
-            special = False
-        else:
-            special = True
+        assert (b, r_plus_1, tuple(first[1 : b + 1])) == (
+            stats.b, stats.r_plus_1, stats.first_positions
+        ), word.text
+        special = is_special_symmetric(word.to_partition())
         assert rows + cols <= stats.b + 1, word.text
         assert (rows + cols == stats.b + 1) == special, word.text
         if special:
             assert rows == stats.r_plus_1, word.text
 
-    @pytest.mark.parametrize("m", [2, 4, 6, 8])
+    @pytest.mark.parametrize("m", [2, 4, 6, 8, 10])
     def test_membership_identity_on_every_word(self, m):
         for word in all_words(m):
             self.check_membership(word)
@@ -481,7 +488,7 @@ class TestPatternCount:
         # the value checked against the budget bounds the _extend calls per
         # generating slot, and stops growing once N reaches 2k; the S census
         # neither searches nor checks a budget
-        generating = len(circuits._free_slots(word.length, word_statistics(word)))
+        generating = len(free_slots(word))
         bounds, calls = [], [0]
         check_budget, extend = circuits._check_budget, circuits._extend
 

@@ -678,6 +678,7 @@ class TestHypergraphVerb:
 
     def test_non_ss_word(self, capsys):
         assert run("hypergraph", "--word", "abab") == EXIT_CONFIG
+        assert "abab is not special symmetric" in capsys.readouterr().err
 
 
 # the ordered (name, detail) lines of `verify --max-k 3` and `--max-k 6`
