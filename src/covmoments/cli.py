@@ -12,7 +12,7 @@ import argparse
 import functools
 import itertools
 import json
-
+import math
 import os
 import sys
 import time
@@ -143,9 +143,7 @@ def run_count(args) -> int:
 def run_census(args) -> int:
     word = Word.from_text(args.word)
     # the Wigner census runs on N = max(p, n), so check both sizes here
-    for name, size in (("p", args.p), ("n", args.n)):
-        if size < 1:
-            raise ValueError(f"census size {name} must be at least 1, got {size}")
+    circuits._require_sizes(p=args.p, n=args.n)
     results = []
     if args.link in ("S", "both"):
         results.append(circuits.census_s(word, args.p, args.n))
@@ -240,8 +238,6 @@ def run_moments(args) -> int:
         entry = {"value": fmt(report.value)}
         if report.breakdown is not None:
             entry["breakdown"] = {w: fmt(v) for w, v in report.breakdown.items()}
-        if report.error_estimate is not None:
-            entry["error_estimate"] = fmt(report.error_estimate)
         payload["moments"][str(k)] = entry
     with open(_out_dir(args) / "moments.json", "w") as fh:
         json.dump(payload, fh, indent=1)
@@ -342,11 +338,10 @@ def config_to_ensemble(data: dict, seed_override: int | None = None) -> tuple[En
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    extras = {
-        "K": _config_number(data, "K", int, 4),
-        "bins": bins,
-    }
-    return cfg, extras
+    K = _config_number(data, "K", int, 4)
+    if K < 1:
+        raise _config_error("K", "an integer >= 1", K)
+    return cfg, {"K": K, "bins": bins}
 
 GNUPLOT_TEMPLATE = """\
 set datafile separator ","
@@ -516,7 +511,25 @@ def check_noiry(ks):
             return False, f"k={k}: classes {total} vs census {census}"
     return True, f"class totals equal the special symmetric census up to 2k={2 * max(ks)}"
 
-def check_grid(ks, grid):
+# DT: the upper-triangle profile 1{x <= u} with C_2 = 1 and every other
+# constant 0, at y = 1, has the limit k^k / (k+1)! (Sniady 2003).  The
+# indicator jumps on the diagonal, so the quadrature error is O(1/G);
+# (value - limit) * G measured 0.5, 1.005, 2.27, 5.41, 13.25, 33.1 at G = 64
+# and 0.5, 1.0, 2.25, 5.34, 13.04, 32.4 at G = 1024, and stays within 2 %
+# beyond those two ends at every grid in between.  Coarser grids leave these
+# bounds (k = 3 reads 2.337 at G = 16), so check_grid runs at DT_GRID, the
+# smallest grid they were measured at
+DT_SCALED_ERROR = {
+    1: (0.49, 0.51),
+    2: (0.98, 1.03),
+    3: (2.20, 2.32),
+    4: (5.23, 5.52),
+    5: (12.77, 13.52),
+    6: (31.75, 33.77),
+}
+DT_GRID = 64
+
+def check_grid(ks, grid, dt_ks):
     constants = {2: Fraction(1), 4: Fraction(1, 4), 6: Fraction(2)}
     g = {s: np.full((grid, grid), float(v)) for s, v in constants.items()}
     # both sides of the constant case run the sojourn series; the word terms
@@ -538,8 +551,18 @@ def check_grid(ks, grid):
     product = moments.moment_grid(1, 1, {2: np.outer(xs, xs)}, grid=128).value
     if abs(product - 0.25) > 1e-6:
         return False, f"xy integral {product}"
-    return True, ("quadrature reproduces constant sums to 1e-10, its word terms to 1e-12 "
-                  "and the xy integral to 1e-6")
+    xs = (np.arange(DT_GRID) + 0.5) / DT_GRID
+    sigma = (xs[:, None] <= xs[None, :]).astype(float)
+    c2_only = {2 * j: int(j == 1) for j in range(1, max(dt_ks) + 1)}
+    dt = moments.profile_moments(dt_ks, 1, sigma, c2_only, grid=DT_GRID)
+    for k in dt_ks:
+        lower, upper = DT_SCALED_ERROR[k]
+        scaled = (dt[k].value - k**k / math.factorial(k + 1)) * DT_GRID
+        if not lower <= scaled <= upper:
+            return False, f"DT profile at k={k}: (value - limit) * G = {scaled!r}, outside [{lower}, {upper}]"
+    return True, ("quadrature reproduces constant sums to 1e-10, its word terms to 1e-12, "
+                  "the xy integral to 1e-6 and the DT limits within their O(1/G) bounds "
+                  f"up to k={max(dt_ks)}")
 
 def check_unbounded(ts, grid):
     g = {2 * j: np.full((grid, grid), float(j == 1)) for j in range(1, max(ts) + 1)}
@@ -589,7 +612,7 @@ VERIFY_CHECKS = [
      lambda mk: check_sandwich(_upto(mk, 4), (Fraction(1, 2), Fraction(1), Fraction(2)), _YS, 2)),
     ("hypergraph-roundtrip", lambda mk: check_hypergraph(_upto(mk, 4))),
     ("noiry-class-totals", lambda mk: check_noiry(_upto(mk, 4))),
-    ("grid-quadrature", lambda mk: check_grid(_upto(mk, 3), 16)),
+    ("grid-quadrature", lambda mk: check_grid(_upto(mk, 3), 16, _upto(mk, 6))),
     ("unbounded-support-bound", lambda mk: check_unbounded(_upto(mk, 4), 16)),
     ("simulation-contracts", lambda mk: check_simulation()),
 ]

@@ -17,10 +17,9 @@ classes that share a multiplicity multiset before its constants multiply
 in.  The quadrature sums run the same recursion over functions of the
 generating-vertex variable, taken only as arrays sampled at grid midpoints;
 one pass of order K gives every k <= K, so `grid_moments` and
-`profile_moments` coarsen and recurse once for a whole range of k.  The
-per-word breakdown of every source is built only on request
-(breakdown=True), because it lists every word and so stays within the
-enumeration cap.
+`profile_moments` recurse once for a whole range of k.  The per-word
+breakdown of every source is built only on request (breakdown=True),
+because it lists every word and so stays within the enumeration cap.
 """
 
 from __future__ import annotations
@@ -42,20 +41,11 @@ from .partitions import Word, narayana, word_statistics
 @dataclass(frozen=True)
 class MomentReport:
     """A limiting moment with its per-word additive breakdown, which is None
-    unless breakdown=True was asked for, and for the quadrature sources on
-    even grids of at least 4 points the error estimate: the change in the
-    value when every sampled array is replaced by its 2x2 block means.
-
-    The estimate is not an error bound.  At k = 1 it is 0 up to rounding,
-    since block means keep the mean of g_2.  On the DT profile (1{x <= u},
-    C_2 = 1, y = 1) it understates the true error 35-2,000x over grids
-    32..1024, because it shrinks as O(G^-2) while the error of the
-    indicator's jump shrinks as O(G^-1)."""
+    unless breakdown=True was asked for."""
 
     k: int
     value: Fraction | float
     breakdown: dict[str, Fraction | float] | None
-    error_estimate: float | None = None
 
 
 @dataclass(frozen=True)
@@ -193,27 +183,6 @@ def _sampled(values: np.ndarray, shape: tuple[int, ...], name: str) -> np.ndarra
     return samples
 
 
-# the most samples one band of _coarsen sums outside its output (128 KiB)
-_COARSEN_BAND = 1 << 14
-
-
-def _coarsen(samples: np.ndarray) -> np.ndarray:
-    # 2x2 block means, the midpoint samples of the piecewise-constant
-    # interpolant, as ((q00 + q01) + (q10 + q11)) / 4 built in place: on
-    # every even grid of at least 4 points this is reshape(...).mean(axis=(1, 3))
-    # bit for bit, at about a sixth of that strided reduction's time.  The
-    # lower pairs are summed a band of rows at a time, so the only temporary
-    # stays small and coarsening adds nothing to the peak memory of a large grid
-    g = samples.shape[0] // 2
-    coarse = samples[0::2, 0::2] + samples[0::2, 1::2]
-    rows = max(1, _COARSEN_BAND // g)
-    for i in range(0, g, rows):
-        lower = samples[2 * i + 1 : 2 * (i + rows) : 2]
-        coarse[i : i + rows] += lower[:, 0::2] + lower[:, 1::2]
-    coarse /= 4
-    return coarse
-
-
 def _grid_series(top: int, y: float, samples: Mapping[int, np.ndarray], grid: int) -> list[float]:
     # the sojourn recursion over functions of the vertex variable: a letter
     # of multiplicity 2j integrates the child's variable out of g_2j, and a
@@ -280,14 +249,10 @@ def grid_moments(
     midpoint rule.  The sum over words is the sojourn recursion of
     `hypergraphs._sojourn_series` over functions of the vertex variable, so
     no word is listed and k may go up to MAX_SERIES_ORDER.  One series of
-    order K = max(ks) gives every k <= K.  On an even grid of at least 4
-    points the recursion runs again on the 2x2 block means of every array,
-    and the change is the error estimate; other grids have none.  It is not
-    an error bound (see MomentReport): 0 at k = 1 up to rounding, and far
-    below the error of a discontinuous profile.  Every sample must be
-    finite; the first NaN or inf is named in a ValueError.  A degree-k
-    coefficient takes the same float operations whatever K is, so each
-    value equals moment_grid(k, ...).
+    order K = max(ks) gives every k <= K.  Every sample must be finite;
+    the first NaN or inf is named in a ValueError.  A degree-k coefficient
+    takes the same float operations whatever K is, so each value equals
+    moment_grid(k, ...).
     breakdown=True adds each word's term by tree elimination, which
     enumerates the words (bounded by the enumeration cap).
     """
@@ -303,29 +268,18 @@ def grid_moments(
     missing = [s for s in sizes if s not in g]
     if missing:
         raise ValueError(f"no grid function supplied for even moment order {missing[0]}")
-    hi = {s: _sampled(g[s], (grid, grid), f"g_{s}") for s in sizes}
-    values = _grid_series(top, yf, hi, grid)
+    samples = {s: _sampled(g[s], (grid, grid), f"g_{s}") for s in sizes}
+    values = _grid_series(top, yf, samples, grid)
     # largest first, so a k beyond the enumeration cap fails before any listing
-    terms = {k: _word_terms(k, yf, hi, grid) for k in sorted(ks, reverse=True)} if breakdown else {}
-    coarse = None
-    if grid % 2 == 0 and grid >= 4:
-        coarse = _grid_series(top, yf, {s: _coarsen(hi[s]) for s in sizes}, grid // 2)
-    return {
-        k: MomentReport(
-            k,
-            values[k],
-            terms.get(k),
-            None if coarse is None else abs(values[k] - coarse[k]),
-        )
-        for k in ks
-    }
+    terms = {k: _word_terms(k, yf, samples, grid) for k in sorted(ks, reverse=True)} if breakdown else {}
+    return {k: MomentReport(k, values[k], terms.get(k)) for k in ks}
 
 
 def moment_grid(
     k: int, y: Real, g: Mapping[int, np.ndarray], grid: int = 64, breakdown: bool = False
 ) -> MomentReport:
     """Limiting moment k for grid x grid sampled moment functions g_{2m} on
-    [0,1]^2: grid_moments for the single order k, error estimate included."""
+    [0,1]^2: grid_moments for the single order k."""
     return grid_moments([k], y, g, grid, breakdown)[k]
 
 

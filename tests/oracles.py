@@ -111,9 +111,3 @@ def grid_series_untightened(top: int, y: float, samples: Mapping[int, np.ndarray
 
     series = sojourn_series_untightened(top, np.ones(grid), lambda: np.zeros(grid), letter, add_product)
     return [float(coefficient.mean()) for coefficient in series]
-
-
-def coarsen_by_mean(samples: np.ndarray) -> np.ndarray:
-    """2x2 block means by numpy's strided reduction."""
-    g = samples.shape[0] // 2
-    return samples.reshape(g, 2, g, 2).mean(axis=(1, 3))

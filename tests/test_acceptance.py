@@ -9,10 +9,11 @@ checked by one piece of code.  `verify` runs them at ranges capped by
 
   1  reference partitions              7  hypergraph round trips, k <= 4
   2  NC2 = Catalan, k <= 5             8  class totals, k <= 4
-  3  Narayana census, k <= 6           9  quadrature, k <= 3 on grid 64
-  4  census, lengths <= 6, p, n <= 4  11  factorial bound, t <= 4 on grid 32
-  5  MP reduction, k <= 6, 4 ratios   12  Wigner containment, lengths <= 6
-  6  sandwich, k <= 4                 13  simulation contracts
+  3  Narayana census, k <= 6           9  quadrature, k <= 3 on grid 64,
+  4  census, lengths <= 6, p, n <= 4      DT limits k <= 6 on grid 64
+  5  MP reduction, k <= 6, 4 ratios   11  factorial bound, t <= 4 on grid 32
+  6  sandwich, k <= 4                 12  Wigner containment, lengths <= 6
+                                      13  simulation contracts
 
 Criteria 5 and 6 add Monte Carlo halves and criterion 10 the figure
 histograms; `verify` runs none of these.
@@ -138,7 +139,7 @@ def test_criterion_8_noiry_class_totals():
 
 def test_criterion_9_quadrature_consistency():
     start = time.perf_counter()
-    _report(9, "quadrature consistency", start, 60.0, _passes(cli.check_grid, (1, 2, 3), 64))
+    _report(9, "quadrature consistency", start, 60.0, _passes(cli.check_grid, (1, 2, 3), 64, range(1, 7)))
 
 
 @pytest.mark.parametrize(

@@ -209,26 +209,39 @@ class TestMoments:
         payload = json.loads((tmp_path / "moments.json").read_text())
         assert set(payload["moments"]["2"]["breakdown"]) == {"aaaa", "aabb", "abba"}
 
+    # (i, grid): the i-th of grid_sources' quadrature sources on an even and an odd grid
     @pytest.mark.parametrize("source", [
         ["--constant", "2=1,4=0.5"],
         ["--sparse", "--lam", "2"],
         ["--mp"],
+        pytest.param((0, 8), id="profile-grid8"),
+        pytest.param((1, 8), id="g-grid8"),
+        pytest.param((0, 9), id="profile-grid9"),
+        pytest.param((1, 9), id="g-grid9"),
     ])
     def test_json_has_no_breakdown_by_default(self, tmp_path, capsys, source):
+        if isinstance(source, tuple):
+            sources, grid = self.grid_sources(tmp_path, 2, grid=source[1])
+            source = [*sources[source[0]], "--grid", grid]
         assert run("--out", tmp_path, "moments", *source, "--k", "1..2", "--y", "1") == 0
         payload = json.loads((tmp_path / "moments.json").read_text())
         for k in ("1", "2"):
             assert set(payload["moments"][k]) == {"value"}
 
     def test_grid_breakdown_only_on_request(self, tmp_path, capsys):
-        np.savetxt(tmp_path / "g2.csv", np.ones((8, 8)), delimiter=",")
-        argv = ["moments", "--g", f"2={tmp_path}/g2.csv", "--k", "1", "--grid", 8]
-        assert run("--out", tmp_path, *argv) == 0
-        entry = json.loads((tmp_path / "moments.json").read_text())["moments"]["1"]
-        assert set(entry) == {"value", "error_estimate"}
-        assert run("--out", tmp_path, *argv, "--breakdown") == 0
-        entry = json.loads((tmp_path / "moments.json").read_text())["moments"]["1"]
-        assert entry["breakdown"] == {"aa": "1"}
+        for grid in (8, 9):
+            sources, grid = self.grid_sources(tmp_path, 2, grid=grid)
+            for source in sources:
+                argv = ["moments", *source, "--k", "1..2", "--grid", grid]
+                assert run("--out", tmp_path, *argv) == 0
+                entries = json.loads((tmp_path / "moments.json").read_text())["moments"]
+                assert [set(entry) for entry in entries.values()] == [{"value"}, {"value"}]
+                assert run("--out", tmp_path, *argv, "--breakdown") == 0
+                entries = json.loads((tmp_path / "moments.json").read_text())["moments"]
+                assert [set(entry) for entry in entries.values()] == [{"value", "breakdown"}] * 2
+                assert [set(entry["breakdown"]) for entry in entries.values()] == [
+                    {"aa"}, {"aaaa", "aabb", "abba"},
+                ]
 
     def test_grid_csv_input(self, tmp_path, capsys):
         grid = 8
@@ -406,7 +419,7 @@ class TestMoments:
             assert "exceeds the enumeration cap 14" in capsys.readouterr().err
 
     def test_one_series_pass_per_grid_call(self, tmp_path, capsys, monkeypatch):
-        # one series at full and one at half resolution serve every k
+        # one series serves every k
         calls = []
         series = moments._sojourn_series
         monkeypatch.setattr(
@@ -418,7 +431,7 @@ class TestMoments:
             assert run(
                 "--out", tmp_path, "moments", *source, "--y", "1/2", "--k", "1..6", "--grid", grid,
             ) == 0
-            assert calls == [6, 6]
+            assert calls == [6]
 
     @staticmethod
     def grid_inputs(tmp_path, max_k):
@@ -444,8 +457,7 @@ class TestMoments:
                 f"{r.k},{cli.fmt(r.value)}\n" for r in reports
             )
             payload = {"source": name, "y": "0.5", "moments": {
-                str(r.k): {"value": cli.fmt(r.value), "error_estimate": cli.fmt(r.error_estimate)}
-                for r in reports
+                str(r.k): {"value": cli.fmt(r.value)} for r in reports
             }}
             assert (tmp_path / "moments.json").read_text() == json.dumps(payload, indent=1)
 
@@ -643,6 +655,8 @@ class TestSimulate:
         monkeypatch.setattr(ensembles, "_raw_entries", no_draw)
         cfg = self.write_config(tmp_path, f"family = iid_standardized\np = 4\nn = 8\n{line}\n")
         assert run("--out", tmp_path, "simulate", "--config", cfg) == EXIT_CONFIG
+        if line == "K = 0":
+            assert "'K'" in capsys.readouterr().err
         assert not (tmp_path / "moments.csv").exists()
 
 
@@ -682,8 +696,9 @@ class TestHypergraphVerb:
 
 
 # the ordered (name, detail) lines of `verify --max-k 3` and `--max-k 6`
-_QUADRATURE_DETAIL = ("quadrature reproduces constant sums to 1e-10, its word terms to 1e-12 "
-                      "and the xy integral to 1e-6")
+_QUADRATURE_DETAIL = ("quadrature reproduces constant sums to 1e-10, its word terms to 1e-12, "
+                      "the xy integral to 1e-6 and the DT limits within their O(1/G) bounds "
+                      "up to k={}").format
 VERIFY_DETAILS = {
     3: [
         ("ss-definition-examples", "both reference partitions of {1..8} classify as stated"),
@@ -695,7 +710,7 @@ VERIFY_DETAILS = {
         ("sparse-sandwich", "bounds contain the sparse moments (strictly for 2 <= k <= 3)"),
         ("hypergraph-roundtrip", "round trips and acyclic-pair counts agree up to 2k=6"),
         ("noiry-class-totals", "class totals equal the special symmetric census up to 2k=6"),
-        ("grid-quadrature", _QUADRATURE_DETAIL),
+        ("grid-quadrature", _QUADRATURE_DETAIL(3)),
         ("unbounded-support-bound", "factorial lower bounds stay below the quadrature moments"),
         ("simulation-contracts", "deterministic rerun, PSD floor, moments equal Tr S^k / p within 1e-12"),
     ],
@@ -709,7 +724,7 @@ VERIFY_DETAILS = {
         ("sparse-sandwich", "bounds contain the sparse moments (strictly for 2 <= k <= 4)"),
         ("hypergraph-roundtrip", "round trips and acyclic-pair counts agree up to 2k=8"),
         ("noiry-class-totals", "class totals equal the special symmetric census up to 2k=8"),
-        ("grid-quadrature", _QUADRATURE_DETAIL),
+        ("grid-quadrature", _QUADRATURE_DETAIL(6)),
         ("unbounded-support-bound", "factorial lower bounds stay below the quadrature moments"),
         ("simulation-contracts", "deterministic rerun, PSD floor, moments equal Tr S^k / p within 1e-12"),
     ],
@@ -742,6 +757,10 @@ VERIFY_BREAKS = [
     ("unbounded-support-bound", moments, "unbounded_support_bound",
      lambda f: lambda *a, **kw: f(*a, **kw) + 100),
     ("simulation-contracts", ensembles, "sample_matrix", lambda f: lambda cfg, r: 2 * f(cfg, r)),
+    # the DT sub-check of grid-quadrature is the one caller of profile_moments
+    ("grid-quadrature", moments, "profile_moments", lambda f: lambda *a, **kw: {
+        k: dataclasses.replace(r, value=r.value + 1e-3) for k, r in f(*a, **kw).items()
+    }),
     pytest.param("wigner-containment", circuits, "verify_containment", _raise, id="raises"),
 ]
 

@@ -7,13 +7,12 @@ from fractions import Fraction as F
 import numpy as np
 import oracles
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covmoments import moments
+from covmoments import cli, moments
 from covmoments.hypergraphs import enumerate_ss_words
 from covmoments.moments import (
-    _coarsen,
     _needed_sizes,
     grid_moments,
     moment_constant,
@@ -147,18 +146,14 @@ class TestMomentGrid:
         arrays = self.random_arrays(k)
         report = moment_grid(k, 0.7, arrays, grid=8)
         value, _ = per_word_elimination(k, 0.7, arrays, 8)
-        coarse, _ = per_word_elimination(k, 0.7, {s: _coarsen(a) for s, a in arrays.items()}, 4)
         assert report.value == pytest.approx(value, rel=1e-13, abs=0)
-        assert abs(report.error_estimate - abs(value - coarse)) <= 1e-13 * value
 
-    # an odd grid has no 2x2 block means, so it gives no error estimate
     @pytest.mark.parametrize("k", range(1, 7))
     def test_value_within_1e13_of_per_word_elimination_on_callables(self, k):
         sampled = self.sampled_polynomials(k, 9)
         report = moment_grid(k, 1.3, sampled, grid=9)
         value, _ = per_word_elimination(k, 1.3, sampled, 9)
         assert report.value == pytest.approx(value, rel=1e-13, abs=0)
-        assert report.error_estimate is None
 
     # g = 1 at y = 1 weighs every special symmetric word by 1; the totals are
     # the word search's with its enumeration cap raised
@@ -208,13 +203,6 @@ class TestMomentGrid:
         occurring = {s for word in enumerate_ss_words(k) for s in word.multiplicities()}
         assert _needed_sizes(k) == occurring
 
-    def test_halving_error_estimate(self):
-        g = {2: lambda x, u: 0.5 + 0.5 * x * u, 4: lambda x, u: x + u}
-        report = moment_grid(2, 1, sample_all(g, 64), grid=64)
-        finer = moment_grid(2, 1, sample_all(g, 128), grid=128)
-        assert report.error_estimate is not None
-        assert abs(report.value - finer.value) <= report.error_estimate + 1e-12
-
     def test_first_order_convergence_smooth_profile(self):
         sigma = lambda x, u: 0.5 + 0.5 * x * u
         v64 = moment_profile(3, 1, sample(sigma, 64), {2: 1, 4: 1, 6: 1}, grid=64).value
@@ -245,7 +233,6 @@ class TestMomentGrid:
         arr = np.outer(xs, xs)
         report = moment_grid(1, 1, {2: arr}, grid=grid)
         assert report.value == pytest.approx(0.25, abs=1e-12)
-        assert report.error_estimate is not None
 
     def test_array_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
@@ -290,9 +277,7 @@ class TestGridMoments:
         breakdown=st.booleans(),
     )
     @pytest.mark.parametrize("grid,formulas", [
-        (4, False), (8, False),  # even grids: the half grid is coarsened
-        (5, True), (9, True),  # odd grids: no error estimate
-        (2, False), (3, True),  # no half grid of at least 2 points: no error estimate
+        (4, False), (8, False), (5, True), (9, True), (2, False), (3, True),
     ])
     def test_each_k_equals_its_own_call(self, data, seed, y, breakdown, grid, formulas):
         ks = data.draw(k_ranges(breakdown))
@@ -302,7 +287,6 @@ class TestGridMoments:
         for k in ks:
             single = moment_grid(k, y, g, grid=grid, breakdown=breakdown)
             assert reports[k] == single
-            assert (single.error_estimate is None) == (grid % 2 == 1 or grid < 4)
             assert (single.breakdown is None) != breakdown
 
     @settings(max_examples=40)
@@ -329,7 +313,8 @@ class TestGridMoments:
 
     def test_missing_order_of_the_largest_k(self):
         g = {s: np.ones((4, 4)) for s in SIZES[:5]}
-        assert grid_moments([1, 2, 3, 4, 5], 1, g, grid=4)[5].error_estimate is not None
+        # g = 1 at y = 1 counts the 303 special symmetric words of length 10
+        assert grid_moments([1, 2, 3, 4, 5], 1, g, grid=4)[5].value == pytest.approx(303, rel=1e-13)
         with pytest.raises(ValueError, match="order 12"):
             grid_moments([1, 6], 1, g, grid=4)
         with pytest.raises(ValueError, match="order 12"):
@@ -410,35 +395,12 @@ class TestUnboundedSupportBound:
 
 
 def report_bits(reports):
-    return [
-        (r.value.hex(), None if r.error_estimate is None else r.error_estimate.hex())
-        for r in reports.values()
-    ]
+    return [r.value.hex() for r in reports.values()]
 
 
 class TestKernelAgainstOracles:
-    """The pairwise block sums, the recursion without its zero products and
-    the kernel without its unit products give the bits of the kernel that
-    forms every product, and of numpy's strided block mean."""
-
-    @settings(max_examples=100)
-    @example(half=2, seed=0, signed=True, magnitude=-300, spread=20)
-    @example(half=512, seed=1, signed=True, magnitude=-10, spread=20)
-    @example(half=512, seed=2, signed=False, magnitude=280, spread=20)
-    @given(
-        half=st.integers(2, 512),
-        seed=st.integers(0, 2**32 - 1),
-        signed=st.booleans(),
-        magnitude=st.integers(-300, 280),
-        spread=st.integers(0, 20),
-    )
-    def test_coarsen_equals_the_strided_mean(self, half, seed, signed, magnitude, spread):
-        rng = np.random.default_rng(seed)
-        shape = (2 * half, 2 * half)
-        samples = rng.uniform(1, 10, shape) * 10.0 ** rng.integers(magnitude, magnitude + spread + 1, shape)
-        if signed:
-            samples *= rng.choice([-1.0, 1.0], shape)
-        assert _coarsen(samples).tobytes() == oracles.coarsen_by_mean(samples).tobytes()
+    """The recursion without its zero products and the kernel without its
+    unit products give the bits of the kernel that forms every product."""
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("grid", [4, 8, 9, 64])
@@ -449,7 +411,6 @@ class TestKernelAgainstOracles:
         g = {s: rng.uniform(-1, 1, shape) * 10.0 ** rng.integers(-3, 4, shape) for s in SIZES}
         fast = grid_moments(range(1, 7), y, g, grid=grid)
         monkeypatch.setattr(moments, "_grid_series", oracles.grid_series_untightened)
-        monkeypatch.setattr(moments, "_coarsen", oracles.coarsen_by_mean)
         assert report_bits(fast) == report_bits(grid_moments(range(1, 7), y, g, grid=grid))
 
 
@@ -496,27 +457,14 @@ class TestClosedFormLimits:
     """The midpoint quadrature converges to exact limits at the order of the
     midpoint rule on the integrand."""
 
-    # DT: the upper-triangle profile 1{x <= u} with C_2 = 1 and every other
-    # constant 0, at y = 1, has the limit k^k / (k+1)! (Sniady 2003).  The
-    # indicator jumps on the diagonal, so the error is O(1/G); (value -
-    # limit) * G measured 0.5, 1.005, 2.27, 5.41, 13.25, 33.1 at G = 64 and
-    # 0.5, 1.0, 2.25, 5.34, 13.04, 32.4 at G = 1024, and stays within 2 %
-    # beyond those two ends at every grid in between
-    DT_SCALED_ERROR = {
-        1: (0.49, 0.51),
-        2: (0.98, 1.03),
-        3: (2.20, 2.32),
-        4: (5.23, 5.52),
-        5: (12.77, 13.52),
-        6: (31.75, 33.77),
-    }
-
+    # DT: 1{x <= u} with C_2 = 1 at y = 1, limit k^k / (k+1)!; the bounds on
+    # (value - limit) * G are the ones `covmoments verify` checks at G = 64
     @pytest.mark.parametrize("grid", [64, 128, 256, 512, 1024])
     def test_dt_first_order(self, grid):
         sigma = sample(lambda x, u: (x <= u).astype(float), grid)
         constants = {s: int(s == 2) for s in SIZES}
         reports = profile_moments(range(1, 7), 1, sigma, constants, grid=grid)
-        for k, (lower, upper) in self.DT_SCALED_ERROR.items():
+        for k, (lower, upper) in cli.DT_SCALED_ERROR.items():
             limit = k**k / math.factorial(k + 1)
             assert lower <= (reports[k].value - limit) * grid <= upper, k
 
