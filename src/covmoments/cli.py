@@ -458,8 +458,7 @@ def check_census_product_law(top, sizes):
                     if result.exact_count != result.predicted_count:
                         return False, f"SS word {word.text} ({pp},{nn})"
             else:
-                b = word.distinct_letters
-                ratios = [circuits.census_s(word, N, N).exact_count / N ** (b + 1) for N in (2, 3, 4)]
+                ratios = [circuits.census_s(word, N, N).ratio_to_scale for N in (2, 3, 4)]
                 if not (ratios[0] >= ratios[1] >= ratios[2] and ratios[2] < 1):
                     return False, f"non-SS word {word.text} ratios {ratios}"
     return True, f"exact counts p^(r+1) n^(b-r) for all words of length <= {top}"

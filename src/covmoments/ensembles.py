@@ -62,22 +62,30 @@ class EnsembleConfig:
             raise ValueError(
                 f"profile {prof!r:.40} is neither one of {NAMED_PROFILES} nor an array of shape {shape}"
             )
-        if self.family in ("sparse_bernoulli",) and not self.lam:
-            raise ValueError("sparse_bernoulli requires lam > 0")
+        if self.family == "sparse_bernoulli":
+            _check_lam(self.lam, self.n, "sparse_bernoulli")
         if self.family == "triangular_iid" and not (self.c_seq and self.c_seq.get(2)):
             raise ValueError("triangular_iid requires a target sequence with order 2")
         if self.family == "heavy_tail_stable":
             if self.alpha is None or not 0 < self.alpha < 2:
                 raise ValueError("heavy_tail_stable requires alpha in (0, 2)")
-            if not self.B or self.B <= 0:
+            if self.B is None or not self.B > 0:
                 raise ValueError("heavy_tail_stable requires a truncation multiple B > 0")
         if self.family == "variance_profile":
             if self.profile is None:
                 raise ValueError("variance_profile requires a profile")
             if self.base_family not in ("sparse_bernoulli", "iid_standardized"):
                 raise ValueError("variance_profile base must be sparse_bernoulli or iid_standardized")
-            if self.base_family == "sparse_bernoulli" and not self.lam:
-                raise ValueError("sparse_bernoulli base requires lam > 0")
+            if self.base_family == "sparse_bernoulli":
+                _check_lam(self.lam, self.n, "sparse_bernoulli base")
+
+
+def _check_lam(lam: float | None, n: int, name: str) -> None:
+    # `not lam > 0` also rejects NaN; lam / n is a Bernoulli probability
+    if lam is None or not lam > 0:
+        raise ValueError(f"{name} requires lam > 0")
+    if lam > n:
+        raise ValueError(f"{name} weight lam/n = {lam / n:.3g} exceeds 1; n too small")
 
 
 def resolve_truncation(t_n: float | str | None, n: int) -> float:
@@ -92,7 +100,7 @@ def resolve_truncation(t_n: float | str | None, n: int) -> float:
             return float(n) ** (-1.0 / 3.0)
         raise ValueError(f"unknown truncation rule {t_n!r}")
     value = float(t_n)
-    if value <= 0:
+    if not value > 0:
         raise ValueError("truncation level must be positive")
     return value
 
@@ -107,7 +115,7 @@ def triangular_two_point(c_seq: Mapping[int, float], n: int) -> tuple[float, flo
     """Fit x = +-a with probability lam_t/(2n) each (0 otherwise) so that
     n E[x^2] = C_2 and, when C_4 is supplied, n E[x^4] = C_4."""
     c2 = float(c_seq[2])
-    if c2 <= 0:
+    if not c2 > 0:
         raise ValueError("C_2 must be positive")
     c4 = float(c_seq.get(4, 0.0))
     if c4 > 0:

@@ -6,7 +6,9 @@ circuit slots pi(0), pi(2), ..., pi(2k-2) by shared generating vertex, tau
 does the same for the odd slots pi(1), ..., pi(2k-1).  Viewing sigma-blocks
 as vertices and tau-blocks as edges (an edge touches every vertex block
 adjacent to one of its slots along the circuit) gives a hypergraph that is
-acyclic exactly for special symmetric words, with |sigma| + |tau| = b + 1.
+acyclic exactly for special symmetric words.  Its incidence graph is
+connected and has one edge per letter, so acyclic means one count:
+|sigma| + |tau| = b + 1.
 
 The class table (`count_noiry_classes`) comes from a recursion over the
 sojourns of a closed walk on a growing tree, so it lists no word and
@@ -29,7 +31,6 @@ from .partitions import (
     Word,
     _check_cap,
     enumerate_partitions,
-    is_special_symmetric,
 )
 
 MAX_SERIES_ORDER = 12
@@ -64,9 +65,6 @@ class Hypergraph:
             touched[edge].add(sigma_of[i % self.k + 1])
         return {e: frozenset(vs) for e, vs in touched.items()}
 
-    def bipartite_edges(self) -> set[tuple[int, int]]:
-        return {(v, e) for e, vs in self.incidence().items() for v in vs}
-
     def pairwise_intersections_ok(self) -> bool:
         """No two distinct edges share more than one vertex."""
         inc = list(self.incidence().values())
@@ -79,31 +77,26 @@ class Hypergraph:
 
 def is_acyclic(h: Hypergraph) -> bool:
     """True iff the bipartite incidence graph (sigma-blocks vs tau-blocks) is a
-    forest.  This implies the pairwise condition (two edges sharing two
-    vertices force a 4-cycle) and is strictly stronger on longer cycles."""
-    parent: dict = {}
+    forest, decided by counting its edges.  This implies the pairwise
+    condition (two edges sharing two vertices force a 4-cycle) and is
+    strictly stronger on longer cycles.
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for v, e in sorted(h.bipartite_edges()):
-        a, b = ("s", v), ("t", e)
-        parent.setdefault(a, a)
-        parent.setdefault(b, b)
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return False
-        parent[ra] = rb
-    return True
+    The graph has |sigma| + |tau| vertices and is a tree exactly when its
+    edge count is |sigma| + |tau| - 1:
+      - The circuit sigma(1) tau(1) sigma(2) ... sigma(k) tau(k) sigma(1)
+        steps from block to adjacent block, since tau(i) touches sigma(i)
+        and sigma(i mod k + 1), and it visits every block, so the graph is
+        connected.
+      - Its edges are the adjacent (sigma-block, tau-block) pairs, which are
+        exactly the letters of `_word_of_pair(sigma, tau)`, so it has b
+        edges, where b is that word's number of letters.
+    """
+    edges = sum(len(vs) for vs in h.incidence().values())
+    return edges == len(h.sigma.blocks) + len(h.tau.blocks) - 1
 
 
 def word_to_hypergraph(word: Word) -> Hypergraph:
     """Build the (sigma, tau) hypergraph of a special symmetric word."""
-    if word.length % 2:
-        raise ValueError("special symmetric words have even length")
     cls = slot_classes(word)
     k = word.length // 2
     sigma_groups: dict[int, list[int]] = defaultdict(list)
@@ -120,19 +113,19 @@ def word_to_hypergraph(word: Word) -> Hypergraph:
 
 def hypergraph_to_word(h: Hypergraph) -> Word:
     """Inverse construction: read the word off the circuit whose even slots
-    are labelled by sigma-blocks and odd slots by tau-blocks."""
+    are labelled by sigma-blocks and odd slots by tau-blocks.
+
+    An acyclic pair gives a special symmetric word, as it has
+    |sigma| + |tau| = b + 1 (see `is_acyclic`).  A repeated letter repeats
+    its (sigma-block, tau-block) pair, so these slot labels satisfy every
+    vertex equality the covariance link forces.  The word's union-find
+    classes (`circuits._vertex_classes`) are the finest that do, so
+    rows + cols >= |sigma| + |tau| = b + 1, and the quotient graph is the
+    tree that `_vertex_classes` requires of a special symmetric word.
+    """
     if not is_acyclic(h):
         raise ValueError("hypergraph has a cycle; no special symmetric word corresponds to it")
-    word = _word_of_pair(h.sigma, h.tau)
-    b = word.distinct_letters
-    if len(h.sigma.blocks) + len(h.tau.blocks) != b + 1:
-        raise ValueError(
-            f"block counts |sigma| + |tau| = {len(h.sigma.blocks) + len(h.tau.blocks)} "
-            f"do not equal b + 1 = {b + 1}"
-        )
-    if not is_special_symmetric(word.to_partition()):
-        raise ValueError(f"constructed word {word.text} is not special symmetric")
-    return word
+    return _word_of_pair(h.sigma, h.tau)
 
 
 def _word_of_pair(sigma: Partition, tau: Partition) -> Word:

@@ -1,7 +1,8 @@
 """Test-only oracles: brute-force censuses, the product-law prediction for
 the words that the literal definition `partitions.is_special_symmetric`
 accepts, the sojourn recursion and its grid kernel with every product
-formed, and a small helper for even constant sequences.
+formed, a union-find forest test of hypergraph acyclicity, and a small
+helper for even constant sequences.
 
 The censuses test every circuit tuple with the same predicates and budget
 as `circuits.verify_containment`, independently of the value-pattern
@@ -17,6 +18,7 @@ import numpy as np
 
 from covmoments import circuits
 from covmoments.circuits import CensusResult
+from covmoments.hypergraphs import Hypergraph
 from covmoments.partitions import Word, is_special_symmetric, word_statistics
 
 
@@ -64,6 +66,28 @@ def predicted_count_w(word: Word, N: int) -> int | None:
     circuits._require_sizes(N=N)
     circuits._require_circuit_word(word)
     return _predicted(word, N, N)
+
+
+def is_acyclic_by_union_find(h: Hypergraph) -> bool:
+    """True iff the bipartite incidence graph (sigma-blocks vs tau-blocks)
+    is a forest: no incidence edge joins two nodes already connected."""
+    parent: dict = {}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for v, e in sorted((v, e) for e, vs in h.incidence().items() for v in vs):
+        a, b = ("s", v), ("t", e)
+        parent.setdefault(a, a)
+        parent.setdefault(b, b)
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            return False
+        parent[ra] = rb
+    return True
 
 
 def even_sequence(values: Sequence[Real]) -> dict[int, Fraction]:

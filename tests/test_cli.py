@@ -647,6 +647,26 @@ class TestSimulate:
         assert "array of shape (3, 4)" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("family, lines", [
+        ("sparse_bernoulli", "lam = -1"),
+        ("sparse_bernoulli", "lam = nan"),
+        ("sparse_bernoulli", "lam = 9"),
+        ("variance_profile", "profile = fig1_quadratic\nlam = -1"),
+        ("variance_profile", "profile = fig1_quadratic\nlam = nan"),
+        ("iid_standardized", "t_n = nan"),
+        ("triangular_iid", "c2 = nan"),
+        ("heavy_tail_stable", "alpha = 1.5\nB = nan"),
+    ], ids=["lam-negative", "lam-nan", "lam-above-n", "profile-lam-negative", "profile-lam-nan",
+            "t_n-nan", "c2-nan", "B-nan"])
+    def test_bad_rate_fails_before_sampling(self, tmp_path, capsys, monkeypatch, family, lines):
+        def no_draw(*args):
+            raise AssertionError("sampled before the config was checked")
+
+        monkeypatch.setattr(ensembles, "_raw_entries", no_draw)
+        cfg = self.write_config(tmp_path, f"family = {family}\np = 4\nn = 8\n{lines}\n")
+        assert run("--out", tmp_path, "simulate", "--config", cfg) == EXIT_CONFIG
+        assert not (tmp_path / "moments.csv").exists()
+
     @pytest.mark.parametrize("line", ['bins = "bogus"', "bins = 2.5", "bins = 0", "K = 0"])
     def test_bad_bins_or_order_fail_before_sampling(self, tmp_path, capsys, monkeypatch, line):
         def no_draw(*args):
@@ -693,6 +713,10 @@ class TestHypergraphVerb:
     def test_non_ss_word(self, capsys):
         assert run("hypergraph", "--word", "abab") == EXIT_CONFIG
         assert "abab is not special symmetric" in capsys.readouterr().err
+
+    def test_odd_length_word(self, capsys):
+        assert run("hypergraph", "--word", "abc") == EXIT_CONFIG
+        assert "positive even length" in capsys.readouterr().err
 
 
 # the ordered (name, detail) lines of `verify --max-k 3` and `--max-k 6`
@@ -751,6 +775,7 @@ VERIFY_BREAKS = [
     ("mp-constant-reduction", moments, "mp_moment", lambda f: lambda k, y: f(k, y) + 1),
     ("sparse-sandwich", moments, "poisson_sandwich", lambda f: lambda k, y, lam: f(k, y, lam)[::-1]),
     ("hypergraph-roundtrip", hypergraphs, "count_acyclic_pairs", lambda f: lambda k: {**f(k), 0: 1}),
+    ("hypergraph-roundtrip", hypergraphs, "is_acyclic", lambda f: lambda h: not f(h)),
     ("noiry-class-totals", hypergraphs, "count_noiry_classes", lambda f: lambda k: {**f(k), None: 1}),
     ("grid-quadrature", moments, "moment_grid",
      lambda f: lambda *a, **kw: dataclasses.replace(f(*a, **kw), value=f(*a, **kw).value + 1)),

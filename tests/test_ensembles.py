@@ -117,6 +117,8 @@ class TestTruncationRule:
             resolve_truncation("n^{-1/2}", 10)
         with pytest.raises(ValueError):
             resolve_truncation(-1.0, 10)
+        with pytest.raises(ValueError):
+            resolve_truncation(math.nan, 10)
 
 
 class TestSampling:
@@ -248,6 +250,28 @@ class TestConfigValidation:
     def test_bad_sizes(self):
         with pytest.raises(ValueError):
             EnsembleConfig("iid_standardized", 0, 6)
+
+    # NaN compares false, so every rate check reads `not x > 0`; lam / n is a
+    # Bernoulli probability, so lam may not exceed n
+    @pytest.mark.parametrize("fields", [
+        dict(family="sparse_bernoulli", lam=-1.0),
+        dict(family="sparse_bernoulli", lam=math.nan),
+        dict(family="sparse_bernoulli", lam=7.0),
+        dict(family="variance_profile", lam=-1.0, profile="fig1_quadratic"),
+        dict(family="variance_profile", lam=math.nan, profile="fig1_quadratic"),
+        dict(family="variance_profile", lam=7.0, profile="fig1_quadratic"),
+        dict(family="iid_standardized", t_n=math.nan),
+        dict(family="triangular_iid", c_seq={2: math.nan}),
+        dict(family="heavy_tail_stable", alpha=1.5, B=math.nan),
+    ], ids=["lam-negative", "lam-nan", "lam-above-n", "profile-lam-negative", "profile-lam-nan",
+            "profile-lam-above-n", "t_n-nan", "c2-nan", "B-nan"])
+    def test_bad_rate_fails_before_sampling(self, monkeypatch, fields):
+        def no_draw(*args):
+            raise AssertionError("sampled before the config was checked")
+
+        monkeypatch.setattr(ensembles, "_raw_entries", no_draw)
+        with pytest.raises(ValueError):
+            run_experiment(EnsembleConfig(p=4, n=6, **fields), 2)
 
 
 class TestSpectralStatistics:

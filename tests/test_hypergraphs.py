@@ -46,13 +46,14 @@ def all_partitions(k):
 
 def ss_words_by_acyclic_pairs(k):
     """Oracle: read a word off every acyclic (sigma, tau) pair of partitions
-    of {1..k}, Bell(k)^2 pairs in all, and check that no word repeats."""
+    of {1..k}, Bell(k)^2 pairs in all, and check that no word repeats.
+    Acyclicity is the union-find forest test, not the code under test."""
     sigmas = all_partitions(k)
     words = [
         _word_of_pair(sigma, tau)
         for sigma in sigmas
         for tau in sigmas
-        if is_acyclic(Hypergraph(k, sigma, tau))
+        if oracles.is_acyclic_by_union_find(Hypergraph(k, sigma, tau))
     ]
     unique = sorted(set(words), key=lambda w: w.letters)
     assert len(unique) == len(words), "acyclic pairs mapped to duplicate words"
@@ -119,6 +120,15 @@ class TestAcyclicity:
                 if is_acyclic(h):
                     assert h.pairwise_intersections_ok()
 
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_edge_count_equals_union_find_forest(self, k):
+        # every (sigma, tau) pair, 41,209 at k = 6
+        sigmas = all_partitions(k)
+        for sigma in sigmas:
+            for tau in sigmas:
+                h = Hypergraph(k, sigma, tau)
+                assert is_acyclic(h) == oracles.is_acyclic_by_union_find(h)
+
     def test_disagreement_instances_recorded(self):
         # the pairwise reading alone is NOT equivalent to forestness; these
         # counts pin the first disagreements
@@ -158,7 +168,7 @@ class TestInverse:
 
     def test_cyclic_input_rejected(self):
         singletons = Partition.from_blocks([[1], [2], [3]])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="has a cycle"):
             hypergraph_to_word(Hypergraph.from_partitions(singletons, singletons))
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
