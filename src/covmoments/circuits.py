@@ -20,7 +20,10 @@ equalities, and `census_s` counts p^rows * n^cols over the classes of even
 and odd slots that one union-find pass leaves (`_vertex_classes`).  With
 the letters as edges they form the word's quotient graph, a tree with
 rows + cols = b+1 and rows = r+1 exactly for special symmetric words, which
-is the law above.  So that pass decides the prediction of both censuses.
+is the law above.  So that pass decides the prediction of both censuses,
+and `word_structure` hands the tree out as one record: the slot classes,
+one (row class, column class, multiplicity) edge per letter, and r.  The
+hypergraph bijection and the per-word quadrature breakdown read it.
 
 The Wigner edge is an unordered pair, so a repeated letter forces one of two
 ways of matching its endpoints and no such pass decides it.  `census_w`
@@ -326,11 +329,22 @@ def propagate_slot(
     return a if prev == b else None
 
 
-def quotient_graph(word: Word) -> tuple[list[int], list[tuple[int, int, int]], int]:
+@dataclass(frozen=True)
+class WordStructure:
     """The quotient graph of a special symmetric word (`_vertex_classes`):
     the class of each slot pi(0..2k-1), numbered by first slot so that class
-    j is the one letter j opens, each letter's (row class, column class,
-    multiplicity), and r+1.  Raises ValueError for any other word."""
+    j is the one letter j opens, the (row class, column class, multiplicity)
+    of each letter j, whose first occurrence joins class j to an earlier
+    one, and r."""
+
+    classes: tuple[int, ...]
+    edges: tuple[tuple[int, int, int], ...]
+    r: int
+
+
+def word_structure(word: Word) -> WordStructure:
+    """The `WordStructure` of `word`; raises ValueError for words that are
+    not special symmetric."""
     rows, cols, b, r_plus_1, first, parent = _vertex_classes(word)
     if rows + cols != b + 1:
         raise ValueError(f"word {word.text} is not special symmetric")
@@ -350,13 +364,7 @@ def quotient_graph(word: Word) -> tuple[list[int], list[tuple[int, int, int]], i
         i = first[j]
         even_slot, odd_slot = (i - 1, i) if i % 2 else (i % m, i - 1)
         edges.append((cls[even_slot], cls[odd_slot], counts[j]))
-    return cls, edges, r_plus_1
-
-
-def slot_classes(word: Word) -> list[int]:
-    """The slot classes of `quotient_graph`, one per generating vertex;
-    raises ValueError for words that are not special symmetric."""
-    return quotient_graph(word)[0]
+    return WordStructure(tuple(cls), tuple(edges), r_plus_1 - 1)
 
 
 def verify_containment(word: Word, p: int, n: int) -> bool:

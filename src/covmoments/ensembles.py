@@ -117,8 +117,10 @@ def triangular_two_point(c_seq: Mapping[int, float], n: int) -> tuple[float, flo
     c2 = float(c_seq[2])
     if not c2 > 0:
         raise ValueError("C_2 must be positive")
-    c4 = float(c_seq.get(4, 0.0))
-    if c4 > 0:
+    if 4 in c_seq:
+        c4 = float(c_seq[4])
+        if not c4 > 0:
+            raise ValueError("C_4 must be positive")
         a = math.sqrt(c4 / c2)
         lam_t = c2 * c2 / c4
     else:

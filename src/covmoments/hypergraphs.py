@@ -24,7 +24,7 @@ from math import comb
 from types import MappingProxyType
 from typing import Mapping
 
-from .circuits import propagate_slot, slot_classes
+from .circuits import propagate_slot, word_structure
 from .partitions import (
     Partition,
     SizeLimitError,
@@ -65,15 +65,6 @@ class Hypergraph:
             touched[edge].add(sigma_of[i % self.k + 1])
         return {e: frozenset(vs) for e, vs in touched.items()}
 
-    def pairwise_intersections_ok(self) -> bool:
-        """No two distinct edges share more than one vertex."""
-        inc = list(self.incidence().values())
-        for i in range(len(inc)):
-            for j in range(i + 1, len(inc)):
-                if len(inc[i] & inc[j]) > 1:
-                    return False
-        return True
-
 
 def is_acyclic(h: Hypergraph) -> bool:
     """True iff the bipartite incidence graph (sigma-blocks vs tau-blocks) is a
@@ -97,7 +88,7 @@ def is_acyclic(h: Hypergraph) -> bool:
 
 def word_to_hypergraph(word: Word) -> Hypergraph:
     """Build the (sigma, tau) hypergraph of a special symmetric word."""
-    cls = slot_classes(word)
+    cls = word_structure(word).classes
     k = word.length // 2
     sigma_groups: dict[int, list[int]] = defaultdict(list)
     tau_groups: dict[int, list[int]] = defaultdict(list)

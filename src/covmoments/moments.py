@@ -19,7 +19,9 @@ generating-vertex variable, taken only as arrays sampled at grid midpoints;
 one pass of order K gives every k <= K, so `grid_moments` and
 `profile_moments` recurse once for a whole range of k.  The per-word
 breakdown of every source is built only on request (breakdown=True),
-because it lists every word and so stays within the enumeration cap.
+because it lists every word and so stays within the enumeration cap; the
+quadrature breakdown integrates each word's tree, read from
+`circuits.word_structure`, one leaf at a time.
 """
 
 from __future__ import annotations
@@ -27,15 +29,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from numbers import Real
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .circuits import quotient_graph
+from .circuits import word_structure
 from .hypergraphs import _sojourn_series, count_noiry_classes, enumerate_ss_words
-from .partitions import Word, narayana, word_statistics
+from .partitions import narayana, word_statistics
 
 
 @dataclass(frozen=True)
@@ -46,38 +47,6 @@ class MomentReport:
     k: int
     value: Fraction | float
     breakdown: dict[str, Fraction | float] | None
-
-
-@dataclass(frozen=True)
-class LetterEdge:
-    even_class: int
-    odd_class: int
-    multiplicity: int
-    child: int  # generating vertex introduced by this letter
-    parent: int  # pre-existing endpoint
-
-
-@dataclass(frozen=True)
-class WordStructure:
-    word: Word
-    r: int
-    edges: tuple[LetterEdge, ...]
-
-
-@lru_cache(maxsize=None)
-def word_structure(word: Word) -> WordStructure:
-    """Generating-vertex layout of a special symmetric word, read off its
-    quotient graph (`circuits.quotient_graph`).
-
-    Letter j's first occurrence joins a fresh class j to an earlier one, so
-    the b edges over the b+1 classes always form a tree rooted at class 0.
-    """
-    _, letters, r_plus_1 = quotient_graph(word)
-    edges = []
-    for j, (even_class, odd_class, multiplicity) in enumerate(letters, start=1):
-        parent = odd_class if even_class == j else even_class
-        edges.append(LetterEdge(even_class, odd_class, multiplicity, j, parent))
-    return WordStructure(word, r_plus_1 - 1, tuple(edges))
 
 
 def _lookup(c: Mapping[int, Real], size: int) -> Fraction:
@@ -215,14 +184,18 @@ def _word_terms(
     for word in enumerate_ss_words(k):
         st = word_structure(word)
         messages = {cls: np.ones(grid) for cls in range(len(st.edges) + 1)}
-        for edge in reversed(st.edges):
-            factor = samples[edge.multiplicity]
-            child = messages.pop(edge.child)
-            if edge.child == edge.even_class:
+        # letter j's child is class j, its parent the other endpoint
+        for j in range(len(st.edges), 0, -1):
+            row, col, multiplicity = st.edges[j - 1]
+            factor = samples[multiplicity]
+            child = messages.pop(j)
+            if j == row:
                 contrib = (factor * child[:, None]).mean(axis=0)
+                parent = col
             else:
                 contrib = (factor * child[None, :]).mean(axis=1)
-            messages[edge.parent] = messages[edge.parent] * contrib
+                parent = row
+            messages[parent] = messages[parent] * contrib
         terms[word.text] = y**st.r * float(messages[0].mean())
     return terms
 

@@ -1,8 +1,9 @@
 """Test-only oracles: brute-force censuses, the product-law prediction for
 the words that the literal definition `partitions.is_special_symmetric`
 accepts, the sojourn recursion and its grid kernel with every product
-formed, a union-find forest test of hypergraph acyclicity, and a small
-helper for even constant sequences.
+formed, a union-find forest test of hypergraph acyclicity, the pairwise
+edge-intersection test it is stronger than, and a small helper for even
+constant sequences.
 
 The censuses test every circuit tuple with the same predicates and budget
 as `circuits.verify_containment`, independently of the value-pattern
@@ -87,6 +88,16 @@ def is_acyclic_by_union_find(h: Hypergraph) -> bool:
         if ra == rb:
             return False
         parent[ra] = rb
+    return True
+
+
+def pairwise_intersections_ok(h: Hypergraph) -> bool:
+    """No two distinct edges share more than one vertex."""
+    inc = list(h.incidence().values())
+    for i in range(len(inc)):
+        for j in range(i + 1, len(inc)):
+            if len(inc[i] & inc[j]) > 1:
+                return False
     return True
 
 

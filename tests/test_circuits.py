@@ -10,10 +10,9 @@ from covmoments.circuits import (
     CensusResult,
     census_s,
     census_w,
-    slot_classes,
     verify_containment,
+    word_structure,
 )
-from covmoments.moments import word_structure
 from covmoments.partitions import (
     SizeLimitError,
     Word,
@@ -162,7 +161,8 @@ def ordered_propagate_slot(keys, letter, i, prev, fresh):
 
 
 def ordered_slot_classes(word):
-    """Oracle: the slot-class walk of `slot_classes` driven by the ordered step."""
+    """Oracle: the slot classes of `word_structure`, from the walk driven by
+    the ordered step."""
     m = word.length
     cls = [0] * m
     next_class = 1
@@ -175,7 +175,7 @@ def ordered_slot_classes(word):
             cls[i] = cur
             if cur == next_class:
                 next_class += 1
-    return cls
+    return tuple(cls)
 
 
 class TestCensusS:
@@ -324,9 +324,9 @@ class TestSlotClasses:
             expected = ordered_slot_classes(word)
         except ValueError:
             with pytest.raises(ValueError):
-                slot_classes(word)
+                word_structure(word)
         else:
-            assert slot_classes(word) == expected
+            assert word_structure(word).classes == expected
 
     @pytest.mark.parametrize("m", [2, 4, 6, 8])
     def test_unordered_step_matches_ordered_oracle_on_every_word(self, m):
@@ -336,25 +336,25 @@ class TestSlotClasses:
             except ValueError:
                 expected = None
             try:
-                assert slot_classes(word) == expected
+                assert word_structure(word).classes == expected
             except ValueError:
                 assert expected is None
 
     @pytest.mark.parametrize("m", range(1, 11))
     def test_success_is_special_symmetric(self, m):
-        # slot_classes succeeds exactly on the words the literal definition
+        # word_structure succeeds exactly on the words the literal definition
         # accepts, and then numbers pi(0)'s class 0 and the class letter j
         # opens at its first position j
         for word in all_words(m):
             if m % 2:
                 with pytest.raises(ValueError, match="positive even length"):
-                    slot_classes(word)
+                    word_structure(word)
                 continue
             if not is_special_symmetric(word.to_partition()):
                 with pytest.raises(ValueError, match="is not special symmetric"):
-                    slot_classes(word)
+                    word_structure(word)
                 continue
-            cls = slot_classes(word)
+            cls = word_structure(word).classes
             firsts = word_statistics(word).first_positions
             assert cls[0] == 0, word.text
             assert [cls[i] for i in firsts] == list(range(1, len(firsts) + 1)), word.text
@@ -364,15 +364,13 @@ class TestSlotClasses:
         # c and d occur once each; d, first met at the closing slot, must
         # open a class of its own rather than close onto pi(0)
         with pytest.raises(ValueError, match="aabbcd is not special symmetric"):
-            slot_classes(W("aabbcd"))
+            word_structure(W("aabbcd"))
 
     @pytest.mark.parametrize("m", range(1, 9))
     def test_odd_multiplicities_rejected(self, m):
         odd = [w for w in all_words(m) if any(c % 2 for c in w.multiplicities())]
         assert odd
         for word in odd:
-            with pytest.raises(ValueError):
-                slot_classes(word)
             with pytest.raises(ValueError):
                 word_structure(word)
 

@@ -351,11 +351,15 @@ class TestMoments:
         def forbidden(*args, **kwargs):
             raise AssertionError("word-level work on the exact value path")
 
+        names = ("enumerate_ss_words", "word_structure", "count_ss", "enumerate_partitions",
+                 "is_special_symmetric")
+        patched = set()
         for module in (circuits, hypergraphs, moments, partitions, cli):
-            for name in ("enumerate_ss_words", "word_structure", "slot_classes",
-                         "count_ss", "enumerate_partitions", "is_special_symmetric"):
+            for name in names:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, forbidden)
+                    patched.add(name)
+        assert patched == set(names)
         constants = ",".join(f"{2 * j}={Fraction(1, j)}" for j in range(1, 8))
         assert run(
             "--out", tmp_path, "moments", "--sparse", "--lam", "3", "--y", "1/2", "--k", "1..7",
@@ -387,10 +391,14 @@ class TestMoments:
         def forbidden(*args, **kwargs):
             raise AssertionError("word-level work on the grid value path")
 
+        names = ("enumerate_ss_words", "word_structure")
+        patched = set()
         for module in (hypergraphs, moments, cli):
-            for name in ("enumerate_ss_words", "word_structure"):
+            for name in names:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, forbidden)
+                    patched.add(name)
+        assert patched == set(names)
         sources, grid = self.grid_sources(tmp_path, 6)
         for source in sources:
             assert run(
@@ -656,8 +664,11 @@ class TestSimulate:
         ("iid_standardized", "t_n = nan"),
         ("triangular_iid", "c2 = nan"),
         ("heavy_tail_stable", "alpha = 1.5\nB = nan"),
+        ("triangular_iid", "c2 = 2\nc4 = nan"),
+        ("triangular_iid", "c2 = 2\nc4 = -1"),
+        ("triangular_iid", "c2 = 2\nc4 = 0"),
     ], ids=["lam-negative", "lam-nan", "lam-above-n", "profile-lam-negative", "profile-lam-nan",
-            "t_n-nan", "c2-nan", "B-nan"])
+            "t_n-nan", "c2-nan", "B-nan", "c4-nan", "c4-negative", "c4-zero"])
     def test_bad_rate_fails_before_sampling(self, tmp_path, capsys, monkeypatch, family, lines):
         def no_draw(*args):
             raise AssertionError("sampled before the config was checked")
@@ -691,12 +702,17 @@ class TestLoadConfig:
 
 
 class TestHypergraphVerb:
-    def test_word(self, capsys):
-        assert run("hypergraph", "--word", "aabb") == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["sigma"] == [[1, 2]]
-        assert payload["tau"] == [[1], [2]]
-        assert payload["acyclic"] is True
+    @pytest.mark.parametrize("payload", [
+        {"word": "aabb", "sigma": [[1, 2]], "tau": [[1], [2]], "acyclic": True,
+         "incidence": {"0": [0], "1": [0]}},
+        {"word": "abba", "sigma": [[1], [2]], "tau": [[1, 2]], "acyclic": True,
+         "incidence": {"0": [0, 1]}},
+        {"word": "abccbadd", "sigma": [[1, 4], [2, 3]], "tau": [[1, 3], [2], [4]], "acyclic": True,
+         "incidence": {"0": [0, 1], "1": [1], "2": [0]}},
+    ], ids=lambda payload: payload["word"])
+    def test_word(self, capsys, payload):
+        assert run("hypergraph", "--word", payload["word"]) == 0
+        assert json.loads(capsys.readouterr().out) == payload
 
     def test_class_table(self, tmp_path, capsys):
         assert run("--out", tmp_path, "hypergraph", "--k", 2) == 0

@@ -263,8 +263,11 @@ class TestConfigValidation:
         dict(family="iid_standardized", t_n=math.nan),
         dict(family="triangular_iid", c_seq={2: math.nan}),
         dict(family="heavy_tail_stable", alpha=1.5, B=math.nan),
+        dict(family="triangular_iid", c_seq={2: 2.0, 4: math.nan}),
+        dict(family="triangular_iid", c_seq={2: 2.0, 4: -1.0}),
+        dict(family="triangular_iid", c_seq={2: 2.0, 4: 0.0}),
     ], ids=["lam-negative", "lam-nan", "lam-above-n", "profile-lam-negative", "profile-lam-nan",
-            "profile-lam-above-n", "t_n-nan", "c2-nan", "B-nan"])
+            "profile-lam-above-n", "t_n-nan", "c2-nan", "B-nan", "c4-nan", "c4-negative", "c4-zero"])
     def test_bad_rate_fails_before_sampling(self, monkeypatch, fields):
         def no_draw(*args):
             raise AssertionError("sampled before the config was checked")

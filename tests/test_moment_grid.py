@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covmoments import cli, moments
+from covmoments.circuits import word_structure
 from covmoments.hypergraphs import enumerate_ss_words
 from covmoments.moments import (
     _needed_sizes,
@@ -21,7 +22,6 @@ from covmoments.moments import (
     mp_moment,
     profile_moments,
     unbounded_support_bound,
-    word_structure,
 )
 from covmoments.partitions import Word, word_statistics
 
@@ -53,14 +53,18 @@ def per_word_elimination(k, y, samples, grid):
     for word in enumerate_ss_words(k):
         structure = word_structure(word)
         messages = {cls: np.ones(grid) for cls in range(len(structure.edges) + 1)}
-        for edge in reversed(structure.edges):
-            factor = samples[edge.multiplicity]
-            child_msg = messages.pop(edge.child)
-            if edge.child == edge.even_class:
+        # letter j's child is class j, its parent the other endpoint
+        for j in range(len(structure.edges), 0, -1):
+            row, col, multiplicity = structure.edges[j - 1]
+            factor = samples[multiplicity]
+            child_msg = messages.pop(j)
+            if j == row:
                 contrib = (factor * child_msg[:, None]).mean(axis=0)
+                parent = col
             else:
                 contrib = (factor * child_msg[None, :]).mean(axis=1)
-            messages[edge.parent] = messages[edge.parent] * contrib
+                parent = row
+            messages[parent] = messages[parent] * contrib
         root = messages.pop(0)
         breakdown[word.text] = y**structure.r * float(root.mean())
     return sum(breakdown.values()), breakdown
@@ -105,8 +109,8 @@ class TestMomentGrid:
             nvar = len(st.edges) + 1
             for idx in itertools.product(range(grid), repeat=nvar):
                 prod = 0.7**st.r
-                for e in st.edges:
-                    prod *= sampled[e.multiplicity][idx[e.even_class], idx[e.odd_class]]
+                for row, col, multiplicity in st.edges:
+                    prod *= sampled[multiplicity][idx[row], idx[col]]
                 terms.append(prod / grid**nvar)
         # fsum rounds the sum of the grid^(b+1) terms once, so the oracle's own
         # error stays below the tolerance at k = 4, where the moment is ~600

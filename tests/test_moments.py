@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from covmoments.circuits import word_structure
 from covmoments.hypergraphs import MAX_SERIES_ORDER, count_noiry_classes, enumerate_ss_words
 from covmoments.moments import (
     CarlemanDiagnostic,
@@ -17,7 +18,6 @@ from covmoments.moments import (
     moment_sparse,
     mp_moment,
     poisson_sandwich,
-    word_structure,
 )
 from covmoments.partitions import (
     Partition,
@@ -334,12 +334,12 @@ class TestWordStructure:
     def test_tree_shape_aabb(self):
         st = word_structure(Word.from_text("aabb"))
         assert st.r == 0
-        assert [(e.child, e.parent, e.multiplicity) for e in st.edges] == [(1, 0, 2), (2, 0, 2)]
+        assert st.edges == ((0, 1, 2), (0, 2, 2))
 
     def test_tree_shape_abba(self):
         st = word_structure(Word.from_text("abba"))
         assert st.r == 1
-        assert [(e.child, e.parent) for e in st.edges] == [(1, 0), (2, 1)]
+        assert st.edges == ((0, 1, 2), (2, 1, 2))
 
     def test_multiplicities_are_block_sizes(self):
         for p in enumerate_partitions(6):
@@ -348,7 +348,7 @@ class TestWordStructure:
                 st = word_structure(word)
             except ValueError:
                 continue
-            assert sorted(e.multiplicity for e in st.edges) == list(p.block_sizes())
+            assert sorted(multiplicity for _, _, multiplicity in st.edges) == list(p.block_sizes())
 
     def test_r_matches_word_statistics(self):
         for k in (1, 2, 3, 4):
