@@ -30,8 +30,8 @@ ways of matching its endpoints and no such pass decides it.  `census_w`
 counts value patterns instead, since the link compares vertex values only
 for equality.  A depth-first search gives each generating vertex one of the
 values already opened or one new value, weighted by the number of values
-still unused, and propagates the repeated letters with the unordered
-`propagate_slot` step inlined.  The search checks forward: when the letter
+still unused, and moves each repeated letter to the other endpoint of its
+unordered recorded edge.  The search checks forward: when the letter
 leaving a generating vertex is an earlier one, other than the letter
 entering it, only the endpoints of its recorded edge can continue, so no
 new value is tried.  The budget `DEFAULT_CENSUS_BUDGET` bounds the value
@@ -109,9 +109,9 @@ def _vertex_classes(word: Word) -> tuple[int, int, int, int, list[int], list[int
         rows + cols vertices and b edges, rows + cols <= b+1, with equality
         iff it is a tree.
       - A word is special symmetric iff its letters occur an even number of
-        times and its propagation walk closes at pi(0): the `propagate_slot`
-        walk of `hypergraphs.enumerate_ss_words`, which opens a class at
-        each new letter and follows the recorded edge at a repeated one.
+        times and its propagation walk closes at pi(0): the walk of
+        `hypergraphs.enumerate_ss_words`, which opens a class at each new
+        letter and follows the recorded edge at a repeated one.
         On such a word its b+1 classes, pi(0)'s and one per letter, satisfy
         every forced equality; the union-find classes are the finest that
         do, so there are at least b+1 of them.
@@ -251,11 +251,11 @@ def census_w(word: Word, N: int) -> CensusResult:
 
     Counts value patterns rather than assignments: each generating vertex
     takes a value already in use, or one new value weighted by the number
-    still unused, and the unordered `propagate_slot` step forces the
-    repeated letters.  The generating vertices and the prediction come
-    from `_vertex_classes`, as in `census_s`.  The count is exact.  Raises
-    SizeLimitError when the bound on the patterns visited exceeds
-    `DEFAULT_CENSUS_BUDGET`; that bound stops growing with N once N
+    still unused, and each repeated letter moves to the other endpoint of
+    its unordered recorded edge.  The generating vertices and the
+    prediction come from `_vertex_classes`, as in `census_s`.  The count is
+    exact.  Raises SizeLimitError when the bound on the patterns visited
+    exceeds `DEFAULT_CENSUS_BUDGET`; that bound stops growing with N once N
     reaches the word length.
     """
     _require_sizes(N=N)
@@ -300,33 +300,6 @@ def _iter_full_tuples(word: Word, p: int, n: int):
     _check_budget((p * n) ** (m // 2), "circuit tuples")
     ranges = [range(1, (p if i % 2 == 0 else n) + 1) for i in range(m)]
     yield from itertools.product(*ranges)
-
-
-def propagate_slot(
-    keys: dict[int, tuple[int, int]], letter: int, prev: int, fresh: int
-) -> int | None:
-    """One propagation step, for both links and for the prefix pruning of
-    `hypergraphs.enumerate_ss_words` (`census_w` inlines it): the class of
-    the next slot, given the class `prev` of the slot before it.
-
-    A letter met for the first time records its edge (prev, fresh) in `keys`
-    and moves to the class `fresh`.  A repeated letter moves to the other
-    endpoint of its recorded edge, or returns None when `prev` is neither
-    endpoint, i.e. when two distinct generating vertices would be equated.
-
-    The edge is unordered, as under the Wigner link.  The covariance link's
-    ordered (row, col) check gives the same answer: a class is opened at one
-    slot and only ever reached at slots of the same parity, so a row class
-    never equals a column class, and `prev` can match only the endpoint on
-    its own side, the one the ordered check tests.
-    """
-    if letter not in keys:
-        keys[letter] = (prev, fresh)
-        return fresh
-    a, b = keys[letter]
-    if prev == a:
-        return b
-    return a if prev == b else None
 
 
 @dataclass(frozen=True)

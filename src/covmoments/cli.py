@@ -263,14 +263,23 @@ def load_config(path: str) -> dict:
     """Flat key = value files with optional [sections], or a JSON object."""
     raw = Path(path).read_text()
     if path.endswith(".json") or raw.lstrip().startswith("{"):
+        def unique(pairs: list) -> dict:
+            obj = {}
+            for key, value in pairs:
+                if key in obj:
+                    raise ConfigError(f"{path}: config key {key!r} is repeated")
+                obj[key] = value
+            return obj
+
         try:
-            data = json.loads(raw)
+            data = json.loads(raw, object_pairs_hook=unique)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"bad JSON config {path}: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config must be a JSON object")
         return data
     out: dict = {}
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(raw.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -280,7 +289,12 @@ def load_config(path: str) -> dict:
         key, sep, value = line.partition("=")
         if not sep:
             raise ConfigError(f"{path}:{lineno}: expected key = value, got {line!r}")
-        out[key.strip()] = _coerce_scalar(value)
+        # sections do not scope keys, so a key in two sections is a repeat too
+        key = key.strip()
+        if key in first_line:
+            raise ConfigError(f"{path}:{lineno}: config key {key!r} repeats line {first_line[key]}")
+        first_line[key] = lineno
+        out[key] = _coerce_scalar(value)
     return out
 
 def _config_error(key: str, expected: str, value) -> ConfigError:

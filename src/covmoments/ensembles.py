@@ -297,7 +297,6 @@ def eigenvalues(S: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class SpectralSample:
     replicate_id: int
-    seed_used: tuple[int, int]
     eigenvalues: np.ndarray
     empirical_moments: tuple[float, ...]
     truncation_mass: float
@@ -306,8 +305,6 @@ class SpectralSample:
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    config: EnsembleConfig
-    K: int
     samples: tuple[SpectralSample, ...]
     moment_mean: np.ndarray
     moment_stderr: np.ndarray
@@ -335,7 +332,7 @@ def _one_replicate(
     gap = None
     if expected_sq_total is not None:
         gap = float((truncated**2).sum() - expected_sq_total) / cfg.p
-    return SpectralSample(replicate, (cfg.seed, replicate), eigs, moments, mass, gap)
+    return SpectralSample(replicate, eigs, moments, mass, gap)
 
 
 def run_experiment(
@@ -379,4 +376,4 @@ def run_experiment(
             replace(s, second_moment_gap=float((total - center) / cfg.p)) for s, total in zip(samples, sums)
         )
 
-    return ExperimentReport(cfg, K, samples, mean, stderr, edges, counts, achieved)
+    return ExperimentReport(samples, mean, stderr, edges, counts, achieved)

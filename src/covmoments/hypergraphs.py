@@ -24,7 +24,7 @@ from math import comb
 from types import MappingProxyType
 from typing import Mapping
 
-from .circuits import propagate_slot, word_structure
+from .circuits import word_structure
 from .partitions import (
     Partition,
     SizeLimitError,
@@ -142,9 +142,20 @@ def enumerate_ss_words(k: int) -> tuple[Word, ...]:
     """All special symmetric words of length 2k, in lexicographic order.
 
     A canonical word is special symmetric exactly when every letter occurs
-    an even number of times and its `propagate_slot` walk from pi(0) closes
-    at pi(0) without a contradiction; the unordered step decides the
-    covariance link too, because a row class never equals a column class.
+    an even number of times and its propagation walk from pi(0) closes at
+    pi(0) without a contradiction (`circuits._vertex_classes`).  The walk
+    gives each slot a class: a letter met for the first time records its
+    edge (class of the slot before, new class) and moves to the new class;
+    a repeated letter moves to the other endpoint of its recorded edge, and
+    fails when the slot before is neither endpoint, i.e. when two distinct
+    generating vertices would be equated.
+
+    The edge is unordered, as under the Wigner link, and it decides the
+    covariance link's ordered (row, col) check too: a class is opened at
+    one slot and only ever reached at slots of the same parity, so a row
+    class never equals a column class, and the slot before can match only
+    the endpoint on its own side, the one the ordered check tests.
+
     Propagation is decided prefix by prefix, so a depth-first search over
     canonical words, one letter at a time, drops a branch as soon as
     propagation fails or the letters of odd count outnumber the positions
@@ -157,16 +168,24 @@ def enumerate_ss_words(k: int) -> tuple[Word, ...]:
     m = 2 * k
     letters = [0] * m
     cls = [0] * m
-    keys: dict[int, tuple[int, int]] = {}
+    # keys[letter] is the letter's edge; a key a backtracked branch left is
+    # overwritten at the letter's first occurrence before anything reads it
+    keys: list[tuple[int, int]] = [(0, 0)] * (m + 1)
     counts = [0] * (m + 1)
     words: list[Word] = []
 
     def extend(i: int, top: int, odd: int) -> None:
         # place the letter at position i (1-based); slots 0..i-1 have classes,
         # `top` is the largest letter so far and also the last class opened
-        fresh = 0 if i == m else top + 1
+        prev = cls[i - 1]
         for letter in range(1, top + 2):
-            cur = propagate_slot(keys, letter, cls[i - 1], fresh)
+            if letter > top:
+                # a new letter opens its own class, or closes at pi(0)'s
+                cur = 0 if i == m else letter
+                keys[letter] = (prev, cur)
+            else:
+                a, b = keys[letter]
+                cur = b if prev == a else a if prev == b else None
             if cur is not None:
                 counts[letter] += 1
                 now_odd = odd + (1 if counts[letter] % 2 else -1)
@@ -178,8 +197,6 @@ def enumerate_ss_words(k: int) -> tuple[Word, ...]:
                     cls[i] = cur
                     extend(i + 1, max(top, letter), now_odd)
                 counts[letter] -= 1
-            if letter > top:
-                del keys[letter]
 
     extend(1, 0, 0)
     return tuple(words)

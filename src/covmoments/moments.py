@@ -6,7 +6,7 @@ y^r times a product over its letters, where the factor of a letter with
 multiplicity s is a constant C_s, lam for the sparse family, or a
 two-variable integral of g_s over the generating-vertex variables.
 
-Combinatorial sums (constant, sparse, sandwich, Carleman) are evaluated in
+Combinatorial sums (constant, sparse, sandwich) are evaluated in
 exact rational arithmetic; quadrature paths use floats.  Every moment value
 comes from one recursion over vertex sojourns, `hypergraphs._sojourn_series`,
 and lists no word, up to k = MAX_SERIES_ORDER.  The constant and sparse sums
@@ -116,9 +116,10 @@ def poisson_sandwich(k: int, y: Real, lam: Real) -> tuple[Fraction, Fraction]:
 
     Both sums are evaluated in closed form over the partitions of {1..2k}:
     the non-crossing ones with b even blocks number C(k,b) C(2k,b-1) / k
-    (Edelman 1980, the 2-divisible case), and the even-block sum is the
-    first-block recurrence of `carleman_diagnostic` with M_j = base for
-    every even j.
+    (Edelman 1980, the 2-divisible case), and the even-block sum alpha_m
+    over the partitions of {1..m} follows the recurrence on the block
+    holding 1, of even size j: alpha_m = sum_j C(m-1, j-1) base alpha_{m-j},
+    with alpha_0 = 1 and alpha_m = 0 for odd m.
     """
     y, lam = Fraction(y), Fraction(lam)
     if not (lam > 0 and y > 0 and k >= 1):
@@ -132,8 +133,15 @@ def poisson_sandwich(k: int, y: Real, lam: Real) -> tuple[Fraction, Fraction]:
         ),
         Fraction(0),
     )
-    upper = _partition_sums({j: upper_base for j in range(2, 2 * k + 1, 2)}, 2 * k)[-1]
-    return lower, upper
+    alpha = [Fraction(1)]  # alpha[i] is alpha_{2i}
+    for m in range(2, 2 * k + 1, 2):
+        alpha.append(
+            sum(
+                (math.comb(m - 1, j - 1) * upper_base * alpha[(m - j) // 2] for j in range(2, m + 1, 2)),
+                Fraction(0),
+            )
+        )
+    return lower, alpha[k]
 
 
 def _sampled(values: np.ndarray, shape: tuple[int, ...], name: str) -> np.ndarray:
@@ -287,59 +295,6 @@ def moment_profile(
 ) -> MomentReport:
     """Variance-profile limit for the single order k: profile_moments([k])."""
     return profile_moments([k], y, sigma, c, grid, breakdown)[k]
-
-
-@dataclass(frozen=True)
-class CarlemanDiagnostic:
-    """Partition-sum moment bounds alpha_{2k} and the running Carleman sums."""
-
-    alphas: tuple[Fraction, ...]
-    partial_sums: tuple[float, ...]
-
-
-def _partition_sums(bounds: Mapping[int, Fraction], top: int) -> list[Fraction]:
-    """[alpha_0, ..., alpha_top]: alpha_m sums, over the partitions of {1..m}
-    into even blocks, the product of bounds[block size], by the recurrence on
-    the block holding 1: alpha_m = sum_j C(m-1, j-1) bounds[j] alpha_{m-j}."""
-    alpha = [Fraction(1)]
-    for m in range(1, top + 1):
-        alpha.append(
-            sum(
-                (
-                    math.comb(m - 1, j - 1) * bounds.get(j, Fraction(0)) * alpha[m - j]
-                    for j in range(2, m + 1, 2)
-                ),
-                Fraction(0),
-            )
-        )
-    return alpha
-
-
-def carleman_diagnostic(M: Mapping[int, Real], K: int) -> CarlemanDiagnostic:
-    """Compute alpha_{2k} = sum over partitions of {1..2k} of the product of
-    M_{block size} (odd orders vanish), and the partial sums of
-    alpha_{2k}^(-1/(2k)) whose divergence the Carleman condition asserts.
-
-    Uses the block-of-the-first-element recurrence
-    alpha_m = sum_j C(m-1, j-1) M_j alpha_{m-j}, which is the partition sum
-    evaluated without enumeration; exhaustive enumeration agrees for small m
-    but is unusable at the K ~ 20 scale this diagnostic targets.
-    """
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    bounds = {size: Fraction(value) for size, value in M.items()}
-    if any(size % 2 and value for size, value in bounds.items()):
-        raise ValueError("odd-order bounds must be zero")
-    if any(value < 0 for value in bounds.values()):
-        raise ValueError("bounds must be non-negative")
-    alpha = _partition_sums(bounds, 2 * K)
-    alphas = tuple(alpha[2 * j] for j in range(1, K + 1))
-    partials = []
-    running = 0.0
-    for j, a in enumerate(alphas, start=1):
-        running += float(a) ** (-1.0 / (2 * j)) if a > 0 else math.inf
-        partials.append(running)
-    return CarlemanDiagnostic(alphas, tuple(partials))
 
 
 def unbounded_support_bound(

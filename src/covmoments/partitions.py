@@ -58,7 +58,12 @@ class Partition:
 
     @staticmethod
     def from_blocks(blocks: Iterable[Iterable[int]]) -> "Partition":
-        """Build and validate a partition from an iterable of blocks."""
+        """Build and validate a partition from an iterable of blocks of ints
+        (a bool is not one)."""
+        blocks = [tuple(b) for b in blocks]
+        bad = [e for b in blocks for e in b if type(e) is not int]
+        if bad:
+            raise ValueError(f"block element {bad[0]!r} is not an integer")
         normalized = tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0]))
         if not normalized or any(len(b) == 0 for b in normalized):
             raise ValueError("blocks must be non-empty")

@@ -39,8 +39,11 @@ class TestClassify:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0].startswith("blocks,word,")
 
-    def test_bad_blocks(self, capsys):
-        assert run("classify", "[[1,3]]") == EXIT_CONFIG
+    @pytest.mark.parametrize(
+        "blocks", ["[[1,3]]", "[[1.0,2]]", "[[true,2]]"], ids=["gap", "float", "bool"]
+    )
+    def test_bad_blocks(self, blocks, capsys):
+        assert run("classify", blocks) == EXIT_CONFIG
 
 
 class TestCount:
@@ -688,6 +691,26 @@ class TestSimulate:
         assert run("--out", tmp_path, "simulate", "--config", cfg) == EXIT_CONFIG
         if line == "K = 0":
             assert "'K'" in capsys.readouterr().err
+        assert not (tmp_path / "moments.csv").exists()
+
+    @pytest.mark.parametrize("name, text, message", [
+        ("run.cfg", "family = iid_standardized\np = 20\nn = 40\np = 30\n",
+         "run.cfg:4: config key 'p' repeats line 2"),
+        # sections do not scope keys
+        ("run.cfg", "[size]\np = 20\nn = 40\n[model]\nfamily = iid_standardized\np = 30\n",
+         "run.cfg:6: config key 'p' repeats line 2"),
+        ("run.json", '{"family": "iid_standardized", "p": 20, "n": 40, "p": 30}',
+         "run.json: config key 'p' is repeated"),
+    ], ids=["flat", "flat-sections", "json"])
+    def test_repeated_key_fails_before_sampling(self, tmp_path, capsys, monkeypatch, name, text, message):
+        def no_draw(*args):
+            raise AssertionError("sampled before the config was checked")
+
+        monkeypatch.setattr(ensembles, "_raw_entries", no_draw)
+        cfg = tmp_path / name
+        cfg.write_text(text)
+        assert run("--out", tmp_path, "simulate", "--config", cfg) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "moments.csv").exists()
 
 

@@ -537,12 +537,19 @@ class TestDTOracle:
     # regression constants frozen from the Monte Carlo oracle run below
     # (dt_triangular, p = n = 400, 50 replicates, seed 1729)
     FROZEN = {1: 0.500994, 2: 0.670233, 3: 1.135597}
+    # the exact limits k^k / (k+1)!, a reference independent of both runs
+    LIMITS = {1: 1 / 2, 2: 2 / 3, 3: 9 / 8}
 
     @staticmethod
     def _indicator(grid):
         # 1{x <= u} at the midpoints of a grid x grid grid
         xs = (np.arange(grid) + 0.5) / grid
         return (xs[:, None] <= xs[None, :]).astype(float)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_frozen_constants_match_exact_limits(self, k):
+        assert self.LIMITS[k] == k**k / math.factorial(k + 1)
+        assert self.FROZEN[k] == pytest.approx(self.LIMITS[k], rel=0.01)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_profile_quadrature_matches_frozen_constants(self, k):

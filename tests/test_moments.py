@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 from fractions import Fraction as F
 from functools import lru_cache
@@ -10,8 +11,6 @@ from hypothesis import strategies as st
 from covmoments.circuits import word_structure
 from covmoments.hypergraphs import MAX_SERIES_ORDER, count_noiry_classes, enumerate_ss_words
 from covmoments.moments import (
-    CarlemanDiagnostic,
-    carleman_diagnostic,
     moment_constant,
     moment_grid,
     moment_profile,
@@ -266,6 +265,20 @@ class TestPoissonSandwich:
         lower, upper = poisson_sandwich(k, y, lam)
         assert lower < moment_sparse(k, y, lam).value < upper
 
+    @pytest.mark.parametrize("y", [F(1, 2), F(7, 3)])
+    def test_upper_bound_beyond_enumeration(self, y):
+        # the even-block sum with weight `base` per block is (2k)! [x^2k]
+        # exp(G), G = base (cosh x - 1); the coefficients f_n of exp(G)
+        # follow from f' = G' f: n f_n = sum_i i G_i f_(n-i)
+        lam, top = F(5, 2), 20
+        base = lam if y <= 1 else lam * y
+        g = [F(0)] + [F(0) if i % 2 else base / math.factorial(i) for i in range(1, top + 1)]
+        f = [F(1)]
+        for n in range(1, top + 1):
+            f.append(sum((i * g[i] * f[n - i] for i in range(1, n + 1)), F(0)) / n)
+        for k in range(1, top // 2 + 1):
+            assert poisson_sandwich(k, y, lam)[1] == math.factorial(2 * k) * f[2 * k]
+
     def test_k1_example(self):
         assert poisson_sandwich(1, F(1, 2), 2) == (1, 2)
 
@@ -355,43 +368,3 @@ class TestWordStructure:
             for word in enumerate_ss_words(k):
                 assert word_structure(word).r == word_statistics(word).r_plus_1 - 1
 
-
-class TestCarleman:
-    def test_only_second_order(self):
-        diag = carleman_diagnostic({2: 1}, 1)
-        assert diag.alphas == (1,)
-
-    def test_pair_partition_counts(self):
-        # with M2 = 1 only, alpha_2k counts pair partitions: (2k-1)!!
-        diag = carleman_diagnostic({2: 1}, 4)
-        assert diag.alphas == (1, 3, 15, 105)
-
-    def test_m2_m4_alpha4(self):
-        diag = carleman_diagnostic({2: 1, 4: 1}, 2)
-        assert diag.alphas == (1, 4)
-
-    @pytest.mark.parametrize("K", [1, 2, 3, 4])
-    def test_recurrence_matches_enumeration(self, K):
-        bounds = {2: F(1, 2), 4: F(3), 6: F(1, 7), 8: F(2)}
-        diag = carleman_diagnostic(bounds, K)
-        for j in range(1, K + 1):
-            total = F(0)
-            for p in enumerate_partitions(2 * j):
-                term = F(1)
-                for block in p.blocks:
-                    term *= bounds.get(len(block), F(0)) if len(block) % 2 == 0 else F(0)
-                total += term
-            assert diag.alphas[j - 1] == total
-
-    def test_mp_partial_sums_diverge(self):
-        diag = carleman_diagnostic({2: 1}, 20)
-        sums = diag.partial_sums
-        assert all(b > a for a, b in zip(sums, sums[1:]))
-        assert sums[-1] > 5
-
-    def test_odd_order_rejected(self):
-        with pytest.raises(ValueError):
-            carleman_diagnostic({2: 1, 3: 1}, 2)
-
-    def test_returns_dataclass(self):
-        assert isinstance(carleman_diagnostic({2: 1}, 1), CarlemanDiagnostic)

@@ -311,6 +311,12 @@ class TestClassify:
                     assert c.is_even_blocks
                 assert c.r_plus_1 >= 1
 
+    @pytest.mark.parametrize("element, shown", [(1.0, "1.0"), (True, "True"), ("a", "'a'")],
+                             ids=["float", "bool", "str"])
+    def test_non_integer_element_rejected(self, element, shown):
+        with pytest.raises(ValueError, match=f"block element {shown} is not an integer"):
+            Partition.from_blocks([[element, 2]])
+
 
 class TestCountSS:
     def test_totals(self):
