@@ -136,15 +136,27 @@ def achieved_triangular_sequence(c_seq: Mapping[int, float], n: int, orders: Seq
     return {order: lam_t * a**order for order in orders}
 
 
-def _stable_symmetric(rng: np.random.Generator, alpha: float, shape: tuple[int, int]) -> np.ndarray:
-    # Chambers-Mallows-Stuck transform, symmetric case
-    U = rng.uniform(-math.pi / 2, math.pi / 2, shape)
-    E = rng.exponential(1.0, shape)
+def _stable_symmetric(rng: np.random.Generator, alpha: float, out: np.ndarray) -> None:
+    """Chambers-Mallows-Stuck transform, symmetric case, written into `out`:
+    (sin(alpha U) / cos(U)^(1/alpha)) * (cos((1 - alpha) U) / E)^((1 - alpha) / alpha).
+    `Generator.uniform` and `exponential` write into no given buffer, so U and
+    E are new arrays; each factor is formed in whichever of them is no longer
+    needed."""
+    U = rng.uniform(-math.pi / 2, math.pi / 2, out.shape)
+    E = rng.exponential(1.0, out.shape)
     if alpha == 1.0:
-        return np.tan(U)
-    return (np.sin(alpha * U) / np.cos(U) ** (1.0 / alpha)) * (
-        np.cos((1.0 - alpha) * U) / E
-    ) ** ((1.0 - alpha) / alpha)
+        np.tan(U, out=out)
+        return
+    np.multiply(1.0 - alpha, U, out=out)
+    np.cos(out, out=out)
+    np.divide(out, E, out=E)
+    E **= (1.0 - alpha) / alpha
+    np.multiply(alpha, U, out=out)
+    np.sin(out, out=out)
+    np.cos(U, out=U)
+    U **= 1.0 / alpha
+    out /= U
+    out *= E
 
 
 def profile_matrix(cfg: EnsembleConfig) -> np.ndarray:
@@ -179,25 +191,44 @@ def _base_family(cfg: EnsembleConfig) -> str:
     return "iid_standardized" if cfg.family == "dt_triangular" else cfg.family
 
 
-def _raw_entries(cfg: EnsembleConfig, rng: np.random.Generator, mask: np.ndarray | None) -> np.ndarray:
-    """Untruncated entries; `mask` is `_entry_mask(cfg)`, built once per run by the caller."""
-    p, n = cfg.p, cfg.n
+def _entry_buffers(cfg: EnsembleConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Scratch space for one replicate's draw: the p x n float entries and the
+    p x n bool mask of the draw, filled in place by `_truncated_entries`."""
+    return np.empty((cfg.p, cfg.n)), np.empty((cfg.p, cfg.n), dtype=bool)
+
+
+def _raw_entries(
+    cfg: EnsembleConfig, rng: np.random.Generator, mask: np.ndarray | None, out: np.ndarray, keep: np.ndarray
+) -> None:
+    """Fill `out` with untruncated entries, using `keep` as scratch; `mask` is
+    `_entry_mask(cfg)`, built once per run by the caller."""
+    n = cfg.n
     family = _base_family(cfg)
+    if family == "sparse_bernoulli":
+        rng.random(out=out)
+        np.less(out, cfg.lam / n, out=keep)
+        # the mask scales the Bernoulli draws in the same pass
+        np.multiply(keep, 1.0 if mask is None else mask, out=out)
+        return
     if family == "iid_standardized":
-        raw = rng.standard_normal((p, n)) / math.sqrt(n)
-    elif family == "sparse_bernoulli":
-        raw = (rng.random((p, n)) < cfg.lam / n).astype(float)
+        rng.standard_normal(out=out)
+        out /= math.sqrt(n)
     elif family == "triangular_iid":
         a, lam_t = triangular_two_point(cfg.c_seq, n)
-        u = rng.random((p, n))
+        rng.random(out=out)
         prob = lam_t / n
-        raw = a * (u < prob / 2) - a * ((u >= prob / 2) & (u < prob))
+        # a * (u < prob/2) - a * (prob/2 <= u < prob), as a * (2 [u < prob/2] - [u < prob]):
+        # both give a, -a or +0.0 exactly
+        np.less(out, prob, out=keep)
+        np.less(out, prob / 2, out=out)
+        out += out
+        out -= keep
+        out *= a
     else:  # heavy_tail_stable
-        a_p = float(p) ** (1.0 / cfg.alpha)  # Pareto-tail surrogate for the stable quantile
-        raw = _stable_symmetric(rng, cfg.alpha, (p, n)) / a_p
+        _stable_symmetric(rng, cfg.alpha, out)
+        out /= float(cfg.p) ** (1.0 / cfg.alpha)  # Pareto-tail surrogate for the stable quantile
     if mask is not None:
-        raw *= mask
-    return raw
+        out *= mask
 
 
 def _effective_truncation(cfg: EnsembleConfig) -> float:
@@ -206,20 +237,27 @@ def _effective_truncation(cfg: EnsembleConfig) -> float:
     return resolve_truncation(cfg.t_n, cfg.n)
 
 
-def _truncated_entries(cfg: EnsembleConfig, replicate: int, mask: np.ndarray | None) -> tuple[np.ndarray, float]:
-    """One replicate's entries with truncation applied, and the truncation
-    mass (1/n) sum y^2 over the entries it zeroed."""
-    raw = _raw_entries(cfg, _rng(cfg.seed, replicate), mask)
+def _truncated_entries(
+    cfg: EnsembleConfig, replicate: int, mask: np.ndarray | None, out: np.ndarray, keep: np.ndarray
+) -> float:
+    """Fill `out` (p x n float, with `keep` p x n bool scratch) with one
+    replicate's entries, truncation applied, and return the truncation mass
+    (1/n) sum y^2 over the entries it zeroed."""
+    _raw_entries(cfg, _rng(cfg.seed, replicate), mask, out, keep)
     level = _effective_truncation(cfg)
     if math.isinf(level):
-        return raw, 0.0
-    keep = np.abs(raw) <= level
-    return raw * keep, float((raw[~keep] ** 2).sum()) / cfg.n
+        return 0.0
+    np.less_equal(np.abs(out), level, out=keep)
+    mass = float((out[~keep] ** 2).sum()) / cfg.n
+    out *= keep
+    return mass
 
 
 def sample_matrix(cfg: EnsembleConfig, replicate: int) -> np.ndarray:
     """Draw the p x n entry matrix for one replicate, truncation applied."""
-    return _truncated_entries(cfg, replicate, _entry_mask(cfg))[0]
+    X, keep = _entry_buffers(cfg)
+    _truncated_entries(cfg, replicate, _entry_mask(cfg), X, keep)
+    return X
 
 
 def _second_moment_total(cfg: EnsembleConfig, mask: np.ndarray | None) -> np.float64 | None:
@@ -319,11 +357,15 @@ def _one_replicate(
     K: int,
     mask: np.ndarray | None,
     expected_sq_total: float | None,
+    work: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> SpectralSample:
-    """One replicate; `mask` is `_entry_mask(cfg)` and `expected_sq_total`
-    `entry_second_moment(cfg)` (None without a closed form), both per run."""
-    truncated, mass = _truncated_entries(cfg, replicate, mask)
-    S = truncated @ truncated.T
+    """One replicate; `mask` is `_entry_mask(cfg)`, `expected_sq_total`
+    `entry_second_moment(cfg)` (None without a closed form) and `work` the
+    run's (entries, draw mask, p x p Gram) buffers, all built once per run."""
+    X, keep, S = work
+    mass = _truncated_entries(cfg, replicate, mask, X, keep)
+    # both operands on one buffer, so numpy takes the symmetric rank-k path
+    np.matmul(X, X.T, out=S)
     eigs = eigenvalues(S)
     scale = max(1.0, float(eigs[-1]))
     if eigs[0] < -1e-9 * scale:
@@ -331,7 +373,8 @@ def _one_replicate(
     moments = _power_sums(eigs, K)
     gap = None
     if expected_sq_total is not None:
-        gap = float((truncated**2).sum() - expected_sq_total) / cfg.p
+        # X is not read again this replicate, so it is squared in place
+        gap = float(np.square(X, out=X).sum() - expected_sq_total) / cfg.p
     return SpectralSample(replicate, eigs, moments, mass, gap)
 
 
@@ -342,7 +385,9 @@ def run_experiment(
 ) -> ExperimentReport:
     """Sample all replicates, aggregate spectral moments and the pooled
     eigenvalue histogram (Freedman-Diaconis bins unless overridden).  K and
-    `bins` are checked before the first draw."""
+    `bins` are checked before the first draw.  The replicates share one set
+    of entry, draw-mask and Gram buffers allocated per run; the eigenvalues
+    each replicate reports are its own array."""
     if K < 1:
         raise ValueError("K must be >= 1")
     try:  # numpy's own rules for `bins`, applied to a two-point sample
@@ -351,8 +396,9 @@ def run_experiment(
         raise ValueError(str(exc)) from exc
     mask = _entry_mask(cfg)
     expected_sq_total = _second_moment_total(cfg, mask)
+    work = (*_entry_buffers(cfg), np.empty((cfg.p, cfg.p)))
     samples = tuple(
-        _one_replicate(cfg, r, K, mask, expected_sq_total) for r in range(cfg.replicates)
+        _one_replicate(cfg, r, K, mask, expected_sq_total, work) for r in range(cfg.replicates)
     )
 
     matrix = np.array([s.empirical_moments for s in samples])

@@ -44,12 +44,6 @@ class Hypergraph:
     sigma: Partition
     tau: Partition
 
-    @staticmethod
-    def from_partitions(sigma: Partition, tau: Partition) -> "Hypergraph":
-        if sigma.m != tau.m:
-            raise ValueError("sigma and tau must partition the same ground set")
-        return Hypergraph(sigma.m, sigma, tau)
-
     def incidence(self) -> dict[int, frozenset[int]]:
         """For each tau-block index, the set of sigma-block indices it touches.
 

@@ -73,13 +73,6 @@ class Partition:
             raise ValueError("blocks must partition {1..m} exactly")
         return Partition(m, normalized)
 
-    @staticmethod
-    def from_word(word: "Word") -> "Partition":
-        groups: dict[int, list[int]] = defaultdict(list)
-        for pos, letter in enumerate(word.letters, start=1):
-            groups[letter].append(pos)
-        return Partition.from_blocks(groups.values())
-
     def block_of(self) -> dict[int, int]:
         """Map element -> index of its block (0-based)."""
         owner = {}
@@ -162,9 +155,6 @@ class Word:
         counts = Counter(self.letters)
         return tuple(counts[j] for j in range(1, self.distinct_letters + 1))
 
-    def to_partition(self) -> Partition:
-        return Partition.from_word(self)
-
     def __str__(self) -> str:
         return self.text
 
@@ -174,11 +164,6 @@ class WordStats:
     b: int
     r_plus_1: int
     first_positions: tuple[int, ...]
-
-    @property
-    def odd_generating(self) -> int:
-        """Count of odd indices among the generating set {0} + first positions."""
-        return len(self.first_positions) + 1 - self.r_plus_1
 
 
 def word_statistics(word: Word) -> WordStats:

@@ -2,14 +2,16 @@
 the words that the literal definition `partitions.is_special_symmetric`
 accepts, the sojourn recursion and its grid kernel with every product
 formed, a union-find forest test of hypergraph acyclicity, the pairwise
-edge-intersection test it is stronger than, and a small helper for even
-constant sequences.
+edge-intersection test it is stronger than, and small helpers: the partition
+of a word, a hypergraph from two partitions, the odd generating count and
+even constant sequences.
 
 The censuses test every circuit tuple with the same predicates and budget
 as `circuits.verify_containment`, independently of the value-pattern
 search they check.
 """
 
+from collections import defaultdict
 from fractions import Fraction
 from math import comb
 from numbers import Real
@@ -20,7 +22,27 @@ import numpy as np
 from covmoments import circuits
 from covmoments.circuits import CensusResult
 from covmoments.hypergraphs import Hypergraph
-from covmoments.partitions import Word, is_special_symmetric, word_statistics
+from covmoments.partitions import Partition, Word, WordStats, is_special_symmetric, word_statistics
+
+
+def word_partition(word: Word) -> Partition:
+    """The partition of the positions {1..m} that groups equal letters."""
+    groups: dict[int, list[int]] = defaultdict(list)
+    for pos, letter in enumerate(word.letters, start=1):
+        groups[letter].append(pos)
+    return Partition.from_blocks(groups.values())
+
+
+def hypergraph(sigma: Partition, tau: Partition) -> Hypergraph:
+    """The hypergraph with vertex partition sigma and edge partition tau."""
+    if sigma.m != tau.m:
+        raise ValueError("sigma and tau must partition the same ground set")
+    return Hypergraph(sigma.m, sigma, tau)
+
+
+def odd_generating(stats: WordStats) -> int:
+    """Count of odd indices among the generating set {0} + first positions."""
+    return len(stats.first_positions) + 1 - stats.r_plus_1
 
 
 def census_s_exhaustive(word: Word, p: int, n: int) -> CensusResult:
@@ -48,7 +70,7 @@ def census_w_exhaustive(word: Word, N: int) -> CensusResult:
 
 
 def _predicted(word: Word, p: int, n: int) -> int | None:
-    if not is_special_symmetric(word.to_partition()):
+    if not is_special_symmetric(word_partition(word)):
         return None
     stats = word_statistics(word)
     r = stats.r_plus_1 - 1

@@ -25,6 +25,7 @@ from oracles import (
     census_w_exhaustive,
     predicted_count_s,
     predicted_count_w,
+    word_partition,
 )
 
 W = Word.from_text
@@ -350,7 +351,7 @@ class TestSlotClasses:
                 with pytest.raises(ValueError, match="positive even length"):
                     word_structure(word)
                 continue
-            if not is_special_symmetric(word.to_partition()):
+            if not is_special_symmetric(word_partition(word)):
                 with pytest.raises(ValueError, match="is not special symmetric"):
                     word_structure(word)
                 continue
@@ -447,7 +448,7 @@ class TestVertexClasses:
         assert (b, r_plus_1, tuple(first[1 : b + 1])) == (
             stats.b, stats.r_plus_1, stats.first_positions
         ), word.text
-        special = is_special_symmetric(word.to_partition())
+        special = is_special_symmetric(word_partition(word))
         assert rows + cols <= stats.b + 1, word.text
         assert (rows + cols == stats.b + 1) == special, word.text
         if special:

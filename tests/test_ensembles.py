@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,8 +32,11 @@ def profile_samples(f, p, n):
 
 
 # one small configuration per sampling path, as keyword arguments of
-# EnsembleConfig; the profile of "profile_callable" is a formula, which
-# `case_config` samples into the p x n array that EnsembleConfig takes
+# EnsembleConfig; the profiles of "profile_callable" and "profile_signed" are
+# formulas, which `case_config` samples into the p x n array that
+# EnsembleConfig takes.  "profile_signed" has negative entries, where a
+# Bernoulli zero times the profile is -0.0; "profile_truncated" zeroes the
+# profile-scaled entries above t_n
 FAMILY_CASES = {
     "iid_standardized": dict(family="iid_standardized"),
     "iid_truncated": dict(family="iid_standardized", t_n="n^{-1/3}"),
@@ -43,6 +47,8 @@ FAMILY_CASES = {
     "profile_callable": dict(
         family="variance_profile", base_family="iid_standardized", profile=lambda x, u: 0.5 + x * u
     ),
+    "profile_signed": dict(family="variance_profile", lam=2.0, profile=lambda x, u: x - u),
+    "profile_truncated": dict(family="variance_profile", lam=2.0, profile="fig1_quadratic", t_n=0.3),
     "dt_triangular": dict(family="dt_triangular"),
 }
 
@@ -434,6 +440,20 @@ class TestRunExperiment:
             assert sample.second_moment_gap == gap
         rows = np.array([empirical_moments(S, K) for _, S in grams])
         assert np.array_equal(report.moment_mean, rows.mean(axis=0))
+
+    def test_reports_share_no_buffer(self):
+        # the run's buffers are reused by every replicate and the next run;
+        # each sample's eigenvalues must be its own array
+        cfg = EnsembleConfig("sparse_bernoulli", 12, 20, lam=2.0, seed=22, replicates=4)
+        first = run_experiment(cfg, 2)
+        kept = [s.eigenvalues.copy() for s in first.samples]
+        arrays = [s.eigenvalues for s in first.samples]
+        for i, a in enumerate(arrays):
+            for b in arrays[i + 1:]:
+                assert not np.shares_memory(a, b)
+        run_experiment(replace(cfg, seed=23), 2)
+        for sample, before in zip(first.samples, kept):
+            assert np.array_equal(sample.eigenvalues, before)
 
     @pytest.mark.parametrize("case", ["profile_named", "dt_triangular"])
     def test_entry_mask_built_once_per_run(self, monkeypatch, case):

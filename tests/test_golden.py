@@ -1,8 +1,8 @@
-"""Byte-for-byte goldens of the exact verbs' artifacts.
+"""Byte-for-byte goldens of the exact verbs' artifacts, the quadrature
+verbs' artifacts and the seeded sampling streams.
 
-Each digest is the SHA-256 of a file that an exact verb writes from the
-sojourn class table, so a change to any value, row order or the 17-digit
-formatting shows here.
+Each artifact digest is the SHA-256 of a file that a verb writes, so a
+change to any value, row order or the 17-digit formatting shows here.
 """
 
 import hashlib
@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from covmoments.cli import main
+from covmoments.ensembles import EnsembleConfig, sample_matrix
 
 # 2=1,4=1/2,...,14=1/7
 CONSTANTS = ",".join(f"{2 * j}=1/{j}" for j in range(1, 8))
@@ -102,3 +103,54 @@ def test_quadrature_artifacts_are_byte_identical(tmp_path, capsys, name):
         file: hashlib.sha256((out / file).read_bytes()).hexdigest() for file in digests
     }
     assert written == digests
+
+
+# SHA-256 of sample_matrix(cfg, r).tobytes() for r = 0, 1 at seed 1729 and
+# p x n = 6 x 10: the seeded Philox streams, the order in which draws become
+# entries, and the sign of every zero (a Bernoulli zero times a negative
+# profile entry is -0.0).  These draws call no transcendental ufunc, so the
+# digests do not depend on the vector math library numpy picks for the CPU.
+STREAM_P, STREAM_N = 6, 10
+# i/p - j/n at the entry indices, negative where i/p < j/n
+SIGNED_PROFILE = (
+    np.arange(1, STREAM_P + 1)[:, None] / STREAM_P - np.arange(1, STREAM_N + 1)[None, :] / STREAM_N
+)
+
+STREAM_GOLDEN = {
+    "sparse_bernoulli": (dict(family="sparse_bernoulli", lam=3.0), (
+        "b9e83448fe82ce47516b5c336013c0e6b0f1f740f1d2664d5e5164368f902225",
+        "8c6c081df2caea572aa08f894d0683f7a9a87e17d222ec981c7d550298a1b741",
+    )),
+    "iid_standardized": (dict(family="iid_standardized"), (
+        "b807f5676096869be87e8e40648afe85cd6f16d1b3ac1506ea5aa97c82cc5e91",
+        "5dcde5054da4862efc2c6809123f323fa726c561fedcabcb060d14dc714bd1f6",
+    )),
+    "iid_truncated": (dict(family="iid_standardized", t_n=0.4), (
+        "77592b8573cc290d57f65e3c68e2b027a8a1697fb2c63c2860c31ddc07164f42",
+        "0183f1bb1eda59847e1e96451995842f94dc8e70a644766268fc48a6b78462f6",
+    )),
+    "triangular_iid": (dict(family="triangular_iid", c_seq={2: 8.0, 4: 32.0}), (
+        "f8db08c74ba033b59446a4dc54f36dff0fee1f72c289b3dd8087ac5265704479",
+        "5d5188a440e36dfe68c30d56fd397b87c9973ff3bef6432e15940e3cd6f8c763",
+    )),
+    "fig1_quadratic": (dict(family="variance_profile", lam=3.0, profile="fig1_quadratic"), (
+        "968626081774b730c7d2000328cfbda7dd90b9f766319c8ddd363010947e4eaf",
+        "51f81b0068513738eccf2d24b7e04aa0fa72cc93757d20399593c4aafc2820d3",
+    )),
+    "profile_signed": (dict(family="variance_profile", lam=3.0, profile=SIGNED_PROFILE), (
+        "a7e57d49bca76da262e9673dda6a75c3c404211775b692db01fb6a176de2bcb2",
+        "a20f0ecf572602987d92fb9aadaf2c97f2cc0d78ae956caeb5559d7785bc383a",
+    )),
+    "dt_triangular": (dict(family="dt_triangular"), (
+        "de147c0cd5eb97e57e5c7a9910f48f67fe1af388782773dddf616372fa40bf65",
+        "7459a41479d4d24892b5efaa7812cb3dd2c4e101b32c5bd14716ed7be327cc20",
+    )),
+}
+
+
+@pytest.mark.parametrize("name", STREAM_GOLDEN)
+def test_sampling_streams_are_byte_identical(name):
+    fields, digests = STREAM_GOLDEN[name]
+    cfg = EnsembleConfig(p=STREAM_P, n=STREAM_N, seed=1729, **fields)
+    drawn = tuple(hashlib.sha256(sample_matrix(cfg, r).tobytes()).hexdigest() for r in (0, 1))
+    assert drawn == digests

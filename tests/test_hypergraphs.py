@@ -100,7 +100,7 @@ class TestAcyclicity:
     def test_two_edges_sharing_two_vertices(self):
         sigma = Partition.from_blocks([[1], [2]])
         tau = Partition.from_blocks([[1], [2]])
-        h = Hypergraph.from_partitions(sigma, tau)
+        h = oracles.hypergraph(sigma, tau)
         assert not oracles.pairwise_intersections_ok(h)
         assert not is_acyclic(h)
 
@@ -108,7 +108,7 @@ class TestAcyclicity:
         # three edges and three vertices in a ring: pairwise intersections are
         # single vertices, yet the incidence graph has a 6-cycle
         singletons = Partition.from_blocks([[1], [2], [3]])
-        h = Hypergraph.from_partitions(singletons, singletons)
+        h = oracles.hypergraph(singletons, singletons)
         assert oracles.pairwise_intersections_ok(h)
         assert not is_acyclic(h)
 
@@ -145,7 +145,7 @@ class TestAcyclicity:
 
     def test_mismatched_ground_sets_rejected(self):
         with pytest.raises(ValueError):
-            Hypergraph.from_partitions(
+            oracles.hypergraph(
                 Partition.from_blocks([[1, 2]]), Partition.from_blocks([[1], [2], [3]])
             )
 
@@ -157,11 +157,11 @@ class TestInverse:
             assert hypergraph_to_word(word_to_hypergraph(word)) == word
 
     def test_examples(self):
-        h = Hypergraph.from_partitions(
+        h = oracles.hypergraph(
             Partition.from_blocks([[1, 2]]), Partition.from_blocks([[1], [2]])
         )
         assert hypergraph_to_word(h).text == "aabb"
-        h = Hypergraph.from_partitions(
+        h = oracles.hypergraph(
             Partition.from_blocks([[1]]), Partition.from_blocks([[1]])
         )
         assert hypergraph_to_word(h).text == "aa"
@@ -169,7 +169,7 @@ class TestInverse:
     def test_cyclic_input_rejected(self):
         singletons = Partition.from_blocks([[1], [2], [3]])
         with pytest.raises(ValueError, match="has a cycle"):
-            hypergraph_to_word(Hypergraph.from_partitions(singletons, singletons))
+            hypergraph_to_word(oracles.hypergraph(singletons, singletons))
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_injectivity(self, k):
@@ -238,7 +238,7 @@ class TestSearchCriterion:
     @given(st.one_of(ANY_WORDS, EVEN_WORDS))
     def test_ss_iff_even_and_propagates(self, word):
         even = all(s % 2 == 0 for s in word.multiplicities())
-        assert is_special_symmetric(word.to_partition()) == (even and propagates(word))
+        assert is_special_symmetric(oracles.word_partition(word)) == (even and propagates(word))
 
 
 def noiry_classes_by_words(k):
@@ -249,7 +249,7 @@ def noiry_classes_by_words(k):
         stats = word_statistics(word)
         key = NoiryClassKey(
             a=stats.b,
-            l=stats.odd_generating,
+            l=oracles.odd_generating(stats),
             sizes=tuple(sorted(word.multiplicities())),
         )
         counts[key] += 1
