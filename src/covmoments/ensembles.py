@@ -136,27 +136,15 @@ def achieved_triangular_sequence(c_seq: Mapping[int, float], n: int, orders: Seq
     return {order: lam_t * a**order for order in orders}
 
 
-def _stable_symmetric(rng: np.random.Generator, alpha: float, out: np.ndarray) -> None:
-    """Chambers-Mallows-Stuck transform, symmetric case, written into `out`:
-    (sin(alpha U) / cos(U)^(1/alpha)) * (cos((1 - alpha) U) / E)^((1 - alpha) / alpha).
-    `Generator.uniform` and `exponential` write into no given buffer, so U and
-    E are new arrays; each factor is formed in whichever of them is no longer
-    needed."""
-    U = rng.uniform(-math.pi / 2, math.pi / 2, out.shape)
-    E = rng.exponential(1.0, out.shape)
+def _stable_symmetric(rng: np.random.Generator, alpha: float, shape: tuple[int, int]) -> np.ndarray:
+    # Chambers-Mallows-Stuck transform, symmetric case
+    U = rng.uniform(-math.pi / 2, math.pi / 2, shape)
+    E = rng.exponential(1.0, shape)
     if alpha == 1.0:
-        np.tan(U, out=out)
-        return
-    np.multiply(1.0 - alpha, U, out=out)
-    np.cos(out, out=out)
-    np.divide(out, E, out=E)
-    E **= (1.0 - alpha) / alpha
-    np.multiply(alpha, U, out=out)
-    np.sin(out, out=out)
-    np.cos(U, out=U)
-    U **= 1.0 / alpha
-    out /= U
-    out *= E
+        return np.tan(U)
+    return (np.sin(alpha * U) / np.cos(U) ** (1.0 / alpha)) * (
+        np.cos((1.0 - alpha) * U) / E
+    ) ** ((1.0 - alpha) / alpha)
 
 
 def profile_matrix(cfg: EnsembleConfig) -> np.ndarray:
@@ -215,18 +203,12 @@ def _raw_entries(
         out /= math.sqrt(n)
     elif family == "triangular_iid":
         a, lam_t = triangular_two_point(cfg.c_seq, n)
-        rng.random(out=out)
+        u = rng.random(out=out)
         prob = lam_t / n
-        # a * (u < prob/2) - a * (prob/2 <= u < prob), as a * (2 [u < prob/2] - [u < prob]):
-        # both give a, -a or +0.0 exactly
-        np.less(out, prob, out=keep)
-        np.less(out, prob / 2, out=out)
-        out += out
-        out -= keep
-        out *= a
+        out[...] = a * (u < prob / 2) - a * ((u >= prob / 2) & (u < prob))
     else:  # heavy_tail_stable
-        _stable_symmetric(rng, cfg.alpha, out)
-        out /= float(cfg.p) ** (1.0 / cfg.alpha)  # Pareto-tail surrogate for the stable quantile
+        a_p = float(cfg.p) ** (1.0 / cfg.alpha)  # Pareto-tail surrogate for the stable quantile
+        out[...] = _stable_symmetric(rng, cfg.alpha, out.shape) / a_p
     if mask is not None:
         out *= mask
 
