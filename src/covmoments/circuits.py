@@ -34,26 +34,38 @@ still unused, and moves each repeated letter to the other endpoint of its
 unordered recorded edge.  The search checks forward: when the letter
 leaving a generating vertex is an earlier one, other than the letter
 entering it, only the endpoints of its recorded edge can continue, so no
-new value is tried.  The budget `DEFAULT_CENSUS_BUDGET` bounds the value
-patterns the search may visit and the circuit tuples `verify_containment`
-tries; it is read at call time, so a caller who needs another one sets the
-module constant.
+new value is tried.
+
+The search runs on the word rotated so that a letter seen once, if there is
+one, sits at the closing position 2k.  All Wigner vertices share the range
+{1..N}, so shifting a circuit by q slots, pi'(t) = pi(t+q mod 2k), moves
+the unordered edge at position i+q to position i: a bijection between the
+circuits compatible with the word and those compatible with the word
+rotated by q.  (Under the covariance link an odd shift swaps the row and
+column ranges and the order of each pair, so `census_s` has no such
+symmetry.)  A letter seen once is compared with nothing; at 2k it leaves the
+closing edge free, so no path dies on its last step back to pi(0), and
+the closing slot opens no value.  The budget `DEFAULT_CENSUS_BUDGET` bounds
+the value patterns of the rotated word; it is read at call time, so a
+caller who needs another one sets the module constant.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .partitions import SizeLimitError, Word
 
 DEFAULT_CENSUS_BUDGET = 10**8
-"""The largest number of Wigner value patterns `census_w` may visit, and of
-circuit tuples `verify_containment` may try, before SizeLimitError.  Each
-generating vertex after pi(0) offers at most one value per earlier
-generating vertex plus one new value, and never more than N, so past
-N >= 2k the pattern bound no longer depends on N.  `census_s` is closed-form
-and needs no budget."""
+"""The largest number of Wigner value patterns `census_w` may visit before
+SizeLimitError.  Each generating vertex after pi(0) offers at most one value
+per earlier generating vertex plus one new value, and never more than N, so
+past N >= 2k the pattern bound no longer depends on N.  The bound is taken
+on the word the search visits: rotated, when a letter occurs once, so that
+this letter closes the circuit, where its slot reuses pi(0) and is no
+generating vertex.  A word that ends at a repeated letter and has a letter
+seen once thus loses one factor (`abca` at N = 3: 2 * 3 patterns, not
+2 * 3 * 3).  `census_s` is closed-form and needs no budget."""
 
 
 @dataclass(frozen=True)
@@ -155,31 +167,52 @@ def _vertex_classes(word: Word) -> tuple[int, int, int, int, list[int], list[int
     return rows, cols, b, r_plus_1, first, parent
 
 
-def _count_patterns(word: Word, firsts: list[int], N: int) -> int:
-    """Number of Wigner-link circuits on {1..N} compatible with `word`, whose
-    letters first occur at `firsts`, counted by value pattern."""
-    m = word.length
-    letters = word.letters
-    new_letter = [False] * (m + 1)
-    for i in firsts:
-        new_letter[i] = True
+def _count_patterns(letters: tuple[int, ...], b: int, N: int) -> int:
+    """Number of Wigner-link circuits on {1..N} compatible with the word
+    `letters` over the letters 1..b, counted by value pattern.
+
+    The search runs on the word rotated so that its last letter seen once,
+    if it has one, closes the circuit at position 2k.  Rotating circuit
+    and word together is a bijection of the compatible circuits: with
+    pi'(t) = pi(t+q mod 2k), the edge at position i of pi' is the edge at
+    position i+q of pi, an unordered pair over the one range {1..N} either
+    way, so pi' is compatible with the rotated word exactly when pi is with
+    the word.  A letter seen once is compared with nothing, so at 2k it
+    leaves the closing edge (pi(2k-1), pi(0)) free: every prefix that
+    reaches it counts, where a repeated letter there must land on pi(0),
+    and its slot, no generating vertex, drops out of the pattern bound.
+    The search compares letters only for equality, so the rotated word
+    keeps its labels."""
+    m = len(letters)
+    uses = [0] * (b + 1)
+    for letter in letters:
+        uses[letter] += 1
+    for q in range(m, 0, -1):
+        if uses[letters[q - 1]] == 1:
+            letters = letters[q:] + letters[:q]
+            break
     # the generating slots after pi(0) are the first occurrences before the
     # closing position 2k, which reuses pi(0); each branches over the values
     # opened so far, at most one per earlier generating slot, plus one new one
+    new_letter = [False] * (m + 1)
+    seen = [False] * (b + 1)
+    for i, letter in enumerate(letters, start=1):
+        if not seen[letter]:
+            seen[letter] = new_letter[i] = True
     patterns = 1
-    for earlier in range(1, len(firsts) + 1 - new_letter[m]):
+    for earlier in range(1, b + 1 - new_letter[m]):
         patterns *= min(earlier + 1, N)
     _check_budget(patterns, "value patterns")
     # a value class is named by the slot that opened it, so pi(0) is class 0
     pool = [0]
     # the earlier letter leaving generating slot i, if not the one entering it
     follow = [0] * m
-    for i in firsts:
-        if i < m and not new_letter[i + 1] and letters[i] != letters[i - 1]:
+    for i in range(1, m):
+        if new_letter[i] and not new_letter[i + 1] and letters[i] != letters[i - 1]:
             follow[i] = letters[i]
     # keys[letter] is the letter's edge; a key a backtracked branch left is
     # overwritten at the letter's first occurrence before anything reads it
-    keys: list[tuple[int, int] | None] = [None] * (len(firsts) + 1)
+    keys: list[tuple[int, int] | None] = [None] * (b + 1)
     return N * _extend(letters, new_letter, follow, pool, N, 1, 0, keys)
 
 
@@ -252,54 +285,21 @@ def census_w(word: Word, N: int) -> CensusResult:
     Counts value patterns rather than assignments: each generating vertex
     takes a value already in use, or one new value weighted by the number
     still unused, and each repeated letter moves to the other endpoint of
-    its unordered recorded edge.  The generating vertices and the
-    prediction come from `_vertex_classes`, as in `census_s`.  The count is
-    exact.  Raises SizeLimitError when the bound on the patterns visited
-    exceeds `DEFAULT_CENSUS_BUDGET`; that bound stops growing with N once N
-    reaches the word length.
+    its unordered recorded edge.  The search runs on the word rotated to
+    end at a letter seen once, when it has one: a cyclic shift of circuit
+    and word together maps the compatible circuits one to one, since every
+    vertex ranges over {1..N}, and that letter, compared with nothing,
+    leaves the closing edge free (`_count_patterns`).  The number of
+    letters and the prediction come from `_vertex_classes`, as in
+    `census_s`.  The count is exact.  Raises SizeLimitError when the bound
+    on the patterns visited exceeds `DEFAULT_CENSUS_BUDGET`; that bound
+    stops growing with N once N reaches the word length.
     """
     _require_sizes(N=N)
-    rows, cols, b, r_plus_1, first, _ = _vertex_classes(word)
-    count = _count_patterns(word, first[1 : b + 1], N)
+    rows, cols, b, r_plus_1, _, _ = _vertex_classes(word)
+    count = _count_patterns(word.letters, b, N)
     predicted = _predicted(rows, cols, b, r_plus_1, N, N)
     return CensusResult(word.text, "wigner", N, N, count, predicted)
-
-
-def _edge_keys_s(word: Word, values: tuple[int, ...]) -> list[tuple[int, int]]:
-    m = word.length
-    keys = []
-    for i in range(1, m + 1):
-        prev = values[i - 1]
-        cur = values[0] if i == m else values[i]
-        keys.append((prev, cur) if i % 2 else (cur, prev))
-    return keys
-
-
-def _edge_keys_w(word: Word, values: tuple[int, ...]) -> list[tuple[int, int]]:
-    m = word.length
-    keys = []
-    for i in range(1, m + 1):
-        prev = values[i - 1]
-        cur = values[0] if i == m else values[i]
-        keys.append((prev, cur) if prev <= cur else (cur, prev))
-    return keys
-
-
-def _word_compatible(word: Word, keys: list[tuple[int, int]]) -> bool:
-    first_key: dict[int, tuple[int, int]] = {}
-    for letter, key in zip(word.letters, keys):
-        if letter not in first_key:
-            first_key[letter] = key
-        elif first_key[letter] != key:
-            return False
-    return True
-
-
-def _iter_full_tuples(word: Word, p: int, n: int):
-    m = word.length
-    _check_budget((p * n) ** (m // 2), "circuit tuples")
-    ranges = [range(1, (p if i % 2 == 0 else n) + 1) for i in range(m)]
-    yield from itertools.product(*ranges)
 
 
 @dataclass(frozen=True)
@@ -338,16 +338,3 @@ def word_structure(word: Word) -> WordStructure:
         even_slot, odd_slot = (i - 1, i) if i % 2 else (i % m, i - 1)
         edges.append((cls[even_slot], cls[odd_slot], counts[j]))
     return WordStructure(tuple(cls), tuple(edges), r_plus_1 - 1)
-
-
-def verify_containment(word: Word, p: int, n: int) -> bool:
-    """Check that every circuit counted under the S link is also compatible
-    with the Wigner link on the range {1..max(p, n)}, by testing every
-    circuit tuple as `census_s_exhaustive` and `census_w_exhaustive` do."""
-    _require_sizes(p=p, n=n)
-    _require_circuit_word(word)
-    return all(
-        _word_compatible(word, _edge_keys_w(word, values))
-        for values in _iter_full_tuples(word, p, n)
-        if _word_compatible(word, _edge_keys_s(word, values))
-    )

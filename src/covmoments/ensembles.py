@@ -376,6 +376,15 @@ def run_experiment(
         np.histogram_bin_edges([0.0, 1.0], bins=bins)
     except TypeError as exc:
         raise ValueError(str(exc)) from exc
+    if isinstance(bins, str) and bins == "fd" and cfg.p > 4 * cfg.n:
+        # S has rank at most n, so over 3/4 of the pooled eigenvalues are
+        # zero up to rounding, and the width 2 IQR / size^(1/3) is rounding
+        # noise that asks for petabytes of bin edges
+        raise ValueError(
+            f"bins='fd' needs the interquartile range of the eigenvalues, but S = X X^T is "
+            f"rank deficient: rank <= n = {cfg.n} and p = {cfg.p} > 4n, so more than 3/4 of "
+            f"its eigenvalues are zero; give bins as a count, edges or another numpy estimator"
+        )
     mask = _entry_mask(cfg)
     expected_sq_total = _second_moment_total(cfg, mask)
     work = (*_entry_buffers(cfg), np.empty((cfg.p, cfg.p)))

@@ -12,7 +12,7 @@ checked by one piece of code.  `verify` runs them at ranges capped by
   3  Narayana census, k <= 6           9  quadrature, k <= 3 on grid 64,
   4  census, lengths <= 6, p, n <= 4      DT limits k <= 6 on grid 64
   5  MP reduction, k <= 6, 4 ratios   11  factorial bound, t <= 4 on grid 32
-  6  sandwich, k <= 4                 12  Wigner containment, lengths <= 6
+  6  sandwich, k <= 4                 12  Wigner containment, lengths <= 8
                                       13  simulation contracts
 
 Criteria 5 and 6 add Monte Carlo halves and criterion 10 the figure
@@ -169,7 +169,7 @@ def test_criterion_11_unbounded_support_bound():
 
 def test_criterion_12_wigner_containment():
     start = time.perf_counter()
-    detail = _passes(cli.check_containment, 6, (1, 2, 3))
+    detail = _passes(cli.check_containment, 8, (1, 2, 3))
     _report(12, "Wigner containment", start, 60.0, detail)
 
 

@@ -10,7 +10,6 @@ from covmoments.circuits import (
     CensusResult,
     census_s,
     census_w,
-    verify_containment,
     word_structure,
 )
 from covmoments.partitions import (
@@ -20,11 +19,13 @@ from covmoments.partitions import (
     is_special_symmetric,
     word_statistics,
 )
+import oracles
 from oracles import (
     census_s_exhaustive,
     census_w_exhaustive,
     predicted_count_s,
     predicted_count_w,
+    verify_containment,
     word_partition,
 )
 
@@ -403,6 +404,59 @@ class TestForwardCheck:
             assert census_w(word, N).exact_count == census_w_exhaustive(word, N).exact_count
 
 
+def rotations_and_reversal(word: Word) -> list[Word]:
+    """The canonical relabelling of each cyclic shift of `word` and of its
+    reversal."""
+    letters = word.letters
+    shifts = [letters[q:] + letters[:q] for q in range(1, word.length)]
+    return [canonical(raw) for raw in shifts + [letters[::-1]]]
+
+
+def once_seen_away_from_end(*lengths):
+    """Words of the given lengths over at most six letters that end at a
+    repeated letter and have a letter seen once before it."""
+    def build(m):
+        body = st.lists(st.integers(0, 4), min_size=m - 2, max_size=m - 2)
+        return st.tuples(body, st.integers(0, m - 2)).map(
+            lambda t: canonical(t[0][: t[1]] + [5] + t[0][t[1]:] + t[0][:1])
+        )
+
+    return st.sampled_from(lengths).flatmap(build)
+
+
+class TestRotation:
+    """The Wigner census is invariant under cyclic shifts and reversal of
+    the word, which `census_w` uses to search a word that closes at a
+    letter seen once."""
+
+    def test_every_rotation_and_reversal_on_every_word(self):
+        for m in (2, 4, 6, 8):
+            words = all_words(m)
+            for N in range(1, 5):
+                counts = {w.letters: census_w(w, N).exact_count for w in words}
+                for word in words:
+                    for image in rotations_and_reversal(word):
+                        assert counts[image.letters] == counts[word.letters], (word.text, image.text, N)
+
+    @given(once_seen_away_from_end(10, 12), st.integers(1, 3))
+    def test_long_words_match_assignment_oracle(self, word, N):
+        assert word.letters.count(word.letters[-1]) > 1
+        assert any(word.letters.count(letter) == 1 for letter in word.letters)
+        assert census_w(word, N).exact_count == assignment_census_w(word, N)
+
+    @pytest.mark.parametrize("text", ["abca", "abcb"])
+    def test_budget_bound_drops_one_factor(self, text, monkeypatch):
+        # b and c are seen once; the search closes at one of them, so the
+        # bound is 2 * 3 patterns at N = 3, not 2 * 3 * 3 as at the word's
+        # own closing letter
+        expected = census_w_exhaustive(W(text), 3).exact_count
+        monkeypatch.setattr(circuits, "DEFAULT_CENSUS_BUDGET", 6)
+        assert census_w(W(text), 3).exact_count == expected
+        monkeypatch.setattr(circuits, "DEFAULT_CENSUS_BUDGET", 5)
+        with pytest.raises(SizeLimitError, match="6 value patterns, over the budget 5"):
+            census_w(W(text), 3)
+
+
 class TestContainment:
     @pytest.mark.parametrize("text,p,n", [("aa", 2, 3), ("abba", 2, 2), ("abab", 2, 2)])
     def test_examples(self, text, p, n):
@@ -417,13 +471,13 @@ class TestContainment:
     def test_checks_exactly_the_s_circuits(self, monkeypatch):
         # the Wigner check sees each S-link circuit once, and nothing else
         checked = []
-        edge_keys_w = circuits._edge_keys_w
+        edge_keys_w = oracles._edge_keys_w
 
         def spy(word, values):
             checked.append(values)
             return edge_keys_w(word, values)
 
-        monkeypatch.setattr(circuits, "_edge_keys_w", spy)
+        monkeypatch.setattr(oracles, "_edge_keys_w", spy)
         circuits_checked = 0
         for m in (2, 4, 6):
             for word in all_words(m):

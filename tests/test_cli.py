@@ -693,6 +693,18 @@ class TestSimulate:
             assert "'K'" in capsys.readouterr().err
         assert not (tmp_path / "moments.csv").exists()
 
+    def test_fd_bins_on_rank_deficient_config_exit(self, tmp_path, capsys, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("sampled before the config was checked")
+
+        monkeypatch.setattr(ensembles, "_raw_entries", no_draw)
+        cfg = self.write_config(tmp_path, "family = iid_standardized\np = 40\nn = 8\nreplicates = 2\n")
+        assert run("--out", tmp_path, "simulate", "--config", cfg) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "bins='fd'" in err and "rank deficient" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "moments.csv").exists()
+
     @pytest.mark.parametrize("name, text, message", [
         ("run.cfg", "family = iid_standardized\np = 20\nn = 40\np = 30\n",
          "run.cfg:4: config key 'p' repeats line 2"),
@@ -768,7 +780,7 @@ VERIFY_DETAILS = {
         ("nc2-catalan", "pair censuses match Catalan numbers up to k=3"),
         ("narayana-pair-census", "pair-matched counts equal Narayana numbers up to k=3"),
         ("census-exact-counts", "exact counts p^(r+1) n^(b-r) for all words of length <= 6"),
-        ("wigner-containment", "covariance circuits embed in Wigner circuits, lengths <= 4"),
+        ("wigner-containment", "covariance census <= Wigner census for all words of length <= 6"),
         ("mp-constant-reduction", "constant-sequence reduction equals the Narayana polynomial up to k=3"),
         ("sparse-sandwich", "bounds contain the sparse moments (strictly for 2 <= k <= 3)"),
         ("hypergraph-roundtrip", "round trips and acyclic-pair counts agree up to 2k=6"),
@@ -782,7 +794,7 @@ VERIFY_DETAILS = {
         ("nc2-catalan", "pair censuses match Catalan numbers up to k=5"),
         ("narayana-pair-census", "pair-matched counts equal Narayana numbers up to k=6"),
         ("census-exact-counts", "exact counts p^(r+1) n^(b-r) for all words of length <= 6"),
-        ("wigner-containment", "covariance circuits embed in Wigner circuits, lengths <= 4"),
+        ("wigner-containment", "covariance census <= Wigner census for all words of length <= 6"),
         ("mp-constant-reduction", "constant-sequence reduction equals the Narayana polynomial up to k=6"),
         ("sparse-sandwich", "bounds contain the sparse moments (strictly for 2 <= k <= 4)"),
         ("hypergraph-roundtrip", "round trips and acyclic-pair counts agree up to 2k=8"),
@@ -808,9 +820,14 @@ VERIFY_BREAKS = [
      lambda f: lambda p: f(p) or p.as_lists() == [[1, 2, 6, 7], [3, 4, 5, 8]]),
     ("nc2-catalan", partitions, "catalan", lambda f: lambda k: f(k) + 1),
     ("narayana-pair-census", partitions, "narayana", lambda f: lambda k, r: f(k, r) + 1),
+    # one covariance circuit too few, so that the S count stays within the
+    # Wigner count that wigner-containment compares it with
     ("census-exact-counts", circuits, "census_s",
-     lambda f: lambda w, p, n: dataclasses.replace(f(w, p, n), exact_count=f(w, p, n).exact_count + 1)),
-    ("wigner-containment", circuits, "verify_containment", lambda f: lambda w, p, n: False),
+     lambda f: lambda w, p, n: dataclasses.replace(f(w, p, n), exact_count=f(w, p, n).exact_count - 1)),
+    # one Wigner circuit too few breaks the bound on every special symmetric
+    # word, where both censuses count N^(b+1); census_w has no other caller
+    ("wigner-containment", circuits, "census_w",
+     lambda f: lambda w, N: dataclasses.replace(f(w, N), exact_count=f(w, N).exact_count - 1)),
     ("mp-constant-reduction", moments, "mp_moment", lambda f: lambda k, y: f(k, y) + 1),
     ("sparse-sandwich", moments, "poisson_sandwich", lambda f: lambda k, y, lam: f(k, y, lam)[::-1]),
     ("hypergraph-roundtrip", hypergraphs, "count_acyclic_pairs", lambda f: lambda k: {**f(k), 0: 1}),
@@ -825,7 +842,7 @@ VERIFY_BREAKS = [
     ("grid-quadrature", moments, "profile_moments", lambda f: lambda *a, **kw: {
         k: dataclasses.replace(r, value=r.value + 1e-3) for k, r in f(*a, **kw).items()
     }),
-    pytest.param("wigner-containment", circuits, "verify_containment", _raise, id="raises"),
+    pytest.param("wigner-containment", circuits, "census_w", _raise, id="raises"),
 ]
 
 

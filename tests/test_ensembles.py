@@ -400,6 +400,16 @@ class TestRunExperiment:
         assert len(report.hist_edges) == 12
         assert report.hist_counts.sum() == 30 * 2
 
+    def test_fd_bins_on_rank_deficient_config_rejected(self):
+        # p > 4n: over 3/4 of the eigenvalues are zero, and the FD width
+        # collapses to rounding noise (this call used to ask for 58 PiB)
+        cfg = EnsembleConfig("iid_standardized", 40, 8, seed=10, replicates=2)
+        with pytest.raises(ValueError, match=r"bins='fd'.*rank deficient.*p = 40 > 4n"):
+            run_experiment(cfg, 2)
+        assert run_experiment(cfg, 2, bins=10).hist_counts.sum() == 40 * 2
+        at_four = EnsembleConfig("iid_standardized", 40, 10, seed=10, replicates=2)
+        assert run_experiment(at_four, 2).hist_counts.sum() == 40 * 2
+
     def test_single_replicate_stderr_zero(self):
         cfg = EnsembleConfig("iid_standardized", 20, 40, seed=11)
         report = run_experiment(cfg, 2)
