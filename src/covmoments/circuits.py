@@ -36,18 +36,31 @@ leaving a generating vertex is an earlier one, other than the letter
 entering it, only the endpoints of its recorded edge can continue, so no
 new value is tried.
 
-The search runs on the word rotated so that a letter seen once, if there is
-one, sits at the closing position 2k.  All Wigner vertices share the range
-{1..N}, so shifting a circuit by q slots, pi'(t) = pi(t+q mod 2k), moves
-the unordered edge at position i+q to position i: a bijection between the
-circuits compatible with the word and those compatible with the word
+Before the search, the word is reduced as a cyclic word, position 2k next
+to position 1 (Anderson, Guionnet and Zeitouni, An Introduction to Random
+Matrices, 2010, section 2.1).  A letter seen exactly twice at adjacent
+positions i and i+1 forces only pi(i+1) = pi(i-1), whichever way its two
+unordered edges are matched, and pi(i) lies on no other edge; two adjacent
+letters each seen once are compared with nothing.  Either way pi(i) is a
+free vertex: deleting the pair, or one of the two letters, maps the
+compatible circuits one to one onto those of the shorter word times the N
+values of pi(i).  Every letter left keeps its multiplicity, so the rules
+repeat until none applies; a word of nested pairs reduces to nothing and
+counts N^(b+1) with no search.
+
+The search runs on the residual rotated so that a letter seen once, if
+there is one, sits at the closing position.  All Wigner vertices share the
+range {1..N}, so shifting a circuit by q slots, pi'(t) = pi(t+q mod 2k),
+moves the unordered edge at position i+q to position i: a bijection between
+the circuits compatible with the word and those compatible with the word
 rotated by q.  (Under the covariance link an odd shift swaps the row and
 column ranges and the order of each pair, so `census_s` has no such
-symmetry.)  A letter seen once is compared with nothing; at 2k it leaves the
-closing edge free, so no path dies on its last step back to pi(0), and
-the closing slot opens no value.  The budget `DEFAULT_CENSUS_BUDGET` bounds
-the value patterns of the rotated word; it is read at call time, so a
-caller who needs another one sets the module constant.
+symmetry.)  A letter seen once is compared with nothing; at the end it
+leaves the closing edge free, so no path dies on its last step back to
+pi(0), and the closing slot opens no value.  The budget
+`DEFAULT_CENSUS_BUDGET` bounds the value patterns of the rotated residual;
+it is read at call time, so a caller who needs another one sets the module
+constant.
 """
 
 from __future__ import annotations
@@ -61,11 +74,15 @@ DEFAULT_CENSUS_BUDGET = 10**8
 SizeLimitError.  Each generating vertex after pi(0) offers at most one value
 per earlier generating vertex plus one new value, and never more than N, so
 past N >= 2k the pattern bound no longer depends on N.  The bound is taken
-on the word the search visits: rotated, when a letter occurs once, so that
-this letter closes the circuit, where its slot reuses pi(0) and is no
-generating vertex.  A word that ends at a repeated letter and has a letter
-seen once thus loses one factor (`abca` at N = 3: 2 * 3 patterns, not
-2 * 3 * 3).  `census_s` is closed-form and needs no budget."""
+on the word the search visits: the residual left once adjacent pairs and
+adjacent letters seen once are taken out as factors of N, with its own
+first occurrences, and rotated, when a letter occurs once, so that this
+letter closes the circuit, where its slot reuses pi(0) and is no
+generating vertex.  So a word of nested pairs, twenty of them included,
+has the bound 1; `abcb` at N = 3 keeps all its letters and has 2 * 3
+patterns, not 2 * 3 * 3; twenty crossing letters, `"abcdefghijklmnopqrst"
+* 2`, reduce to nothing shorter and have 21!, about 5.1e19.  `census_s`
+is closed-form and needs no budget."""
 
 
 @dataclass(frozen=True)
@@ -171,38 +188,83 @@ def _count_patterns(letters: tuple[int, ...], b: int, N: int) -> int:
     """Number of Wigner-link circuits on {1..N} compatible with the word
     `letters` over the letters 1..b, counted by value pattern.
 
-    The search runs on the word rotated so that its last letter seen once,
-    if it has one, closes the circuit at position 2k.  Rotating circuit
-    and word together is a bijection of the compatible circuits: with
-    pi'(t) = pi(t+q mod 2k), the edge at position i of pi' is the edge at
-    position i+q of pi, an unordered pair over the one range {1..N} either
-    way, so pi' is compatible with the rotated word exactly when pi is with
-    the word.  A letter seen once is compared with nothing, so at 2k it
-    leaves the closing edge (pi(2k-1), pi(0)) free: every prefix that
-    reaches it counts, where a repeated letter there must land on pi(0),
-    and its slot, no generating vertex, drops out of the pattern bound.
-    The search compares letters only for equality, so the rotated word
-    keeps its labels."""
-    m = len(letters)
+    The word is first reduced as a cyclic word (position 2k is adjacent to
+    position 1) by two rules, each of which frees one vertex:
+      (a) a letter seen exactly twice, at adjacent positions i and i+1:
+          the unordered edges {pi(i-1), pi(i)} and {pi(i), pi(i+1)} are
+          equal iff pi(i+1) = pi(i-1), whichever way they are matched, and
+          pi(i) lies on no other edge, so it is free; both positions go;
+      (b) two adjacent letters, at i and i+1, each seen once: neither edge
+          is compared with anything, so pi(i) is free; one letter stays.
+    Either rule maps the compatible circuits of the word one to one onto
+    (compatible circuits of the shorter word) x {1..N}: drop pi(i), and in
+    (a) merge pi(i+1) into pi(i-1).  Removed letters take all their
+    occurrences with them, so every letter that stays keeps its
+    multiplicity, and the rules apply until none does.  One stack pass does
+    this on the word read linearly: a letter that closes a rule with the
+    top of the stack pops it or is dropped, so no adjacent pair left on the
+    stack matches a rule; the ends of the stack are then adjacent, and
+    reducing them exposes no pair but the new ends.  An empty residual
+    counts N, for pi(0) alone.
+
+    The search runs on the residual rotated so that its last letter seen
+    once, if it has one, closes the circuit at its last position.  Rotating
+    circuit and word together is a bijection of the compatible circuits:
+    with pi'(t) = pi(t+q mod 2k), the edge at position i of pi' is the edge
+    at position i+q of pi, an unordered pair over the one range {1..N}
+    either way, so pi' is compatible with the rotated word exactly when pi
+    is with the word.  A letter seen once is compared with nothing, so at
+    the end it leaves the closing edge (pi(2k-1), pi(0)) free: every prefix
+    that reaches it counts, where a repeated letter there must land on
+    pi(0), and its slot, no generating vertex, drops out of the pattern
+    bound.  The bound counts the residual's own first occurrences.  The
+    search compares letters only for equality, so the residual keeps its
+    labels."""
     uses = [0] * (b + 1)
     for letter in letters:
         uses[letter] += 1
+    free = 0
+    stack: list[int] = []
+    for letter in letters:
+        if stack and uses[letter] == 1 == uses[stack[-1]]:
+            free += 1  # (b)
+        elif stack and stack[-1] == letter and uses[letter] == 2:
+            stack.pop()  # (a)
+            free += 1
+        else:
+            stack.append(letter)
+    lo, hi = 0, len(stack) - 1
+    while lo < hi:
+        if uses[stack[lo]] == 1 == uses[stack[hi]]:
+            hi -= 1
+        elif stack[lo] == stack[hi] and uses[stack[lo]] == 2:
+            lo += 1
+            hi -= 1
+        else:
+            break
+        free += 1
+    letters = tuple(stack[lo:hi + 1])
+    m = len(letters)
     for q in range(m, 0, -1):
         if uses[letters[q - 1]] == 1:
             letters = letters[q:] + letters[:q]
             break
     # the generating slots after pi(0) are the first occurrences before the
-    # closing position 2k, which reuses pi(0); each branches over the values
+    # closing position, which reuses pi(0); each branches over the values
     # opened so far, at most one per earlier generating slot, plus one new one
     new_letter = [False] * (m + 1)
     seen = [False] * (b + 1)
+    generating = 0
     for i, letter in enumerate(letters, start=1):
         if not seen[letter]:
             seen[letter] = new_letter[i] = True
+            generating += 1
     patterns = 1
-    for earlier in range(1, b + 1 - new_letter[m]):
+    for earlier in range(1, generating + 1 - new_letter[m]):
         patterns *= min(earlier + 1, N)
     _check_budget(patterns, "value patterns")
+    if not m:
+        return N ** (free + 1)
     # a value class is named by the slot that opened it, so pi(0) is class 0
     pool = [0]
     # the earlier letter leaving generating slot i, if not the one entering it
@@ -213,7 +275,7 @@ def _count_patterns(letters: tuple[int, ...], b: int, N: int) -> int:
     # keys[letter] is the letter's edge; a key a backtracked branch left is
     # overwritten at the letter's first occurrence before anything reads it
     keys: list[tuple[int, int] | None] = [None] * (b + 1)
-    return N * _extend(letters, new_letter, follow, pool, N, 1, 0, keys)
+    return N ** (free + 1) * _extend(letters, new_letter, follow, pool, N, 1, 0, keys)
 
 
 def _extend(letters, new_letter, follow, pool, cap, i, prev, keys) -> int:
@@ -285,11 +347,13 @@ def census_w(word: Word, N: int) -> CensusResult:
     Counts value patterns rather than assignments: each generating vertex
     takes a value already in use, or one new value weighted by the number
     still unused, and each repeated letter moves to the other endpoint of
-    its unordered recorded edge.  The search runs on the word rotated to
-    end at a letter seen once, when it has one: a cyclic shift of circuit
-    and word together maps the compatible circuits one to one, since every
-    vertex ranges over {1..N}, and that letter, compared with nothing,
-    leaves the closing edge free (`_count_patterns`).  The number of
+    its unordered recorded edge.  Adjacent pairs of a letter seen twice
+    and adjacent letters seen once each free one vertex, a factor of N, and
+    leave the word first (`_count_patterns`).  The search runs on what is
+    left, rotated to end at a letter seen once, when it has one: a cyclic
+    shift of circuit and word together maps the compatible circuits one to
+    one, since every vertex ranges over {1..N}, and that letter, compared
+    with nothing, leaves the closing edge free.  The number of
     letters and the prediction come from `_vertex_classes`, as in
     `census_s`.  The count is exact.  Raises SizeLimitError when the bound
     on the patterns visited exceeds `DEFAULT_CENSUS_BUDGET`; that bound

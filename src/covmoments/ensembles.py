@@ -367,7 +367,8 @@ def run_experiment(
 ) -> ExperimentReport:
     """Sample all replicates, aggregate spectral moments and the pooled
     eigenvalue histogram (Freedman-Diaconis bins unless overridden).  K and
-    `bins` are checked before the first draw.  The replicates share one set
+    `bins` are checked before the first draw; Freedman-Diaconis bins on
+    pooled eigenvalues with a zero interquartile range raise ValueError.  The replicates share one set
     of entry, draw-mask and Gram buffers allocated per run; the eigenvalues
     each replicate reports are its own array."""
     if K < 1:
@@ -400,6 +401,17 @@ def run_experiment(
         stderr = np.zeros(K)
     pooled = np.concatenate([s.eigenvalues for s in samples])
     counts, edges = np.histogram(pooled, bins=bins)
+    if len(counts) == 1 and isinstance(bins, str) and bins == "fd":
+        # numpy falls back to one bin when the FD width 2 IQR / size^(1/3)
+        # is 0, as when over half the eigenvalues are one exact value
+        q75, q25 = np.percentile(pooled, [75, 25])
+        if q75 == q25:
+            raise ValueError(
+                f"bins='fd' found a zero interquartile range: {np.count_nonzero(pooled == q25)} of "
+                f"the {pooled.size} pooled eigenvalues equal {q25:g}, so the Freedman-Diaconis "
+                f"width is 0 and numpy would give one bin; give bins as a count, edges or another "
+                f"numpy estimator"
+            )
 
     achieved = None
     if cfg.family == "triangular_iid":

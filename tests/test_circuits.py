@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 
 import pytest
 from hypothesis import given
@@ -31,8 +32,12 @@ from oracles import (
 
 W = Word.from_text
 
-# twenty nested letters: 5.1e19 Wigner value patterns at N = 10^6
+# twenty nested letters: adjacent pairs all the way down, so the Wigner
+# census reduces the word to nothing and counts N^21 with no search
 NESTED_40 = W("abcdefghijklmnopqrst" + "abcdefghijklmnopqrst"[::-1])
+# twenty crossing letters: nothing to reduce, 21! = 5.1e19 Wigner value
+# patterns at N = 10^6
+CROSSING_40 = W("abcdefghijklmnopqrst" * 2)
 
 
 def all_words(m):
@@ -150,6 +155,58 @@ def words_of_length(*lengths):
 SIZES = st.integers(1, 3)
 
 
+def reduce_cyclic(letters):
+    """Oracle: rewrite the cyclic word until no rule applies, one pair of
+    neighbours at a time; returns the residual and the number of rules
+    applied.  A letter seen exactly twice at two neighbouring positions
+    loses both; of two neighbours each seen once, the second goes."""
+    uses = {letter: letters.count(letter) for letter in letters}
+    residual, free = list(letters), 0
+    changed = True
+    while changed:
+        changed = False
+        m = len(residual)
+        for i in range(m if m > 1 else 0):
+            j = (i + 1) % m
+            x, y = residual[i], residual[j]
+            if x == y and uses[x] == 2:
+                del residual[max(i, j)], residual[min(i, j)]
+            elif uses[x] == 1 == uses[y]:
+                del residual[j]
+            else:
+                continue
+            free += 1
+            changed = True
+            break
+    return tuple(residual), free
+
+
+def spliced_words(*lengths):
+    """(word, N): a random word over three letters with a run of letters
+    seen once and a block of nested adjacent pairs spliced in, then rotated,
+    so that either may straddle the ends; N <= 3, and N <= 2 at length 14
+    to keep the assignment oracle fast."""
+    def splice(once, pairs, body, at_once, at_pairs, shift):
+        word = list(body)
+        at = at_once % (len(word) + 1)
+        word[at:at] = [10 + j for j in range(once)]
+        nest = [20 + j for j in range(pairs)]
+        at = at_pairs % (len(word) + 1)
+        word[at:at] = nest + nest[::-1]
+        shift %= len(word)
+        return canonical(word[shift:] + word[:shift])
+
+    def build(m, once, pairs):
+        body = st.lists(st.integers(0, 2), min_size=m - once - 2 * pairs, max_size=m - once - 2 * pairs)
+        place = st.integers(0, m)
+        word = st.tuples(st.just(once), st.just(pairs), body, place, place, place).map(lambda t: splice(*t))
+        return st.tuples(word, st.integers(1, 3 if m < 14 else 2))
+
+    return st.tuples(st.sampled_from(lengths), st.integers(1, 3), st.integers(1, 2)).flatmap(
+        lambda t: build(*t)
+    )
+
+
 def ordered_propagate_slot(keys, letter, i, prev, fresh):
     """Oracle: the covariance-link step with the edge ordered (row, col),
     the row being the endpoint at the even slot of positions i-1 and i."""
@@ -235,17 +292,27 @@ class TestCensusS:
         result = census_s(NESTED_40, p, n)
         assert result.exact_count == p**11 * n**10 == result.predicted_count
         assert census_w(W("aabb"), 10**6).exact_count == 10**18
-        with pytest.raises(SizeLimitError, match="value patterns"):
-            census_w(NESTED_40, 10**6)
-        # aabb's Wigner bound at N = 3 is 2 * 3 patterns: slot 1 takes pi(0)'s
-        # value or a new one, slot 3 one of the values opened or a new one
+        N = 10**6
+        nested = census_w(NESTED_40, N)
+        assert nested.exact_count == nested.predicted_count == N**21
+        with pytest.raises(SizeLimitError, match=f"{math.factorial(21)} value patterns"):
+            census_w(CROSSING_40, N)
+        # abab reduces to nothing shorter; its Wigner bound at N = 3 is 2 * 3
+        # patterns: slot 1 takes pi(0)'s value or a new one, slot 2 one of
+        # the values opened or a new one
+        expected = census_w_exhaustive(W("abab"), 3).exact_count
         monkeypatch.setattr(circuits, "DEFAULT_CENSUS_BUDGET", 6)
-        assert census_w(W("aabb"), 3).exact_count == 27
+        assert census_w(W("abab"), 3).exact_count == expected
         monkeypatch.setattr(circuits, "DEFAULT_CENSUS_BUDGET", 5)
         with pytest.raises(SizeLimitError, match="6 value patterns, over the budget 5"):
-            census_w(W("aabb"), 3)
+            census_w(W("abab"), 3)
+        # aabb is two adjacent pairs, reduced to nothing: one pattern
         monkeypatch.setattr(circuits, "DEFAULT_CENSUS_BUDGET", 1)
+        assert census_w(W("aabb"), 3).exact_count == 27
         assert census_s(W("aabb"), 3, 3).exact_count == 27
+        monkeypatch.setattr(circuits, "DEFAULT_CENSUS_BUDGET", 0)
+        with pytest.raises(SizeLimitError, match="1 value patterns, over the budget 0"):
+            census_w(W("aabb"), 3)
         monkeypatch.setattr(circuits, "DEFAULT_CENSUS_BUDGET", 10)
         with pytest.raises(SizeLimitError, match="circuit tuples"):
             census_s_exhaustive(W("aabb"), 100, 100)
@@ -444,17 +511,75 @@ class TestRotation:
         assert any(word.letters.count(letter) == 1 for letter in word.letters)
         assert census_w(word, N).exact_count == assignment_census_w(word, N)
 
-    @pytest.mark.parametrize("text", ["abca", "abcb"])
-    def test_budget_bound_drops_one_factor(self, text, monkeypatch):
-        # b and c are seen once; the search closes at one of them, so the
-        # bound is 2 * 3 patterns at N = 3, not 2 * 3 * 3 as at the word's
-        # own closing letter
+    @pytest.mark.parametrize(
+        "text,bound",
+        [
+            # abcb is not reduced; a and c are seen once and the search closes
+            # at c, so the bound is 2 * 3 patterns at N = 3, not 2 * 3 * 3 as
+            # at the word's own closing letter
+            pytest.param("abcb", 6, id="abcb"),
+            # abca reduces: c joins b, then the a at 4 and the a at 1 are an
+            # adjacent pair across the ends, leaving the one letter b
+            pytest.param("abca", 1, id="abca"),
+        ],
+    )
+    def test_budget_bound_drops_one_factor(self, text, bound, monkeypatch):
         expected = census_w_exhaustive(W(text), 3).exact_count
-        monkeypatch.setattr(circuits, "DEFAULT_CENSUS_BUDGET", 6)
+        monkeypatch.setattr(circuits, "DEFAULT_CENSUS_BUDGET", bound)
         assert census_w(W(text), 3).exact_count == expected
-        monkeypatch.setattr(circuits, "DEFAULT_CENSUS_BUDGET", 5)
-        with pytest.raises(SizeLimitError, match="6 value patterns, over the budget 5"):
+        monkeypatch.setattr(circuits, "DEFAULT_CENSUS_BUDGET", bound - 1)
+        with pytest.raises(SizeLimitError, match=f"{bound} value patterns, over the budget {bound - 1}"):
             census_w(W(text), 3)
+
+
+class TestReduction:
+    """The Wigner census first strips adjacent pairs of a letter seen twice
+    and merges adjacent letters seen once, each a factor of N, and searches
+    only the cyclic word that is left."""
+
+    @staticmethod
+    def extend_calls(word, N):
+        calls = [0]
+        extend = circuits._extend
+
+        def counted(*args):
+            calls[0] += 1
+            return extend(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(circuits, "_extend", counted)
+            count = census_w(word, N).exact_count
+        return count, calls[0]
+
+    @given(spliced_words(10, 12, 14))
+    def test_spliced_words_match_assignment_oracle(self, case):
+        word, N = case
+        assert census_w(word, N).exact_count == assignment_census_w(word, N)
+
+    def test_factor_of_n_per_rule(self):
+        # each rule frees one vertex: the count is N per rule applied times
+        # the count of the residual, N for pi(0) alone when nothing is left
+        for m in (2, 4, 6, 8):
+            for word in all_words(m):
+                residual, free = reduce_cyclic(word.letters)
+                for N in (2, 3):
+                    rest = assignment_census_w(canonical(residual), N) if residual else N
+                    assert census_w(word, N).exact_count == N**free * rest, (word.text, N)
+
+    def test_alphabet(self):
+        # 26 letters seen once merge into one, a self-loop at pi(0)
+        N = 10**6
+        word = W("abcdefghijklmnopqrstuvwxyz")
+        assert reduce_cyclic(word.letters) == ((1,), 25)
+        assert census_w(word, N).exact_count == N**26
+
+    @pytest.mark.parametrize("word", [W("abccba"), W("abcddcbaeffegghhiijj"), NESTED_40])
+    def test_nested_pairs_need_no_search(self, word):
+        N = 10**6
+        assert reduce_cyclic(word.letters) == ((), word.length // 2)
+        count, calls = self.extend_calls(word, N)
+        assert calls == 0
+        assert count == N ** (word.distinct_letters + 1)
 
 
 class TestContainment:
@@ -539,9 +664,11 @@ class TestPatternCount:
     @given(words_of_length(2, 4, 6, 8), st.integers(1, 4), st.integers(1, 4), st.integers(0, 10**6))
     def test_budget_bounds_the_search(self, word, p, n, extra):
         # the value checked against the budget bounds the _extend calls per
-        # generating slot, and stops growing once N reaches 2k; the S census
-        # neither searches nor checks a budget
+        # generating slot, and stops growing once N reaches 2k; a word that
+        # reduces to nothing is neither searched nor bounded by more than one
+        # pattern; the S census neither searches nor checks a budget
         generating = len(free_slots(word))
+        residual, _ = reduce_cyclic(word.letters)
         bounds, calls = [], [0]
         check_budget, extend = circuits._check_budget, circuits._extend
 
@@ -563,7 +690,10 @@ class TestPatternCount:
                 calls[0] = 0
                 census_w(word, N)
                 (bound,) = bounds
-                assert 1 <= calls[0] <= generating * bound
+                if residual:
+                    assert 1 <= calls[0] <= generating * bound
+                else:
+                    assert calls[0] == 0 and bound == 1
             m = word.length
             large = []
             for N in (m, m + extra, m + 2 * extra):

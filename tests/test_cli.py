@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import re
 import shlex
@@ -142,11 +143,20 @@ class TestCensus:
         assert run("--out", tmp_path, "census", "--word", nested, "--p", p, "--n", n) == 0
         lines = (tmp_path / "census.csv").read_text().strip().splitlines()
         assert lines[1] == f"{nested},S,{p},{n},{p**11 * n**10},{p**11 * n**10}"
-        (tmp_path / "census.csv").unlink()
+        # the Wigner census reduces the nested pairs to nothing, so it needs
+        # no search; twenty crossing letters do not reduce and exceed the budget
+        N = max(p, n)
         assert run(
             "--out", tmp_path, "census", "--word", nested, "--p", p, "--n", n, "--link", "wigner"
+        ) == 0
+        lines = (tmp_path / "census.csv").read_text().strip().splitlines()
+        assert lines[1] == f"{nested},wigner,{N},{N},{N**21},{N**21}"
+        (tmp_path / "census.csv").unlink()
+        crossing = "abcdefghijklmnopqrst" * 2
+        assert run(
+            "--out", tmp_path, "census", "--word", crossing, "--p", p, "--n", n, "--link", "wigner"
         ) == EXIT_SIZE_LIMIT
-        assert "value patterns" in capsys.readouterr().err
+        assert f"{math.factorial(21)} value patterns" in capsys.readouterr().err
         assert not (tmp_path / "census.csv").exists()
 
     @pytest.mark.parametrize(
@@ -702,6 +712,17 @@ class TestSimulate:
         assert run("--out", tmp_path, "simulate", "--config", cfg) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "bins='fd'" in err and "rank deficient" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "moments.csv").exists()
+
+    def test_fd_bins_on_zero_interquartile_range_exit(self, tmp_path, capsys):
+        cfg = self.write_config(
+            tmp_path,
+            "family = sparse_bernoulli\np = 100\nn = 100\nlam = 0.1\nreplicates = 2\nseed = 1729\n",
+        )
+        assert run("--out", tmp_path, "simulate", "--config", cfg) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "bins='fd'" in err and "zero interquartile range" in err
         assert "Traceback" not in err
         assert not (tmp_path / "moments.csv").exists()
 

@@ -410,6 +410,17 @@ class TestRunExperiment:
         at_four = EnsembleConfig("iid_standardized", 40, 10, seed=10, replicates=2)
         assert run_experiment(at_four, 2).hist_counts.sum() == 40 * 2
 
+    def test_fd_bins_on_zero_interquartile_range_rejected(self):
+        # rows that draw no entry give exact zero eigenvalues: at lam = 0.1
+        # 178 of the 200 pooled ones, so the FD width is 0 and numpy would
+        # give one bin
+        cfg = EnsembleConfig("sparse_bernoulli", 100, 100, lam=0.1, seed=1729, replicates=2)
+        with pytest.raises(ValueError, match=r"bins='fd' found a zero interquartile range: 178 of the 200"):
+            run_experiment(cfg, 2)
+        assert len(run_experiment(cfg, 2, bins=10).hist_counts) == 10
+        denser = replace(cfg, lam=0.3)
+        assert len(run_experiment(denser, 2).hist_counts) == 29
+
     def test_single_replicate_stderr_zero(self):
         cfg = EnsembleConfig("iid_standardized", 20, 40, seed=11)
         report = run_experiment(cfg, 2)
