@@ -368,9 +368,10 @@ def run_experiment(
     """Sample all replicates, aggregate spectral moments and the pooled
     eigenvalue histogram (Freedman-Diaconis bins unless overridden).  K and
     `bins` are checked before the first draw; Freedman-Diaconis bins on
-    pooled eigenvalues with a zero interquartile range raise ValueError.  The replicates share one set
-    of entry, draw-mask and Gram buffers allocated per run; the eigenvalues
-    each replicate reports are its own array."""
+    pooled eigenvalues with a zero interquartile range raise ValueError.
+    The replicates share one set of entry, draw-mask and Gram buffers
+    allocated per run; the eigenvalues each replicate reports are its own
+    array."""
     if K < 1:
         raise ValueError("K must be >= 1")
     try:  # numpy's own rules for `bins`, applied to a two-point sample
@@ -403,7 +404,7 @@ def run_experiment(
     counts, edges = np.histogram(pooled, bins=bins)
     if len(counts) == 1 and isinstance(bins, str) and bins == "fd":
         # numpy falls back to one bin when the FD width 2 IQR / size^(1/3)
-        # is 0, as when over half the eigenvalues are one exact value
+        # is 0, as when the middle half of the eigenvalues is one value
         q75, q25 = np.percentile(pooled, [75, 25])
         if q75 == q25:
             raise ValueError(
