@@ -28,39 +28,13 @@ hypergraph bijection and the per-word quadrature breakdown read it.
 The Wigner edge is an unordered pair, so a repeated letter forces one of two
 ways of matching its endpoints and no such pass decides it.  `census_w`
 counts value patterns instead, since the link compares vertex values only
-for equality.  A depth-first search gives each generating vertex one of the
-values already opened or one new value, weighted by the number of values
-still unused, and moves each repeated letter to the other endpoint of its
-unordered recorded edge.  The search checks forward: when the letter
-leaving a generating vertex is an earlier one, other than the letter
-entering it, only the endpoints of its recorded edge can continue, so no
-new value is tried.
-
-Before the search, the word is reduced as a cyclic word, position 2k next
-to position 1 (Anderson, Guionnet and Zeitouni, An Introduction to Random
-Matrices, 2010, section 2.1).  A letter seen exactly twice at adjacent
-positions i and i+1 forces only pi(i+1) = pi(i-1), whichever way its two
-unordered edges are matched, and pi(i) lies on no other edge; two adjacent
-letters each seen once are compared with nothing.  Either way pi(i) is a
-free vertex: deleting the pair, or one of the two letters, maps the
-compatible circuits one to one onto those of the shorter word times the N
-values of pi(i).  Every letter left keeps its multiplicity, so the rules
-repeat until none applies; a word of nested pairs reduces to nothing and
-counts N^(b+1) with no search.
-
-The search runs on the residual rotated so that a letter seen once, if
-there is one, sits at the closing position.  All Wigner vertices share the
-range {1..N}, so shifting a circuit by q slots, pi'(t) = pi(t+q mod 2k),
-moves the unordered edge at position i+q to position i: a bijection between
-the circuits compatible with the word and those compatible with the word
-rotated by q.  (Under the covariance link an odd shift swaps the row and
-column ranges and the order of each pair, so `census_s` has no such
-symmetry.)  A letter seen once is compared with nothing; at the end it
-leaves the closing edge free, so no path dies on its last step back to
-pi(0), and the closing slot opens no value.  The budget
-`DEFAULT_CENSUS_BUDGET` bounds the value patterns of the rotated residual;
-it is read at call time, so a caller who needs another one sets the module
-constant.
+for equality.  Each adjacent pair of a letter seen twice and each adjacent
+pair of letters seen once frees a vertex, a factor of N, and leaves the
+word first; a depth-first search then counts the cyclic word that is left,
+rotated to close at a letter seen once.  `_count_patterns` states the rules
+and why they keep the count.  The budget `DEFAULT_CENSUS_BUDGET` bounds the
+value patterns that search visits; it is read at call time, so a caller who
+needs another one sets the module constant.
 """
 
 from __future__ import annotations
@@ -71,18 +45,15 @@ from .partitions import SizeLimitError, Word
 
 DEFAULT_CENSUS_BUDGET = 10**8
 """The largest number of Wigner value patterns `census_w` may visit before
-SizeLimitError.  Each generating vertex after pi(0) offers at most one value
-per earlier generating vertex plus one new value, and never more than N, so
-past N >= 2k the pattern bound no longer depends on N.  The bound is taken
-on the word the search visits: the residual left once adjacent pairs and
-adjacent letters seen once are taken out as factors of N, with its own
-first occurrences, and rotated, when a letter occurs once, so that this
-letter closes the circuit, where its slot reuses pi(0) and is no
-generating vertex.  So a word of nested pairs, twenty of them included,
-has the bound 1; `abcb` at N = 3 keeps all its letters and has 2 * 3
-patterns, not 2 * 3 * 3; twenty crossing letters, `"abcdefghijklmnopqrst"
-* 2`, reduce to nothing shorter and have 21!, about 5.1e19.  `census_s`
-is closed-form and needs no budget."""
+SizeLimitError.  The bound is taken on the word the search visits, reduced
+and rotated as `_count_patterns` describes: each generating vertex after
+pi(0) offers at most one value per earlier generating vertex plus one new
+value, and never more than N, so past N >= 2k the bound no longer depends
+on N.  So twenty nested letters, which reduce to nothing, have the bound 1;
+`abcb` at N = 3 keeps all its letters and closes at c, so it has 2 * 3
+patterns; twenty crossing letters, `"abcdefghijklmnopqrst" * 2`, reduce to
+nothing shorter and have 21!, about 5.1e19.  `census_s` is closed-form and
+needs no budget."""
 
 
 @dataclass(frozen=True)
@@ -188,8 +159,10 @@ def _count_patterns(letters: tuple[int, ...], b: int, N: int) -> int:
     """Number of Wigner-link circuits on {1..N} compatible with the word
     `letters` over the letters 1..b, counted by value pattern.
 
-    The word is first reduced as a cyclic word (position 2k is adjacent to
-    position 1) by two rules, each of which frees one vertex:
+    The word is first reduced as a cyclic word, position 2k next to
+    position 1 (Anderson, Guionnet and Zeitouni, An Introduction to Random
+    Matrices, 2010, section 2.1), by two rules, each of which frees one
+    vertex:
       (a) a letter seen exactly twice, at adjacent positions i and i+1:
           the unordered edges {pi(i-1), pi(i)} and {pi(i), pi(i+1)} are
           equal iff pi(i+1) = pi(i-1), whichever way they are matched, and
@@ -200,12 +173,12 @@ def _count_patterns(letters: tuple[int, ...], b: int, N: int) -> int:
     (compatible circuits of the shorter word) x {1..N}: drop pi(i), and in
     (a) merge pi(i+1) into pi(i-1).  Removed letters take all their
     occurrences with them, so every letter that stays keeps its
-    multiplicity, and the rules apply until none does.  One stack pass does
-    this on the word read linearly: a letter that closes a rule with the
-    top of the stack pops it or is dropped, so no adjacent pair left on the
-    stack matches a rule; the ends of the stack are then adjacent, and
-    reducing them exposes no pair but the new ends.  An empty residual
-    counts N, for pi(0) alone.
+    multiplicity, and the rules apply until none does; a word of nested
+    pairs reduces to nothing.  One stack pass does this on the word read
+    linearly: a letter that closes a rule with the top of the stack pops
+    it or is dropped, so no adjacent pair left on the stack matches a rule;
+    the ends of the stack are then adjacent, and reducing them exposes no
+    pair but the new ends.  An empty residual counts N, for pi(0) alone.
 
     The search runs on the residual rotated so that its last letter seen
     once, if it has one, closes the circuit at its last position.  Rotating
@@ -213,13 +186,22 @@ def _count_patterns(letters: tuple[int, ...], b: int, N: int) -> int:
     with pi'(t) = pi(t+q mod 2k), the edge at position i of pi' is the edge
     at position i+q of pi, an unordered pair over the one range {1..N}
     either way, so pi' is compatible with the rotated word exactly when pi
-    is with the word.  A letter seen once is compared with nothing, so at
-    the end it leaves the closing edge (pi(2k-1), pi(0)) free: every prefix
+    is with the word.  (Under the covariance link an odd shift swaps the
+    row and column ranges and the order of each pair, so `census_s` has no
+    such symmetry.)  A letter seen once is compared with nothing, so at the
+    end it leaves the closing edge (pi(2k-1), pi(0)) free: every prefix
     that reaches it counts, where a repeated letter there must land on
-    pi(0), and its slot, no generating vertex, drops out of the pattern
-    bound.  The bound counts the residual's own first occurrences.  The
-    search compares letters only for equality, so the residual keeps its
-    labels."""
+    pi(0), and its slot reuses pi(0) and opens no value.
+
+    The search (`_extend`) numbers values in the order it opens them, so
+    pi(0) holds value 0.  It gives each generating vertex, a letter's
+    first occurrence, one of the values opened so far or one new value,
+    weighted by the number of values of {1..N} still unused, and moves
+    each repeated letter to the other endpoint of its recorded edge.  So
+    the j-th generating vertex before the closing position offers at most
+    min(j+1, N) values, and their product bounds the patterns visited.
+    The search compares letters only for equality, so the residual keeps
+    its labels."""
     uses = [0] * (b + 1)
     for letter in letters:
         uses[letter] += 1
@@ -249,46 +231,30 @@ def _count_patterns(letters: tuple[int, ...], b: int, N: int) -> int:
         if uses[letters[q - 1]] == 1:
             letters = letters[q:] + letters[:q]
             break
-    # the generating slots after pi(0) are the first occurrences before the
-    # closing position, which reuses pi(0); each branches over the values
-    # opened so far, at most one per earlier generating slot, plus one new one
-    new_letter = [False] * (m + 1)
-    seen = [False] * (b + 1)
-    generating = 0
-    for i, letter in enumerate(letters, start=1):
-        if not seen[letter]:
-            seen[letter] = new_letter[i] = True
-            generating += 1
     patterns = 1
-    for earlier in range(1, generating + 1 - new_letter[m]):
-        patterns *= min(earlier + 1, N)
+    for j in range(1, len(set(letters[:-1])) + 1):
+        patterns *= min(j + 1, N)
     _check_budget(patterns, "value patterns")
     if not m:
         return N ** (free + 1)
-    # a value class is named by the slot that opened it, so pi(0) is class 0
-    pool = [0]
-    # the earlier letter leaving generating slot i, if not the one entering it
-    follow = [0] * m
-    for i in range(1, m):
-        if new_letter[i] and not new_letter[i + 1] and letters[i] != letters[i - 1]:
-            follow[i] = letters[i]
-    # keys[letter] is the letter's edge; a key a backtracked branch left is
-    # overwritten at the letter's first occurrence before anything reads it
     keys: list[tuple[int, int] | None] = [None] * (b + 1)
-    return N ** (free + 1) * _extend(letters, new_letter, follow, pool, N, 1, 0, keys)
+    return N ** (free + 1) * _extend(letters, keys, N, 1, 0, 1)
 
 
-def _extend(letters, new_letter, follow, pool, cap, i, prev, keys) -> int:
+def _extend(letters, keys, cap, i, prev, opened) -> int:
     """Weighted count of the completions of a pattern prefix whose slot i-1
-    holds class `prev`."""
+    holds value `prev`, with the values 0..opened-1 in use.  keys[letter]
+    is the letter's recorded edge, None until its first occurrence; the
+    call that records it puts None back before it returns."""
     m = len(letters)
     while True:
         letter = letters[i - 1]
-        if new_letter[i]:
+        key = keys[letter]
+        if key is None:
             if i == m:
                 return 1  # the edge (prev, 0) closes the circuit
             break
-        a, b = keys[letter]
+        a, b = key
         if prev == a:
             prev = b
         elif prev == b:
@@ -299,25 +265,13 @@ def _extend(letters, new_letter, follow, pool, cap, i, prev, keys) -> int:
             return int(prev == 0)
         i += 1
     total = 0
-    nxt = follow[i]
-    if nxt:
-        # a new value is no endpoint of a recorded edge; a self-loop (c, c)
-        # offers its class once
-        a, b = keys[nxt]
-        for cls in (a,) if a == b else (a, b):
-            if cls in pool:
-                keys[letter] = (prev, cls)
-                total += _extend(letters, new_letter, follow, pool, cap, i + 1, cls, keys)
-        return total
-    for cls in tuple(pool):
-        keys[letter] = (prev, cls)
-        total += _extend(letters, new_letter, follow, pool, cap, i + 1, cls, keys)
-    unused = cap - len(pool)
-    if unused > 0:
-        keys[letter] = (prev, i)
-        pool.append(i)
-        total += unused * _extend(letters, new_letter, follow, pool, cap, i + 1, i, keys)
-        pool.pop()
+    for value in range(opened):
+        keys[letter] = (prev, value)
+        total += _extend(letters, keys, cap, i + 1, value, opened)
+    if cap > opened:
+        keys[letter] = (prev, opened)
+        total += (cap - opened) * _extend(letters, keys, cap, i + 1, opened, opened + 1)
+    keys[letter] = None
     return total
 
 
@@ -344,16 +298,8 @@ def census_s(word: Word, p: int, n: int) -> CensusResult:
 def census_w(word: Word, N: int) -> CensusResult:
     """Count circuits compatible with `word` under the Wigner link on {1..N}.
 
-    Counts value patterns rather than assignments: each generating vertex
-    takes a value already in use, or one new value weighted by the number
-    still unused, and each repeated letter moves to the other endpoint of
-    its unordered recorded edge.  Adjacent pairs of a letter seen twice
-    and adjacent letters seen once each free one vertex, a factor of N, and
-    leave the word first (`_count_patterns`).  The search runs on what is
-    left, rotated to end at a letter seen once, when it has one: a cyclic
-    shift of circuit and word together maps the compatible circuits one to
-    one, since every vertex ranges over {1..N}, and that letter, compared
-    with nothing, leaves the closing edge free.  The number of
+    Counts value patterns rather than assignments, by the reduction,
+    rotation and search that `_count_patterns` describes.  The number of
     letters and the prediction come from `_vertex_classes`, as in
     `census_s`.  The count is exact.  Raises SizeLimitError when the bound
     on the patterns visited exceeds `DEFAULT_CENSUS_BUDGET`; that bound

@@ -368,7 +368,8 @@ def run_experiment(
     """Sample all replicates, aggregate spectral moments and the pooled
     eigenvalue histogram (Freedman-Diaconis bins unless overridden).  K and
     `bins` are checked before the first draw; Freedman-Diaconis bins on
-    pooled eigenvalues with a zero interquartile range raise ValueError.
+    pooled eigenvalues whose interquartile range is at most 1e-9 times the
+    largest raise ValueError.
     The replicates share one set of entry, draw-mask and Gram buffers
     allocated per run; the eigenvalues each replicate reports are its own
     array."""
@@ -401,18 +402,21 @@ def run_experiment(
     else:
         stderr = np.zeros(K)
     pooled = np.concatenate([s.eigenvalues for s in samples])
-    counts, edges = np.histogram(pooled, bins=bins)
-    if len(counts) == 1 and isinstance(bins, str) and bins == "fd":
-        # numpy falls back to one bin when the FD width 2 IQR / size^(1/3)
-        # is 0, as when the middle half of the eigenvalues is one value
+    if isinstance(bins, str) and bins == "fd":
+        # the FD width 2 IQR / size^(1/3) is 0 when the middle half of the
+        # eigenvalues is one value, and rounding noise that asks for
+        # petabytes of bin edges when that value is a rank deficiency's zero;
+        # the tolerance is the PSD floor's
         q75, q25 = np.percentile(pooled, [75, 25])
-        if q75 == q25:
+        tol = 1e-9 * pooled.max()
+        if q75 - q25 <= tol:
             raise ValueError(
-                f"bins='fd' found a zero interquartile range: {np.count_nonzero(pooled == q25)} of "
-                f"the {pooled.size} pooled eigenvalues equal {q25:g}, so the Freedman-Diaconis "
-                f"width is 0 and numpy would give one bin; give bins as a count, edges or another "
-                f"numpy estimator"
+                f"bins='fd' found a zero interquartile range: "
+                f"{np.count_nonzero(abs(pooled - q25) <= tol)} of the {pooled.size} pooled "
+                f"eigenvalues lie within {tol:.1e} of {q25:.3g}, so the Freedman-Diaconis width is "
+                f"0 or rounding noise; give bins as a count, edges or another numpy estimator"
             )
+    counts, edges = np.histogram(pooled, bins=bins)
 
     achieved = None
     if cfg.family == "triangular_iid":

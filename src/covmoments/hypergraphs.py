@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb
 from types import MappingProxyType
 from typing import Mapping
@@ -131,7 +130,6 @@ def _word_of_pair(sigma: Partition, tau: Partition) -> Word:
     return Word(tuple(letters))
 
 
-@lru_cache(maxsize=None)
 def enumerate_ss_words(k: int) -> tuple[Word, ...]:
     """All special symmetric words of length 2k, in lexicographic order.
 
@@ -153,8 +151,7 @@ def enumerate_ss_words(k: int) -> tuple[Word, ...]:
     Propagation is decided prefix by prefix, so a depth-first search over
     canonical words, one letter at a time, drops a branch as soon as
     propagation fails or the letters of odd count outnumber the positions
-    left to pair them.  The result is cached per k, so the enumeration cap
-    is checked on the first call for each k.
+    left to pair them.
     """
     if k < 1:
         raise ValueError("k must be >= 1")

@@ -446,7 +446,8 @@ class TestSlotClasses:
 
 def forward_checked(word):
     """Generating slots whose outgoing letter is repeated and differs from
-    the incoming one, where the census offers only that edge's endpoints."""
+    the incoming one: a circuit goes on past such a slot only when its value
+    is an endpoint of the outgoing letter's recorded edge."""
     m, letters = word.length, word.letters
     firsts = word_statistics(word).first_positions
     return [i for i in firsts if i < m and i + 1 not in firsts and letters[i] != letters[i - 1]]
@@ -711,6 +712,19 @@ class TestPatternCount:
         assert sum(w for _, _, w in lines) == 340_032
         digest = hashlib.sha256("".join(f"{t},{s},{w}\n" for t, s, w in lines).encode()).hexdigest()
         assert digest == "23ee11744e9905dd40d7a2d4031364f3728845371f3bdabb6caf8c588578ac50"
+
+    def test_wigner_digest_to_len8(self):
+        # the digest pins the Wigner count of every word of length <= 8 at
+        # five N, the last past 2k, in enumeration order
+        lines = [
+            f"{w.text},{N},{census_w(w, N).exact_count}\n"
+            for m in (2, 4, 6, 8)
+            for w in all_words(m)
+            for N in (1, 2, 4, 11, 10**6)
+        ]
+        assert len(lines) == 21_800
+        digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+        assert digest == "afd589aabba26f774321e80b09173f53e8bba0205710b71a85bb9041ca53645e"
 
     def test_ss8_exact_beyond_brute_force(self):
         p, n = 10**6, 10**6 + 1

@@ -726,6 +726,16 @@ class TestSimulate:
         assert "Traceback" not in err
         assert not (tmp_path / "moments.csv").exists()
 
+    def test_fd_bins_on_rounding_noise_interquartile_range_exit(self, tmp_path, capsys):
+        cfg = self.write_config(
+            tmp_path, "family = sparse_bernoulli\np = 200\nn = 60\nlam = 0.5\nreplicates = 2\n"
+        )
+        assert run("--out", tmp_path, "simulate", "--config", cfg) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "bins='fd'" in err and "zero interquartile range" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "moments.csv").exists()
+
     @pytest.mark.parametrize("name, text, message", [
         ("run.cfg", "family = iid_standardized\np = 20\nn = 40\np = 30\n",
          "run.cfg:4: config key 'p' repeats line 2"),

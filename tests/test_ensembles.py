@@ -421,6 +421,16 @@ class TestRunExperiment:
         denser = replace(cfg, lam=0.3)
         assert len(run_experiment(denser, 2).hist_counts) == 29
 
+    def test_fd_bins_on_rounding_noise_interquartile_range_rejected(self):
+        # p <= 4n, yet 302 of the 400 pooled eigenvalues are the rounding
+        # noise of a rank deficiency, no exact zeros: the interquartile range
+        # is about 2e-16 of the largest eigenvalue, and numpy would ask for
+        # 128 PiB of bin edges
+        cfg = EnsembleConfig("sparse_bernoulli", 200, 60, lam=0.5, replicates=2)
+        with pytest.raises(ValueError, match=r"bins='fd' found a zero interquartile range: 302 of the 400"):
+            run_experiment(cfg, 2)
+        assert len(run_experiment(cfg, 2, bins=10).hist_counts) == 10
+
     def test_single_replicate_stderr_zero(self):
         cfg = EnsembleConfig("iid_standardized", 20, 40, seed=11)
         report = run_experiment(cfg, 2)

@@ -203,8 +203,13 @@ class TestEnumerationByPairs:
             enumerate_ss_words(8)
 
     def test_explicit_cap_message(self, monkeypatch):
-        # the result is cached per k, so a cached k would skip the check
-        enumerate_ss_words.cache_clear()
+        monkeypatch.setattr(partitions, "DEFAULT_ENUMERATION_CAP", 4)
+        with pytest.raises(SizeLimitError, match=r"ground set of size 6 exceeds the enumeration cap 4"):
+            enumerate_ss_words(3)
+
+    def test_cap_checked_on_repeated_call(self, monkeypatch):
+        # a k enumerated once is enumerated again, under the cap of the moment
+        assert len(enumerate_ss_words(3)) == 12
         monkeypatch.setattr(partitions, "DEFAULT_ENUMERATION_CAP", 4)
         with pytest.raises(SizeLimitError, match=r"ground set of size 6 exceeds the enumeration cap 4"):
             enumerate_ss_words(3)

@@ -125,7 +125,7 @@ class TestEnumeration:
 
 def test_no_public_cap_or_budget_parameter():
     # the limits are the module constants DEFAULT_ENUMERATION_CAP and DEFAULT_CENSUS_BUDGET;
-    # unwrap, so that cached functions such as enumerate_ss_words are checked too
+    # unwrap, so that cached functions such as cli.build_parser are checked too
     names = ("circuits", "cli", "ensembles", "hypergraphs", "moments", "partitions")
     modules = [importlib.import_module(f"covmoments.{name}") for name in names]
     knobs = [
