@@ -387,11 +387,7 @@ def run_simulate(args) -> int:
     _write_csv(
         out / "diag.csv",
         ["replicate", "truncation_mass", "second_moment_gap"],
-        [
-            [s.replicate_id, s.truncation_mass,
-             "" if s.second_moment_gap is None else s.second_moment_gap]
-            for s in report.samples
-        ],
+        [[s.replicate_id, s.truncation_mass, s.second_moment_gap] for s in report.samples],
     )
     if args.gnuplot:
         (out / "hist.gp").write_text(GNUPLOT_TEMPLATE.format(csv=out / "hist.csv"))

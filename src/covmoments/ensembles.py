@@ -53,6 +53,9 @@ class EnsembleConfig:
             raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
         if self.p < 1 or self.n < 1 or self.replicates < 1:
             raise ValueError("p, n and replicates must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        resolve_truncation(self.t_n, self.n)
         prof, shape = self.profile, (self.p, self.n)
         if isinstance(prof, np.ndarray) and prof.shape != shape:
             raise ValueError(f"profile array has shape {prof.shape}, expected {shape}")
@@ -64,8 +67,10 @@ class EnsembleConfig:
             )
         if self.family == "sparse_bernoulli":
             _check_lam(self.lam, self.n, "sparse_bernoulli")
-        if self.family == "triangular_iid" and not (self.c_seq and self.c_seq.get(2)):
-            raise ValueError("triangular_iid requires a target sequence with order 2")
+        if self.family == "triangular_iid":
+            if not (self.c_seq and self.c_seq.get(2)):
+                raise ValueError("triangular_iid requires a target sequence with order 2")
+            triangular_two_point(self.c_seq, self.n)
         if self.family == "heavy_tail_stable":
             if self.alpha is None or not 0 < self.alpha < 2:
                 raise ValueError("heavy_tail_stable requires alpha in (0, 2)")
@@ -179,66 +184,57 @@ def _base_family(cfg: EnsembleConfig) -> str:
     return "iid_standardized" if cfg.family == "dt_triangular" else cfg.family
 
 
-def _entry_buffers(cfg: EnsembleConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Scratch space for one replicate's draw: the p x n float entries and the
-    p x n bool mask of the draw, filled in place by `_truncated_entries`."""
-    return np.empty((cfg.p, cfg.n)), np.empty((cfg.p, cfg.n), dtype=bool)
-
-
-def _raw_entries(
-    cfg: EnsembleConfig, rng: np.random.Generator, mask: np.ndarray | None, out: np.ndarray, keep: np.ndarray
-) -> None:
-    """Fill `out` with untruncated entries, using `keep` as scratch; `mask` is
-    `_entry_mask(cfg)`, built once per run by the caller."""
-    n = cfg.n
-    family = _base_family(cfg)
-    if family == "sparse_bernoulli":
-        rng.random(out=out)
-        np.less(out, cfg.lam / n, out=keep)
-        # the mask scales the Bernoulli draws in the same pass
-        np.multiply(keep, 1.0 if mask is None else mask, out=out)
-        return
-    if family == "iid_standardized":
-        rng.standard_normal(out=out)
-        out /= math.sqrt(n)
-    elif family == "triangular_iid":
-        a, lam_t = triangular_two_point(cfg.c_seq, n)
-        u = rng.random(out=out)
-        prob = lam_t / n
-        out[...] = a * (u < prob / 2) - a * ((u >= prob / 2) & (u < prob))
-    else:  # heavy_tail_stable
-        a_p = float(cfg.p) ** (1.0 / cfg.alpha)  # Pareto-tail surrogate for the stable quantile
-        out[...] = _stable_symmetric(rng, cfg.alpha, out.shape) / a_p
-    if mask is not None:
-        out *= mask
-
-
 def _effective_truncation(cfg: EnsembleConfig) -> float:
     if cfg.family == "heavy_tail_stable" and cfg.t_n is None:
         return float(cfg.B)
     return resolve_truncation(cfg.t_n, cfg.n)
 
 
-def _truncated_entries(
+def _draw(
     cfg: EnsembleConfig, replicate: int, mask: np.ndarray | None, out: np.ndarray, keep: np.ndarray
 ) -> float:
     """Fill `out` (p x n float, with `keep` p x n bool scratch) with one
     replicate's entries, truncation applied, and return the truncation mass
-    (1/n) sum y^2 over the entries it zeroed."""
-    _raw_entries(cfg, _rng(cfg.seed, replicate), mask, out, keep)
+    (1/n) sum y^2 over the entries it zeroed; `mask` is `_entry_mask(cfg)`,
+    built once per run by the caller."""
+    n = cfg.n
+    rng = _rng(cfg.seed, replicate)
+    family = _base_family(cfg)
+    if family == "sparse_bernoulli":
+        rng.random(out=out)
+        np.less(out, cfg.lam / n, out=keep)
+        # the mask scales the Bernoulli draws in the same pass
+        np.multiply(keep, 1.0 if mask is None else mask, out=out)
+    else:
+        if family == "iid_standardized":
+            rng.standard_normal(out=out)
+            out /= math.sqrt(n)
+        elif family == "triangular_iid":
+            a, lam_t = triangular_two_point(cfg.c_seq, n)
+            u = rng.random(out=out)
+            prob = lam_t / n
+            out[...] = a * (u < prob / 2) - a * ((u >= prob / 2) & (u < prob))
+        else:  # heavy_tail_stable
+            a_p = float(cfg.p) ** (1.0 / cfg.alpha)  # Pareto-tail surrogate for the stable quantile
+            out[...] = _stable_symmetric(rng, cfg.alpha, out.shape) / a_p
+        if mask is not None:
+            out *= mask
     level = _effective_truncation(cfg)
     if math.isinf(level):
         return 0.0
     np.less_equal(np.abs(out), level, out=keep)
-    mass = float((out[~keep] ** 2).sum()) / cfg.n
-    out *= keep
+    dropped = ~keep
+    mass = float((out[dropped] ** 2).sum()) / n
+    # a dropped entry becomes a zero of its own sign, which is what x * 0
+    # gives a finite x; an overflowed draw times 0 would be NaN
+    np.copysign(0.0, out, out=out, where=dropped)
     return mass
 
 
 def sample_matrix(cfg: EnsembleConfig, replicate: int) -> np.ndarray:
     """Draw the p x n entry matrix for one replicate, truncation applied."""
-    X, keep = _entry_buffers(cfg)
-    _truncated_entries(cfg, replicate, _entry_mask(cfg), X, keep)
+    X = np.empty((cfg.p, cfg.n))
+    _draw(cfg, replicate, _entry_mask(cfg), X, np.empty(X.shape, dtype=bool))
     return X
 
 
@@ -320,7 +316,7 @@ class SpectralSample:
     eigenvalues: np.ndarray
     empirical_moments: tuple[float, ...]
     truncation_mass: float
-    second_moment_gap: float | None
+    second_moment_gap: float
 
 
 @dataclass(frozen=True)
@@ -333,33 +329,6 @@ class ExperimentReport:
     achieved_sequence: dict[int, float] | None = None
 
 
-def _one_replicate(
-    cfg: EnsembleConfig,
-    replicate: int,
-    K: int,
-    mask: np.ndarray | None,
-    expected_sq_total: float | None,
-    work: tuple[np.ndarray, np.ndarray, np.ndarray],
-) -> SpectralSample:
-    """One replicate; `mask` is `_entry_mask(cfg)`, `expected_sq_total`
-    `entry_second_moment(cfg)` (None without a closed form) and `work` the
-    run's (entries, draw mask, p x p Gram) buffers, all built once per run."""
-    X, keep, S = work
-    mass = _truncated_entries(cfg, replicate, mask, X, keep)
-    # both operands on one buffer, so numpy takes the symmetric rank-k path
-    np.matmul(X, X.T, out=S)
-    eigs = eigenvalues(S)
-    scale = max(1.0, float(eigs[-1]))
-    if eigs[0] < -1e-9 * scale:
-        raise ContractViolation(f"eigenvalue {eigs[0]:.3e} below the PSD floor")
-    moments = _power_sums(eigs, K)
-    gap = None
-    if expected_sq_total is not None:
-        # X is not read again this replicate, so it is squared in place
-        gap = float(np.square(X, out=X).sum() - expected_sq_total) / cfg.p
-    return SpectralSample(replicate, eigs, moments, mass, gap)
-
-
 def run_experiment(
     cfg: EnsembleConfig,
     K: int,
@@ -370,9 +339,11 @@ def run_experiment(
     `bins` are checked before the first draw; Freedman-Diaconis bins on
     pooled eigenvalues whose interquartile range is at most 1e-9 times the
     largest raise ValueError.
-    The replicates share one set of entry, draw-mask and Gram buffers
-    allocated per run; the eigenvalues each replicate reports are its own
-    array."""
+    One loop draws each replicate into entry, draw-mask and Gram buffers
+    allocated once per run; the eigenvalues each replicate reports are its
+    own array.  A replicate's second-moment gap is (sum y^2 - center) / p,
+    where the center is `entry_second_moment(cfg)`, or without a closed form
+    the mean of the replicates' sums, each read as Tr S."""
     if K < 1:
         raise ValueError("K must be >= 1")
     try:  # numpy's own rules for `bins`, applied to a two-point sample
@@ -389,10 +360,26 @@ def run_experiment(
             f"its eigenvalues are zero; give bins as a count, edges or another numpy estimator"
         )
     mask = _entry_mask(cfg)
-    expected_sq_total = _second_moment_total(cfg, mask)
-    work = (*_entry_buffers(cfg), np.empty((cfg.p, cfg.p)))
+    center = _second_moment_total(cfg, mask)
+    X, keep = np.empty((cfg.p, cfg.n)), np.empty((cfg.p, cfg.n), dtype=bool)
+    S = np.empty((cfg.p, cfg.p))
+    drawn = []
+    for r in range(cfg.replicates):
+        mass = _draw(cfg, r, mask, X, keep)
+        # both operands on one buffer, so numpy takes the symmetric rank-k path
+        np.matmul(X, X.T, out=S)
+        eigs = eigenvalues(S)
+        scale = max(1.0, float(eigs[-1]))
+        if eigs[0] < -1e-9 * scale:
+            raise ContractViolation(f"eigenvalue {eigs[0]:.3e} below the PSD floor")
+        # X is not read again this replicate, so it is squared in place
+        total = eigs.sum() if center is None else np.square(X, out=X).sum()
+        drawn.append((eigs, _power_sums(eigs, K), mass, total))
+    if center is None:
+        center = np.mean([total for *_, total in drawn])
     samples = tuple(
-        _one_replicate(cfg, r, K, mask, expected_sq_total, work) for r in range(cfg.replicates)
+        SpectralSample(r, eigs, moments, mass, float((total - center) / cfg.p))
+        for r, (eigs, moments, mass, total) in enumerate(drawn)
     )
 
     matrix = np.array([s.empirical_moments for s in samples])
@@ -421,13 +408,5 @@ def run_experiment(
     achieved = None
     if cfg.family == "triangular_iid":
         achieved = achieved_triangular_sequence(cfg.c_seq, cfg.n, [2 * j for j in range(1, K + 1)])
-
-    # centered diagnostic for families without a closed-form E[y^2]
-    if expected_sq_total is None:
-        sums = np.array([(s.eigenvalues.sum()) for s in samples])  # tr S = sum y^2
-        center = sums.mean()
-        samples = tuple(
-            replace(s, second_moment_gap=float((total - center) / cfg.p)) for s, total in zip(samples, sums)
-        )
 
     return ExperimentReport(samples, mean, stderr, edges, counts, achieved)

@@ -642,7 +642,7 @@ class TestSimulate:
         def no_draw(*args):
             raise AssertionError("sampled before the config was checked")
 
-        monkeypatch.setattr(ensembles, "_raw_entries", no_draw)
+        monkeypatch.setattr(ensembles, "_draw", no_draw)
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"family": "iid_standardized", "p": 4, "n": 8, key: value}))
         assert run("--out", tmp_path, "simulate", "--config", cfg) == EXIT_CONFIG
@@ -686,17 +686,40 @@ class TestSimulate:
         def no_draw(*args):
             raise AssertionError("sampled before the config was checked")
 
-        monkeypatch.setattr(ensembles, "_raw_entries", no_draw)
+        monkeypatch.setattr(ensembles, "_draw", no_draw)
         cfg = self.write_config(tmp_path, f"family = {family}\np = 4\nn = 8\n{lines}\n")
         assert run("--out", tmp_path, "simulate", "--config", cfg) == EXIT_CONFIG
         assert not (tmp_path / "moments.csv").exists()
+
+    @pytest.mark.parametrize("line, flags", [("seed = -3", []), ("", ["--seed", "-1"])],
+                             ids=["config", "flag"])
+    def test_negative_seed_fails_before_sampling(self, tmp_path, capsys, monkeypatch, line, flags):
+        def no_draw(*args):
+            raise AssertionError("sampled before the config was checked")
+
+        monkeypatch.setattr(ensembles, "_draw", no_draw)
+        cfg = self.write_config(tmp_path, f"family = iid_standardized\np = 4\nn = 8\n{line}\n")
+        assert run("--out", tmp_path, "simulate", "--config", cfg, *flags) == EXIT_CONFIG
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "moments.csv").exists()
+
+    def test_overflowed_draw_runs(self, tmp_path):
+        # the raw stable transform overflows at alpha = 0.01; truncation
+        # zeroes those entries instead of turning them into NaN
+        cfg = self.write_config(
+            tmp_path,
+            "family = heavy_tail_stable\np = 20\nn = 40\nalpha = 0.01\nB = 10\nreplicates = 2\nbins = 10\n",
+        )
+        with np.errstate(over="ignore"):
+            assert run("--out", tmp_path, "simulate", "--config", cfg) == 0
+        assert (tmp_path / "diag.csv").read_text().splitlines()[1].startswith("0,inf,")
 
     @pytest.mark.parametrize("line", ['bins = "bogus"', "bins = 2.5", "bins = 0", "K = 0"])
     def test_bad_bins_or_order_fail_before_sampling(self, tmp_path, capsys, monkeypatch, line):
         def no_draw(*args):
             raise AssertionError("sampled before the config was checked")
 
-        monkeypatch.setattr(ensembles, "_raw_entries", no_draw)
+        monkeypatch.setattr(ensembles, "_draw", no_draw)
         cfg = self.write_config(tmp_path, f"family = iid_standardized\np = 4\nn = 8\n{line}\n")
         assert run("--out", tmp_path, "simulate", "--config", cfg) == EXIT_CONFIG
         if line == "K = 0":
@@ -707,7 +730,7 @@ class TestSimulate:
         def no_draw(*args):
             raise AssertionError("sampled before the config was checked")
 
-        monkeypatch.setattr(ensembles, "_raw_entries", no_draw)
+        monkeypatch.setattr(ensembles, "_draw", no_draw)
         cfg = self.write_config(tmp_path, "family = iid_standardized\np = 40\nn = 8\nreplicates = 2\n")
         assert run("--out", tmp_path, "simulate", "--config", cfg) == EXIT_CONFIG
         err = capsys.readouterr().err
@@ -749,7 +772,7 @@ class TestSimulate:
         def no_draw(*args):
             raise AssertionError("sampled before the config was checked")
 
-        monkeypatch.setattr(ensembles, "_raw_entries", no_draw)
+        monkeypatch.setattr(ensembles, "_draw", no_draw)
         cfg = tmp_path / name
         cfg.write_text(text)
         assert run("--out", tmp_path, "simulate", "--config", cfg) == EXIT_CONFIG

@@ -272,15 +272,30 @@ class TestConfigValidation:
         dict(family="triangular_iid", c_seq={2: 2.0, 4: math.nan}),
         dict(family="triangular_iid", c_seq={2: 2.0, 4: -1.0}),
         dict(family="triangular_iid", c_seq={2: 2.0, 4: 0.0}),
+        dict(family="iid_standardized", seed=-3),
     ], ids=["lam-negative", "lam-nan", "lam-above-n", "profile-lam-negative", "profile-lam-nan",
-            "profile-lam-above-n", "t_n-nan", "c2-nan", "B-nan", "c4-nan", "c4-negative", "c4-zero"])
+            "profile-lam-above-n", "t_n-nan", "c2-nan", "B-nan", "c4-nan", "c4-negative", "c4-zero",
+            "seed-negative"])
     def test_bad_rate_fails_before_sampling(self, monkeypatch, fields):
         def no_draw(*args):
             raise AssertionError("sampled before the config was checked")
 
-        monkeypatch.setattr(ensembles, "_raw_entries", no_draw)
+        monkeypatch.setattr(ensembles, "_draw", no_draw)
         with pytest.raises(ValueError):
             run_experiment(EnsembleConfig(p=4, n=6, **fields), 2)
+
+    @pytest.mark.parametrize("fields, message", [
+        (dict(family="iid_standardized", seed=-3), "seed must be >= 0"),
+        (dict(family="iid_standardized", t_n="bogus"), "unknown truncation rule"),
+        (dict(family="iid_standardized", t_n=0.0), "truncation level must be positive"),
+        (dict(family="triangular_iid", c_seq={2: -1.0}), "C_2 must be positive"),
+        (dict(family="triangular_iid", c_seq={2: 2.0, 4: 0.0}), "C_4 must be positive"),
+        (dict(family="triangular_iid", c_seq={2: 9.0}), "exceeds 1; n too small"),
+    ], ids=["seed-negative", "t_n-unknown", "t_n-zero", "c2-negative", "c4-zero", "lam_t-above-n"])
+    def test_bad_config_rejected_when_built(self, fields, message):
+        # the config is whole once built: no later call is needed to reject it
+        with pytest.raises(ValueError, match=message):
+            EnsembleConfig(p=4, n=6, **fields)
 
 
 class TestSpectralStatistics:
@@ -469,6 +484,7 @@ class TestRunExperiment:
             else:
                 gap = float((X**2).sum() - expected_sq.sum()) / cfg.p
             assert sample.second_moment_gap == gap
+            assert type(sample.second_moment_gap) is float
         rows = np.array([empirical_moments(S, K) for _, S in grams])
         assert np.array_equal(report.moment_mean, rows.mean(axis=0))
 
@@ -531,6 +547,18 @@ class TestRunExperiment:
         level = resolve_truncation("n^{-1/3}", 80)
         X = sample_matrix(cfg, 0)
         assert np.abs(X).max() <= level
+
+    def test_overflowed_draw_truncates_to_zero(self):
+        # at alpha = 0.01 the stable transform overflows to +-inf; truncation
+        # zeroes those entries (inf * 0 would be NaN) and reports an inf mass
+        cfg = EnsembleConfig("heavy_tail_stable", 20, 40, alpha=0.01, B=10.0, replicates=2)
+        with np.errstate(over="ignore"):
+            X = sample_matrix(cfg, 0)
+            report = run_experiment(cfg, 2, bins=10)
+        assert not np.isnan(X).any()
+        assert np.abs(X).max() <= 10.0
+        assert report.samples[0].truncation_mass == math.inf
+        assert all(np.isfinite(s.second_moment_gap) for s in report.samples)
 
     def test_second_moment_gap_centers_near_zero(self):
         cfg = EnsembleConfig("sparse_bernoulli", 80, 160, lam=3.0, seed=14, replicates=10)
