@@ -8,10 +8,12 @@ entries are filled row-major, so a replicate's draws depend only on (seed, r).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 DEFAULT_SEED = 1729
 
@@ -51,6 +53,14 @@ class EnsembleConfig:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
+        for name in ("p", "n", "replicates", "seed"):
+            value = getattr(self, name)
+            try:
+                if isinstance(value, bool):  # operator.index takes True as 1
+                    raise TypeError
+                operator.index(value)
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if self.p < 1 or self.n < 1 or self.replicates < 1:
             raise ValueError("p, n and replicates must be >= 1")
         if self.seed < 0:
@@ -147,24 +157,30 @@ def _stable_symmetric(rng: np.random.Generator, alpha: float, shape: tuple[int, 
     E = rng.exponential(1.0, shape)
     if alpha == 1.0:
         return np.tan(U)
-    return (np.sin(alpha * U) / np.cos(U) ** (1.0 / alpha)) * (
-        np.cos((1.0 - alpha) * U) / E
-    ) ** ((1.0 - alpha) / alpha)
+    # a small alpha overflows to +-inf, which truncation zeroes and reports
+    with np.errstate(over="ignore"):
+        return (np.sin(alpha * U) / np.cos(U) ** (1.0 / alpha)) * (
+            np.cos((1.0 - alpha) * U) / E
+        ) ** ((1.0 - alpha) / alpha)
 
 
 def profile_matrix(cfg: EnsembleConfig) -> np.ndarray:
     """The p x n entry-scaling matrix of a variance profile: the profile's
-    array as floats, or its name evaluated at the entry indices."""
+    array as floats, or its name evaluated at the entry indices.  A profile
+    of i + j alone is evaluated once per value s = i + j, and the result is
+    a read-only p x n view of that (p + n - 1)-vector."""
     p, n = cfg.p, cfg.n
     prof = cfg.profile
     if isinstance(prof, np.ndarray):
         return np.asarray(prof, dtype=float)
+    s = np.arange(2, p + n + 1, dtype=float)  # every value of i + j
+    # sliding_window_view(h, n)[i, j] is h[i + j], in a read-only view
+    if prof == "fig1_quadratic":
+        return sliding_window_view(s**2 / (2.0 * n * n), n)
+    if prof == "fig2_sine":
+        return sliding_window_view(np.sin(np.pi * s / (2.0 * n)), n)
     i = np.arange(1, p + 1, dtype=float)[:, None]
     j = np.arange(1, n + 1, dtype=float)[None, :]
-    if prof == "fig1_quadratic":
-        return (i + j) ** 2 / (2.0 * n * n)
-    if prof == "fig2_sine":
-        return np.sin(np.pi * (i + j) / (2.0 * n))
     return (i / p <= j / n).astype(float)  # "upper_triangle", checked by EnsembleConfig
 
 
@@ -224,7 +240,8 @@ def _draw(
         return 0.0
     np.less_equal(np.abs(out), level, out=keep)
     dropped = ~keep
-    mass = float((out[dropped] ** 2).sum()) / n
+    with np.errstate(over="ignore"):  # an overflowed entry's mass is inf
+        mass = float((out[dropped] ** 2).sum()) / n
     # a dropped entry becomes a zero of its own sign, which is what x * 0
     # gives a finite x; an overflowed draw times 0 would be NaN
     np.copysign(0.0, out, out=out, where=dropped)

@@ -23,6 +23,16 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+def package_env():
+    """The environment of a child interpreter that imports the same
+    covmoments as this test, which pytest's `pythonpath` setting does not
+    pass on to child processes."""
+    package_root = str(Path(covmoments.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return env
+
+
 class TestClassify:
     def test_member(self, capsys):
         assert run("classify", "[[1,2,5,6],[3,4,7,8]]") == 0
@@ -714,6 +724,21 @@ class TestSimulate:
             assert run("--out", tmp_path, "simulate", "--config", cfg) == 0
         assert (tmp_path / "diag.csv").read_text().splitlines()[1].startswith("0,inf,")
 
+    def test_overflowed_draw_writes_no_stderr(self, tmp_path):
+        # a fresh interpreter shows what a user sees: numpy's warnings would
+        # go to stderr, and the inf mass in diag.csv already reports them
+        cfg = self.write_config(
+            tmp_path,
+            "family = heavy_tail_stable\np = 20\nn = 40\nalpha = 0.01\nB = 10\nreplicates = 2\nbins = 10\n",
+        )
+        result = subprocess.run(
+            [sys.executable, "-m", "covmoments.cli", "--out", str(tmp_path), "simulate", "--config", str(cfg)],
+            capture_output=True, text=True, env=package_env(),
+        )
+        assert result.returncode == 0
+        assert result.stderr == ""
+        assert (tmp_path / "diag.csv").read_text().splitlines()[1].startswith("0,inf,")
+
     @pytest.mark.parametrize("line", ['bins = "bogus"', "bins = 2.5", "bins = 0", "K = 0"])
     def test_bad_bins_or_order_fail_before_sampling(self, tmp_path, capsys, monkeypatch, line):
         def no_draw(*args):
@@ -980,14 +1005,9 @@ class TestVerify:
 
 
 def test_console_script_installed(tmp_path):
-    # the subprocess must import the same covmoments as this test, which
-    # pytest's `pythonpath` setting does not pass on to child processes
-    package_root = str(Path(covmoments.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "covmoments.cli", "classify", "[[1,2]]"],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=package_env(),
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["is_special_symmetric"] is True

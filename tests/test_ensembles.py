@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -217,6 +218,26 @@ class TestProfiles:
         X = sample_matrix(cfg, 0)
         assert np.allclose(X, profile_matrix(cfg))
 
+    @pytest.mark.parametrize("p, n", [(1, 7), (7, 1), (6, 10), (10, 6)])
+    @pytest.mark.parametrize("profile", ["fig1_quadratic", "fig2_sine"])
+    def test_named_profile_equals_dense_formula(self, profile, p, n):
+        # the profile's formula broadcast over the p x n entry indices
+        i = np.arange(1, p + 1, dtype=float)[:, None]
+        j = np.arange(1, n + 1, dtype=float)[None, :]
+        if profile == "fig1_quadratic":
+            dense = (i + j) ** 2 / (2.0 * n * n)
+        else:
+            dense = np.sin(np.pi * (i + j) / (2.0 * n))
+        M = profile_matrix(EnsembleConfig("variance_profile", p, n, lam=0.5, profile=profile))
+        assert M.shape == (p, n)
+        assert np.array_equal(M, dense)
+
+    @pytest.mark.parametrize("profile", ["fig1_quadratic", "fig2_sine"])
+    def test_named_profile_is_read_only(self, profile):
+        M = profile_matrix(EnsembleConfig("variance_profile", 4, 6, lam=1.0, profile=profile))
+        with pytest.raises(ValueError, match="read-only"):
+            M[0, 0] = 1.0
+
     # a profile is checked when the config is built, before any sampling
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="nope"):
@@ -273,16 +294,21 @@ class TestConfigValidation:
         dict(family="triangular_iid", c_seq={2: 2.0, 4: -1.0}),
         dict(family="triangular_iid", c_seq={2: 2.0, 4: 0.0}),
         dict(family="iid_standardized", seed=-3),
+        dict(family="iid_standardized", p=4.0),
+        dict(family="iid_standardized", n=True),
+        dict(family="iid_standardized", replicates=2.5),
+        dict(family="iid_standardized", seed=1.5),
+        dict(family="iid_standardized", seed=True),
     ], ids=["lam-negative", "lam-nan", "lam-above-n", "profile-lam-negative", "profile-lam-nan",
             "profile-lam-above-n", "t_n-nan", "c2-nan", "B-nan", "c4-nan", "c4-negative", "c4-zero",
-            "seed-negative"])
+            "seed-negative", "p-float", "n-bool", "replicates-float", "seed-float", "seed-bool"])
     def test_bad_rate_fails_before_sampling(self, monkeypatch, fields):
         def no_draw(*args):
             raise AssertionError("sampled before the config was checked")
 
         monkeypatch.setattr(ensembles, "_draw", no_draw)
         with pytest.raises(ValueError):
-            run_experiment(EnsembleConfig(p=4, n=6, **fields), 2)
+            run_experiment(EnsembleConfig(**{"p": 4, "n": 6, **fields}), 2)
 
     @pytest.mark.parametrize("fields, message", [
         (dict(family="iid_standardized", seed=-3), "seed must be >= 0"),
@@ -291,11 +317,22 @@ class TestConfigValidation:
         (dict(family="triangular_iid", c_seq={2: -1.0}), "C_2 must be positive"),
         (dict(family="triangular_iid", c_seq={2: 2.0, 4: 0.0}), "C_4 must be positive"),
         (dict(family="triangular_iid", c_seq={2: 9.0}), "exceeds 1; n too small"),
-    ], ids=["seed-negative", "t_n-unknown", "t_n-zero", "c2-negative", "c4-zero", "lam_t-above-n"])
+        (dict(family="iid_standardized", p=4.0), "p must be an integer, got 4.0"),
+        (dict(family="iid_standardized", n=True), "n must be an integer, got True"),
+        (dict(family="iid_standardized", replicates=2.5), "replicates must be an integer, got 2.5"),
+        (dict(family="iid_standardized", seed=1.5), "seed must be an integer, got 1.5"),
+    ], ids=["seed-negative", "t_n-unknown", "t_n-zero", "c2-negative", "c4-zero", "lam_t-above-n",
+            "p-float", "n-bool", "replicates-float", "seed-float"])
     def test_bad_config_rejected_when_built(self, fields, message):
         # the config is whole once built: no later call is needed to reject it
         with pytest.raises(ValueError, match=message):
-            EnsembleConfig(p=4, n=6, **fields)
+            EnsembleConfig(**{"p": 4, "n": 6, **fields})
+
+    def test_numpy_integers_accepted(self):
+        cfg = EnsembleConfig(
+            "iid_standardized", np.int64(4), np.int32(6), seed=np.uint32(5), replicates=np.int64(2)
+        )
+        assert run_experiment(cfg, 1).samples[1].replicate_id == 1
 
 
 class TestSpectralStatistics:
@@ -540,6 +577,22 @@ class TestRunExperiment:
         assert isinstance(total, np.float64)
         assert peak < 10**5
 
+    @pytest.mark.parametrize("profile", ["fig1_quadratic", "fig2_sine"])
+    def test_named_profile_run_holds_one_entry_array(self, profile):
+        # the entries take one p x n float array, and the draw mask, S and
+        # the eigensolver's copy of S about 1.1 more at n = 2p; a dense
+        # profile would add a second p x n float array
+        p, n = 200, 400
+        cfg = EnsembleConfig("variance_profile", p, n, lam=3.0, profile=profile, replicates=2)
+        run_experiment(cfg, 2)  # numpy imports some modules on first use; they are not the run's
+        tracemalloc.start()
+        try:
+            run_experiment(cfg, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 8 * p * n
+
     def test_truncation_mass_reported(self):
         cfg = EnsembleConfig("iid_standardized", 40, 80, t_n="n^{-1/3}", seed=13, replicates=3)
         report = run_experiment(cfg, 2)
@@ -559,6 +612,14 @@ class TestRunExperiment:
         assert np.abs(X).max() <= 10.0
         assert report.samples[0].truncation_mass == math.inf
         assert all(np.isfinite(s.second_moment_gap) for s in report.samples)
+
+    def test_overflowed_draw_warns_nothing(self):
+        # the inf truncation mass reports the overflow, so numpy does not
+        cfg = EnsembleConfig("heavy_tail_stable", 20, 40, alpha=0.01, B=10.0, replicates=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = run_experiment(cfg, 2, bins=10)
+        assert report.samples[0].truncation_mass == math.inf
 
     def test_second_moment_gap_centers_near_zero(self):
         cfg = EnsembleConfig("sparse_bernoulli", 80, 160, lam=3.0, seed=14, replicates=10)
