@@ -86,6 +86,13 @@ class EnsembleConfig:
                 raise ValueError("heavy_tail_stable requires alpha in (0, 2)")
             if self.B is None or not self.B > 0:
                 raise ValueError("heavy_tail_stable requires a truncation multiple B > 0")
+            try:
+                _stable_scale(self.p, self.alpha)
+            except OverflowError:
+                raise ValueError(
+                    f"heavy_tail_stable scale p^(1/alpha) overflows a float "
+                    f"at p = {self.p}, alpha = {self.alpha}"
+                ) from None
         if self.family == "variance_profile":
             if self.profile is None:
                 raise ValueError("variance_profile requires a profile")
@@ -151,14 +158,21 @@ def achieved_triangular_sequence(c_seq: Mapping[int, float], n: int, orders: Seq
     return {order: lam_t * a**order for order in orders}
 
 
+def _stable_scale(p: int, alpha: float) -> float:
+    # p^(1/alpha), the Pareto-tail surrogate for the stable quantile; a
+    # Python float power raises OverflowError past the largest float
+    return float(p) ** (1.0 / alpha)
+
+
 def _stable_symmetric(rng: np.random.Generator, alpha: float, shape: tuple[int, int]) -> np.ndarray:
     # Chambers-Mallows-Stuck transform, symmetric case
     U = rng.uniform(-math.pi / 2, math.pi / 2, shape)
     E = rng.exponential(1.0, shape)
     if alpha == 1.0:
         return np.tan(U)
-    # a small alpha overflows to +-inf, which truncation zeroes and reports
-    with np.errstate(over="ignore"):
+    # a small alpha overflows to +-inf, or cos(U)^(1/alpha) underflows to 0
+    # and the quotient is +-inf; truncation zeroes either and reports it
+    with np.errstate(over="ignore", divide="ignore"):
         return (np.sin(alpha * U) / np.cos(U) ** (1.0 / alpha)) * (
             np.cos((1.0 - alpha) * U) / E
         ) ** ((1.0 - alpha) / alpha)
@@ -231,8 +245,7 @@ def _draw(
             prob = lam_t / n
             out[...] = a * (u < prob / 2) - a * ((u >= prob / 2) & (u < prob))
         else:  # heavy_tail_stable
-            a_p = float(cfg.p) ** (1.0 / cfg.alpha)  # Pareto-tail surrogate for the stable quantile
-            out[...] = _stable_symmetric(rng, cfg.alpha, out.shape) / a_p
+            out[...] = _stable_symmetric(rng, cfg.alpha, out.shape) / _stable_scale(cfg.p, cfg.alpha)
         if mask is not None:
             out *= mask
     level = _effective_truncation(cfg)

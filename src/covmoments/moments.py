@@ -6,22 +6,27 @@ y^r times a product over its letters, where the factor of a letter with
 multiplicity s is a constant C_s, lam for the sparse family, or a
 two-variable integral of g_s over the generating-vertex variables.
 
-Combinatorial sums (constant, sparse, sandwich) are evaluated in
-exact rational arithmetic; quadrature paths use floats.  Every moment value
-comes from one recursion over vertex sojourns, `hypergraphs._sojourn_series`,
-and lists no word, up to k = MAX_SERIES_ORDER.  The constant and sparse sums
-depend on a word only through its class (letters a, odd generating vertices
-l, multiplicity multiset), so they substitute y and the constants into the
-class table `hypergraphs.count_noiry_classes`, summing the y-weights of the
-classes that share a multiplicity multiset before its constants multiply
-in.  The quadrature sums run the same recursion over functions of the
-generating-vertex variable, taken only as arrays sampled at grid midpoints;
-one pass of order K gives every k <= K, so `grid_moments` and
-`profile_moments` recurse once for a whole range of k.  The per-word
-breakdown of every source is built only on request (breakdown=True),
-because it lists every word and so stays within the enumeration cap; the
-quadrature breakdown integrates each word's tree, read from
-`circuits.word_structure`, one leaf at a time.
+Combinatorial sums (constant, sparse, Marchenko-Pastur, sandwich) are
+exact; quadrature paths use floats.  Every constant, sparse and quadrature
+moment comes from one recursion over vertex sojourns,
+`hypergraphs._sojourn_series`, and lists no word, up to
+k = MAX_SERIES_ORDER.  The constant and sparse sums depend on a word only
+through its class (letters a, odd generating vertices l, multiplicity
+multiset), so they substitute y and the constants into the class table
+`hypergraphs.count_noiry_classes`.  They run in Python integers: the
+constants of each multiplicity multiset become one integer weight over a
+denominator common to every multiset, each class adds its count times that
+weight to the integer coefficient of y^(a-l), and the polynomial is
+evaluated at y = yn/yd over yd^k, so each moment makes one Fraction.  The
+Marchenko-Pastur moment and the sandwich sums are integer polynomials
+evaluated the same way.  The quadrature sums run the same recursion over
+functions of the generating-vertex variable, taken only as arrays sampled
+at grid midpoints; one pass of order K gives every k <= K, so
+`grid_moments` and `profile_moments` recurse once for a whole range of k.
+The per-word breakdown of every source is built only on request
+(breakdown=True), because it lists every word and so stays within the
+enumeration cap; the quadrature breakdown integrates each word's tree, read
+from `circuits.word_structure`, one leaf at a time.
 """
 
 from __future__ import annotations
@@ -30,12 +35,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Real
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .circuits import word_structure
-from .hypergraphs import _sojourn_series, count_noiry_classes, enumerate_ss_words
+from .hypergraphs import NoiryClassKey, _sojourn_series, count_noiry_classes, enumerate_ss_words
 from .partitions import narayana, word_statistics
 
 
@@ -56,13 +61,56 @@ def _lookup(c: Mapping[int, Real], size: int) -> Fraction:
         raise ValueError(f"no value supplied for even moment order {size}") from None
 
 
+def _at(coefficients: Sequence[int], x: Fraction, denominator: int = 1) -> Fraction:
+    """sum_e coefficients[e] x^e / denominator for integer coefficients:
+    the terms num(x)^e den(x)^(top-e) are summed in integers over
+    den(x)^top * denominator, and one Fraction is made."""
+    num, den = x.numerator, x.denominator
+    top = len(coefficients) - 1
+    return Fraction(
+        sum(c * num**e * den ** (top - e) for e, c in enumerate(coefficients)), den**top * denominator
+    )
+
+
 def mp_moment(k: int, y: Real) -> Fraction:
     """k-th moment of the Marchenko-Pastur limit with ratio y: the Narayana
     polynomial sum_r C(k,r) C(k-1,r) / (r+1) * y^r."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    y = Fraction(y)
-    return sum(narayana(k, r) * y**r for r in range(k))
+    return _at([narayana(k, r) for r in range(k)], Fraction(y))
+
+
+def _class_sum(
+    table: Mapping[NoiryClassKey, int],
+    k: int,
+    y: Fraction,
+    weight: Callable[[tuple[int, ...]], int],
+    denominator: int,
+) -> Fraction:
+    """The sum over the class table of order k of count * y^(a-l) *
+    weight(sizes) / denominator, where weight(sizes) / denominator is the
+    product of the multiset's letter factors.  Each class's count times its
+    multiset's integer weight adds to the integer coefficient of y^(a-l),
+    and `_at` evaluates that polynomial, so one Fraction is made."""
+    weights: dict[tuple[int, ...], int] = {}
+    coefficients = [0] * (k + 1)
+    for key, count in table.items():
+        w = weights.get(key.sizes)
+        if w is None:
+            w = weights[key.sizes] = weight(key.sizes)
+        coefficients[key.a - key.l] += count * w
+    return _at(coefficients, y, denominator)
+
+
+def _word_terms_exact(k: int, y: Fraction, factor: Callable[[int], Fraction]) -> dict[str, Fraction]:
+    # each word's y^r times the factor of each letter's multiplicity
+    terms = {}
+    for word in enumerate_ss_words(k):
+        term = y ** (word_statistics(word).r_plus_1 - 1)
+        for multiplicity in word.multiplicities():
+            term *= factor(multiplicity)
+        terms[word.text] = term
+    return terms
 
 
 def moment_constant(
@@ -72,39 +120,44 @@ def moment_constant(
     sum over special symmetric words of y^r * prod_letters C_multiplicity.
 
     The sum is taken over the class table of `count_noiry_classes`, each
-    class weighing its count times y^(a-l) prod C_s.  The classes of one
-    multiplicity multiset share prod C_s, so their y-weights are summed
-    first and the product is taken once per multiset.  breakdown=True adds
-    each word's term, which enumerates the words (bounded by the
-    enumeration cap).
+    class weighing its count times y^(a-l) prod C_s.  Each multiplicity
+    multiset's prod C_s is one integer over a denominator common to every
+    multiset; the classes add count times that integer to the integer
+    coefficients of y^(a-l), and the polynomial is evaluated at y in
+    integers, so one Fraction is made per moment.  breakdown=True adds each
+    word's term, which enumerates the words (bounded by the enumeration
+    cap).
     """
     y = Fraction(y)
     # the table first, so a k above the series limit fails before a lookup
     table = count_noiry_classes(k)
     constants = {size: _lookup(c, size) for size in sorted(_needed_sizes(k))}
-    powers = [y**i for i in range(k + 1)]
-    weights: dict[tuple[int, ...], Fraction] = {}
-    for key, count in table.items():
-        weights[key.sizes] = weights.get(key.sizes, 0) + count * powers[key.a - key.l]
-    value = sum(math.prod((constants[s] for s in sizes), start=w) for sizes, w in weights.items())
-    terms = None
-    if breakdown:
-        terms = {}
-        for word in enumerate_ss_words(k):
-            term = y ** (word_statistics(word).r_plus_1 - 1)
-            for multiplicity in word.multiplicities():
-                term *= constants[multiplicity]
-            terms[word.text] = term
+    # a multiset holds at most k // j letters of multiplicity 2j, so this
+    # is a multiple of every multiset's product of denominators
+    common = math.prod(constants[2 * j].denominator ** (k // j) for j in range(1, k + 1))
+
+    def weight(sizes: tuple[int, ...]) -> int:
+        numerator = math.prod(constants[s].numerator for s in sizes)
+        return numerator * (common // math.prod(constants[s].denominator for s in sizes))
+
+    value = _class_sum(table, k, y, weight, common)
+    terms = _word_terms_exact(k, y, constants.__getitem__) if breakdown else None
     return MomentReport(k, value, terms)
 
 
 def moment_sparse(k: int, y: Real, lam: Real, breakdown: bool = False) -> MomentReport:
     """Sparse Bernoulli-type limit: every letter contributes lam, giving
-    sum over special symmetric words of y^r * lam^b."""
+    sum over special symmetric words of y^r * lam^b.  A class of a letters
+    weighs lam^a, taken over the common denominator den(lam)^k."""
     if not lam > 0:
         raise ValueError("lam must be positive")
-    constants = {2 * j: Fraction(lam) for j in range(1, k + 1)}
-    return moment_constant(k, y, constants, breakdown)
+    y, lam = Fraction(y), Fraction(lam)
+    num, den = lam.numerator, lam.denominator
+    value = _class_sum(
+        count_noiry_classes(k), k, y, lambda sizes: num ** len(sizes) * den ** (k - len(sizes)), den**k
+    )
+    terms = _word_terms_exact(k, y, lambda multiplicity: lam) if breakdown else None
+    return MomentReport(k, value, terms)
 
 
 def poisson_sandwich(k: int, y: Real, lam: Real) -> tuple[Fraction, Fraction]:
@@ -114,34 +167,28 @@ def poisson_sandwich(k: int, y: Real, lam: Real) -> tuple[Fraction, Fraction]:
     y <= 1: ( sum_{non-crossing even} (lam*y)^b , sum_{even} lam^b );
     y > 1:  ( sum_{non-crossing even} lam^b     , sum_{even} (lam*y)^b ).
 
-    Both sums are evaluated in closed form over the partitions of {1..2k}:
-    the non-crossing ones with b even blocks number C(k,b) C(2k,b-1) / k
-    (Edelman 1980, the 2-divisible case), and the even-block sum alpha_m
-    over the partitions of {1..m} follows the recurrence on the block
-    holding 1, of even size j: alpha_m = sum_j C(m-1, j-1) base alpha_{m-j},
-    with alpha_0 = 1 and alpha_m = 0 for odd m.
+    Both sums are polynomials in the block weight with integer coefficients,
+    the partitions of {1..2k} into b even blocks, evaluated by `_at`.  The
+    non-crossing ones number C(k,b) C(2k,b-1) / k (Edelman 1980, the
+    2-divisible case), and the even-block counts alpha_m over the partitions
+    of {1..m} follow the recurrence on the block holding 1, of even size j:
+    alpha_m = sum_j C(m-1, j-1) base alpha_{m-j}, with alpha_0 = 1 and
+    alpha_m = 0 for odd m; multiplying by base shifts the coefficients.
     """
     y, lam = Fraction(y), Fraction(lam)
     if not (lam > 0 and y > 0 and k >= 1):
         raise ValueError("need lam > 0, y > 0, k >= 1")
     lower_base = lam * y if y <= 1 else lam
     upper_base = lam if y <= 1 else lam * y
-    lower = sum(
-        (
-            math.comb(k, b) * math.comb(2 * k, b - 1) // k * lower_base**b
-            for b in range(1, k + 1)
-        ),
-        Fraction(0),
-    )
-    alpha = [Fraction(1)]  # alpha[i] is alpha_{2i}
+    non_crossing = [0] + [math.comb(k, b) * math.comb(2 * k, b - 1) // k for b in range(1, k + 1)]
+    alpha = [[1]]  # alpha[i][b]: partitions of {1..2i} into b even blocks
     for m in range(2, 2 * k + 1, 2):
-        alpha.append(
-            sum(
-                (math.comb(m - 1, j - 1) * upper_base * alpha[(m - j) // 2] for j in range(2, m + 1, 2)),
-                Fraction(0),
-            )
-        )
-    return lower, alpha[k]
+        row = [0] * (m // 2 + 1)
+        for j in range(2, m + 1, 2):
+            for b, count in enumerate(alpha[(m - j) // 2]):
+                row[b + 1] += math.comb(m - 1, j - 1) * count
+        alpha.append(row)
+    return _at(non_crossing, lower_base), _at(alpha[k], upper_base)
 
 
 def _sampled(values: np.ndarray, shape: tuple[int, ...], name: str) -> np.ndarray:

@@ -1,10 +1,11 @@
 """Test-only oracles: brute-force censuses and the tuple-level containment
 check, the product-law prediction for the words that the literal definition
 `partitions.is_special_symmetric` accepts, the sojourn recursion and its
-grid kernel with every product formed, a union-find forest test of
-hypergraph acyclicity, the pairwise edge-intersection test it is stronger
-than, and small helpers: the partition of a word, a hypergraph from two
-partitions, the odd generating count and even constant sequences.
+grid kernel with every product formed, the Marchenko-Pastur moment and the
+Poisson sandwich summed one Fraction term at a time, a union-find forest
+test of hypergraph acyclicity, the pairwise edge-intersection test it is
+stronger than, and small helpers: the partition of a word, a hypergraph
+from two partitions, the odd generating count and even constant sequences.
 
 The censuses and the containment check test every circuit tuple with the
 predicates below, independently of the closed form and the value-pattern
@@ -24,7 +25,14 @@ import numpy as np
 from covmoments import circuits
 from covmoments.circuits import CensusResult
 from covmoments.hypergraphs import Hypergraph
-from covmoments.partitions import Partition, Word, WordStats, is_special_symmetric, word_statistics
+from covmoments.partitions import (
+    Partition,
+    Word,
+    WordStats,
+    is_special_symmetric,
+    narayana,
+    word_statistics,
+)
 
 
 def word_partition(word: Word) -> Partition:
@@ -173,6 +181,34 @@ def pairwise_intersections_ok(h: Hypergraph) -> bool:
             if len(inc[i] & inc[j]) > 1:
                 return False
     return True
+
+
+def mp_moment_fractions(k: int, y: Real) -> Fraction:
+    """`moments.mp_moment` summed in Fractions, one term per power of y."""
+    y = Fraction(y)
+    return sum((narayana(k, r) * y**r for r in range(k)), Fraction(0))
+
+
+def poisson_sandwich_fractions(k: int, y: Real, lam: Real) -> tuple[Fraction, Fraction]:
+    """`moments.poisson_sandwich` summed in Fractions: Edelman's count of
+    non-crossing even partitions times base^b, and the even-block recurrence
+    alpha_m = sum_j C(m-1, j-1) base alpha_{m-j} over Fraction values."""
+    y, lam = Fraction(y), Fraction(lam)
+    lower_base = lam * y if y <= 1 else lam
+    upper_base = lam if y <= 1 else lam * y
+    lower = sum(
+        (comb(k, b) * comb(2 * k, b - 1) // k * lower_base**b for b in range(1, k + 1)),
+        Fraction(0),
+    )
+    alpha = [Fraction(1)]  # alpha[i] is alpha_{2i}
+    for m in range(2, 2 * k + 1, 2):
+        alpha.append(
+            sum(
+                (comb(m - 1, j - 1) * upper_base * alpha[(m - j) // 2] for j in range(2, m + 1, 2)),
+                Fraction(0),
+            )
+        )
+    return lower, alpha[k]
 
 
 def even_sequence(values: Sequence[Real]) -> dict[int, Fraction]:

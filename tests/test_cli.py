@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -715,21 +716,26 @@ class TestSimulate:
 
     def test_overflowed_draw_runs(self, tmp_path):
         # the raw stable transform overflows at alpha = 0.01; truncation
-        # zeroes those entries instead of turning them into NaN
+        # zeroes those entries instead of turning them into NaN, and numpy
+        # warns of nothing
         cfg = self.write_config(
             tmp_path,
             "family = heavy_tail_stable\np = 20\nn = 40\nalpha = 0.01\nB = 10\nreplicates = 2\nbins = 10\n",
         )
-        with np.errstate(over="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert run("--out", tmp_path, "simulate", "--config", cfg) == 0
         assert (tmp_path / "diag.csv").read_text().splitlines()[1].startswith("0,inf,")
 
-    def test_overflowed_draw_writes_no_stderr(self, tmp_path):
+    # seed 2 draws a cos(U)^(1/alpha) that underflows to 0, a divide by zero
+    @pytest.mark.parametrize("seed", [ensembles.DEFAULT_SEED, 2])
+    def test_overflowed_draw_writes_no_stderr(self, tmp_path, seed):
         # a fresh interpreter shows what a user sees: numpy's warnings would
         # go to stderr, and the inf mass in diag.csv already reports them
         cfg = self.write_config(
             tmp_path,
-            "family = heavy_tail_stable\np = 20\nn = 40\nalpha = 0.01\nB = 10\nreplicates = 2\nbins = 10\n",
+            "family = heavy_tail_stable\np = 20\nn = 40\nalpha = 0.01\nB = 10\nreplicates = 2\nbins = 10\n"
+            f"seed = {seed}\n",
         )
         result = subprocess.run(
             [sys.executable, "-m", "covmoments.cli", "--out", str(tmp_path), "simulate", "--config", str(cfg)],
@@ -738,6 +744,19 @@ class TestSimulate:
         assert result.returncode == 0
         assert result.stderr == ""
         assert (tmp_path / "diag.csv").read_text().splitlines()[1].startswith("0,inf,")
+
+    def test_overflowing_stable_scale_exits_before_sampling(self, tmp_path, capsys, monkeypatch):
+        # p^(1/alpha) = 2000^100 passes the largest float
+        def no_draw(*args):
+            raise AssertionError("sampled before the config was checked")
+
+        monkeypatch.setattr(ensembles, "_draw", no_draw)
+        cfg = self.write_config(
+            tmp_path, "family = heavy_tail_stable\np = 2000\nn = 4\nalpha = 0.01\nB = 10\nbins = 10\n"
+        )
+        assert run("--out", tmp_path, "simulate", "--config", cfg) == EXIT_CONFIG
+        assert "p = 2000, alpha = 0.01" in capsys.readouterr().err
+        assert not (tmp_path / "moments.csv").exists()
 
     @pytest.mark.parametrize("line", ['bins = "bogus"', "bins = 2.5", "bins = 0", "K = 0"])
     def test_bad_bins_or_order_fail_before_sampling(self, tmp_path, capsys, monkeypatch, line):

@@ -270,6 +270,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="alpha"):
             EnsembleConfig("heavy_tail_stable", 4, 6, alpha=2.5, B=1.0)
 
+    def test_overflowing_stable_scale(self):
+        # p^(1/alpha) scales every stable draw; past the largest float the
+        # config cannot be sampled, so it is refused when it is built
+        with pytest.raises(ValueError, match=r"p = 2000, alpha = 0\.01$"):
+            EnsembleConfig("heavy_tail_stable", 2000, 4, alpha=0.01, B=10.0)
+        EnsembleConfig("heavy_tail_stable", 1000, 4, alpha=0.01, B=10.0)  # 1e300
+
     def test_missing_profile(self):
         with pytest.raises(ValueError):
             EnsembleConfig("variance_profile", 4, 6, lam=1.0)
@@ -613,9 +620,11 @@ class TestRunExperiment:
         assert report.samples[0].truncation_mass == math.inf
         assert all(np.isfinite(s.second_moment_gap) for s in report.samples)
 
-    def test_overflowed_draw_warns_nothing(self):
+    # seed 2 draws a cos(U)^(1/alpha) that underflows to 0, a divide by zero
+    @pytest.mark.parametrize("seed", [DEFAULT_SEED, 2])
+    def test_overflowed_draw_warns_nothing(self, seed):
         # the inf truncation mass reports the overflow, so numpy does not
-        cfg = EnsembleConfig("heavy_tail_stable", 20, 40, alpha=0.01, B=10.0, replicates=2)
+        cfg = EnsembleConfig("heavy_tail_stable", 20, 40, alpha=0.01, B=10.0, seed=seed, replicates=2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             report = run_experiment(cfg, 2, bins=10)

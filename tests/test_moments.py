@@ -27,12 +27,18 @@ from covmoments.partitions import (
     enumerate_partitions,
     has_even_blocks,
     is_non_crossing,
+    is_pair,
+    is_special_symmetric,
     narayana,
     word_statistics,
 )
-from oracles import even_sequence
+from oracles import even_sequence, mp_moment_fractions, poisson_sandwich_fractions
 
 MP_CONSTANTS = {2: F(1), 4: F(0), 6: F(0), 8: F(0), 10: F(0), 12: F(0)}
+
+# y and lam as the exact binary floats, ints and Fractions that the moment
+# functions take; 0.375 and 2.5 are exact in binary
+EXACT_INPUTS = [0, 1, 2, F(1, 2), F(7, 3), 0.375, 2.5]
 
 
 @lru_cache(maxsize=None)
@@ -93,6 +99,21 @@ class TestMpMoment:
     def test_invalid_k(self):
         with pytest.raises(ValueError):
             mp_moment(0, 1)
+
+    @pytest.mark.parametrize("y", EXACT_INPUTS)
+    def test_equals_fraction_sum(self, y):
+        for k in range(1, MAX_SERIES_ORDER + 1):
+            assert mp_moment(k, y) == mp_moment_fractions(k, y)
+
+    @pytest.mark.parametrize("k", range(1, 5))
+    @pytest.mark.parametrize("y", EXACT_INPUTS)
+    def test_equals_pair_partition_sum(self, k, y):
+        # the special symmetric pair partitions of {1..2k}, each weighing y^r
+        total = F(0)
+        for p in enumerate_partitions(2 * k):
+            if is_pair(p) and is_special_symmetric(p):
+                total += F(y) ** (word_statistics(p.to_word()).r_plus_1 - 1)
+        assert mp_moment(k, y) == total
 
 
 class TestMomentConstant:
@@ -190,6 +211,51 @@ class TestMomentConstant:
         lam = c[-1]
         assert moment_sparse(k, y, lam).value == moment_by_classes(k, y, dict.fromkeys(constants, lam))
 
+    # zero and negative constants, and y = 0, where only the words with
+    # r = 0 are left and y^0 must be 1
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.integers(1, MAX_SERIES_ORDER),
+        y=st.just(F(0)) | st.fractions(min_value=0, max_value=10, max_denominator=12),
+        c=st.lists(
+            st.just(F(0)) | st.fractions(min_value=-10, max_value=10, max_denominator=12),
+            min_size=MAX_SERIES_ORDER,
+            max_size=MAX_SERIES_ORDER,
+        ),
+    )
+    @example(k=MAX_SERIES_ORDER, y=F(0), c=[F(-3, 4), F(0)] * (MAX_SERIES_ORDER // 2))
+    @example(k=6, y=F(5, 2), c=[F(0), F(-1, 3)] * (MAX_SERIES_ORDER // 2))
+    def test_signed_constants_equal_class_sum(self, k, y, c):
+        constants = even_sequence(c)
+        value = moment_constant(k, y, constants).value
+        assert value == moment_by_classes(k, y, constants)
+        if k <= 6:
+            assert value == moment_by_words(k, y, constants)
+
+    @pytest.mark.parametrize("k", range(1, MAX_SERIES_ORDER + 1))
+    def test_y_zero(self, k):
+        constants = even_sequence([F(j, j + 2) for j in range(1, k + 1)])
+        value = moment_constant(k, 0, constants).value
+        assert value == moment_by_classes(k, 0, constants)
+        if k <= 6:
+            assert value == moment_by_words(k, 0, constants)
+        assert moment_sparse(k, 0, 3).value == moment_by_classes(k, 0, dict.fromkeys(constants, F(3)))
+
+    @pytest.mark.parametrize("y", EXACT_INPUTS)
+    @pytest.mark.parametrize("lam", [1, 3, F(1, 3), 0.25, 2.5])
+    def test_int_and_float_inputs(self, y, lam):
+        # constants and lam as given, the oracles over their exact Fractions
+        supplied = {2 * j: (lam if j % 2 else j) for j in range(1, MAX_SERIES_ORDER + 1)}
+        exact = {s: F(v) for s, v in supplied.items()}
+        for k in range(1, MAX_SERIES_ORDER + 1):
+            assert moment_constant(k, y, supplied).value == moment_by_classes(k, y, exact)
+            assert moment_sparse(k, y, lam).value == moment_by_classes(k, y, dict.fromkeys(exact, F(lam)))
+        assert moment_sparse(6, y, lam).value == moment_by_words(6, y, dict.fromkeys(exact, F(lam)))
+
+    def test_value_is_a_fraction(self):
+        for report in (moment_constant(3, 0.5, {2: 1, 4: 2.5, 6: 0}), moment_sparse(3, 2, 1)):
+            assert type(report.value) is F
+
     def test_even_sequence_helper(self):
         assert even_sequence([1, F(1, 2)]) == {2: F(1), 4: F(1, 2)}
 
@@ -257,6 +323,18 @@ class TestPoissonSandwich:
     @pytest.mark.parametrize("y", [F(1, 2), 1, F(7, 3)])
     def test_closed_forms_match_enumeration(self, k, lam, y):
         assert poisson_sandwich(k, y, lam) == sandwich_by_enumeration(k, y, lam)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("lam", [0.25, 2.5])
+    @pytest.mark.parametrize("y", [0.375, 1.0, 2.5])
+    def test_float_inputs_match_enumeration(self, k, lam, y):
+        assert poisson_sandwich(k, y, lam) == sandwich_by_enumeration(k, y, lam)
+
+    @pytest.mark.parametrize("y", EXACT_INPUTS[1:])
+    @pytest.mark.parametrize("lam", [1, 3, F(1, 3), 0.25, 2.5])
+    def test_equals_fraction_sums(self, y, lam):
+        for k in range(1, MAX_SERIES_ORDER + 1):
+            assert poisson_sandwich(k, y, lam) == poisson_sandwich_fractions(k, y, lam)
 
     @pytest.mark.parametrize("k", [6, 7])
     @pytest.mark.parametrize("lam", [F(1, 2), 1, 2])
