@@ -46,10 +46,8 @@ def _out_dir(args) -> Path:
     return out
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(fmt(v) for v in row) + "\n")
+    # formatted in full before the file is opened, so a failure leaves no part of it
+    path.write_text("".join(",".join(map(fmt, row)) + "\n" for row in [header, *rows]))
 
 def _parse_k_range(text: str) -> list[int]:
     lo, dots, hi = text.partition("..")
@@ -188,15 +186,20 @@ def _moments_source(args) -> str:
             raise ConfigError(f"--{dest.replace('_', '-')} does not apply to the {source} source")
     return source
 
+def _finite(x, what: str) -> float:
+    # an exact comparison, so a Fraction that passes converts without overflow
+    if not abs(x) <= sys.float_info.max:
+        raise ConfigError(f"{what} is not a finite float; no artifact is written")
+    return float(x)
+
 def run_moments(args) -> int:
     source = _moments_source(args)
     ks = _parse_k_range(args.k)
     y = _parse_fraction(args.y, "--y")
-    if y < 0:
-        raise ConfigError(f"--y must be >= 0, got {args.y!r}")
+    if not 0 <= y <= sys.float_info.max:
+        raise ConfigError(f"--y must be >= 0 and at most the largest float, got {args.y!r}")
     grid = 64 if args.grid is None else args.grid
     reports: dict[int, moments.MomentReport] = {}
-    sandwich_rows = {}
 
     if source == "mp":
         reports = {k: moments.MomentReport(k, moments.mp_moment(k, y), None) for k in ks}
@@ -207,8 +210,6 @@ def run_moments(args) -> int:
         # largest first: the class table for max(ks) serves every smaller k
         for k in sorted(ks, reverse=True):
             reports[k] = moments.moment_sparse(k, y, lam, breakdown=args.breakdown)
-            if args.sandwich:
-                sandwich_rows[k] = moments.poisson_sandwich(k, y, lam)
     elif source == "constant":
         constants = _parse_constants(args.constant)
         for k in sorted(ks, reverse=True):
@@ -217,28 +218,30 @@ def run_moments(args) -> int:
         if not args.constant:
             raise ConfigError("--profile-csv requires --constant for the base sequence")
         constants = _parse_constants(args.constant)
-        sigma = _load_grid_csv(args.profile_csv)
-        if sigma.shape != (grid, grid):
-            raise ConfigError(f"profile grid has shape {sigma.shape}, expected {(grid, grid)}")
         reports = moments.profile_moments(
-            ks, y, sigma, constants, grid=grid, breakdown=args.breakdown
+            ks, y, _load_grid_csv(args.profile_csv), constants, grid=grid, breakdown=args.breakdown
         )
     else:
         g = _parse_orders(args.g, "--g", lambda path, name: _load_grid_csv(path), 2 * max(ks))
         reports = moments.grid_moments(ks, y, g, grid=grid, breakdown=args.breakdown)
 
-    header = ["k", "value"] + (["lower", "upper"] if sandwich_rows else [])
-    rows = [[k, reports[k].value, *sandwich_rows.get(k, ())] for k in ks]
+    # every number is a float before any artifact is opened, so a value
+    # beyond the float range fails without leaving a partial file
+    rows, entries = [], {}
+    for k in ks:
+        what, report = f"the {source} moment at k={k}", reports[k]
+        # only the sparse source, which sets lam, reads --sandwich
+        bounds = moments.poisson_sandwich(k, y, lam) if args.sandwich else ()
+        value = _finite(report.value, what)
+        rows.append([k, value, *(_finite(b, f"{what}, sandwich bound") for b in bounds)])
+        entries[str(k)] = entry = {"value": fmt(value)}
+        if report.breakdown is not None:
+            entry["breakdown"] = {w: fmt(_finite(v, f"{what}, word {w}")) for w, v in report.breakdown.items()}
+    header = ["k", "value"] + (["lower", "upper"] if args.sandwich else [])
     out = _out_dir(args) / "moments.csv"
     _write_csv(out, header, rows)
 
-    payload = {"source": source, "y": fmt(y), "moments": {}}
-    for k in ks:
-        report = reports[k]
-        entry = {"value": fmt(report.value)}
-        if report.breakdown is not None:
-            entry["breakdown"] = {w: fmt(v) for w, v in report.breakdown.items()}
-        payload["moments"][str(k)] = entry
+    payload = {"source": source, "y": fmt(y), "moments": entries}
     with open(_out_dir(args) / "moments.json", "w") as fh:
         json.dump(payload, fh, indent=1)
 
@@ -303,59 +306,49 @@ def _config_error(key: str, expected: str, value) -> ConfigError:
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
-def _config_number(data: dict, key: str, kind: type, default=None):
-    """data[key] as kind (int or float), default when absent; a bool, a
-    string, or a float where an int is wanted fails naming the key."""
-    value = data.get(key, default)
-    if key in data and not (_is_number(value) and isinstance(value, (int, kind))):
-        raise _config_error(key, "an integer" if kind is int else "a number", value)
-    return value if value is None else kind(value)
+# the config keys read as numbers, each with the type it must have; a
+# float key takes an integer too
+_NUMBER_KEYS = {
+    "p": int, "n": int, "seed": int, "replicates": int, "K": int,
+    "lam": float, "alpha": float, "B": float, "c2": float, "c4": float,
+}
+# the config keys passed to EnsembleConfig as given
+_PASSED_KEYS = ("family", "t_n", "profile", "base_family")
 
 def config_to_ensemble(data: dict, seed_override: int | None = None) -> tuple[EnsembleConfig, dict]:
-    known = {
-        "family", "p", "n", "lam", "alpha", "B", "t_n", "seed", "replicates",
-        "profile", "base_family", "c2", "c4", "K", "bins",
-    }
-    unknown = set(data) - known
+    """The ensemble and the run's {"K", "bins"} from a loaded config.  Here
+    the keys are checked for their names and types, and K for K >= 1;
+    EnsembleConfig gives the defaults of the keys left out and checks every
+    other value."""
+    unknown = data.keys() - _NUMBER_KEYS.keys() - {*_PASSED_KEYS, "bins"}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     for required in ("family", "p", "n"):
         if required not in data:
             raise ConfigError(f"config is missing {required!r}")
-    c_seq = None
-    if "c2" in data or "c4" in data:
-        c_seq = {2: _config_number(data, "c2", float, 0.0)}
-        if "c4" in data:
-            c_seq[4] = _config_number(data, "c4", float)
-    seed = _config_number(data, "seed", int, ensembles.DEFAULT_SEED)
-    t_n = data.get("t_n")
-    if "t_n" in data and not (_is_number(t_n) or isinstance(t_n, str)):
-        raise _config_error("t_n", "a number or a string", t_n)
+    fields = {}
+    for key, kind in _NUMBER_KEYS.items():
+        if key in data:
+            value = data[key]
+            if not (_is_number(value) and isinstance(value, (int, kind))):
+                raise _config_error(key, "an integer" if kind is int else "a number", value)
+            fields[key] = kind(value)
+    if "t_n" in data and not (_is_number(data["t_n"]) or isinstance(data["t_n"], str)):
+        raise _config_error("t_n", "a number or a string", data["t_n"])
     bins = data.get("bins", "fd")
     if not (isinstance(bins, (int, str)) and not isinstance(bins, bool)
             or isinstance(bins, list) and all(map(_is_number, bins))):
         raise _config_error("bins", "an integer, a string or a list of numbers", bins)
-    try:
-        cfg = EnsembleConfig(
-            family=str(data["family"]),
-            p=_config_number(data, "p", int),
-            n=_config_number(data, "n", int),
-            lam=_config_number(data, "lam", float),
-            c_seq=c_seq,
-            alpha=_config_number(data, "alpha", float),
-            B=_config_number(data, "B", float),
-            profile=data.get("profile"),
-            base_family=str(data.get("base_family", "sparse_bernoulli")),
-            t_n=t_n,
-            seed=seed_override if seed_override is not None else seed,
-            replicates=_config_number(data, "replicates", int, 1),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    K = _config_number(data, "K", int, 4)
+    K = fields.pop("K", 4)
     if K < 1:
         raise _config_error("K", "an integer >= 1", K)
-    return cfg, {"K": K, "bins": bins}
+    c_seq = {order: fields.pop(f"c{order}") for order in (2, 4) if f"c{order}" in fields}
+    if c_seq:
+        fields["c_seq"] = c_seq
+    if seed_override is not None:
+        fields["seed"] = seed_override
+    fields.update((key, data[key]) for key in _PASSED_KEYS if key in data)
+    return EnsembleConfig(**fields), {"K": K, "bins": bins}
 
 GNUPLOT_TEMPLATE = """\
 set datafile separator ","
@@ -730,9 +723,6 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except SizeLimitError as exc:
         print(f"size limit: {exc}", file=sys.stderr)
         return EXIT_SIZE_LIMIT

@@ -111,16 +111,15 @@ def _check_lam(lam: float | None, n: int, name: str) -> None:
 
 
 def resolve_truncation(t_n: float | str | None, n: int) -> float:
-    """Truncation level: a number, the rule "n^{-1/3}", or None/"inf" for none."""
-    if t_n is None:
+    """Truncation level: a positive number, the rule "n^{-1/3}", or None or
+    "inf" for none.  These two strings are the only spellings read; any
+    other string, padded or respelled, raises ValueError."""
+    if t_n is None or t_n == "inf":
         return math.inf
+    if t_n == "n^{-1/3}":
+        return float(n) ** (-1.0 / 3.0)
     if isinstance(t_n, str):
-        text = t_n.strip()
-        if text in ("inf", "infinity"):
-            return math.inf
-        if text.replace(" ", "") in ("n^{-1/3}", "n^-1/3", "n**(-1/3)"):
-            return float(n) ** (-1.0 / 3.0)
-        raise ValueError(f"unknown truncation rule {t_n!r}")
+        raise ValueError(f'unknown truncation rule {t_n!r}; expected "n^{{-1/3}}" or "inf"')
     value = float(t_n)
     if not value > 0:
         raise ValueError("truncation level must be positive")
@@ -377,9 +376,11 @@ def run_experiment(
     if K < 1:
         raise ValueError("K must be >= 1")
     try:  # numpy's own rules for `bins`, applied to a two-point sample
-        np.histogram_bin_edges([0.0, 1.0], bins=bins)
+        edges = np.histogram_bin_edges([0.0, 1.0], bins=bins)
     except TypeError as exc:
         raise ValueError(str(exc)) from exc
+    if edges.size < 2:  # numpy takes a list of 0 or 1 edges and counts nothing
+        raise ValueError(f"bins {bins!r} gives fewer than two edges, and a histogram needs at least two")
     if isinstance(bins, str) and bins == "fd" and cfg.p > 4 * cfg.n:
         # S has rank at most n, so over 3/4 of the pooled eigenvalues are
         # zero up to rounding, and the width 2 IQR / size^(1/3) is rounding

@@ -176,8 +176,9 @@ def poisson_sandwich(k: int, y: Real, lam: Real) -> tuple[Fraction, Fraction]:
     alpha_m = 0 for odd m; multiplying by base shifts the coefficients.
     """
     y, lam = Fraction(y), Fraction(lam)
-    if not (lam > 0 and y > 0 and k >= 1):
-        raise ValueError("need lam > 0, y > 0, k >= 1")
+    for name, value in (("lam", lam), ("y", y), ("k", k)):
+        if not value > 0:
+            raise ValueError(f"poisson_sandwich needs {name} > 0, got {name} = {value}")
     lower_base = lam * y if y <= 1 else lam
     upper_base = lam if y <= 1 else lam * y
     non_crossing = [0] + [math.comb(k, b) * math.comb(2 * k, b - 1) // k for b in range(1, k + 1)]
@@ -197,7 +198,7 @@ def _sampled(values: np.ndarray, shape: tuple[int, ...], name: str) -> np.ndarra
     if not isinstance(values, np.ndarray):
         raise ValueError(f"expected a grid-sampled array of shape {shape}, got a {type(values).__name__}")
     if values.shape != shape:
-        raise ValueError(f"grid-sampled array has shape {values.shape}, expected {shape}")
+        raise ValueError(f"{name} has shape {values.shape}, expected {shape}")
     samples = np.asarray(values, dtype=float)
     # min and max return a NaN if there is one and reach an inf, and unlike
     # np.isfinite(samples).all() they need no mask array

@@ -338,19 +338,13 @@ def classify(p: Partition) -> PartitionClass:
     )
 
 
-_GROUP_KEYS = ("total", "blocks", "even_generating", "sizes")
-
-
-def _group_value(key: str, p: Partition, stats: WordStats):
-    if key == "total":
-        return "total"
-    if key == "blocks":
-        return len(p.blocks)
-    if key == "even_generating":
-        return stats.r_plus_1
-    if key == "sizes":
-        return p.block_sizes()
-    raise ValueError(f"unknown grouping key {key!r}; expected one of {_GROUP_KEYS}")
+# each grouping key of count_ss and the value it takes on a partition
+_GROUPS = {
+    "total": lambda p, stats: "total",
+    "blocks": lambda p, stats: len(p.blocks),
+    "even_generating": lambda p, stats: stats.r_plus_1,
+    "sizes": lambda p, stats: p.block_sizes(),
+}
 
 
 def count_ss(
@@ -369,14 +363,14 @@ def count_ss(
     """
     keys = (by,) if isinstance(by, str) else tuple(by)
     for key in keys:
-        if key not in _GROUP_KEYS:
-            raise ValueError(f"unknown grouping key {key!r}; expected one of {_GROUP_KEYS}")
+        if key not in _GROUPS:
+            raise ValueError(f"unknown grouping key {key!r}; expected one of {tuple(_GROUPS)}")
     source = enumerate_pair_partitions if pair_only else enumerate_partitions
     counts: dict = defaultdict(int)
     for p in source(2 * k):
         if not is_special_symmetric(p):
             continue
         stats = word_statistics(p.to_word())
-        group = tuple(_group_value(key, p, stats) for key in keys)
+        group = tuple(_GROUPS[key](p, stats) for key in keys)
         counts[group[0] if len(group) == 1 else group] += 1
     return dict(counts)

@@ -356,6 +356,53 @@ class TestMoments:
         lines = (tmp_path / "moments.csv").read_text().strip().splitlines()
         assert lines[1:] == ["1,1", "2,1", "3,1"]
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--mp", "--k", "1..3", "--y", "1e200"], "the mp moment at k=3 is not a finite float"),
+        (["--sparse", "--lam", "1e200", "--k", "1..2"], "the sparse moment at k=2 is not a finite float"),
+        # the k = 1 moment is lam, and the upper bound lam y
+        (["--sparse", "--lam", "1e10", "--y", "1e300", "--k", "1", "--sandwich"],
+         "the sparse moment at k=1, sandwich bound is not a finite float"),
+        (["--constant", "2=1e300,4=1", "--k", "2"], "the constant moment at k=2 is not a finite float"),
+        # C_4 = -2 C_2^2 cancels in the value, and the word aaaa's term is C_4
+        (["--constant", "2=1e200,4=-2e400", "--k", "2", "--breakdown"],
+         "the constant moment at k=2, word aaaa is not a finite float"),
+        (["--mp", "--k", "1", "--y", "1e400"], "--y must be >= 0 and at most the largest float"),
+    ], ids=["mp", "sparse", "sandwich", "constant", "breakdown", "y"])
+    def test_exact_value_beyond_float_range_exits(self, tmp_path, capsys, argv, message):
+        assert run("--out", tmp_path, "moments", *argv) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "moments.csv").exists()
+        assert not (tmp_path / "moments.json").exists()
+
+    @pytest.mark.parametrize("source", ["profile", "grid"])
+    def test_quadrature_value_beyond_float_range_exits(self, tmp_path, capsys, source):
+        # every sample is finite, but the k = 2 sum multiplies two of 1e200
+        np.savetxt(tmp_path / "ones.csv", np.ones((4, 4)), delimiter=",")
+        np.savetxt(tmp_path / "big.csv", np.full((4, 4), 1e200), delimiter=",")
+        if source == "profile":
+            argv = ["--profile-csv", tmp_path / "ones.csv", "--constant", "2=1e200,4=1"]
+        else:
+            argv = ["--g", f"2={tmp_path}/big.csv", "--g", f"4={tmp_path}/big.csv"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow warnings
+            assert run("--out", tmp_path / "out", "moments", *argv, "--k", "1..2", "--grid", 4) == EXIT_CONFIG
+        assert f"the {source} moment at k=2 is not a finite float" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "moments.csv").exists()
+        assert not (tmp_path / "out" / "moments.json").exists()
+
+    def test_profile_of_wrong_shape_exits(self, tmp_path, capsys):
+        np.savetxt(tmp_path / "sigma.csv", np.ones((3, 3)), delimiter=",")
+        argv = ["--profile-csv", tmp_path / "sigma.csv", "--constant", "2=1", "--k", "1", "--grid", 4]
+        assert run("--out", tmp_path, "moments", *argv) == EXIT_CONFIG
+        assert "sigma has shape (3, 3), expected (4, 4)" in capsys.readouterr().err
+        assert not (tmp_path / "moments.csv").exists()
+
+    def test_sandwich_names_its_bad_input(self, tmp_path, capsys):
+        argv = ["--sparse", "--lam", "3", "--y", "0", "--k", "1..3", "--sandwich"]
+        assert run("--out", tmp_path, "moments", *argv) == EXIT_CONFIG
+        assert "poisson_sandwich needs y > 0, got y = 0" in capsys.readouterr().err
+        assert not (tmp_path / "moments.csv").exists()
+
     def test_enumeration_cap_exit(self, tmp_path, capsys):
         assert run(
             "--out", tmp_path, "moments", "--sparse", "--lam", "1", "--y", "1", "--k", "8",
@@ -668,6 +715,35 @@ class TestSimulate:
     def test_truncation_and_bins_forms_accepted(self, key, value):
         cfg, extras = cli.config_to_ensemble({"family": "iid_standardized", "p": 4, "n": 8, key: value})
         assert (cfg.t_n if key == "t_n" else extras["bins"]) == value
+
+    def test_absent_keys_take_the_library_defaults(self):
+        # seed, replicates, base_family, t_n and c_seq are left to EnsembleConfig
+        data = {"family": "variance_profile", "p": 4, "n": 8, "lam": 2, "profile": "fig1_quadratic"}
+        cfg, extras = cli.config_to_ensemble(data)
+        assert cfg == ensembles.EnsembleConfig("variance_profile", 4, 8, lam=2.0, profile="fig1_quadratic")
+        assert extras == {"K": 4, "bins": "fd"}
+
+    def test_triangular_with_c4_alone_exits(self, tmp_path, capsys, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("sampled before the config was checked")
+
+        monkeypatch.setattr(ensembles, "_draw", no_draw)
+        cfg = self.write_config(tmp_path, "family = triangular_iid\np = 4\nn = 8\nc4 = 8\n")
+        assert run("--out", tmp_path, "simulate", "--config", cfg) == EXIT_CONFIG
+        assert "triangular_iid requires a target sequence with order 2" in capsys.readouterr().err
+        assert not (tmp_path / "moments.csv").exists()
+
+    @pytest.mark.parametrize("bins", [[], [1]], ids=["empty", "one"])
+    def test_bins_with_fewer_than_two_edges_fail_before_sampling(self, tmp_path, capsys, monkeypatch, bins):
+        def no_draw(*args):
+            raise AssertionError("sampled before the config was checked")
+
+        monkeypatch.setattr(ensembles, "_draw", no_draw)
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"family": "iid_standardized", "p": 3, "n": 5, "bins": bins}))
+        assert run("--out", tmp_path, "simulate", "--config", cfg) == EXIT_CONFIG
+        assert "fewer than two edges" in capsys.readouterr().err
+        assert not (tmp_path / "hist.csv").exists()
 
     @pytest.mark.parametrize("profile", [[[1, 2, 3, 4]] * 3, 2.5, "nope"], ids=["list", "number", "name"])
     def test_bad_profile_exits_before_output(self, tmp_path, capsys, profile):

@@ -127,6 +127,11 @@ class TestTruncationRule:
         with pytest.raises(ValueError):
             resolve_truncation(math.nan, 10)
 
+    @pytest.mark.parametrize("rule", ["infinity", "n^-1/3", "n**(-1/3)", " inf", "n^{-1/3} ", "n^{ -1/3}"])
+    def test_only_the_documented_spellings(self, rule):
+        with pytest.raises(ValueError, match=r'expected "n\^\{-1/3\}" or "inf"'):
+            resolve_truncation(rule, 10)
+
 
 class TestSampling:
     def test_deterministic_given_seed_and_replicate(self):
@@ -489,6 +494,16 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match=r"bins='fd' found a zero interquartile range: 302 of the 400"):
             run_experiment(cfg, 2)
         assert len(run_experiment(cfg, 2, bins=10).hist_counts) == 10
+
+    @pytest.mark.parametrize("bins", [[], [1.0], np.array([0.5])], ids=["empty", "one", "array"])
+    def test_fewer_than_two_edges_fail_before_sampling(self, monkeypatch, bins):
+        def no_draw(*args):
+            raise AssertionError("sampled before bins was checked")
+
+        monkeypatch.setattr(ensembles, "_draw", no_draw)
+        cfg = EnsembleConfig("iid_standardized", 3, 5)
+        with pytest.raises(ValueError, match="fewer than two edges"):
+            run_experiment(cfg, 2, bins=bins)
 
     def test_single_replicate_stderr_zero(self):
         cfg = EnsembleConfig("iid_standardized", 20, 40, seed=11)

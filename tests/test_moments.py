@@ -1,4 +1,5 @@
 import math
+import re
 from collections import Counter
 from fractions import Fraction as F
 from functools import lru_cache
@@ -419,6 +420,15 @@ class TestPoissonSandwich:
             poisson_sandwich(1, 0, 1)
         with pytest.raises(ValueError):
             poisson_sandwich(1, 1, -1)
+
+    @pytest.mark.parametrize("k, y, lam, message", [
+        (1, 0, 1, "needs y > 0, got y = 0"),
+        (1, 1, F(-1, 2), "needs lam > 0, got lam = -1/2"),
+        (0, 1, 1, "needs k > 0, got k = 0"),
+    ])
+    def test_bad_input_is_named(self, k, y, lam, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            poisson_sandwich(k, y, lam)
 
 
 class TestWordStructure:

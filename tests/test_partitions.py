@@ -346,6 +346,13 @@ class TestCountSS:
         with pytest.raises(ValueError):
             count_ss(2, "nope")
 
+    @pytest.mark.parametrize("by", ["nope", ("blocks", "nope")])
+    def test_bad_key_message(self, by):
+        message = "unknown grouping key 'nope'; expected one of ('total', 'blocks', 'even_generating', 'sizes')"
+        with pytest.raises(ValueError) as exc:
+            count_ss(2, by)
+        assert str(exc.value) == message
+
     def test_cap(self):
         with pytest.raises(SizeLimitError):
             count_ss(8)
