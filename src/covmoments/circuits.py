@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .partitions import SizeLimitError, Word
+from .partitions import InputError, SizeLimitError, Word
 
 DEFAULT_CENSUS_BUDGET = 10**8
 """The largest number of Wigner value patterns `census_w` may visit before
@@ -74,14 +74,14 @@ class CensusResult:
 
 def _require_circuit_word(word: Word) -> int:
     if word.length == 0 or word.length % 2:
-        raise ValueError(f"circuit words must have positive even length, got {word.length}")
+        raise InputError(f"circuit words must have positive even length, got {word.length}")
     return word.length
 
 
 def _require_sizes(**sizes: int) -> None:
     for name, size in sizes.items():
         if size < 1:
-            raise ValueError(f"census size {name} must be at least 1, got {size}")
+            raise InputError(f"census size {name} must be at least 1, got {size}")
 
 
 def _check_budget(count: int, what: str) -> None:
@@ -326,11 +326,11 @@ class WordStructure:
 
 
 def word_structure(word: Word) -> WordStructure:
-    """The `WordStructure` of `word`; raises ValueError for words that are
+    """The `WordStructure` of `word`; raises InputError for words that are
     not special symmetric."""
     rows, cols, b, r_plus_1, first, parent = _vertex_classes(word)
     if rows + cols != b + 1:
-        raise ValueError(f"word {word.text} is not special symmetric")
+        raise InputError(f"word {word.text} is not special symmetric")
     m = word.length
     ids: dict[int, int] = {}
     cls = []

@@ -24,14 +24,11 @@ import numpy as np
 
 from . import circuits, ensembles, hypergraphs, moments, partitions
 from .ensembles import ContractViolation, EnsembleConfig
-from .partitions import Partition, SizeLimitError, Word
+from .partitions import InputError, Partition, SizeLimitError, Word
 
 EXIT_CONFIG = 2
 EXIT_SIZE_LIMIT = 3
 EXIT_CONTRACT = 4
-
-class ConfigError(ValueError):
-    pass
 
 def fmt(x) -> str:
     if isinstance(x, Fraction):
@@ -56,14 +53,14 @@ def _parse_k_range(text: str) -> list[int]:
     except ValueError:
         ks = []
     if not ks or ks[0] < 1:
-        raise ConfigError(f"bad --k value {text!r}; expected k >= 1 or a range like 1..6")
+        raise InputError(f"bad --k value {text!r}; expected k >= 1 or a range like 1..6")
     return ks
 
 def _parse_fraction(text: str, name: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"bad {name} value {text!r}; expected a rational like 3/4") from exc
+        raise InputError(f"bad {name} value {text!r}; expected a rational like 3/4") from exc
 
 def _parse_orders(items: list[str], flag: str, parse, max_order: int | None = None) -> dict:
     """{order: parse(value, f"{flag} {order}")} for entries like 2=value.
@@ -78,13 +75,13 @@ def _parse_orders(items: list[str], flag: str, parse, max_order: int | None = No
         except ValueError:
             sep = ""
         if not sep:
-            raise ConfigError(f"bad {flag} entry {item!r}; expected an integer order before '='")
+            raise InputError(f"bad {flag} entry {item!r}; expected an integer order before '='")
         if order < 2 or order % 2:
-            raise ConfigError(f"bad {flag} order {order}; only positive even orders are read")
+            raise InputError(f"bad {flag} order {order}; only positive even orders are read")
         if order in entries:
-            raise ConfigError(f"{flag} order {order} is given twice")
+            raise InputError(f"{flag} order {order} is given twice")
         if max_order is not None and order > max_order:
-            raise ConfigError(f"{flag} order {order} is above 2 max(k) = {max_order}; no sum reads it")
+            raise InputError(f"{flag} order {order} is above 2 max(k) = {max_order}; no sum reads it")
         entries[order] = (key, value)
     return {order: parse(value, f"{flag} {key}") for order, (key, value) in entries.items()}
 
@@ -97,8 +94,8 @@ def run_classify(args) -> int:
     try:
         blocks = json.loads(args.blocks)
         partition = Partition.from_blocks(blocks)
-    except (json.JSONDecodeError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad --blocks value: {exc}") from exc
+    except (TypeError, ValueError) as exc:  # malformed JSON or blocks
+        raise InputError(f"bad --blocks value: {exc}") from exc
     cls = partitions.classify(partition)
     payload = {
         "blocks": partition.as_lists(),
@@ -163,7 +160,10 @@ def run_census(args) -> int:
 # ---------------------------------------------------------------- moments
 
 def _load_grid_csv(path: str) -> np.ndarray:
-    return np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
+    try:
+        return np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
+    except ValueError as exc:  # a malformed or non-UTF-8 file; OSError passes
+        raise InputError(f"bad grid CSV {path}: {exc}") from exc
 
 # the moments sources that read each option besides --k and --y; the first
 # option given must choose a source, and --constant, listed after the other
@@ -179,17 +179,17 @@ def _moments_source(args) -> str:
     error, not ignored."""
     given = [d for d in _READERS if getattr(args, d) is not None and getattr(args, d) is not False]
     if not given or given[0] not in ("mp", "sparse", "profile_csv", "g", "constant"):
-        raise ConfigError("choose a source: --mp, --sparse, --constant, --profile-csv or --g")
+        raise InputError("choose a source: --mp, --sparse, --constant, --profile-csv or --g")
     source = _READERS[given[0]][0]
     for dest in given:
         if source not in _READERS[dest]:
-            raise ConfigError(f"--{dest.replace('_', '-')} does not apply to the {source} source")
+            raise InputError(f"--{dest.replace('_', '-')} does not apply to the {source} source")
     return source
 
 def _finite(x, what: str) -> float:
     # an exact comparison, so a Fraction that passes converts without overflow
     if not abs(x) <= sys.float_info.max:
-        raise ConfigError(f"{what} is not a finite float; no artifact is written")
+        raise InputError(f"{what} is not a finite float; no artifact is written")
     return float(x)
 
 def run_moments(args) -> int:
@@ -197,15 +197,14 @@ def run_moments(args) -> int:
     ks = _parse_k_range(args.k)
     y = _parse_fraction(args.y, "--y")
     if not 0 <= y <= sys.float_info.max:
-        raise ConfigError(f"--y must be >= 0 and at most the largest float, got {args.y!r}")
-    grid = 64 if args.grid is None else args.grid
+        raise InputError(f"--y must be >= 0 and at most the largest float, got {args.y!r}")
     reports: dict[int, moments.MomentReport] = {}
 
     if source == "mp":
         reports = {k: moments.MomentReport(k, moments.mp_moment(k, y), None) for k in ks}
     elif source == "sparse":
         if args.lam is None:
-            raise ConfigError("--sparse requires --lam")
+            raise InputError("--sparse requires --lam")
         lam = _parse_fraction(args.lam, "--lam")
         # largest first: the class table for max(ks) serves every smaller k
         for k in sorted(ks, reverse=True):
@@ -216,14 +215,14 @@ def run_moments(args) -> int:
             reports[k] = moments.moment_constant(k, y, constants, breakdown=args.breakdown)
     elif source == "profile":
         if not args.constant:
-            raise ConfigError("--profile-csv requires --constant for the base sequence")
+            raise InputError("--profile-csv requires --constant for the base sequence")
         constants = _parse_constants(args.constant)
         reports = moments.profile_moments(
-            ks, y, _load_grid_csv(args.profile_csv), constants, grid=grid, breakdown=args.breakdown
+            ks, y, _load_grid_csv(args.profile_csv), constants, grid=args.grid, breakdown=args.breakdown
         )
     else:
         g = _parse_orders(args.g, "--g", lambda path, name: _load_grid_csv(path), 2 * max(ks))
-        reports = moments.grid_moments(ks, y, g, grid=grid, breakdown=args.breakdown)
+        reports = moments.grid_moments(ks, y, g, grid=args.grid, breakdown=args.breakdown)
 
     # every number is a float before any artifact is opened, so a value
     # beyond the float range fails without leaving a partial file
@@ -264,22 +263,27 @@ def _coerce_scalar(text: str):
 
 def load_config(path: str) -> dict:
     """Flat key = value files with optional [sections], or a JSON object."""
-    raw = Path(path).read_text()
+    try:
+        raw = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"config {path} is not UTF-8 text: {exc}") from exc
     if path.endswith(".json") or raw.lstrip().startswith("{"):
         def unique(pairs: list) -> dict:
             obj = {}
             for key, value in pairs:
                 if key in obj:
-                    raise ConfigError(f"{path}: config key {key!r} is repeated")
+                    raise InputError(f"{path}: config key {key!r} is repeated")
                 obj[key] = value
             return obj
 
         try:
             data = json.loads(raw, object_pairs_hook=unique)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"bad JSON config {path}: {exc}") from exc
+        except InputError:
+            raise
+        except ValueError as exc:  # malformed JSON, or an integer of too many digits
+            raise InputError(f"bad JSON config {path}: {exc}") from exc
         if not isinstance(data, dict):
-            raise ConfigError("config must be a JSON object")
+            raise InputError("config must be a JSON object")
         return data
     out: dict = {}
     first_line: dict[str, int] = {}
@@ -291,17 +295,17 @@ def load_config(path: str) -> dict:
             continue  # sections are organizational only
         key, sep, value = line.partition("=")
         if not sep:
-            raise ConfigError(f"{path}:{lineno}: expected key = value, got {line!r}")
+            raise InputError(f"{path}:{lineno}: expected key = value, got {line!r}")
         # sections do not scope keys, so a key in two sections is a repeat too
         key = key.strip()
         if key in first_line:
-            raise ConfigError(f"{path}:{lineno}: config key {key!r} repeats line {first_line[key]}")
+            raise InputError(f"{path}:{lineno}: config key {key!r} repeats line {first_line[key]}")
         first_line[key] = lineno
         out[key] = _coerce_scalar(value)
     return out
 
-def _config_error(key: str, expected: str, value) -> ConfigError:
-    return ConfigError(f"config key {key!r} must be {expected}, got {value!r}")
+def _config_error(key: str, expected: str, value) -> InputError:
+    return InputError(f"config key {key!r} must be {expected}, got {value!r}")
 
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -322,17 +326,20 @@ def config_to_ensemble(data: dict, seed_override: int | None = None) -> tuple[En
     other value."""
     unknown = data.keys() - _NUMBER_KEYS.keys() - {*_PASSED_KEYS, "bins"}
     if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        raise InputError(f"unknown config keys: {sorted(unknown)}")
     for required in ("family", "p", "n"):
         if required not in data:
-            raise ConfigError(f"config is missing {required!r}")
+            raise InputError(f"config is missing {required!r}")
     fields = {}
     for key, kind in _NUMBER_KEYS.items():
         if key in data:
             value = data[key]
             if not (_is_number(value) and isinstance(value, (int, kind))):
                 raise _config_error(key, "an integer" if kind is int else "a number", value)
-            fields[key] = kind(value)
+            try:
+                fields[key] = kind(value)
+            except OverflowError:  # an integer beyond the float range
+                raise _config_error(key, "a number within the float range", value) from None
     if "t_n" in data and not (_is_number(data["t_n"]) or isinstance(data["t_n"], str)):
         raise _config_error("t_n", "a number or a string", data["t_n"])
     bins = data.get("bins", "fd")
@@ -626,9 +633,9 @@ VERIFY_CHECKS = [
 
 def run_verify(args) -> int:
     if args.max_k < 1:
-        raise ConfigError(f"--max-k must be at least 1, got {args.max_k}")
+        raise InputError(f"--max-k must be at least 1, got {args.max_k}")
     if args.max_k > MAX_VERIFY_K:
-        raise ConfigError(
+        raise InputError(
             f"--max-k must be at most {MAX_VERIFY_K}, the largest value that adds checks, "
             f"got {args.max_k}"
         )
@@ -694,7 +701,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--profile-csv", default=None, help="variance profile sampled on the grid")
     c.add_argument("--g", action="append", default=None, help='grid function like 2=g2.csv (repeatable)')
     c.add_argument("--grid", type=int, default=None,
-                   help="grid resolution for --profile-csv and --g (default 64)")
+                   help="grid resolution for --profile-csv and --g (default: the side of the arrays read)")
     c.add_argument("--breakdown", action="store_true",
                    help="write each word's term to moments.json; lists every word, "
                    f"so 2k <= {partitions.DEFAULT_ENUMERATION_CAP}")
@@ -721,17 +728,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # any other exception is a fault of the program, not of its input: it
+    # propagates, and the interpreter exits 1 with its traceback
     try:
         return args.fn(args)
+    except (InputError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except SizeLimitError as exc:
         print(f"size limit: {exc}", file=sys.stderr)
         return EXIT_SIZE_LIMIT
     except ContractViolation as exc:
         print(f"numerical contract violated: {exc}", file=sys.stderr)
         return EXIT_CONTRACT
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -15,6 +15,8 @@ from typing import Mapping, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .partitions import InputError
+
 DEFAULT_SEED = 1729
 
 FAMILIES = (
@@ -52,7 +54,7 @@ class EnsembleConfig:
 
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
+            raise InputError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
         for name in ("p", "n", "replicates", "seed"):
             value = getattr(self, name)
             try:
@@ -60,44 +62,44 @@ class EnsembleConfig:
                     raise TypeError
                 operator.index(value)
             except TypeError:
-                raise ValueError(f"{name} must be an integer, got {value!r}") from None
+                raise InputError(f"{name} must be an integer, got {value!r}") from None
         if self.p < 1 or self.n < 1 or self.replicates < 1:
-            raise ValueError("p, n and replicates must be >= 1")
+            raise InputError("p, n and replicates must be >= 1")
         if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+            raise InputError(f"seed must be >= 0, got {self.seed}")
         resolve_truncation(self.t_n, self.n)
         prof, shape = self.profile, (self.p, self.n)
         if isinstance(prof, np.ndarray) and prof.shape != shape:
-            raise ValueError(f"profile array has shape {prof.shape}, expected {shape}")
+            raise InputError(f"profile array has shape {prof.shape}, expected {shape}")
         named = isinstance(prof, str) and prof in NAMED_PROFILES
         if not (named or prof is None or isinstance(prof, np.ndarray)):
             # a JSON list may be long, so its repr is cut short
-            raise ValueError(
+            raise InputError(
                 f"profile {prof!r:.40} is neither one of {NAMED_PROFILES} nor an array of shape {shape}"
             )
         if self.family == "sparse_bernoulli":
             _check_lam(self.lam, self.n, "sparse_bernoulli")
         if self.family == "triangular_iid":
             if not (self.c_seq and self.c_seq.get(2)):
-                raise ValueError("triangular_iid requires a target sequence with order 2")
+                raise InputError("triangular_iid requires a target sequence with order 2")
             triangular_two_point(self.c_seq, self.n)
         if self.family == "heavy_tail_stable":
             if self.alpha is None or not 0 < self.alpha < 2:
-                raise ValueError("heavy_tail_stable requires alpha in (0, 2)")
+                raise InputError("heavy_tail_stable requires alpha in (0, 2)")
             if self.B is None or not self.B > 0:
-                raise ValueError("heavy_tail_stable requires a truncation multiple B > 0")
+                raise InputError("heavy_tail_stable requires a truncation multiple B > 0")
             try:
                 _stable_scale(self.p, self.alpha)
             except OverflowError:
-                raise ValueError(
+                raise InputError(
                     f"heavy_tail_stable scale p^(1/alpha) overflows a float "
                     f"at p = {self.p}, alpha = {self.alpha}"
                 ) from None
         if self.family == "variance_profile":
             if self.profile is None:
-                raise ValueError("variance_profile requires a profile")
+                raise InputError("variance_profile requires a profile")
             if self.base_family not in ("sparse_bernoulli", "iid_standardized"):
-                raise ValueError("variance_profile base must be sparse_bernoulli or iid_standardized")
+                raise InputError("variance_profile base must be sparse_bernoulli or iid_standardized")
             if self.base_family == "sparse_bernoulli":
                 _check_lam(self.lam, self.n, "sparse_bernoulli base")
 
@@ -105,25 +107,27 @@ class EnsembleConfig:
 def _check_lam(lam: float | None, n: int, name: str) -> None:
     # `not lam > 0` also rejects NaN; lam / n is a Bernoulli probability
     if lam is None or not lam > 0:
-        raise ValueError(f"{name} requires lam > 0")
+        raise InputError(f"{name} requires lam > 0")
     if lam > n:
-        raise ValueError(f"{name} weight lam/n = {lam / n:.3g} exceeds 1; n too small")
+        raise InputError(f"{name} weight lam/n = {lam / n:.3g} exceeds 1; n too small")
 
 
 def resolve_truncation(t_n: float | str | None, n: int) -> float:
     """Truncation level: a positive number, the rule "n^{-1/3}", or None or
     "inf" for none.  These two strings are the only spellings read; any
-    other string, padded or respelled, raises ValueError."""
+    other string, padded or respelled, raises InputError."""
     if t_n is None or t_n == "inf":
         return math.inf
     if t_n == "n^{-1/3}":
         return float(n) ** (-1.0 / 3.0)
     if isinstance(t_n, str):
-        raise ValueError(f'unknown truncation rule {t_n!r}; expected "n^{{-1/3}}" or "inf"')
-    value = float(t_n)
-    if not value > 0:
-        raise ValueError("truncation level must be positive")
-    return value
+        raise InputError(f'unknown truncation rule {t_n!r}; expected "n^{{-1/3}}" or "inf"')
+    if not t_n > 0:
+        raise InputError("truncation level must be positive")
+    try:
+        return float(t_n)
+    except OverflowError:  # an integer beyond the float range
+        raise InputError(f"truncation level {t_n} is beyond the float range") from None
 
 
 def _rng(seed: int, replicate: int) -> np.random.Generator:
@@ -137,17 +141,17 @@ def triangular_two_point(c_seq: Mapping[int, float], n: int) -> tuple[float, flo
     n E[x^2] = C_2 and, when C_4 is supplied, n E[x^4] = C_4."""
     c2 = float(c_seq[2])
     if not c2 > 0:
-        raise ValueError("C_2 must be positive")
+        raise InputError("C_2 must be positive")
     if 4 in c_seq:
         c4 = float(c_seq[4])
         if not c4 > 0:
-            raise ValueError("C_4 must be positive")
+            raise InputError("C_4 must be positive")
         a = math.sqrt(c4 / c2)
         lam_t = c2 * c2 / c4
     else:
         a, lam_t = 1.0, c2
     if lam_t / n > 1:
-        raise ValueError(f"two-point weight lam_t/n = {lam_t / n:.3g} exceeds 1; n too small")
+        raise InputError(f"two-point weight lam_t/n = {lam_t / n:.3g} exceeds 1; n too small")
     return a, lam_t
 
 
@@ -302,7 +306,7 @@ def entry_second_moment(cfg: EnsembleConfig) -> np.float64 | None:
 def _power_sums(w: np.ndarray, K: int) -> tuple[float, ...]:
     """(1/p) sum_i w_i^k for k = 1..K over the spectrum w of a p x p matrix."""
     if K < 1:
-        raise ValueError("K must be >= 1")
+        raise InputError("K must be >= 1")
     p = w.shape[0]
     return tuple(float((w**k).sum()) / p for k in range(1, K + 1))
 
@@ -319,13 +323,13 @@ def eigenvalues(S: np.ndarray) -> np.ndarray:
     1e-10 p ||S||_F and 1e-10 p ||S||_F^2."""
     S = np.asarray(S, dtype=float)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
-        raise ValueError("S must be square")
+        raise InputError("S must be square")
     # S - S.T is antisymmetric, so its max is its largest absolute entry;
     # a NaN (or an inf, through inf - inf) propagates and fails the test
     with np.errstate(invalid="ignore"):
         asymmetry = np.max(S - S.T)
     if not asymmetry <= 1e-10:
-        raise ValueError("S is not finite and symmetric within 1e-10")
+        raise InputError("S is not finite and symmetric within 1e-10")
     w = np.linalg.eigvalsh(S)
     p = S.shape[0]
     frobenius_sq = float(np.vdot(S, S))
@@ -367,25 +371,25 @@ def run_experiment(
     eigenvalue histogram (Freedman-Diaconis bins unless overridden).  K and
     `bins` are checked before the first draw; Freedman-Diaconis bins on
     pooled eigenvalues whose interquartile range is at most 1e-9 times the
-    largest raise ValueError.
+    largest raise InputError.
     One loop draws each replicate into entry, draw-mask and Gram buffers
     allocated once per run; the eigenvalues each replicate reports are its
     own array.  A replicate's second-moment gap is (sum y^2 - center) / p,
     where the center is `entry_second_moment(cfg)`, or without a closed form
     the mean of the replicates' sums, each read as Tr S."""
     if K < 1:
-        raise ValueError("K must be >= 1")
+        raise InputError("K must be >= 1")
     try:  # numpy's own rules for `bins`, applied to a two-point sample
         edges = np.histogram_bin_edges([0.0, 1.0], bins=bins)
-    except TypeError as exc:
-        raise ValueError(str(exc)) from exc
+    except (TypeError, ValueError) as exc:
+        raise InputError(str(exc)) from exc
     if edges.size < 2:  # numpy takes a list of 0 or 1 edges and counts nothing
-        raise ValueError(f"bins {bins!r} gives fewer than two edges, and a histogram needs at least two")
+        raise InputError(f"bins {bins!r} gives fewer than two edges, and a histogram needs at least two")
     if isinstance(bins, str) and bins == "fd" and cfg.p > 4 * cfg.n:
         # S has rank at most n, so over 3/4 of the pooled eigenvalues are
         # zero up to rounding, and the width 2 IQR / size^(1/3) is rounding
         # noise that asks for petabytes of bin edges
-        raise ValueError(
+        raise InputError(
             f"bins='fd' needs the interquartile range of the eigenvalues, but S = X X^T is "
             f"rank deficient: rank <= n = {cfg.n} and p = {cfg.p} > 4n, so more than 3/4 of "
             f"its eigenvalues are zero; give bins as a count, edges or another numpy estimator"
@@ -428,7 +432,7 @@ def run_experiment(
         q75, q25 = np.percentile(pooled, [75, 25])
         tol = 1e-9 * pooled.max()
         if q75 - q25 <= tol:
-            raise ValueError(
+            raise InputError(
                 f"bins='fd' found a zero interquartile range: "
                 f"{np.count_nonzero(abs(pooled - q25) <= tol)} of the {pooled.size} pooled "
                 f"eigenvalues lie within {tol:.1e} of {q25:.3g}, so the Freedman-Diaconis width is "

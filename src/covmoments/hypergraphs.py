@@ -25,6 +25,7 @@ from typing import Mapping
 
 from .circuits import word_structure
 from .partitions import (
+    InputError,
     Partition,
     SizeLimitError,
     Word,
@@ -108,7 +109,7 @@ def hypergraph_to_word(h: Hypergraph) -> Word:
     tree that `_vertex_classes` requires of a special symmetric word.
     """
     if not is_acyclic(h):
-        raise ValueError("hypergraph has a cycle; no special symmetric word corresponds to it")
+        raise InputError("hypergraph has a cycle; no special symmetric word corresponds to it")
     return _word_of_pair(h.sigma, h.tau)
 
 
@@ -154,7 +155,7 @@ def enumerate_ss_words(k: int) -> tuple[Word, ...]:
     left to pair them.
     """
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise InputError("k must be >= 1")
     _check_cap(2 * k)
     m = 2 * k
     letters = [0] * m
@@ -214,7 +215,7 @@ class NoiryClassKey:
 
     def __post_init__(self) -> None:
         if len(self.sizes) != self.a or any(s < 2 for s in self.sizes):
-            raise ValueError("sizes must list one multiplicity >= 2 per edge")
+            raise InputError("sizes must list one multiplicity >= 2 per edge")
 
 
 # the class tables for k = 0..K of the largest K built so far; a smaller k
@@ -281,15 +282,19 @@ def _sojourn_series(top: int, unit, zero, letter, add_product) -> list:
     a fresh zero, and add_product(acc, p, q, scale) returns acc + scale p q,
     which it may build in acc; p is `unit` itself wherever that factor is 1.
     Class counts and grid functions of the vertex variable both fit.  No
-    product that is zero by construction is formed.  f_s(j) starts at
-    degree j, so a degree-d coefficient needs only lower degrees and the
-    series are built degree by degree, with no fixed-point rounds.  This is
+    product that is zero by construction is formed, and no coefficient that
+    feeds only degrees above top: G_s(m) of degree d feeds f_(1-s)(m) of
+    degree d + m, so G_1(m) is built for d + m <= top, G_0(m) beyond the
+    output G_0(1) for d + m < top, and s = 1 not at all at degree top.
+    f_s(j) starts at degree j, so a degree-d coefficient needs only lower
+    degrees and the series are built degree by degree, with no fixed-point
+    rounds.  This is
     the special symmetric analogue of Zakharevich's count of trees with edge
     multiplicities (2006, A generalization of Wigner's law, Comm. Math.
     Phys. 268).
     """
     if top < 1:
-        raise ValueError("k must be >= 1")
+        raise InputError("k must be >= 1")
     if top > MAX_SERIES_ORDER:
         raise SizeLimitError(
             f"moment order {top} exceeds the series limit "
@@ -302,7 +307,7 @@ def _sojourn_series(top: int, unit, zero, letter, add_product) -> list:
     for s in (0, 1):
         B[s][0] = [unit] + [empty] * top
     for d in range(top + 1):
-        for s in (0, 1):
+        for s in (0, 1) if d < top else (0,):
             for j in range(1, d + 1):
                 f[s][j][d] = letter(s, j, G[1 - s][j][d - j])
             # B_s(0) is the unit alone, so its products with a nonzero degree
@@ -314,8 +319,9 @@ def _sojourn_series(top: int, unit, zero, letter, add_product) -> list:
                     for dj in range(j, d - e + j + 1):
                         acc = add_product(acc, f[s][j][dj], B[s][e - j][d - dj], comb(e - 1, j - 1))
                 B[s][e][d] = add_product(acc, unit, f[s][e][d], 1)
-            # G_s(m) of degree d feeds f_(1-s)(m) of degree d + m <= top
-            for m in range(1, max(1, top - d) + 1):
+            # G_1(m) feeds f_0(m) up to degree top, the output's own degree;
+            # G_0(m) feeds f_1(m), read only below degree top
+            for m in range(1, max(1, top - d - 1 + s) + 1):
                 acc = zero()
                 for e in range(min(d, 1), d + 1):
                     acc = add_product(acc, unit, B[s][e][d], comb(e + m - 1, m - 1))

@@ -41,7 +41,7 @@ import numpy as np
 
 from .circuits import word_structure
 from .hypergraphs import NoiryClassKey, _sojourn_series, count_noiry_classes, enumerate_ss_words
-from .partitions import narayana, word_statistics
+from .partitions import InputError, narayana, word_statistics
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,7 @@ def _lookup(c: Mapping[int, Real], size: int) -> Fraction:
     try:
         return Fraction(c[size])
     except KeyError:
-        raise ValueError(f"no value supplied for even moment order {size}") from None
+        raise InputError(f"no value supplied for even moment order {size}") from None
 
 
 def _at(coefficients: Sequence[int], x: Fraction, denominator: int = 1) -> Fraction:
@@ -76,7 +76,7 @@ def mp_moment(k: int, y: Real) -> Fraction:
     """k-th moment of the Marchenko-Pastur limit with ratio y: the Narayana
     polynomial sum_r C(k,r) C(k-1,r) / (r+1) * y^r."""
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise InputError("k must be >= 1")
     return _at([narayana(k, r) for r in range(k)], Fraction(y))
 
 
@@ -150,7 +150,7 @@ def moment_sparse(k: int, y: Real, lam: Real, breakdown: bool = False) -> Moment
     sum over special symmetric words of y^r * lam^b.  A class of a letters
     weighs lam^a, taken over the common denominator den(lam)^k."""
     if not lam > 0:
-        raise ValueError("lam must be positive")
+        raise InputError("lam must be positive")
     y, lam = Fraction(y), Fraction(lam)
     num, den = lam.numerator, lam.denominator
     value = _class_sum(
@@ -178,7 +178,7 @@ def poisson_sandwich(k: int, y: Real, lam: Real) -> tuple[Fraction, Fraction]:
     y, lam = Fraction(y), Fraction(lam)
     for name, value in (("lam", lam), ("y", y), ("k", k)):
         if not value > 0:
-            raise ValueError(f"poisson_sandwich needs {name} > 0, got {name} = {value}")
+            raise InputError(f"poisson_sandwich needs {name} > 0, got {name} = {value}")
     lower_base = lam * y if y <= 1 else lam
     upper_base = lam if y <= 1 else lam * y
     non_crossing = [0] + [math.comb(k, b) * math.comb(2 * k, b - 1) // k for b in range(1, k + 1)]
@@ -192,19 +192,23 @@ def poisson_sandwich(k: int, y: Real, lam: Real) -> tuple[Fraction, Fraction]:
     return _at(non_crossing, lower_base), _at(alpha[k], upper_base)
 
 
-def _sampled(values: np.ndarray, shape: tuple[int, ...], name: str) -> np.ndarray:
+def _sampled(values: np.ndarray, grid: int | None, name: str, ndim: int = 2, like: str = "") -> np.ndarray:
     # the one input form of the quadrature: an array of finite midpoint
-    # samples; a NaN or inf would otherwise run through the recursion
+    # samples, grid to a side, or its own side when grid is None (`like`
+    # names the array a side was taken from); a NaN or inf would otherwise
+    # run through the recursion
     if not isinstance(values, np.ndarray):
-        raise ValueError(f"expected a grid-sampled array of shape {shape}, got a {type(values).__name__}")
+        shape = "" if grid is None else f" of shape {(grid,) * ndim}"
+        raise InputError(f"expected a grid-sampled array{shape}, got a {type(values).__name__}")
+    shape = ((values.shape or (0,))[0] if grid is None else grid,) * ndim
     if values.shape != shape:
-        raise ValueError(f"{name} has shape {values.shape}, expected {shape}")
+        raise InputError(f"{name} has shape {values.shape}, expected {shape}{like}")
     samples = np.asarray(values, dtype=float)
     # min and max return a NaN if there is one and reach an inf, and unlike
     # np.isfinite(samples).all() they need no mask array
     if samples.size and not (np.isfinite(samples.min()) and np.isfinite(samples.max())):
         index = tuple(int(i) for i in np.unravel_index(np.argmin(np.isfinite(samples)), shape))
-        raise ValueError(f"{name} has the non-finite sample {samples[index]} at index {index}")
+        raise InputError(f"{name} has the non-finite sample {samples[index]} at index {index}")
     return samples
 
 
@@ -252,7 +256,8 @@ def _word_terms(
                 contrib = (factor * child[None, :]).mean(axis=1)
                 parent = row
             messages[parent] = messages[parent] * contrib
-        terms[word.text] = y**st.r * float(messages[0].mean())
+        # a float64 power overflows to inf where a Python float raises
+        terms[word.text] = float(np.float64(y) ** st.r * messages[0].mean())
     return terms
 
 
@@ -266,12 +271,13 @@ def grid_moments(
     ks: Sequence[int],
     y: Real,
     g: Mapping[int, np.ndarray],
-    grid: int = 64,
+    grid: int | None = None,
     breakdown: bool = False,
 ) -> dict[int, MomentReport]:
     """Limiting moments k in ks for moment functions g_{2m} on [0,1]^2, each
     a grid x grid array of samples at the cell midpoints, from one pass of
-    the recursion.
+    the recursion.  grid=None takes the side of the arrays given, which must
+    then all have the shape of the first one read, g_2.
 
     Each word contributes y^r times the integral over its b+1 generating
     variables of prod_letters g_multiplicity(x_even, u_odd), evaluated by the
@@ -279,33 +285,38 @@ def grid_moments(
     `hypergraphs._sojourn_series` over functions of the vertex variable, so
     no word is listed and k may go up to MAX_SERIES_ORDER.  One series of
     order K = max(ks) gives every k <= K.  Every sample must be finite;
-    the first NaN or inf is named in a ValueError.  A degree-k coefficient
-    takes the same float operations whatever K is, so each value equals
-    moment_grid(k, ...).
+    the first NaN or inf is named in an InputError.  A sum of finite
+    samples that leaves the float range gives an inf or NaN value, with no
+    warning.  A degree-k coefficient takes the same float operations
+    whatever K is, so each value equals moment_grid(k, ...).
     breakdown=True adds each word's term by tree elimination, which
     enumerates the words (bounded by the enumeration cap).
     """
-    if grid < 2:
-        raise ValueError("grid resolution must be at least 2")
     if any(k < 1 for k in ks):
-        raise ValueError("k must be >= 1")
+        raise InputError("k must be >= 1")
     if not ks:
         return {}
     top = max(ks)
     yf = float(Fraction(y))
-    sizes = sorted(_needed_sizes(top))
-    missing = [s for s in sizes if s not in g]
+    first, *rest = sorted(_needed_sizes(top))
+    missing = [s for s in (first, *rest) if s not in g]
     if missing:
-        raise ValueError(f"no grid function supplied for even moment order {missing[0]}")
-    samples = {s: _sampled(g[s], (grid, grid), f"g_{s}") for s in sizes}
-    values = _grid_series(top, yf, samples, grid)
-    # largest first, so a k beyond the enumeration cap fails before any listing
-    terms = {k: _word_terms(k, yf, samples, grid) for k in sorted(ks, reverse=True)} if breakdown else {}
+        raise InputError(f"no grid function supplied for even moment order {missing[0]}")
+    samples = {first: _sampled(g[first], grid, f"g_{first}")}
+    like = "" if grid is not None else f", the shape of g_{first}"
+    grid = len(samples[first])
+    if grid < 2:
+        raise InputError(f"grid resolution must be at least 2, got {grid}")
+    samples.update((s, _sampled(g[s], grid, f"g_{s}", like=like)) for s in rest)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = _grid_series(top, yf, samples, grid)
+        # largest first, so a k beyond the enumeration cap fails before any listing
+        terms = {k: _word_terms(k, yf, samples, grid) for k in sorted(ks, reverse=True)} if breakdown else {}
     return {k: MomentReport(k, values[k], terms.get(k)) for k in ks}
 
 
 def moment_grid(
-    k: int, y: Real, g: Mapping[int, np.ndarray], grid: int = 64, breakdown: bool = False
+    k: int, y: Real, g: Mapping[int, np.ndarray], grid: int | None = None, breakdown: bool = False
 ) -> MomentReport:
     """Limiting moment k for grid x grid sampled moment functions g_{2m} on
     [0,1]^2: grid_moments for the single order k."""
@@ -317,20 +328,26 @@ def profile_moments(
     y: Real,
     sigma: np.ndarray,
     c: Mapping[int, Real],
-    grid: int = 64,
+    grid: int | None = None,
     breakdown: bool = False,
 ) -> dict[int, MomentReport]:
     """Variance-profile limits for every k in ks, sigma a grid x grid array
-    of midpoint samples: the letter factor of multiplicity s is
-    sigma(x, u)^s * C_s, so this is grid_moments with g arrays derived once
-    for the largest k."""
-    sigma = _sampled(sigma, (grid, grid), "sigma")
+    of midpoint samples (grid=None: sigma's own side): the letter factor of
+    multiplicity s is sigma(x, u)^s * C_s, so this is grid_moments with g
+    arrays derived once for the largest k.  A constant beyond the float
+    range raises InputError naming its order."""
+    sigma = _sampled(sigma, grid, "sigma")
     sizes = sorted(_needed_sizes(max(ks, default=0)))
-    constants = {s: float(_lookup(c, s)) for s in sizes}
+    constants = {}
+    for s in sizes:
+        try:
+            constants[s] = float(_lookup(c, s))
+        except OverflowError:
+            raise InputError(f"the constant of order {s} is beyond the float range") from None
     g = {s: sigma**s for s in sizes}
     for s in sizes:
         g[s] *= constants[s]
-    return grid_moments(ks, y, g, grid, breakdown)
+    return grid_moments(ks, y, g, len(sigma), breakdown)
 
 
 def moment_profile(
@@ -338,7 +355,7 @@ def moment_profile(
     y: Real,
     sigma: np.ndarray,
     c: Mapping[int, Real],
-    grid: int = 64,
+    grid: int | None = None,
     breakdown: bool = False,
 ) -> MomentReport:
     """Variance-profile limit for the single order k: profile_moments([k])."""
@@ -346,14 +363,15 @@ def moment_profile(
 
 
 def unbounded_support_bound(
-    m: int, t: int, f: np.ndarray, grid: int = 256
+    m: int, t: int, f: np.ndarray, grid: int | None = None
 ) -> Fraction:
     """Lower bound (mt)! / (t! (m!)^t) * integral of f_{2m}(x)^t dx for the
     moment of order k = m*t; f is the partial integral of g_{2m} in its
-    second argument, sampled at the midpoints of a grid-point grid.  The
-    combinatorial prefactor is kept exact."""
+    second argument, sampled at the midpoints of a grid-point grid
+    (grid=None: f's own length).  The combinatorial prefactor is kept
+    exact."""
     if m < 1 or t < 1:
-        raise ValueError("m and t must be >= 1")
+        raise InputError("m and t must be >= 1")
     prefactor = math.factorial(m * t) // (math.factorial(t) * math.factorial(m) ** t)
-    integral = float(np.mean(_sampled(f, (grid,), "f") ** t))
+    integral = float(np.mean(_sampled(f, grid, "f", ndim=1) ** t))
     return Fraction(prefactor) * Fraction(integral)

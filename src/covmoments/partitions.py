@@ -20,6 +20,11 @@ from typing import Iterable, Iterator, Sequence
 DEFAULT_ENUMERATION_CAP = 14
 
 
+class InputError(ValueError):
+    """Raised when an input is malformed or out of range: the one type of
+    every input check in covmoments, which the CLI maps to exit 2."""
+
+
 class SizeLimitError(RuntimeError):
     """Raised when an exhaustive enumeration would exceed its configured cap."""
 
@@ -27,7 +32,7 @@ class SizeLimitError(RuntimeError):
 def bell(m: int) -> int:
     """Number of set partitions of {1..m} (Bell number)."""
     if m < 0:
-        raise ValueError("m must be >= 0")
+        raise InputError("m must be >= 0")
     row = [1]
     for _ in range(m):
         nxt = [row[-1]]
@@ -63,14 +68,14 @@ class Partition:
         blocks = [tuple(b) for b in blocks]
         bad = [e for b in blocks for e in b if type(e) is not int]
         if bad:
-            raise ValueError(f"block element {bad[0]!r} is not an integer")
+            raise InputError(f"block element {bad[0]!r} is not an integer")
         normalized = tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0]))
         if not normalized or any(len(b) == 0 for b in normalized):
-            raise ValueError("blocks must be non-empty")
+            raise InputError("blocks must be non-empty")
         elements = [e for b in normalized for e in b]
         m = len(elements)
         if sorted(elements) != list(range(1, m + 1)):
-            raise ValueError("blocks must partition {1..m} exactly")
+            raise InputError("blocks must partition {1..m} exactly")
         return Partition(m, normalized)
 
     def block_of(self) -> dict[int, int]:
@@ -111,25 +116,25 @@ class Word:
         seen = 0
         for letter in self.letters:
             if letter > seen + 1 or letter < 1:
-                raise ValueError(f"word {self.letters} is not in canonical first-occurrence form")
+                raise InputError(f"word {self.letters} is not in canonical first-occurrence form")
             if letter > seen:
                 seen = letter
 
     @staticmethod
     def from_text(text: str) -> "Word":
-        """The word spelled by `text`, letter a = 1; raises ValueError naming
+        """The word spelled by `text`, letter a = 1; raises InputError naming
         the text and either its first character outside a-z or, for a text
         not in first-occurrence form, its canonical spelling."""
         try:
             return Word(tuple(ord(c) - ord("a") + 1 for c in text))
-        except ValueError:
+        except InputError:
             pass
         for c in text:
             if not "a" <= c <= "z":
-                raise ValueError(f"word {text!r} has the character {c!r} outside a-z")
+                raise InputError(f"word {text!r} has the character {c!r} outside a-z")
         labels: dict[str, str] = {}
         canonical = "".join(labels.setdefault(c, chr(ord("a") + len(labels))) for c in text)
-        raise ValueError(
+        raise InputError(
             f"word {text!r} is not in canonical first-occurrence form; "
             f"its canonical spelling is {canonical!r}"
         )
@@ -201,7 +206,7 @@ def enumerate_partitions(m: int) -> Iterator[Partition]:
     Blocks grow in ascending order and open in order of their least
     element, so each partition is built already normalized."""
     if m < 1:
-        raise ValueError("m must be >= 1")
+        raise InputError("m must be >= 1")
     _check_cap(m)
     blocks = [[1]]
 
@@ -226,7 +231,7 @@ def enumerate_pair_partitions(m: int) -> Iterator[Partition]:
     Each pair is (first, partner) with `first` the least element left, so
     the pairs come normalized and in order of their least element."""
     if m < 1:
-        raise ValueError("m must be >= 1")
+        raise InputError("m must be >= 1")
     _check_cap(m)
     if m % 2:
         return
@@ -364,7 +369,7 @@ def count_ss(
     keys = (by,) if isinstance(by, str) else tuple(by)
     for key in keys:
         if key not in _GROUPS:
-            raise ValueError(f"unknown grouping key {key!r}; expected one of {tuple(_GROUPS)}")
+            raise InputError(f"unknown grouping key {key!r}; expected one of {tuple(_GROUPS)}")
     source = enumerate_pair_partitions if pair_only else enumerate_partitions
     counts: dict = defaultdict(int)
     for p in source(2 * k):

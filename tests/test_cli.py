@@ -397,6 +397,38 @@ class TestMoments:
         assert "sigma has shape (3, 3), expected (4, 4)" in capsys.readouterr().err
         assert not (tmp_path / "moments.csv").exists()
 
+    def test_profile_constant_beyond_float_range_exits(self, tmp_path, capsys):
+        np.savetxt(tmp_path / "sigma.csv", np.ones((4, 4)), delimiter=",")
+        argv = ["--profile-csv", tmp_path / "sigma.csv", "--constant", "2=1e400", "--k", "1"]
+        assert run("--out", tmp_path / "out", "moments", *argv) == EXIT_CONFIG
+        assert "the constant of order 2 is beyond the float range" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_quadrature_overflow_writes_only_the_error_line(self, tmp_path):
+        # a fresh interpreter shows what a user sees: numpy's overflow
+        # warnings would go to stderr ahead of the message
+        np.savetxt(tmp_path / "big.csv", np.full((4, 4), 1e200), delimiter=",")
+        argv = ["--g", f"2={tmp_path}/big.csv", "--g", f"4={tmp_path}/big.csv", "--k", "1..2", "--grid", "4"]
+        result = subprocess.run(
+            [sys.executable, "-m", "covmoments.cli", "--out", str(tmp_path / "out"), "moments", *argv],
+            capture_output=True, text=True, env=package_env(),
+        )
+        assert result.returncode == EXIT_CONFIG
+        assert result.stderr == "error: the grid moment at k=2 is not a finite float; no artifact is written\n"
+
+    def test_grid_defaults_to_the_side_of_the_arrays(self, tmp_path, capsys):
+        np.savetxt(tmp_path / "sigma.csv", np.ones((128, 128)), delimiter=",")
+        argv = ["moments", "--profile-csv", tmp_path / "sigma.csv", "--constant", "2=1", "--k", "1"]
+        assert run("--out", tmp_path / "a", *argv) == 0
+        assert run("--out", tmp_path / "b", *argv, "--grid", 128) == 0
+        for name in ("moments.csv", "moments.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        np.savetxt(tmp_path / "small.csv", np.ones((4, 4)), delimiter=",")
+        argv = ["moments", "--g", f"2={tmp_path}/sigma.csv", "--g", f"4={tmp_path}/small.csv", "--k", "2"]
+        assert run("--out", tmp_path / "c", *argv) == EXIT_CONFIG
+        assert "g_4 has shape (4, 4), expected (128, 128), the shape of g_2" in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
+
     def test_sandwich_names_its_bad_input(self, tmp_path, capsys):
         argv = ["--sparse", "--lam", "3", "--y", "0", "--k", "1..3", "--sandwich"]
         assert run("--out", tmp_path, "moments", *argv) == EXIT_CONFIG
@@ -695,6 +727,7 @@ class TestSimulate:
         ("lam", None),
         ("t_n", True), ("t_n", None), ("t_n", [0.5]),
         ("bins", True), ("bins", 2.5), ("bins", None), ("bins", [0, True]), ("bins", [0, "1"]),
+        pytest.param("lam", 10**400, id="lam-beyond-float-range"),
     ])
     def test_malformed_number_names_its_key(self, tmp_path, capsys, monkeypatch, key, value):
         def no_draw(*args):
@@ -744,6 +777,23 @@ class TestSimulate:
         assert run("--out", tmp_path, "simulate", "--config", cfg) == EXIT_CONFIG
         assert "fewer than two edges" in capsys.readouterr().err
         assert not (tmp_path / "hist.csv").exists()
+
+    @pytest.mark.parametrize("bins, message", [
+        ("xyz", "'xyz' is not a valid estimator for `bins`"),
+        (-1, "`bins` must be positive, when an integer"),
+        ([3, 1, 2], "`bins` must increase monotonically, when an array"),
+    ], ids=["estimator", "negative", "unsorted"])
+    def test_bins_numpy_rejects_exit_before_sampling(self, tmp_path, capsys, monkeypatch, bins, message):
+        # numpy's ValueError is the input check here, so it is read as InputError
+        def no_draw(*args):
+            raise AssertionError("sampled before the config was checked")
+
+        monkeypatch.setattr(ensembles, "_draw", no_draw)
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"family": "iid_standardized", "p": 3, "n": 5, "bins": bins}))
+        assert run("--out", tmp_path / "out", "simulate", "--config", cfg) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("profile", [[[1, 2, 3, 4]] * 3, 2.5, "nope"], ids=["list", "number", "name"])
     def test_bad_profile_exits_before_output(self, tmp_path, capsys, profile):
@@ -1097,6 +1147,55 @@ class TestVerify:
         assert "--max-k must be at least 1" in captured.err
         assert "PASS" not in captured.out
         assert not (tmp_path / "verify_report.json").exists()
+
+
+# the patch each exit-code case runs in its child before `main`
+_PATCH_PRELUDE = """\
+import sys
+from covmoments import cli, ensembles, moments
+
+def fault(*args, **kwargs):
+    raise ValueError("injected")
+
+def contract(*args, **kwargs):
+    raise ensembles.ContractViolation("injected")
+"""
+
+
+class TestExitCodes:
+    """One input per exit code, run by a fresh interpreter so that the code
+    and stderr are what a user sees: 0 ok, 1 a fault of the program with
+    its traceback, 2 bad input or a file that cannot be read, 3 a cap or
+    budget, 4 a numerical contract."""
+
+    @pytest.mark.parametrize("code, patch, argv, stderr", [
+        (0, "", ["classify", "[[1,2]]"], ""),
+        # a ValueError that no input check raised is the program's fault
+        (1, "moments.moment_sparse = fault", ["moments", "--sparse", "--lam", "1", "--k", "2"],
+         "ValueError: injected\n"),
+        (2, "", ["moments", "--mp", "--k", "0"], "error: bad --k value '0'"),
+        (3, "", ["count", "--k", "13"], "size limit: moment order 13 exceeds the series limit"),
+        (4, "ensembles.eigenvalues = contract", ["simulate", "--config", "CONFIG"],
+         "numerical contract violated: injected\n"),
+    ], ids=["ok", "fault", "input", "limit", "contract"])
+    def test_exit_code(self, tmp_path, code, patch, argv, stderr):
+        config = tmp_path / "run.cfg"
+        config.write_text("family = iid_standardized\np = 4\nn = 8\nbins = 3\n")
+        argv = [str(config) if a == "CONFIG" else a for a in argv]
+        script = _PATCH_PRELUDE + patch + "\nsys.exit(cli.main(sys.argv[1:]))\n"
+        result = subprocess.run(
+            [sys.executable, "-c", script, "--out", str(tmp_path / "out"), *argv],
+            capture_output=True, text=True, env=package_env(),
+        )
+        assert result.returncode == code
+        if code == 1:
+            assert result.stderr.startswith("Traceback (most recent call last):")
+            assert result.stderr.endswith(stderr)
+            assert "error:" not in result.stderr
+        elif code == 0:
+            assert result.stderr == ""
+        else:
+            assert result.stderr.startswith(stderr)
 
 
 def test_console_script_installed(tmp_path):

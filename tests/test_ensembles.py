@@ -23,6 +23,7 @@ from covmoments.ensembles import (
     sample_matrix,
 )
 from covmoments.moments import moment_profile, moment_sparse, mp_moment, poisson_sandwich
+from covmoments.partitions import InputError
 
 def profile_samples(f, p, n):
     """f at the entry indices (i/p, j/n), i = 1..p and j = 1..n: the p x n
@@ -126,6 +127,8 @@ class TestTruncationRule:
             resolve_truncation(-1.0, 10)
         with pytest.raises(ValueError):
             resolve_truncation(math.nan, 10)
+        with pytest.raises(InputError, match="beyond the float range"):
+            resolve_truncation(10**400, 10)
 
     @pytest.mark.parametrize("rule", ["infinity", "n^-1/3", "n**(-1/3)", " inf", "n^{-1/3} ", "n^{ -1/3}"])
     def test_only_the_documented_spellings(self, rule):

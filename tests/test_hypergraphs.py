@@ -285,16 +285,17 @@ class TestNoiryClasses:
             assert tables[k] == count_noiry_classes(k)
 
     def test_tables_equal_the_untightened_recursion(self, monkeypatch):
-        # leaving out the products with B_s(0) at nonzero degree changes no
+        # leaving out the products with B_s(0) at nonzero degree, and the
+        # coefficients that feed only degrees above the top, changes no
         # count, no key and no key order
         monkeypatch.setattr(hypergraphs, "_built", ())
         with monkeypatch.context() as patched:
             patched.setattr(hypergraphs, "_sojourn_series", oracles.sojourn_series_untightened)
-            count_noiry_classes(9)
+            count_noiry_classes(MAX_SERIES_ORDER)
             reference = hypergraphs._built
         monkeypatch.setattr(hypergraphs, "_built", ())
-        count_noiry_classes(9)
-        for k in range(1, 10):
+        count_noiry_classes(MAX_SERIES_ORDER)
+        for k in range(1, MAX_SERIES_ORDER + 1):
             assert list(count_noiry_classes(k).items()) == list(reference[k].items())
 
     # per k = 1..12, recorded while the class keys were still tuples

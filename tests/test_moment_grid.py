@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from covmoments import cli, moments
 from covmoments.circuits import word_structure
-from covmoments.hypergraphs import enumerate_ss_words
+from covmoments.hypergraphs import MAX_SERIES_ORDER, enumerate_ss_words
 from covmoments.moments import (
     _needed_sizes,
     grid_moments,
@@ -23,7 +23,7 @@ from covmoments.moments import (
     profile_moments,
     unbounded_support_bound,
 )
-from covmoments.partitions import Word, word_statistics
+from covmoments.partitions import InputError, Word, word_statistics
 
 
 def sample(f, grid):
@@ -251,6 +251,31 @@ class TestMomentGrid:
             moment_grid(1, 1, {2: np.ones((1, 1))}, grid=1)
 
 
+class TestGridFromArrays:
+    """grid=None takes the side of the arrays given; an explicit grid must
+    still match them."""
+
+    def test_default_grid_is_the_side_of_the_arrays(self):
+        rng = np.random.default_rng(3)
+        g = {s: rng.uniform(-1, 1, (12, 12)) for s in SIZES[:3]}
+        sigma, f = rng.uniform(0, 1, (12, 12)), rng.uniform(0, 1, 12)
+        c = {2: 1, 4: F(1, 2), 6: 2}
+        assert grid_moments(range(1, 4), 0.5, g) == grid_moments(range(1, 4), 0.5, g, grid=12)
+        assert moment_grid(3, 0.5, g) == moment_grid(3, 0.5, g, grid=12)
+        assert profile_moments(range(1, 4), 0.5, sigma, c) == profile_moments(range(1, 4), 0.5, sigma, c, grid=12)
+        assert moment_profile(3, 0.5, sigma, c) == moment_profile(3, 0.5, sigma, c, grid=12)
+        assert unbounded_support_bound(1, 3, f) == unbounded_support_bound(1, 3, f, grid=12)
+
+    def test_arrays_of_different_sides_are_named_together(self):
+        g = {2: np.ones((8, 8)), 4: np.ones((4, 4))}
+        with pytest.raises(InputError, match=re.escape("g_4 has shape (4, 4), expected (8, 8), the shape of g_2")):
+            grid_moments([2], 1, g)
+
+    def test_side_below_two(self):
+        with pytest.raises(InputError, match="grid resolution must be at least 2, got 1"):
+            moment_grid(1, 1, {2: np.ones((1, 1))})
+
+
 @st.composite
 def k_ranges(draw, breakdown):
     """A range lo..hi within 1..6; a breakdown lists every word, so it stops at 4."""
@@ -412,10 +437,11 @@ class TestKernelAgainstOracles:
         rng = np.random.default_rng(seed)
         y = float(rng.uniform(0.1, 3.0))
         shape = (grid, grid)
-        g = {s: rng.uniform(-1, 1, shape) * 10.0 ** rng.integers(-3, 4, shape) for s in SIZES}
-        fast = grid_moments(range(1, 7), y, g, grid=grid)
+        ks = range(1, MAX_SERIES_ORDER + 1)
+        g = {s: rng.uniform(-1, 1, shape) * 10.0 ** rng.integers(-3, 4, shape) for s in range(2, 2 * ks[-1] + 1, 2)}
+        fast = grid_moments(ks, y, g, grid=grid)
         monkeypatch.setattr(moments, "_grid_series", oracles.grid_series_untightened)
-        assert report_bits(fast) == report_bits(grid_moments(range(1, 7), y, g, grid=grid))
+        assert report_bits(fast) == report_bits(grid_moments(ks, y, g, grid=grid))
 
 
 class TestNonFiniteSamples:
