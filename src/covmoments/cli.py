@@ -16,6 +16,7 @@ import math
 import os
 import sys
 import time
+import warnings
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -85,8 +86,8 @@ def _parse_orders(items: list[str], flag: str, parse, max_order: int | None = No
         entries[order] = (key, value)
     return {order: parse(value, f"{flag} {key}") for order, (key, value) in entries.items()}
 
-def _parse_constants(text: str) -> dict[int, Fraction]:
-    return _parse_orders(text.split(","), "--constant", _parse_fraction)
+def _parse_constants(text: str, max_order: int) -> dict[int, Fraction]:
+    return _parse_orders(text.split(","), "--constant", _parse_fraction, max_order)
 
 # ---------------------------------------------------------------- classify
 
@@ -161,7 +162,12 @@ def run_census(args) -> int:
 
 def _load_grid_csv(path: str) -> np.ndarray:
     try:
-        return np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
+        with warnings.catch_warnings():
+            # numpy warns of a file with no data rows and returns an empty array
+            warnings.simplefilter("error", UserWarning)
+            return np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
+    except UserWarning:
+        raise InputError(f"grid CSV {path} holds no samples") from None
     except ValueError as exc:  # a malformed or non-UTF-8 file; OSError passes
         raise InputError(f"bad grid CSV {path}: {exc}") from exc
 
@@ -210,13 +216,13 @@ def run_moments(args) -> int:
         for k in sorted(ks, reverse=True):
             reports[k] = moments.moment_sparse(k, y, lam, breakdown=args.breakdown)
     elif source == "constant":
-        constants = _parse_constants(args.constant)
+        constants = _parse_constants(args.constant, 2 * max(ks))
         for k in sorted(ks, reverse=True):
             reports[k] = moments.moment_constant(k, y, constants, breakdown=args.breakdown)
     elif source == "profile":
         if not args.constant:
             raise InputError("--profile-csv requires --constant for the base sequence")
-        constants = _parse_constants(args.constant)
+        constants = _parse_constants(args.constant, 2 * max(ks))
         reports = moments.profile_moments(
             ks, y, _load_grid_csv(args.profile_csv), constants, grid=args.grid, breakdown=args.breakdown
         )

@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from typing import Mapping, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .partitions import InputError
+from .partitions import InputError, SizeLimitError
 
 DEFAULT_SEED = 1729
 
@@ -30,6 +30,18 @@ FAMILIES = (
 
 NAMED_PROFILES = ("fig1_quadratic", "fig2_sine", "upper_triangle")
 
+# the family-specific fields that each family reads; a variance_profile
+# also reads those of its base family
+_FAMILY_FIELDS = {
+    "iid_standardized": (),
+    "sparse_bernoulli": ("lam",),
+    "triangular_iid": ("c_seq",),
+    "heavy_tail_stable": ("alpha", "B"),
+    "variance_profile": ("profile", "base_family"),
+    "dt_triangular": (),
+}
+_FAMILY_SPECIFIC = tuple(name for names in _FAMILY_FIELDS.values() for name in names)
+
 
 class ContractViolation(RuntimeError):
     """A numerical post-condition (eigenvalue identities, PSD floor) failed."""
@@ -37,7 +49,10 @@ class ContractViolation(RuntimeError):
 
 @dataclass(frozen=True)
 class EnsembleConfig:
-    """An ensemble; `profile` is a name in NAMED_PROFILES or a p x n array."""
+    """An ensemble; `profile` is a name in NAMED_PROFILES or a p x n array.
+    A family-specific field that the family does not read must keep its
+    default; the message names the entries of c_seq c2, c4, ..., as a
+    config does."""
 
     family: str
     p: int
@@ -102,6 +117,19 @@ class EnsembleConfig:
                 raise InputError("variance_profile base must be sparse_bernoulli or iid_standardized")
             if self.base_family == "sparse_bernoulli":
                 _check_lam(self.lam, self.n, "sparse_bernoulli base")
+        reads = _FAMILY_FIELDS[self.family]
+        if self.family == "variance_profile":
+            reads += _FAMILY_FIELDS[self.base_family]
+        defaults = {field.name: field.default for field in fields(self)}
+        unread = []
+        for name in _FAMILY_SPECIFIC:
+            value, default = getattr(self, name), defaults[name]
+            # an array profile compares elementwise, so only a string is compared by value
+            if name in reads or value is default or isinstance(value, str) and value == default:
+                continue
+            unread += [f"c{order}" for order in value] if name == "c_seq" else [name]
+        if unread:
+            raise InputError(f"the {self.family} family does not read {', '.join(unread)}")
 
 
 def _check_lam(lam: float | None, n: int, name: str) -> None:
@@ -183,11 +211,12 @@ def _stable_symmetric(rng: np.random.Generator, alpha: float, shape: tuple[int, 
 
 def profile_matrix(cfg: EnsembleConfig) -> np.ndarray:
     """The p x n entry-scaling matrix of a variance profile: the profile's
-    array as floats, or its name evaluated at the entry indices.  A profile
-    of i + j alone is evaluated once per value s = i + j, and the result is
-    a read-only p x n view of that (p + n - 1)-vector."""
+    array as floats, or its name evaluated at the entry indices, which is
+    "upper_triangle" for dt_triangular.  A profile of i + j alone is
+    evaluated once per value s = i + j, and the result is a read-only p x n
+    view of that (p + n - 1)-vector."""
     p, n = cfg.p, cfg.n
-    prof = cfg.profile
+    prof = "upper_triangle" if cfg.family == "dt_triangular" else cfg.profile
     if isinstance(prof, np.ndarray):
         return np.asarray(prof, dtype=float)
     s = np.arange(2, p + n + 1, dtype=float)  # every value of i + j
@@ -203,10 +232,8 @@ def profile_matrix(cfg: EnsembleConfig) -> np.ndarray:
 
 def _entry_mask(cfg: EnsembleConfig) -> np.ndarray | None:
     """The p x n matrix that scales every raw entry, or None for unscaled families."""
-    if cfg.family == "variance_profile":
+    if cfg.family in ("variance_profile", "dt_triangular"):
         return profile_matrix(cfg)
-    if cfg.family == "dt_triangular":
-        return profile_matrix(replace(cfg, profile="upper_triangle"))
     return None
 
 
@@ -371,7 +398,9 @@ def run_experiment(
     eigenvalue histogram (Freedman-Diaconis bins unless overridden).  K and
     `bins` are checked before the first draw; Freedman-Diaconis bins on
     pooled eigenvalues whose interquartile range is at most 1e-9 times the
-    largest raise InputError.
+    largest raise InputError.  A run whose arrays numpy cannot allocate, for
+    a shape beyond its largest array or beyond memory, raises SizeLimitError
+    before the first draw.
     One loop draws each replicate into entry, draw-mask and Gram buffers
     allocated once per run; the eigenvalues each replicate reports are its
     own array.  A replicate's second-moment gap is (sum y^2 - center) / p,
@@ -394,10 +423,22 @@ def run_experiment(
             f"rank deficient: rank <= n = {cfg.n} and p = {cfg.p} > 4n, so more than 3/4 of "
             f"its eigenvalues are zero; give bins as a count, edges or another numpy estimator"
         )
-    mask = _entry_mask(cfg)
-    center = _second_moment_total(cfg, mask)
-    X, keep = np.empty((cfg.p, cfg.n)), np.empty((cfg.p, cfg.n), dtype=bool)
-    S = np.empty((cfg.p, cfg.p))
+    p, n = cfg.p, cfg.n
+    # the p x n entries and draw mask and the p x p matrix S; when these fit
+    # in numpy's largest array, so does each array of the run
+    nbytes = 9 * p * n + 8 * p * p
+    try:
+        if nbytes > np.iinfo(np.intp).max:
+            raise MemoryError("beyond the largest numpy array")
+        mask = _entry_mask(cfg)
+        center = _second_moment_total(cfg, mask)
+        X, keep = np.empty((p, n)), np.empty((p, n), dtype=bool)
+        S = np.empty((p, p))
+    except MemoryError as exc:
+        raise SizeLimitError(
+            f"p = {p}, n = {n}: the run's p x n entries and draw mask and its p x p matrix S take "
+            f"{nbytes} bytes, and numpy could not allocate its arrays: {exc}"
+        ) from None
     drawn = []
     for r in range(cfg.replicates):
         mass = _draw(cfg, r, mask, X, keep)

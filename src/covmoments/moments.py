@@ -10,23 +10,25 @@ Combinatorial sums (constant, sparse, Marchenko-Pastur, sandwich) are
 exact; quadrature paths use floats.  Every constant, sparse and quadrature
 moment comes from one recursion over vertex sojourns,
 `hypergraphs._sojourn_series`, and lists no word, up to
-k = MAX_SERIES_ORDER.  The constant and sparse sums depend on a word only
-through its class (letters a, odd generating vertices l, multiplicity
-multiset), so they substitute y and the constants into the class table
-`hypergraphs.count_noiry_classes`.  They run in Python integers: the
-constants of each multiplicity multiset become one integer weight over a
-denominator common to every multiset, each class adds its count times that
-weight to the integer coefficient of y^(a-l), and the polynomial is
-evaluated at y = yn/yd over yd^k, so each moment makes one Fraction.  The
-Marchenko-Pastur moment and the sandwich sums are integer polynomials
-evaluated the same way.  The quadrature sums run the same recursion over
-functions of the generating-vertex variable, taken only as arrays sampled
-at grid midpoints; one pass of order K gives every k <= K, so
-`grid_moments` and `profile_moments` recurse once for a whole range of k.
+k = MAX_SERIES_ORDER.  The sparse sum is the constant sum at C_2j = lam.
+The constant sum depends on a word only through its class (letters a, odd
+generating vertices l, multiplicity multiset), so it substitutes y and the
+constants into the class table `hypergraphs.count_noiry_classes`.  It runs
+in Python integers: the constants of each multiplicity multiset become one
+integer weight over a denominator common to every multiset, each class
+adds its count times that weight to the integer coefficient of y^(a-l),
+and the polynomial is evaluated at y = yn/yd over yd^k, so each moment
+makes one Fraction.  The Marchenko-Pastur moment and the sandwich sums are
+integer polynomials evaluated the same way.  The quadrature sums run the
+same recursion over functions of the generating-vertex variable, taken
+only as arrays sampled at grid midpoints; one pass of order K gives every
+k <= K, so `grid_moments` and `profile_moments` recurse once for a whole
+range of k.
 The per-word breakdown of every source is built only on request
 (breakdown=True), because it lists every word and so stays within the
-enumeration cap; the quadrature breakdown integrates each word's tree, read
-from `circuits.word_structure`, one leaf at a time.
+enumeration cap.  Every breakdown reads each word's quotient tree from
+`circuits.word_structure`: the exact one multiplies y^r by the constant of
+each letter, and the quadrature one integrates the tree one leaf at a time.
 """
 
 from __future__ import annotations
@@ -39,9 +41,9 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .circuits import word_structure
-from .hypergraphs import NoiryClassKey, _sojourn_series, count_noiry_classes, enumerate_ss_words
-from .partitions import InputError, narayana, word_statistics
+from .circuits import WordStructure, word_structure
+from .hypergraphs import _sojourn_series, count_noiry_classes, enumerate_ss_words
+from .partitions import InputError, narayana
 
 
 @dataclass(frozen=True)
@@ -80,37 +82,10 @@ def mp_moment(k: int, y: Real) -> Fraction:
     return _at([narayana(k, r) for r in range(k)], Fraction(y))
 
 
-def _class_sum(
-    table: Mapping[NoiryClassKey, int],
-    k: int,
-    y: Fraction,
-    weight: Callable[[tuple[int, ...]], int],
-    denominator: int,
-) -> Fraction:
-    """The sum over the class table of order k of count * y^(a-l) *
-    weight(sizes) / denominator, where weight(sizes) / denominator is the
-    product of the multiset's letter factors.  Each class's count times its
-    multiset's integer weight adds to the integer coefficient of y^(a-l),
-    and `_at` evaluates that polynomial, so one Fraction is made."""
-    weights: dict[tuple[int, ...], int] = {}
-    coefficients = [0] * (k + 1)
-    for key, count in table.items():
-        w = weights.get(key.sizes)
-        if w is None:
-            w = weights[key.sizes] = weight(key.sizes)
-        coefficients[key.a - key.l] += count * w
-    return _at(coefficients, y, denominator)
-
-
-def _word_terms_exact(k: int, y: Fraction, factor: Callable[[int], Fraction]) -> dict[str, Fraction]:
-    # each word's y^r times the factor of each letter's multiplicity
-    terms = {}
-    for word in enumerate_ss_words(k):
-        term = y ** (word_statistics(word).r_plus_1 - 1)
-        for multiplicity in word.multiplicities():
-            term *= factor(multiplicity)
-        terms[word.text] = term
-    return terms
+def _word_terms(k: int, term: Callable[[WordStructure], Fraction | float]) -> dict[str, Fraction | float]:
+    # each word's term from its quotient tree; lists every word, so the
+    # enumeration cap holds
+    return {word.text: term(word_structure(word)) for word in enumerate_ss_words(k)}
 
 
 def moment_constant(
@@ -125,8 +100,9 @@ def moment_constant(
     multiset; the classes add count times that integer to the integer
     coefficients of y^(a-l), and the polynomial is evaluated at y in
     integers, so one Fraction is made per moment.  breakdown=True adds each
-    word's term, which enumerates the words (bounded by the enumeration
-    cap).
+    word's term, y^r times the constant of each letter of its quotient tree
+    (`circuits.word_structure`), which enumerates the words (bounded by the
+    enumeration cap).
     """
     y = Fraction(y)
     # the table first, so a k above the series limit fails before a lookup
@@ -135,29 +111,31 @@ def moment_constant(
     # a multiset holds at most k // j letters of multiplicity 2j, so this
     # is a multiple of every multiset's product of denominators
     common = math.prod(constants[2 * j].denominator ** (k // j) for j in range(1, k + 1))
-
-    def weight(sizes: tuple[int, ...]) -> int:
-        numerator = math.prod(constants[s].numerator for s in sizes)
-        return numerator * (common // math.prod(constants[s].denominator for s in sizes))
-
-    value = _class_sum(table, k, y, weight, common)
-    terms = _word_terms_exact(k, y, constants.__getitem__) if breakdown else None
-    return MomentReport(k, value, terms)
+    weights: dict[tuple[int, ...], int] = {}
+    coefficients = [0] * (k + 1)
+    for key, count in table.items():
+        weight = weights.get(key.sizes)
+        if weight is None:
+            numerator = math.prod(constants[s].numerator for s in key.sizes)
+            weight = weights[key.sizes] = numerator * (
+                common // math.prod(constants[s].denominator for s in key.sizes)
+            )
+        coefficients[key.a - key.l] += count * weight
+    terms = None
+    if breakdown:
+        terms = _word_terms(k, lambda st: y**st.r * math.prod(constants[s] for *_, s in st.edges))
+    return MomentReport(k, _at(coefficients, y, common), terms)
 
 
 def moment_sparse(k: int, y: Real, lam: Real, breakdown: bool = False) -> MomentReport:
-    """Sparse Bernoulli-type limit: every letter contributes lam, giving
-    sum over special symmetric words of y^r * lam^b.  A class of a letters
-    weighs lam^a, taken over the common denominator den(lam)^k."""
+    """Sparse Bernoulli-type limit: entries Bernoulli(lam/n) have
+    n E[x^2j] = lam for every j, so this is moment_constant with C_2j = lam,
+    the sum over special symmetric words of y^r * lam^b."""
     if not lam > 0:
         raise InputError("lam must be positive")
-    y, lam = Fraction(y), Fraction(lam)
-    num, den = lam.numerator, lam.denominator
-    value = _class_sum(
-        count_noiry_classes(k), k, y, lambda sizes: num ** len(sizes) * den ** (k - len(sizes)), den**k
-    )
-    terms = _word_terms_exact(k, y, lambda multiplicity: lam) if breakdown else None
-    return MomentReport(k, value, terms)
+    # the table first, so a k above the series limit fails before the map is built
+    count_noiry_classes(k)
+    return moment_constant(k, y, dict.fromkeys(_needed_sizes(k), lam), breakdown)
 
 
 def poisson_sandwich(k: int, y: Real, lam: Real) -> tuple[Fraction, Fraction]:
@@ -235,30 +213,24 @@ def _grid_series(top: int, y: float, samples: Mapping[int, np.ndarray], grid: in
     return [float(coefficient.mean()) for coefficient in series]
 
 
-def _word_terms(
-    k: int, y: float, samples: Mapping[int, np.ndarray], grid: int
-) -> dict[str, float]:
-    # each word's term on its own: eliminate the leaf variables in reverse
-    # introduction order, each step a G x G quadrature
-    terms: dict[str, float] = {}
-    for word in enumerate_ss_words(k):
-        st = word_structure(word)
-        messages = {cls: np.ones(grid) for cls in range(len(st.edges) + 1)}
-        # letter j's child is class j, its parent the other endpoint
-        for j in range(len(st.edges), 0, -1):
-            row, col, multiplicity = st.edges[j - 1]
-            factor = samples[multiplicity]
-            child = messages.pop(j)
-            if j == row:
-                contrib = (factor * child[:, None]).mean(axis=0)
-                parent = col
-            else:
-                contrib = (factor * child[None, :]).mean(axis=1)
-                parent = row
-            messages[parent] = messages[parent] * contrib
-        # a float64 power overflows to inf where a Python float raises
-        terms[word.text] = float(np.float64(y) ** st.r * messages[0].mean())
-    return terms
+def _tree_term(st: WordStructure, y: float, samples: Mapping[int, np.ndarray], grid: int) -> float:
+    # one word's term: eliminate the leaf variables in reverse introduction
+    # order, each step a G x G quadrature
+    messages = {cls: np.ones(grid) for cls in range(len(st.edges) + 1)}
+    # letter j's child is class j, its parent the other endpoint
+    for j in range(len(st.edges), 0, -1):
+        row, col, multiplicity = st.edges[j - 1]
+        factor = samples[multiplicity]
+        child = messages.pop(j)
+        if j == row:
+            contrib = (factor * child[:, None]).mean(axis=0)
+            parent = col
+        else:
+            contrib = (factor * child[None, :]).mean(axis=1)
+            parent = row
+        messages[parent] = messages[parent] * contrib
+    # a float64 power overflows to inf where a Python float raises
+    return float(np.float64(y) ** st.r * messages[0].mean())
 
 
 def _needed_sizes(k: int) -> frozenset[int]:
@@ -311,7 +283,8 @@ def grid_moments(
     with np.errstate(over="ignore", invalid="ignore"):
         values = _grid_series(top, yf, samples, grid)
         # largest first, so a k beyond the enumeration cap fails before any listing
-        terms = {k: _word_terms(k, yf, samples, grid) for k in sorted(ks, reverse=True)} if breakdown else {}
+        order = sorted(ks, reverse=True) if breakdown else []
+        terms = {k: _word_terms(k, lambda st: _tree_term(st, yf, samples, grid)) for k in order}
     return {k: MomentReport(k, values[k], terms.get(k)) for k in ks}
 
 
@@ -335,18 +308,25 @@ def profile_moments(
     of midpoint samples (grid=None: sigma's own side): the letter factor of
     multiplicity s is sigma(x, u)^s * C_s, so this is grid_moments with g
     arrays derived once for the largest k.  A constant beyond the float
-    range raises InputError naming its order."""
+    range raises InputError naming its order, and so does a sigma^s * C_s
+    that overflows."""
     sigma = _sampled(sigma, grid, "sigma")
     sizes = sorted(_needed_sizes(max(ks, default=0)))
-    constants = {}
+    # every constant is looked up before any arithmetic, so a missing one is named first
+    constants = {s: _lookup(c, s) for s in sizes}
+    g = {}
     for s in sizes:
+        # sigma and the constant are finite, so only an overflow makes a
+        # sample of their product non-finite
         try:
-            constants[s] = float(_lookup(c, s))
+            constant = float(constants[s])
+            with np.errstate(over="raise"):
+                g[s] = sigma**s
+                g[s] *= constant
         except OverflowError:
             raise InputError(f"the constant of order {s} is beyond the float range") from None
-    g = {s: sigma**s for s in sizes}
-    for s in sizes:
-        g[s] *= constants[s]
+        except FloatingPointError:
+            raise InputError(f"sigma^{s} * C_{s} overflows a float") from None
     return grid_moments(ks, y, g, len(sigma), breakdown)
 
 

@@ -2,10 +2,12 @@
 check, the product-law prediction for the words that the literal definition
 `partitions.is_special_symmetric` accepts, the sojourn recursion and its
 grid kernel with every product formed, the Marchenko-Pastur moment and the
-Poisson sandwich summed one Fraction term at a time, a union-find forest
-test of hypergraph acyclicity, the pairwise edge-intersection test it is
-stronger than, and small helpers: the partition of a word, a hypergraph
-from two partitions, the odd generating count and even constant sequences.
+Poisson sandwich summed one Fraction term at a time, the sparse moment
+summed with its own lam-weight per class, the exact per-word terms read off
+the word statistics, a union-find forest test of hypergraph acyclicity, the
+pairwise edge-intersection test it is stronger than, and small helpers: the
+partition of a word, a hypergraph from two partitions, the odd generating
+count and even constant sequences.
 
 The censuses and the containment check test every circuit tuple with the
 predicates below, independently of the closed form and the value-pattern
@@ -24,7 +26,7 @@ import numpy as np
 
 from covmoments import circuits
 from covmoments.circuits import CensusResult
-from covmoments.hypergraphs import Hypergraph
+from covmoments.hypergraphs import Hypergraph, count_noiry_classes, enumerate_ss_words
 from covmoments.partitions import (
     Partition,
     Word,
@@ -209,6 +211,32 @@ def poisson_sandwich_fractions(k: int, y: Real, lam: Real) -> tuple[Fraction, Fr
             )
         )
     return lower, alpha[k]
+
+
+def moment_sparse_lam_weight(k: int, y: Real, lam: Real) -> Fraction:
+    """`moments.moment_sparse` without the constant sequence: a class of a
+    letters weighs lam^a, taken as num(lam)^a den(lam)^(k-a) over den(lam)^k,
+    its count times that weight adds to the integer coefficient of
+    y^(a-l), and the polynomial is summed in Fractions."""
+    y, lam = Fraction(y), Fraction(lam)
+    num, den = lam.numerator, lam.denominator
+    coefficients = [0] * (k + 1)
+    for key, count in count_noiry_classes(k).items():
+        coefficients[key.a - key.l] += count * num**key.a * den ** (k - key.a)
+    return sum((c * y**e for e, c in enumerate(coefficients)), Fraction(0)) / den**k
+
+
+def word_terms_by_statistics(k: int, y: Real, c: Mapping[int, Real]) -> dict[str, Fraction]:
+    """The exact per-word breakdown from the word statistics: each special
+    symmetric word's y^r times C_multiplicity for each of its letters, in
+    enumeration order."""
+    terms = {}
+    for word in enumerate_ss_words(k):
+        term = Fraction(y) ** (word_statistics(word).r_plus_1 - 1)
+        for multiplicity in word.multiplicities():
+            term *= Fraction(c[multiplicity])
+        terms[word.text] = term
+    return terms
 
 
 def even_sequence(values: Sequence[Real]) -> dict[int, Fraction]:

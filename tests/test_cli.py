@@ -4,6 +4,7 @@ import math
 import os
 import re
 import shlex
+import shutil
 import subprocess
 import sys
 import warnings
@@ -316,6 +317,7 @@ class TestMoments:
         (["--g", "2=g2.csv", "--g", "4=g4.csv", "--k", "1"], "--g order 4 is above 2 max(k) = 2"),
         (["--g", "2=g2.csv", "--g", "4=g4.csv", "--g", "8=g8.csv", "--k", "1..3"],
          "--g order 8 is above 2 max(k) = 6"),
+        (["--constant", "2=1,4=1,100=5", "--k", "1"], "--constant order 4 is above 2 max(k) = 2"),
     ])
     def test_malformed_integer_exit(self, tmp_path, capsys, source, bad):
         assert run("--out", tmp_path, "moments", *source) == EXIT_CONFIG
@@ -415,6 +417,25 @@ class TestMoments:
         )
         assert result.returncode == EXIT_CONFIG
         assert result.stderr == "error: the grid moment at k=2 is not a finite float; no artifact is written\n"
+
+    @pytest.mark.parametrize("source, message", [
+        (["--g", "2=empty.csv", "--k", "1"], "grid CSV empty.csv holds no samples"),
+        # sigma^12 = 1e360 leaves the float range
+        (["--profile-csv", "sigma.csv", "--constant", "2=1,4=1,6=1,8=1,10=1,12=1", "--k", "1..6"],
+         "sigma^12 * C_12 overflows a float"),
+    ], ids=["empty-csv", "profile-overflow"])
+    def test_quadrature_input_error_writes_only_the_error_line(self, tmp_path, source, message):
+        # a fresh interpreter shows what a user sees: numpy's warnings would
+        # go to stderr ahead of the message
+        (tmp_path / "empty.csv").write_text("")
+        np.savetxt(tmp_path / "sigma.csv", np.full((4, 4), 1e30), delimiter=",")
+        result = subprocess.run(
+            [sys.executable, "-m", "covmoments.cli", "--out", str(tmp_path / "out"), "moments", *source],
+            capture_output=True, text=True, env=package_env(), cwd=tmp_path,
+        )
+        assert result.returncode == EXIT_CONFIG
+        assert result.stderr == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_grid_defaults_to_the_side_of_the_arrays(self, tmp_path, capsys):
         np.savetxt(tmp_path / "sigma.csv", np.ones((128, 128)), delimiter=",")
@@ -884,6 +905,43 @@ class TestSimulate:
         assert "p = 2000, alpha = 0.01" in capsys.readouterr().err
         assert not (tmp_path / "moments.csv").exists()
 
+    def test_key_its_family_does_not_read_exits(self, tmp_path, capsys, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("sampled before the config was checked")
+
+        monkeypatch.setattr(ensembles, "_draw", no_draw)
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "family": "iid_standardized", "p": 8, "n": 16, "alpha": 1.5, "lam": 3,
+            "profile": "fig2_sine", "c2": 2,
+        }))
+        assert run("--out", tmp_path / "out", "simulate", "--config", cfg) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: the iid_standardized family does not read lam, c2, alpha, profile\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_arrays_numpy_cannot_allocate_exit_with_size_limit(self, tmp_path, capsys, monkeypatch):
+        # a shape beyond numpy's largest array
+        p = 10**30
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"family": "iid_standardized", "p": p, "n": 8, "bins": 10}))
+        assert run("--out", tmp_path / "out", "simulate", "--config", cfg) == EXIT_SIZE_LIMIT
+        err = capsys.readouterr().err
+        assert err.startswith(f"size limit: p = {p}, n = 8: ")
+        assert f"take {9 * p * 8 + 8 * p * p} bytes" in err
+        # an allocation that fails for memory, with no real one asked for
+        def no_memory(shape, dtype=float):
+            raise MemoryError(f"Unable to allocate an array with shape {shape}")
+
+        monkeypatch.setattr(np, "empty", no_memory)
+        cfg.write_text(json.dumps({"family": "dt_triangular", "p": 4, "n": 8, "bins": 10}))
+        assert run("--out", tmp_path / "out", "simulate", "--config", cfg) == EXIT_SIZE_LIMIT
+        assert capsys.readouterr().err == (
+            "size limit: p = 4, n = 8: the run's p x n entries and draw mask and its p x p matrix S "
+            "take 416 bytes, and numpy could not allocate its arrays: "
+            "Unable to allocate an array with shape (4, 8)\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("line", ['bins = "bogus"', "bins = 2.5", "bins = 0", "K = 0"])
     def test_bad_bins_or_order_fail_before_sampling(self, tmp_path, capsys, monkeypatch, line):
         def no_draw(*args):
@@ -1205,6 +1263,27 @@ def test_console_script_installed(tmp_path):
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["is_special_symmetric"] is True
+
+
+def test_readme_command_lines_run(tmp_path, monkeypatch):
+    # every `covmoments ...` line of the "Command line" block exits 0, run on
+    # the shipped configs and on grid CSVs of ones for the files it names,
+    # so an example cannot rot; bracketed optional flags are left out
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text()
+    block = re.search(r"^## Command line\n.*?^```sh\n(.*?)^```", readme, flags=re.M | re.S).group(1)
+    lines = [line for line in block.splitlines() if line.startswith("covmoments ")]
+    assert len(lines) >= 10
+    shutil.copytree(root / "configs", tmp_path / "configs")
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        argv = [token for token in shlex.split(line)[1:] if not token.startswith("[-")]
+        side = int(argv[argv.index("--grid") + 1]) if "--grid" in argv else 8
+        for flag, value in zip(argv, argv[1:]):
+            if flag in ("--g", "--profile-csv"):
+                path = value.partition("=")[2] if flag == "--g" else value
+                np.savetxt(path, np.ones((side, side)), delimiter=",")
+        assert main(["--out", str(tmp_path / "out"), *argv]) == 0, line
 
 
 def test_readme_command_lines_parse():

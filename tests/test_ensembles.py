@@ -336,12 +336,32 @@ class TestConfigValidation:
         (dict(family="iid_standardized", n=True), "n must be an integer, got True"),
         (dict(family="iid_standardized", replicates=2.5), "replicates must be an integer, got 2.5"),
         (dict(family="iid_standardized", seed=1.5), "seed must be an integer, got 1.5"),
+        # a family-specific field the family does not read is named, not ignored
+        (dict(family="iid_standardized", lam=3.0, alpha=1.5, profile="fig2_sine"),
+         "the iid_standardized family does not read lam, alpha, profile$"),
+        (dict(family="sparse_bernoulli", lam=2.0, c_seq={2: 2.0, 4: 8.0}),
+         "the sparse_bernoulli family does not read c2, c4$"),
+        (dict(family="variance_profile", base_family="iid_standardized", lam=2.0, profile="fig1_quadratic"),
+         "the variance_profile family does not read lam$"),
+        (dict(family="dt_triangular", profile="upper_triangle"), "the dt_triangular family does not read profile$"),
+        (dict(family="heavy_tail_stable", alpha=1.5, B=2.0, base_family="iid_standardized"),
+         "the heavy_tail_stable family does not read base_family$"),
+        (dict(family="triangular_iid", c_seq={2: 2.0}, profile=np.ones((4, 6))),
+         "the triangular_iid family does not read profile$"),
     ], ids=["seed-negative", "t_n-unknown", "t_n-zero", "c2-negative", "c4-zero", "lam_t-above-n",
-            "p-float", "n-bool", "replicates-float", "seed-float"])
+            "p-float", "n-bool", "replicates-float", "seed-float", "unread-iid", "unread-sparse",
+            "unread-profile-base", "unread-dt", "unread-base_family", "unread-array-profile"])
     def test_bad_config_rejected_when_built(self, fields, message):
         # the config is whole once built: no later call is needed to reject it
         with pytest.raises(ValueError, match=message):
             EnsembleConfig(**{"p": 4, "n": 6, **fields})
+
+    def test_read_fields_and_defaults_accepted(self):
+        # the default base_family spelled out, in a string that is not the
+        # default's object, is not a field given
+        EnsembleConfig("sparse_bernoulli", 4, 6, lam=2.0, base_family="".join(("sparse_", "bernoulli")))
+        EnsembleConfig("variance_profile", 4, 6, lam=2.0, profile=np.ones((4, 6)))
+        EnsembleConfig("heavy_tail_stable", 4, 6, alpha=1.5, B=2.0, t_n=0.5)
 
     def test_numpy_integers_accepted(self):
         cfg = EnsembleConfig(

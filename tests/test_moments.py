@@ -33,7 +33,13 @@ from covmoments.partitions import (
     narayana,
     word_statistics,
 )
-from oracles import even_sequence, mp_moment_fractions, poisson_sandwich_fractions
+from oracles import (
+    even_sequence,
+    moment_sparse_lam_weight,
+    mp_moment_fractions,
+    poisson_sandwich_fractions,
+    word_terms_by_statistics,
+)
 
 MP_CONSTANTS = {2: F(1), 4: F(0), 6: F(0), 8: F(0), 10: F(0), 12: F(0)}
 
@@ -290,6 +296,24 @@ class TestMomentSparse:
     def test_nonpositive_lam_rejected(self):
         with pytest.raises(ValueError):
             moment_sparse(2, 1, 0)
+
+    @pytest.mark.parametrize("y", [F(1, 3), F(1, 2), 2, 3])
+    @pytest.mark.parametrize("lam", [F(1, 2), F(5, 2), 3, F(7, 3)])
+    def test_equals_lam_weight_class_sum(self, y, lam):
+        for k in range(1, MAX_SERIES_ORDER + 1):
+            assert moment_sparse(k, y, lam).value == moment_sparse_lam_weight(k, y, lam)
+
+    @pytest.mark.parametrize("y", [F(1, 3), 2])
+    def test_breakdowns_equal_word_statistics_terms(self, y):
+        lam, constants = F(7, 3), even_sequence([F(5, 2), F(0), F(1, 3), F(7), F(2, 9), F(4)])
+        for k in range(1, 7):
+            for report, c in (
+                (moment_sparse(k, y, lam, breakdown=True), dict.fromkeys(constants, lam)),
+                (moment_constant(k, y, constants, breakdown=True), constants),
+            ):
+                expected = word_terms_by_statistics(k, y, c)
+                assert report.breakdown == expected
+                assert list(report.breakdown) == list(expected)
 
 
 @lru_cache(maxsize=None)
