@@ -65,12 +65,6 @@ class CensusResult:
     exact_count: int
     predicted_count: int | None
 
-    @property
-    def ratio_to_scale(self) -> float:
-        """exact_count / n^(b+1), the quantity whose limit detects membership."""
-        b = Word.from_text(self.word).distinct_letters
-        return self.exact_count / self.n ** (b + 1)
-
 
 def _require_circuit_word(word: Word) -> int:
     if word.length == 0 or word.length % 2:

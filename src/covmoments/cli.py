@@ -1,5 +1,6 @@
 """Command-line entry point: classification, counting, censuses, moment
-evaluation, simulation, hypergraph tables, and the cross-module verify suite.
+evaluation, simulation and hypergraph tables, and the verb that runs the
+cross-module identity suite of `covmoments.checks` and reports it.
 
 All floating-point output is printed with 17 significant digits so that
 regression runs are bit-stable; every verb is deterministic given its
@@ -10,9 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
-import math
 import os
 import sys
 import time
@@ -435,229 +434,23 @@ def run_hypergraph(args) -> int:
 
 # ---------------------------------------------------------------- verify
 
-# each check takes its ranges as arguments and returns (ok, detail); verify
-# caps the ranges by --max-k, tests/test_acceptance.py runs wider ones
-
-def check_ss_examples():
-    member = Partition.from_blocks([[1, 2, 5, 6], [3, 4, 7, 8]])
-    non_member = Partition.from_blocks([[1, 2, 6, 7], [3, 4, 5, 8]])
-    ok = partitions.is_special_symmetric(member) and not partitions.is_special_symmetric(non_member)
-    return ok, "both reference partitions of {1..8} classify as stated"
-
-def check_nc2(ks):
-    for k in ks:
-        ss_pairs, nc_pairs = set(), set()
-        for p in partitions.enumerate_pair_partitions(2 * k):
-            if partitions.is_special_symmetric(p):
-                ss_pairs.add(p.blocks)
-            if partitions.is_non_crossing(p):
-                nc_pairs.add(p.blocks)
-        if ss_pairs != nc_pairs or len(nc_pairs) != partitions.catalan(k):
-            return False, f"failed at k={k}"
-    return True, f"pair censuses match Catalan numbers up to k={max(ks)}"
-
-def check_narayana(ks):
-    for k in ks:
-        table = partitions.count_ss(k, "even_generating", pair_only=True)
-        expected = {r + 1: partitions.narayana(k, r) for r in range(k)}
-        if table != expected:
-            return False, f"failed at k={k}: {table} != {expected}"
-    return True, f"pair-matched counts equal Narayana numbers up to k={max(ks)}"
-
-def check_census_product_law(top, sizes):
-    for m in range(2, top + 1, 2):
-        for p in partitions.enumerate_partitions(m):
-            word = p.to_word()
-            if partitions.is_special_symmetric(p):
-                for pp, nn in itertools.product(sizes, sizes):
-                    result = circuits.census_s(word, pp, nn)
-                    if result.exact_count != result.predicted_count:
-                        return False, f"SS word {word.text} ({pp},{nn})"
-            else:
-                ratios = [circuits.census_s(word, N, N).ratio_to_scale for N in (2, 3, 4)]
-                if not (ratios[0] >= ratios[1] >= ratios[2] and ratios[2] < 1):
-                    return False, f"non-SS word {word.text} ratios {ratios}"
-    return True, f"exact counts p^(r+1) n^(b-r) for all words of length <= {top}"
-
-def check_containment(top, sizes):
-    # every covariance circuit is a Wigner circuit on {1..max(p, n)}, so the
-    # closed form may not exceed the pattern search's count
-    for m in range(2, top + 1, 2):
-        for p in partitions.enumerate_partitions(m):
-            word = p.to_word()
-            for pp, nn in itertools.product(sizes, sizes):
-                s = circuits.census_s(word, pp, nn).exact_count
-                w = circuits.census_w(word, max(pp, nn)).exact_count
-                if s > w:
-                    return False, f"word {word.text} ({pp},{nn}): S count {s} > Wigner count {w}"
-    return True, f"covariance census <= Wigner census for all words of length <= {top}"
-
-def check_mp_reduction(ks, ys):
-    constants = {2 * j: Fraction(int(j == 1)) for j in range(1, max(ks) + 1)}
-    for k, y in itertools.product(ks, ys):
-        if moments.moment_constant(k, y, constants).value != moments.mp_moment(k, y):
-            return False, f"k={k}, y={y}"
-    return True, f"constant-sequence reduction equals the Narayana polynomial up to k={max(ks)}"
-
-def check_sandwich(ks, lams, ys, strict_from):
-    for k, lam, y in itertools.product(ks, lams, ys):
-        lower, upper = moments.poisson_sandwich(k, y, lam)
-        beta = moments.moment_sparse(k, y, lam).value
-        if not (lower <= beta <= upper):
-            return False, f"containment failed at k={k}, lam={lam}, y={y}"
-        if k >= strict_from and not (lower < beta < upper):
-            return False, f"strictness failed at k={k}, lam={lam}, y={y}"
-    return True, f"bounds contain the sparse moments (strictly for {strict_from} <= k <= {max(ks)})"
-
-def check_hypergraph(ks):
-    for k in ks:
-        by_b = Counter()
-        for word in hypergraphs.enumerate_ss_words(k):
-            h = hypergraphs.word_to_hypergraph(word)
-            if not hypergraphs.is_acyclic(h) or hypergraphs.hypergraph_to_word(h) != word:
-                return False, f"round trip failed for {word.text}"
-            by_b[word.distinct_letters] += 1
-        if hypergraphs.count_acyclic_pairs(k) != by_b:
-            return False, f"count identity failed at k={k}"
-        if sum(by_b.values()) != partitions.count_ss(k)["total"]:
-            return False, f"word total differs from the census at k={k}"
-    return True, f"round trips and acyclic-pair counts agree up to 2k={2 * max(ks)}"
-
-def check_noiry(ks):
-    for k in ks:
-        total = sum(hypergraphs.count_noiry_classes(k).values())
-        census = partitions.count_ss(k)["total"]
-        if total != census:
-            return False, f"k={k}: classes {total} vs census {census}"
-    return True, f"class totals equal the special symmetric census up to 2k={2 * max(ks)}"
-
-# DT: the upper-triangle profile 1{x <= u} with C_2 = 1 and every other
-# constant 0, at y = 1, has the limit k^k / (k+1)! (Sniady 2003).  The
-# indicator jumps on the diagonal, so the quadrature error is O(1/G);
-# (value - limit) * G measured 0.5, 1.005, 2.27, 5.41, 13.25, 33.1 at G = 64
-# and 0.5, 1.0, 2.25, 5.34, 13.04, 32.4 at G = 1024, and stays within 2 %
-# beyond those two ends at every grid in between.  Coarser grids leave these
-# bounds (k = 3 reads 2.337 at G = 16), so check_grid runs at DT_GRID, the
-# smallest grid they were measured at
-DT_SCALED_ERROR = {
-    1: (0.49, 0.51),
-    2: (0.98, 1.03),
-    3: (2.20, 2.32),
-    4: (5.23, 5.52),
-    5: (12.77, 13.52),
-    6: (31.75, 33.77),
-}
-DT_GRID = 64
-
-def check_grid(ks, grid, dt_ks):
-    constants = {2: Fraction(1), 4: Fraction(1, 4), 6: Fraction(2)}
-    g = {s: np.full((grid, grid), float(v)) for s, v in constants.items()}
-    # both sides of the constant case run the sojourn series; the word terms
-    # of a varying integrand, by per-word elimination, are an independent sum
-    xs = (np.arange(grid) + 0.5) / grid
-    varying = {s: v + np.outer(xs, xs**2) for s, v in g.items()}
-    constant_reports = moments.grid_moments(ks, Fraction(1, 2), g, grid=grid)
-    varying_reports = moments.grid_moments(ks, Fraction(1, 2), varying, grid=grid, breakdown=True)
-    for k in ks:
-        grid_value = constant_reports[k].value
-        exact = float(moments.moment_constant(k, Fraction(1, 2), constants).value)
-        if abs(grid_value - exact) > 1e-10:
-            return False, f"constant integrand mismatch at k={k}"
-        report = varying_reports[k]
-        words = sum(report.breakdown.values())
-        if abs(report.value - words) > 1e-12 * abs(words):
-            return False, f"c + xu^2 integrand at k={k}: {report.value!r} vs word terms {words!r}"
-    xs = (np.arange(128) + 0.5) / 128
-    product = moments.moment_grid(1, 1, {2: np.outer(xs, xs)}, grid=128).value
-    if abs(product - 0.25) > 1e-6:
-        return False, f"xy integral {product}"
-    xs = (np.arange(DT_GRID) + 0.5) / DT_GRID
-    sigma = (xs[:, None] <= xs[None, :]).astype(float)
-    c2_only = {2 * j: int(j == 1) for j in range(1, max(dt_ks) + 1)}
-    dt = moments.profile_moments(dt_ks, 1, sigma, c2_only, grid=DT_GRID)
-    for k in dt_ks:
-        lower, upper = DT_SCALED_ERROR[k]
-        scaled = (dt[k].value - k**k / math.factorial(k + 1)) * DT_GRID
-        if not lower <= scaled <= upper:
-            return False, f"DT profile at k={k}: (value - limit) * G = {scaled!r}, outside [{lower}, {upper}]"
-    return True, ("quadrature reproduces constant sums to 1e-10, its word terms to 1e-12, "
-                  "the xy integral to 1e-6 and the DT limits within their O(1/G) bounds "
-                  f"up to k={max(dt_ks)}")
-
-def check_unbounded(ts, grid):
-    g = {2 * j: np.full((grid, grid), float(j == 1)) for j in range(1, max(ts) + 1)}
-    reports = {y: moments.grid_moments(ts, y, g, grid=grid) for y in (0.5, 1.0)}
-    for t in ts:
-        bound = float(moments.unbounded_support_bound(1, t, np.ones(4 * grid), grid=4 * grid))
-        for y in (0.5, 1.0):
-            if bound > reports[y][t].value + 1e-12:
-                return False, f"bound exceeds moment at t={t}, y={y}"
-    return True, "factorial lower bounds stay below the quadrature moments"
-
-def check_simulation():
-    cfg = EnsembleConfig("sparse_bernoulli", 30, 60, lam=2.0, seed=ensembles.DEFAULT_SEED, replicates=3)
-    first = ensembles.run_experiment(cfg, 3)
-    second = ensembles.run_experiment(cfg, 3)
-    if not np.array_equal(first.moment_mean, second.moment_mean):
-        return False, "rerun differed"
-    for r, sample in enumerate(first.samples):
-        if sample.eigenvalues[0] < -1e-9:
-            return False, "PSD floor violated"
-        # the moments are eigenvalue power sums; check them against dense
-        # matrix powers of the replicate's own S
-        X = ensembles.sample_matrix(cfg, r)
-        S = X @ X.T
-        for k, got in enumerate(sample.empirical_moments, start=1):
-            want = float(np.trace(np.linalg.matrix_power(S, k))) / cfg.p
-            if abs(got - want) > 1e-12 * abs(want):
-                return False, f"replicate {r}: moment k={k} {got!r} != Tr S^{k} / p = {want!r}"
-    return True, "deterministic rerun, PSD floor, moments equal Tr S^k / p within 1e-12"
-
-def _upto(max_k: int, cap: int) -> range:
-    return range(1, min(max_k, cap) + 1)
-
-_YS = (Fraction(1, 2), Fraction(2))
-
-# the largest cap below: a larger --max-k would run the same suite
-MAX_VERIFY_K = 6
-
-VERIFY_CHECKS = [
-    ("ss-definition-examples", lambda mk: check_ss_examples()),
-    ("nc2-catalan", lambda mk: check_nc2(_upto(mk, 5))),
-    ("narayana-pair-census", lambda mk: check_narayana(_upto(mk, 6))),
-    ("census-exact-counts", lambda mk: check_census_product_law(min(2 * mk, 6), (1, 2, 3))),
-    ("wigner-containment", lambda mk: check_containment(min(2 * mk, 6), (1, 2, 3))),
-    ("mp-constant-reduction", lambda mk: check_mp_reduction(_upto(mk, 6), _YS)),
-    ("sparse-sandwich",
-     lambda mk: check_sandwich(_upto(mk, 4), (Fraction(1, 2), Fraction(1), Fraction(2)), _YS, 2)),
-    ("hypergraph-roundtrip", lambda mk: check_hypergraph(_upto(mk, 4))),
-    ("noiry-class-totals", lambda mk: check_noiry(_upto(mk, 4))),
-    ("grid-quadrature", lambda mk: check_grid(_upto(mk, 3), 16, _upto(mk, 6))),
-    ("unbounded-support-bound", lambda mk: check_unbounded(_upto(mk, 4), 16)),
-    ("simulation-contracts", lambda mk: check_simulation()),
-]
-
 def run_verify(args) -> int:
-    if args.max_k < 1:
-        raise InputError(f"--max-k must be at least 1, got {args.max_k}")
-    if args.max_k > MAX_VERIFY_K:
-        raise InputError(
-            f"--max-k must be at most {MAX_VERIFY_K}, the largest value that adds checks, "
-            f"got {args.max_k}"
-        )
+    # the suite is imported here, so that no other verb pays for it
+    from . import checks
+
     results = []
     all_ok = True
-    for name, check in VERIFY_CHECKS:
+    for name, check in checks.CHECKS:
         start = time.perf_counter()
         try:
-            ok, detail = check(args.max_k)
+            ok, detail = check()
         except Exception as exc:  # a crash is a failure, not an abort
             ok, detail = False, f"{type(exc).__name__}: {exc}"
         seconds = time.perf_counter() - start
         results.append({"name": name, "passed": bool(ok), "seconds": round(seconds, 3), "detail": detail})
         all_ok &= ok
         print(f"{'PASS' if ok else 'FAIL'}  {name:28s} {seconds:7.2f}s  {detail}")
-    report = {"max_k": args.max_k, "all_passed": all_ok, "checks": results}
+    report = {"all_passed": all_ok, "checks": results}
     out = _out_dir(args) / "verify_report.json"
     with open(out, "w") as fh:
         json.dump(report, fh, indent=1)
@@ -727,7 +520,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(fn=run_hypergraph)
 
     c = sub.add_parser("verify", help="run the cross-module identity suite")
-    c.add_argument("--max-k", type=int, default=3)
     c.set_defaults(fn=run_verify)
 
     return parser

@@ -84,8 +84,17 @@ class EnsembleConfig:
             raise InputError(f"seed must be >= 0, got {self.seed}")
         resolve_truncation(self.t_n, self.n)
         prof, shape = self.profile, (self.p, self.n)
-        if isinstance(prof, np.ndarray) and prof.shape != shape:
-            raise InputError(f"profile array has shape {prof.shape}, expected {shape}")
+        if isinstance(prof, np.ndarray):
+            if prof.shape != shape:
+                raise InputError(f"profile array has shape {prof.shape}, expected {shape}")
+            # a string or object array would fail in profile_matrix, and a
+            # NaN or inf only once a replicate is sampled
+            if prof.dtype.kind not in "biuf":
+                raise InputError(f"profile array has dtype {prof.dtype}, expected bool, integer or float")
+            bad = np.flatnonzero(~np.isfinite(prof))
+            if bad.size:
+                index = tuple(int(i) for i in np.unravel_index(bad[0], shape))
+                raise InputError(f"profile array has the non-finite entry {prof[index]} at index {index}")
         named = isinstance(prof, str) and prof in NAMED_PROFILES
         if not (named or prof is None or isinstance(prof, np.ndarray)):
             # a JSON list may be long, so its repr is cut short

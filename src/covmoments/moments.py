@@ -97,10 +97,11 @@ def moment_constant(
     The sum is taken over the class table of `count_noiry_classes`, each
     class weighing its count times y^(a-l) prod C_s.  Each multiplicity
     multiset's prod C_s is one integer over a denominator common to every
-    multiset; the classes add count times that integer to the integer
-    coefficients of y^(a-l), and the polynomial is evaluated at y in
-    integers, so one Fraction is made per moment.  breakdown=True adds each
-    word's term, y^r times the constant of each letter of its quotient tree
+    multiset, d^k with d the least common denominator of the constants; the
+    classes add count times that integer to the integer coefficients of
+    y^(a-l), and the polynomial is evaluated at y in integers, so one
+    Fraction is made per moment.  breakdown=True adds each word's term, y^r
+    times the constant of each letter of its quotient tree
     (`circuits.word_structure`), which enumerates the words (bounded by the
     enumeration cap).
     """
@@ -108,23 +109,21 @@ def moment_constant(
     # the table first, so a k above the series limit fails before a lookup
     table = count_noiry_classes(k)
     constants = {size: _lookup(c, size) for size in sorted(_needed_sizes(k))}
-    # a multiset holds at most k // j letters of multiplicity 2j, so this
-    # is a multiple of every multiset's product of denominators
-    common = math.prod(constants[2 * j].denominator ** (k // j) for j in range(1, k + 1))
+    # each C_s is scaled[s] / d over the least common denominator d, so a
+    # multiset of a letters weighs prod scaled[s] * d^(k-a) over d^k
+    d = math.lcm(*(v.denominator for v in constants.values()))
+    scaled = {s: v.numerator * (d // v.denominator) for s, v in constants.items()}
     weights: dict[tuple[int, ...], int] = {}
     coefficients = [0] * (k + 1)
     for key, count in table.items():
         weight = weights.get(key.sizes)
         if weight is None:
-            numerator = math.prod(constants[s].numerator for s in key.sizes)
-            weight = weights[key.sizes] = numerator * (
-                common // math.prod(constants[s].denominator for s in key.sizes)
-            )
+            weight = weights[key.sizes] = math.prod(scaled[s] for s in key.sizes) * d ** (k - key.a)
         coefficients[key.a - key.l] += count * weight
     terms = None
     if breakdown:
         terms = _word_terms(k, lambda st: y**st.r * math.prod(constants[s] for *_, s in st.edges))
-    return MomentReport(k, _at(coefficients, y, common), terms)
+    return MomentReport(k, _at(coefficients, y, d**k), terms)
 
 
 def moment_sparse(k: int, y: Real, lam: Real, breakdown: bool = False) -> MomentReport:

@@ -1,21 +1,21 @@
-"""Test-only oracles: brute-force censuses and the tuple-level containment
-check, the product-law prediction for the words that the literal definition
-`partitions.is_special_symmetric` accepts, the sojourn recursion and its
-grid kernel with every product formed, the Marchenko-Pastur moment and the
-Poisson sandwich summed one Fraction term at a time, the sparse moment
-summed with its own lam-weight per class, the exact per-word terms read off
-the word statistics, a union-find forest test of hypergraph acyclicity, the
-pairwise edge-intersection test it is stronger than, and small helpers: the
-partition of a word, a hypergraph from two partitions, the odd generating
-count and even constant sequences.
+"""Test-only oracles: the brute-force Wigner census and the tuple-level
+containment check, the product-law prediction for the words that the
+literal definition `partitions.is_special_symmetric` accepts, the sojourn
+recursion and its grid kernel with every product formed, the
+Marchenko-Pastur moment and the Poisson sandwich summed one Fraction term
+at a time, the sparse moment summed with its own lam-weight per class, the
+exact per-word terms read off the word statistics, a union-find forest test
+of hypergraph acyclicity, the pairwise edge-intersection test it is
+stronger than, and small helpers: the partition of a word, a hypergraph
+from two partitions, the odd generating count and even constant sequences.
 
-The censuses and the containment check test every circuit tuple with the
-predicates below, independently of the closed form and the value-pattern
-search they check; the number of tuples counts against
-`circuits.DEFAULT_CENSUS_BUDGET`.
+The Wigner census and the containment check test every circuit tuple, as
+the covariance census `covmoments.checks.census_s_exhaustive` that `verify`
+runs does, with its tuple walk and compatibility test; they are independent
+of the closed form and the value-pattern search they check, and the number
+of tuples counts against `circuits.DEFAULT_CENSUS_BUDGET`.
 """
 
-import itertools
 from collections import defaultdict
 from fractions import Fraction
 from math import comb
@@ -25,6 +25,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from covmoments import circuits
+from covmoments.checks import _edge_keys_s, _iter_full_tuples, _word_compatible
 from covmoments.circuits import CensusResult
 from covmoments.hypergraphs import Hypergraph, count_noiry_classes, enumerate_ss_words
 from covmoments.partitions import (
@@ -57,16 +58,6 @@ def odd_generating(stats: WordStats) -> int:
     return len(stats.first_positions) + 1 - stats.r_plus_1
 
 
-def _edge_keys_s(word: Word, values: tuple[int, ...]) -> list[tuple[int, int]]:
-    m = word.length
-    keys = []
-    for i in range(1, m + 1):
-        prev = values[i - 1]
-        cur = values[0] if i == m else values[i]
-        keys.append((prev, cur) if i % 2 else (cur, prev))
-    return keys
-
-
 def _edge_keys_w(word: Word, values: tuple[int, ...]) -> list[tuple[int, int]]:
     m = word.length
     keys = []
@@ -75,35 +66,6 @@ def _edge_keys_w(word: Word, values: tuple[int, ...]) -> list[tuple[int, int]]:
         cur = values[0] if i == m else values[i]
         keys.append((prev, cur) if prev <= cur else (cur, prev))
     return keys
-
-
-def _word_compatible(word: Word, keys: list[tuple[int, int]]) -> bool:
-    first_key: dict[int, tuple[int, int]] = {}
-    for letter, key in zip(word.letters, keys):
-        if letter not in first_key:
-            first_key[letter] = key
-        elif first_key[letter] != key:
-            return False
-    return True
-
-
-def _iter_full_tuples(word: Word, p: int, n: int):
-    m = word.length
-    circuits._check_budget((p * n) ** (m // 2), "circuit tuples")
-    ranges = [range(1, (p if i % 2 == 0 else n) + 1) for i in range(m)]
-    yield from itertools.product(*ranges)
-
-
-def census_s_exhaustive(word: Word, p: int, n: int) -> CensusResult:
-    """Test every circuit tuple against the S-link predicate."""
-    circuits._require_sizes(p=p, n=n)
-    circuits._require_circuit_word(word)
-    count = sum(
-        1
-        for values in _iter_full_tuples(word, p, n)
-        if _word_compatible(word, _edge_keys_s(word, values))
-    )
-    return CensusResult(word.text, "S", p, n, count, predicted_count_s(word, p, n))
 
 
 def census_w_exhaustive(word: Word, N: int) -> CensusResult:
@@ -121,7 +83,8 @@ def census_w_exhaustive(word: Word, N: int) -> CensusResult:
 def verify_containment(word: Word, p: int, n: int) -> bool:
     """Check that every circuit counted under the S link is also compatible
     with the Wigner link on the range {1..max(p, n)}, by testing every
-    circuit tuple as `census_s_exhaustive` and `census_w_exhaustive` do."""
+    circuit tuple as `checks.census_s_exhaustive` and `census_w_exhaustive`
+    do."""
     circuits._require_sizes(p=p, n=n)
     circuits._require_circuit_word(word)
     return all(

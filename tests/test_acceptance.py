@@ -3,9 +3,9 @@ each enforcing its stated tolerance and time budget and printing a
 PASS/FAIL line.
 
 The exact criteria call the check functions that `covmoments verify` runs
-(`covmoments.cli.check_*`, each returning (ok, detail)), so every claim is
-checked by one piece of code.  `verify` runs them at ranges capped by
-`--max-k`; these tests run them at their own ranges, at least as wide:
+(`covmoments.checks.check_*`, each returning (ok, detail)), so every claim
+is checked by one piece of code.  `verify` runs them at their default
+ranges; these tests run them at their own ranges, at least as wide:
 
   1  reference partitions              7  hypergraph round trips, k <= 4
   2  NC2 = Catalan, k <= 5             8  class totals, k <= 4
@@ -31,7 +31,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from covmoments import cli, moments, partitions
+from covmoments import checks, moments, partitions
 from covmoments.ensembles import DEFAULT_SEED, EnsembleConfig, run_experiment
 
 
@@ -49,29 +49,29 @@ def _passes(check, *ranges) -> str:
 
 def test_criterion_1_classification_fidelity():
     start = time.perf_counter()
-    _report(1, "reference classification", start, 1.0, _passes(cli.check_ss_examples))
+    _report(1, "reference classification", start, 1.0, _passes(checks.check_ss_examples))
 
 
 def test_criterion_2_nc2_identity():
     start = time.perf_counter()
     assert [partitions.catalan(k) for k in range(1, 6)] == [1, 2, 5, 14, 42]
-    _report(2, "pair class = non-crossing pairs", start, 30.0, _passes(cli.check_nc2, range(1, 6)))
+    _report(2, "pair class = non-crossing pairs", start, 30.0, _passes(checks.check_nc2, range(1, 6)))
 
 
 def test_criterion_3_narayana_counts():
     start = time.perf_counter()
-    _report(3, "Narayana census", start, 60.0, _passes(cli.check_narayana, range(1, 7)))
+    _report(3, "Narayana census", start, 60.0, _passes(checks.check_narayana, range(1, 7)))
 
 
 def test_criterion_4_census_exactness():
     start = time.perf_counter()
-    detail = _passes(cli.check_census_product_law, 6, range(1, 5))
+    detail = _passes(checks.check_census_product_law, 6, range(1, 5))
     _report(4, "exact circuit counts", start, 300.0, detail)
 
 
 def test_criterion_5_mp_recovery():
     start = time.perf_counter()
-    _passes(cli.check_mp_reduction, range(1, 7), (F(1, 4), F(1, 2), F(1), F(2)))
+    _passes(checks.check_mp_reduction, range(1, 7), (F(1, 4), F(1, 2), F(1), F(2)))
     cfg = EnsembleConfig("iid_standardized", 250, 500, seed=DEFAULT_SEED, replicates=30)
     report = run_experiment(cfg, 4)
     relative = []
@@ -90,7 +90,7 @@ SANDWICH_GRID = [(lam, y) for lam in (F(1, 2), F(1), F(2)) for y in (F(1, 2), F(
 @pytest.mark.parametrize("lam,y", SANDWICH_GRID)
 def test_criterion_6_sandwich_strict_k2_to_k4(lam, y):
     start = time.perf_counter()
-    _passes(cli.check_sandwich, (2, 3, 4), (lam,), (y,), 2)
+    _passes(checks.check_sandwich, (2, 3, 4), (lam,), (y,), 2)
     _report(6, f"sandwich strict k=2..4, lam={lam}, y={y}", start, 300.0)
 
 
@@ -102,7 +102,7 @@ def test_criterion_6_sandwich_strict_k2_to_k4(lam, y):
     "cannot hold there (containment does, see the containment check)",
 )
 def test_criterion_6_sandwich_strict_k1(lam, y):
-    ok, detail = cli.check_sandwich((1,), (lam,), (y,), 1)
+    ok, detail = checks.check_sandwich((1,), (lam,), (y,), 1)
     print(f"criterion 6 (strict bracketing at k=1, lam={lam}, y={y}): FAIL "
           f"by coincidence of bounds: {detail}")
     assert ok, detail
@@ -111,7 +111,7 @@ def test_criterion_6_sandwich_strict_k1(lam, y):
 @pytest.mark.parametrize("lam,y", SANDWICH_GRID)
 def test_criterion_6_sandwich_containment_all_k(lam, y):
     start = time.perf_counter()
-    _passes(cli.check_sandwich, (1, 2, 3, 4), (lam,), (y,), 5)
+    _passes(checks.check_sandwich, (1, 2, 3, 4), (lam,), (y,), 5)
     _report(6, f"sandwich containment k=1..4, lam={lam}, y={y}", start, 300.0)
 
 
@@ -129,17 +129,17 @@ def test_criterion_6_sparse_simulation_within_bounds():
 
 def test_criterion_7_hypergraph_bijection():
     start = time.perf_counter()
-    _report(7, "hypergraph bijection", start, 120.0, _passes(cli.check_hypergraph, range(1, 5)))
+    _report(7, "hypergraph bijection", start, 120.0, _passes(checks.check_hypergraph, range(1, 5)))
 
 
 def test_criterion_8_noiry_class_totals():
     start = time.perf_counter()
-    _report(8, "tree-word class totals", start, 120.0, _passes(cli.check_noiry, range(1, 5)))
+    _report(8, "tree-word class totals", start, 120.0, _passes(checks.check_noiry, range(1, 5)))
 
 
 def test_criterion_9_quadrature_consistency():
     start = time.perf_counter()
-    _report(9, "quadrature consistency", start, 60.0, _passes(cli.check_grid, (1, 2, 3), 64, range(1, 7)))
+    _report(9, "quadrature consistency", start, 60.0, _passes(checks.check_grid, (1, 2, 3), 64, range(1, 7)))
 
 
 @pytest.mark.parametrize(
@@ -163,16 +163,16 @@ def test_criterion_10_figure_reproductions(label, profile):
 
 def test_criterion_11_unbounded_support_bound():
     start = time.perf_counter()
-    detail = _passes(cli.check_unbounded, (1, 2, 3, 4), 32)
+    detail = _passes(checks.check_unbounded, (1, 2, 3, 4), 32)
     _report(11, "unbounded-support lower bound", start, 60.0, detail)
 
 
 def test_criterion_12_wigner_containment():
     start = time.perf_counter()
-    detail = _passes(cli.check_containment, 8, (1, 2, 3))
+    detail = _passes(checks.check_containment, 8, (1, 2, 3))
     _report(12, "Wigner containment", start, 60.0, detail)
 
 
 def test_criterion_13_simulation_contracts():
     start = time.perf_counter()
-    _report(13, "simulation contracts", start, 60.0, _passes(cli.check_simulation))
+    _report(13, "simulation contracts", start, 60.0, _passes(checks.check_simulation))

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from covmoments import circuits
+from covmoments.checks import census_s_exhaustive, check_census_product_law
 from covmoments.circuits import (
     CensusResult,
     census_s,
@@ -22,7 +23,6 @@ from covmoments.partitions import (
 )
 import oracles
 from oracles import (
-    census_s_exhaustive,
     census_w_exhaustive,
     predicted_count_s,
     predicted_count_w,
@@ -259,7 +259,7 @@ class TestCensusS:
             for p, n in itertools.product(range(1, 5), range(1, 5)):
                 assert (
                     census_s(word, p, n).exact_count
-                    == census_s_exhaustive(word, p, n).exact_count
+                    == census_s_exhaustive(word, p, n)
                 )
 
     def test_propagation_matches_exhaustive_rectangular(self):
@@ -267,7 +267,7 @@ class TestCensusS:
             for p, n in [(4, 2), (2, 4), (4, 3)]:
                 assert (
                     census_s(word, p, n).exact_count
-                    == census_s_exhaustive(word, p, n).exact_count
+                    == census_s_exhaustive(word, p, n)
                 )
 
     @pytest.mark.parametrize("m", [2, 4, 6])
@@ -654,7 +654,7 @@ class TestVertexClasses:
 class TestPatternCount:
     @given(words_of_length(2, 4, 6), SIZES, SIZES, SIZES)
     def test_matches_exhaustive_oracle(self, word, p, n, N):
-        assert census_s(word, p, n).exact_count == census_s_exhaustive(word, p, n).exact_count
+        assert census_s(word, p, n).exact_count == census_s_exhaustive(word, p, n)
         assert census_w(word, N).exact_count == census_w_exhaustive(word, N).exact_count
 
     @given(words_of_length(8), SIZES, SIZES, SIZES)
@@ -763,6 +763,19 @@ class TestCensusResult:
         result = census_s(W("aabb"), 2, 3)
         assert result == CensusResult("aabb", "S", 2, 3, 2 * 9, 2 * 9)
 
-    def test_ratio(self):
-        result = census_w(W("aa"), 4)
-        assert result.ratio_to_scale == 1.0
+
+class TestCensusCheck:
+    def test_check_counts_circuits(self, monkeypatch):
+        # one column class moved to the rows, with r+1 alongside, keeps the
+        # closed form equal to its own prediction; only the circuit-tuple
+        # count that census-exact-counts compares with shows the fault
+        vertex_classes = circuits._vertex_classes
+
+        def moved(word):
+            rows, cols, b, r_plus_1, first, parent = vertex_classes(word)
+            return rows + 1, cols - 1, b, r_plus_1 + 1, first, parent
+
+        monkeypatch.setattr(circuits, "_vertex_classes", moved)
+        result = census_s(W("aa"), 1, 2)
+        assert result.exact_count == result.predicted_count == 1
+        assert check_census_product_law() == (False, "word aa (1,2): census_s 1 != 2 circuit tuples")

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 import covmoments
-from covmoments import circuits, cli, ensembles, hypergraphs, moments, partitions
+from covmoments import checks, circuits, cli, ensembles, hypergraphs, moments, partitions
 from covmoments.cli import EXIT_CONFIG, EXIT_SIZE_LIMIT, load_config, main
 from covmoments.moments import moment_sparse, mp_moment, poisson_sandwich
 
@@ -1052,39 +1053,46 @@ class TestHypergraphVerb:
         assert "positive even length" in capsys.readouterr().err
 
 
-# the ordered (name, detail) lines of `verify --max-k 3` and `--max-k 6`
-_QUADRATURE_DETAIL = ("quadrature reproduces constant sums to 1e-10, its word terms to 1e-12, "
-                      "the xy integral to 1e-6 and the DT limits within their O(1/G) bounds "
-                      "up to k={}").format
-VERIFY_DETAILS = {
-    3: [
-        ("ss-definition-examples", "both reference partitions of {1..8} classify as stated"),
-        ("nc2-catalan", "pair censuses match Catalan numbers up to k=3"),
-        ("narayana-pair-census", "pair-matched counts equal Narayana numbers up to k=3"),
-        ("census-exact-counts", "exact counts p^(r+1) n^(b-r) for all words of length <= 6"),
-        ("wigner-containment", "covariance census <= Wigner census for all words of length <= 6"),
-        ("mp-constant-reduction", "constant-sequence reduction equals the Narayana polynomial up to k=3"),
-        ("sparse-sandwich", "bounds contain the sparse moments (strictly for 2 <= k <= 3)"),
-        ("hypergraph-roundtrip", "round trips and acyclic-pair counts agree up to 2k=6"),
-        ("noiry-class-totals", "class totals equal the special symmetric census up to 2k=6"),
-        ("grid-quadrature", _QUADRATURE_DETAIL(3)),
-        ("unbounded-support-bound", "factorial lower bounds stay below the quadrature moments"),
-        ("simulation-contracts", "deterministic rerun, PSD floor, moments equal Tr S^k / p within 1e-12"),
-    ],
-    6: [
-        ("ss-definition-examples", "both reference partitions of {1..8} classify as stated"),
-        ("nc2-catalan", "pair censuses match Catalan numbers up to k=5"),
-        ("narayana-pair-census", "pair-matched counts equal Narayana numbers up to k=6"),
-        ("census-exact-counts", "exact counts p^(r+1) n^(b-r) for all words of length <= 6"),
-        ("wigner-containment", "covariance census <= Wigner census for all words of length <= 6"),
-        ("mp-constant-reduction", "constant-sequence reduction equals the Narayana polynomial up to k=6"),
-        ("sparse-sandwich", "bounds contain the sparse moments (strictly for 2 <= k <= 4)"),
-        ("hypergraph-roundtrip", "round trips and acyclic-pair counts agree up to 2k=8"),
-        ("noiry-class-totals", "class totals equal the special symmetric census up to 2k=8"),
-        ("grid-quadrature", _QUADRATURE_DETAIL(6)),
-        ("unbounded-support-bound", "factorial lower bounds stay below the quadrature moments"),
-        ("simulation-contracts", "deterministic rerun, PSD floor, moments equal Tr S^k / p within 1e-12"),
-    ],
+# the ordered (name, detail) lines of `verify`
+# the lines of `verify`, whose checks run at their default ranges
+VERIFY_DETAILS = [
+    ("ss-definition-examples", "both reference partitions of {1..8} classify as stated"),
+    ("nc2-catalan", "pair censuses match Catalan numbers up to k=5"),
+    ("narayana-pair-census", "pair-matched counts equal Narayana numbers up to k=6"),
+    ("census-exact-counts", "census_s equals the circuit-tuple count in 1980 cases, words of length <= 6 "
+                            "at p, n in {1, 2, 3}; p^(r+1) n^(b-r) exactly on the special symmetric words"),
+    ("wigner-containment", "covariance census <= Wigner census for all words of length <= 6"),
+    ("mp-constant-reduction", "constant-sequence reduction equals the Narayana polynomial up to k=6"),
+    ("sparse-sandwich", "bounds contain the sparse moments (strictly for 2 <= k <= 4)"),
+    ("hypergraph-roundtrip", "round trips and acyclic-pair counts agree up to 2k=8"),
+    ("noiry-class-totals", "class totals equal the special symmetric census up to 2k=8"),
+    ("grid-quadrature", "quadrature reproduces constant sums to 1e-10, its word terms to 1e-12, "
+                        "the xy integral to 1e-6 and the DT limits within their O(1/G) bounds up to k=6"),
+    ("unbounded-support-bound", "factorial lower bounds stay below the quadrature moments"),
+    ("simulation-contracts", "deterministic rerun, PSD floor, moments equal Tr S^k / p within 1e-12"),
+]
+
+# a narrower suite: the same checks called at k <= 3, as `verify --max-k 3`
+# once ran them, so that each check's range parameters reach its detail
+NARROW_RANGES = {
+    "nc2-catalan": {"ks": range(1, 4)},
+    "narayana-pair-census": {"ks": range(1, 4)},
+    "mp-constant-reduction": {"ks": range(1, 4)},
+    "sparse-sandwich": {"ks": range(1, 4)},
+    "hypergraph-roundtrip": {"ks": range(1, 4)},
+    "noiry-class-totals": {"ks": range(1, 4)},
+    "grid-quadrature": {"ks": range(1, 4), "dt_ks": range(1, 4)},
+    "unbounded-support-bound": {"ts": range(1, 4)},
+}
+NARROW_DETAILS = {
+    "nc2-catalan": "pair censuses match Catalan numbers up to k=3",
+    "narayana-pair-census": "pair-matched counts equal Narayana numbers up to k=3",
+    "mp-constant-reduction": "constant-sequence reduction equals the Narayana polynomial up to k=3",
+    "sparse-sandwich": "bounds contain the sparse moments (strictly for 2 <= k <= 3)",
+    "hypergraph-roundtrip": "round trips and acyclic-pair counts agree up to 2k=6",
+    "noiry-class-totals": "class totals equal the special symmetric census up to 2k=6",
+    "grid-quadrature": "quadrature reproduces constant sums to 1e-10, its word terms to 1e-12, "
+                       "the xy integral to 1e-6 and the DT limits within their O(1/G) bounds up to k=3",
 }
 
 
@@ -1094,12 +1102,17 @@ def _raise(f):
     return broken
 
 
+# the member and the non-member that ss-definition-examples classifies
+_REFERENCE_PARTITIONS = ([[1, 2, 5, 6], [3, 4, 7, 8]], [[1, 2, 6, 7], [3, 4, 5, 8]])
+
 # one library function per check, wrapped so that it returns a wrong value
 # (or, in the last case, raises); each wrapper leaves the other checks'
-# calls at --max-k 3 correct
+# calls correct
 VERIFY_BREAKS = [
+    # the two reference partitions swap classes, so that the Bell(8) census,
+    # which the class-total checks compare with, keeps its total
     ("ss-definition-examples", partitions, "is_special_symmetric",
-     lambda f: lambda p: f(p) or p.as_lists() == [[1, 2, 6, 7], [3, 4, 5, 8]]),
+     lambda f: lambda p: f(p) != (p.as_lists() in _REFERENCE_PARTITIONS)),
     ("nc2-catalan", partitions, "catalan", lambda f: lambda k: f(k) + 1),
     ("narayana-pair-census", partitions, "narayana", lambda f: lambda k, r: f(k, r) + 1),
     # one covariance circuit too few, so that the S count stays within the
@@ -1138,14 +1151,20 @@ def _verify_lines(out: str) -> list[tuple[str, str, str]]:
 
 
 class TestVerify:
-    @pytest.mark.parametrize("max_k", sorted(VERIFY_DETAILS))
-    def test_pinned_output(self, tmp_path, capsys, max_k):
-        assert run("--out", tmp_path, "verify", "--max-k", max_k) == 0
-        expected = VERIFY_DETAILS[max_k]
+    @pytest.mark.parametrize("max_k", [3, 6])
+    def test_pinned_output(self, tmp_path, capsys, monkeypatch, max_k):
+        expected = VERIFY_DETAILS
+        if max_k == 3:
+            monkeypatch.setattr(checks, "CHECKS", tuple(
+                (name, functools.partial(check, **NARROW_RANGES.get(name, {})))
+                for name, check in checks.CHECKS
+            ))
+            expected = [(name, NARROW_DETAILS.get(name, detail)) for name, detail in VERIFY_DETAILS]
+        assert run("--out", tmp_path, "verify") == 0
         lines = _verify_lines(capsys.readouterr().out)
         assert lines == [("PASS", name, detail) for name, detail in expected]
         report = json.loads((tmp_path / "verify_report.json").read_text())
-        assert report["max_k"] == max_k and report["all_passed"] is True
+        assert sorted(report) == ["all_passed", "checks"] and report["all_passed"] is True
         assert [(c["name"], c["detail"]) for c in report["checks"]] == expected
         assert all(c["passed"] is True for c in report["checks"])
 
@@ -1153,10 +1172,10 @@ class TestVerify:
     def test_broken_library_function_fails_its_check(self, tmp_path, capsys, monkeypatch,
                                                      name, module, attr, make):
         monkeypatch.setattr(module, attr, make(getattr(module, attr)))
-        assert run("--out", tmp_path, "verify", "--max-k", 3) == cli.EXIT_CONTRACT
+        assert run("--out", tmp_path, "verify") == cli.EXIT_CONTRACT
         out = capsys.readouterr().out
         lines = _verify_lines(out)
-        assert [line[1] for line in lines] == [n for n, _ in VERIFY_DETAILS[3]]
+        assert [line[1] for line in lines] == [n for n, _ in VERIFY_DETAILS]
         assert [line[1] for line in lines if line[0] == "FAIL"] == [name]
         assert "verify: FAILURES PRESENT" in out
         if make is _raise:
@@ -1167,7 +1186,7 @@ class TestVerify:
         assert [c["name"] for c in report["checks"] if not c["passed"]] == [name]
 
     def test_all_pass(self, tmp_path, capsys):
-        assert run("--out", tmp_path, "verify", "--max-k", 2) == 0
+        assert run("--out", tmp_path, "verify") == 0
         report = json.loads((tmp_path / "verify_report.json").read_text())
         assert report["all_passed"] is True
         assert len(report["checks"]) == 12
@@ -1175,36 +1194,28 @@ class TestVerify:
         assert out.count("PASS") == 12
         assert "FAIL" not in out
 
-    def test_largest_max_k_is_where_the_ranges_stop_growing(self, monkeypatch):
-        def ranges(max_k):
-            received = []
-            for name in dir(cli):
-                if name.startswith("check_"):
-                    monkeypatch.setattr(cli, name, lambda *args, name=name: received.append((name, args)))
-            for _, check in cli.VERIFY_CHECKS:
-                check(max_k)
-            return received
+    # verify runs one fixed suite, so a range option is an unknown argument
+    # at any value: the former default, below one and above the largest cap
+    @staticmethod
+    def _assert_max_k_rejected(tmp_path, capsys, max_k):
+        with pytest.raises(SystemExit) as exc:
+            run("--out", tmp_path, "verify", "--max-k", max_k)
+        assert exc.value.code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert f"unrecognized arguments: --max-k {max_k}" in captured.err
+        assert "PASS" not in captured.out
+        assert not (tmp_path / "verify_report.json").exists()
 
-        top = cli.MAX_VERIFY_K
-        assert ranges(top - 1) != ranges(top) == ranges(top + 1) == ranges(100)
+    def test_max_k_is_no_option(self, tmp_path, capsys):
+        self._assert_max_k_rejected(tmp_path, capsys, 3)
 
     @pytest.mark.parametrize("max_k", [7, 20])
     def test_max_k_above_the_largest_cap_exit(self, tmp_path, capsys, max_k):
-        # no check's range grows past --max-k 6, so a larger value would run
-        # the --max-k 6 suite under another name
-        assert run("--out", tmp_path, "verify", "--max-k", max_k) == EXIT_CONFIG
-        captured = capsys.readouterr()
-        assert f"--max-k must be at most 6, the largest value that adds checks, got {max_k}" in captured.err
-        assert "PASS" not in captured.out
-        assert not (tmp_path / "verify_report.json").exists()
+        self._assert_max_k_rejected(tmp_path, capsys, max_k)
 
     @pytest.mark.parametrize("max_k", [0, -1])
     def test_max_k_below_one_exit(self, tmp_path, capsys, max_k):
-        assert run("--out", tmp_path, "verify", "--max-k", max_k) == EXIT_CONFIG
-        captured = capsys.readouterr()
-        assert "--max-k must be at least 1" in captured.err
-        assert "PASS" not in captured.out
-        assert not (tmp_path / "verify_report.json").exists()
+        self._assert_max_k_rejected(tmp_path, capsys, max_k)
 
 
 # the patch each exit-code case runs in its child before `main`

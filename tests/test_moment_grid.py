@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covmoments import cli, moments
+from covmoments import checks, moments
 from covmoments.circuits import word_structure
 from covmoments.hypergraphs import MAX_SERIES_ORDER, enumerate_ss_words
 from covmoments.moments import (
@@ -494,7 +494,7 @@ class TestClosedFormLimits:
         sigma = sample(lambda x, u: (x <= u).astype(float), grid)
         constants = {s: int(s == 2) for s in SIZES}
         reports = profile_moments(range(1, 7), 1, sigma, constants, grid=grid)
-        for k, (lower, upper) in cli.DT_SCALED_ERROR.items():
+        for k, (lower, upper) in checks.DT_SCALED_ERROR.items():
             limit = k**k / math.factorial(k + 1)
             assert lower <= (reports[k].value - limit) * grid <= upper, k
 
