@@ -203,7 +203,6 @@ def run_moments(args) -> int:
     y = _parse_fraction(args.y, "--y")
     if not 0 <= y <= sys.float_info.max:
         raise InputError(f"--y must be >= 0 and at most the largest float, got {args.y!r}")
-    reports: dict[int, moments.MomentReport] = {}
 
     if source == "mp":
         reports = {k: moments.MomentReport(k, moments.mp_moment(k, y), None) for k in ks}
@@ -211,13 +210,10 @@ def run_moments(args) -> int:
         if args.lam is None:
             raise InputError("--sparse requires --lam")
         lam = _parse_fraction(args.lam, "--lam")
-        # largest first: the class table for max(ks) serves every smaller k
-        for k in sorted(ks, reverse=True):
-            reports[k] = moments.moment_sparse(k, y, lam, breakdown=args.breakdown)
+        reports = moments.sparse_moments(ks, y, lam, breakdown=args.breakdown)
     elif source == "constant":
         constants = _parse_constants(args.constant, 2 * max(ks))
-        for k in sorted(ks, reverse=True):
-            reports[k] = moments.moment_constant(k, y, constants, breakdown=args.breakdown)
+        reports = moments.constant_moments(ks, y, constants, breakdown=args.breakdown)
     elif source == "profile":
         if not args.constant:
             raise InputError("--profile-csv requires --constant for the base sequence")

@@ -11,8 +11,10 @@ connected and has one edge per letter, so acyclic means one count:
 |sigma| + |tau| = b + 1.
 
 The class table (`count_noiry_classes`) comes from a recursion over the
-sojourns of a closed walk on a growing tree, so it lists no word and
-reaches k = MAX_SERIES_ORDER.
+sojourns of a closed walk on a growing tree, `_sojourn_series`, so it lists
+no word and reaches k = MAX_SERIES_ORDER.  The recursion takes its
+coefficient type from the caller: class counts here, integers for the
+exact moments and grid functions for the quadrature (`moments`).
 """
 
 from __future__ import annotations
@@ -20,8 +22,6 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from math import comb
-from types import MappingProxyType
-from typing import Mapping
 
 from .circuits import word_structure
 from .partitions import (
@@ -218,48 +218,48 @@ class NoiryClassKey:
             raise InputError("sizes must list one multiplicity >= 2 per edge")
 
 
-# the class tables for k = 0..K of the largest K built so far; a smaller k
-# reads its entry, so a verb looping over k = 1..K builds one table
-_built: tuple[Mapping[NoiryClassKey, int], ...] = ()
-
-
-def count_noiry_classes(k: int) -> Mapping[NoiryClassKey, int]:
+def count_noiry_classes(k: int) -> dict[NoiryClassKey, int]:
     """Group the special symmetric words of length 2k by (distinct letters a,
     odd generating vertices l, letter-multiplicity multiset).
 
-    The table is read off `_sojourn_series`, so no word is enumerated and k
-    may go up to MAX_SERIES_ORDER (k = 9: 128 classes for 467,963 words).
-    The tables of every order up to k are kept for later calls, so the
-    table is returned read-only.
+    The table is read off `_sojourn_series` of order k, so no word is
+    enumerated and k may go up to MAX_SERIES_ORDER (k = 9: 128 classes for
+    467,963 words).  The exact moments do not read it: they run the same
+    series over integers (`moments.constant_moments`).
 
     Inside the recursion a class key (l, n_1, ..., n_k), where n_j is the
     number of letters of multiplicity 2j, is one int holding field i at bit
     i * width.  A degree-d coefficient has at most d letters, so no field
     exceeds k < 2^(width - 1): adding two keys adds their fields with no
-    carry, and each finished key is decoded once into a NoiryClassKey.
+    carry, and each key of degree k is decoded once into a NoiryClassKey.
     """
-    global _built
-    if not 1 <= k < len(_built):
-        width = k.bit_length() + 1
-        mask = (1 << width) - 1
+    width = k.bit_length() + 1
+    mask = (1 << width) - 1
 
-        def letter(s: int, j: int, child: dict) -> dict:
-            # a letter of multiplicity 2j over the child's coefficient; a row
-            # vertex's child is a column (odd generating) vertex, which l counts
-            step = 1 - s + (1 << j * width)
-            return {key + step: count for key, count in child.items()}
+    def letter(s: int, j: int, child: dict) -> dict:
+        # a letter of multiplicity 2j over the child's coefficient; a row
+        # vertex's child is a column (odd generating) vertex, which l counts
+        step = 1 - s + (1 << j * width)
+        return {key + step: count for key, count in child.items()}
 
-        def decode(key: int) -> NoiryClassKey:
-            sizes = tuple(
-                2 * j for j in range(1, k + 1) for _ in range(key >> j * width & mask)
-            )
-            return NoiryClassKey(len(sizes), key & mask, sizes)
+    def decode(key: int) -> NoiryClassKey:
+        sizes = tuple(2 * j for j in range(1, k + 1) for _ in range(key >> j * width & mask))
+        return NoiryClassKey(len(sizes), key & mask, sizes)
 
-        _built = tuple(
-            MappingProxyType({decode(key): count for key, count in series.items()})
-            for series in _sojourn_series(k, {0: 1}, dict, letter, _add_product)
+    series = _sojourn_series(k, {0: 1}, dict, letter, _add_product)
+    return {decode(key): count for key, count in series[k].items()}
+
+
+def _check_series_order(top: int) -> None:
+    # the series limit, stated once; the series checks it, and a caller that
+    # must fail on it before reading its inputs calls this first
+    if top < 1:
+        raise InputError("k must be >= 1")
+    if top > MAX_SERIES_ORDER:
+        raise SizeLimitError(
+            f"moment order {top} exceeds the series limit "
+            f"MAX_SERIES_ORDER = {MAX_SERIES_ORDER}"
         )
-    return _built[k]
 
 
 def _sojourn_series(top: int, unit, zero, letter, add_product) -> list:
@@ -293,13 +293,7 @@ def _sojourn_series(top: int, unit, zero, letter, add_product) -> list:
     multiplicities (2006, A generalization of Wigner's law, Comm. Math.
     Phys. 268).
     """
-    if top < 1:
-        raise InputError("k must be >= 1")
-    if top > MAX_SERIES_ORDER:
-        raise SizeLimitError(
-            f"moment order {top} exceeds the series limit "
-            f"MAX_SERIES_ORDER = {MAX_SERIES_ORDER}"
-        )
+    _check_series_order(top)
     # G[s][i][d], f[s][i][d] and B[s][i][d] are the degree-d coefficients of
     # G_s(i), f_s(i) and B_s(i); s = 0 is a row vertex
     empty = zero()

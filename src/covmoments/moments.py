@@ -10,20 +10,18 @@ Combinatorial sums (constant, sparse, Marchenko-Pastur, sandwich) are
 exact; quadrature paths use floats.  Every constant, sparse and quadrature
 moment comes from one recursion over vertex sojourns,
 `hypergraphs._sojourn_series`, and lists no word, up to
-k = MAX_SERIES_ORDER.  The sparse sum is the constant sum at C_2j = lam.
-The constant sum depends on a word only through its class (letters a, odd
-generating vertices l, multiplicity multiset), so it substitutes y and the
-constants into the class table `hypergraphs.count_noiry_classes`.  It runs
-in Python integers: the constants of each multiplicity multiset become one
-integer weight over a denominator common to every multiset, each class
-adds its count times that weight to the integer coefficient of y^(a-l),
-and the polynomial is evaluated at y = yn/yd over yd^k, so each moment
-makes one Fraction.  The Marchenko-Pastur moment and the sandwich sums are
-integer polynomials evaluated the same way.  The quadrature sums run the
-same recursion over functions of the generating-vertex variable, taken
-only as arrays sampled at grid midpoints; one pass of order K gives every
-k <= K, so `grid_moments` and `profile_moments` recurse once for a whole
-range of k.
+k = MAX_SERIES_ORDER.  One pass of order K gives every k <= K, so
+`constant_moments`, `sparse_moments`, `grid_moments` and `profile_moments`
+recurse once for a whole range of k.  The sparse sum is the constant sum
+at C_2j = lam.  The exact sums run the recursion over Python integers:
+with y = yn/yd and the constants over their least common denominator d,
+each letter multiplies its child by one integer, so the degree-k
+coefficient is the moment times (yd d)^k and each moment makes one
+Fraction.  The Marchenko-Pastur moment and the sandwich sums are integer
+polynomials, evaluated in integers over one denominator (`_at`).  The
+quadrature sums run the same recursion over functions of the
+generating-vertex variable, taken only as arrays sampled at grid
+midpoints.
 The per-word breakdown of every source is built only on request
 (breakdown=True), because it lists every word and so stays within the
 enumeration cap.  Every breakdown reads each word's quotient tree from
@@ -34,6 +32,7 @@ each letter, and the quadrature one integrates the tree one leaf at a time.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Real
@@ -42,7 +41,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .circuits import WordStructure, word_structure
-from .hypergraphs import _sojourn_series, count_noiry_classes, enumerate_ss_words
+from .hypergraphs import _check_series_order, _sojourn_series, enumerate_ss_words
 from .partitions import InputError, narayana
 
 
@@ -88,53 +87,68 @@ def _word_terms(k: int, term: Callable[[WordStructure], Fraction | float]) -> di
     return {word.text: term(word_structure(word)) for word in enumerate_ss_words(k)}
 
 
-def moment_constant(
-    k: int, y: Real, c: Mapping[int, Real], breakdown: bool = False
-) -> MomentReport:
-    """Limiting moment when the n-scaled entry moments converge to constants:
-    sum over special symmetric words of y^r * prod_letters C_multiplicity.
+def constant_moments(
+    ks: Sequence[int], y: Real, c: Mapping[int, Real], breakdown: bool = False
+) -> dict[int, MomentReport]:
+    """Limiting moments k in ks when the n-scaled entry moments converge to
+    constants: sum over special symmetric words of y^r * prod_letters
+    C_multiplicity, from one pass of the recursion.
 
-    The sum is taken over the class table of `count_noiry_classes`, each
-    class weighing its count times y^(a-l) prod C_s.  Each multiplicity
-    multiset's prod C_s is one integer over a denominator common to every
-    multiset, d^k with d the least common denominator of the constants; the
-    classes add count times that integer to the integer coefficients of
-    y^(a-l), and the polynomial is evaluated at y in integers, so one
-    Fraction is made per moment.  breakdown=True adds each word's term, y^r
-    times the constant of each letter of its quotient tree
-    (`circuits.word_structure`), which enumerates the words (bounded by the
-    enumeration cap).
+    The sum is `hypergraphs._sojourn_series` of order K = max(ks) over
+    Python integers, so no word is listed and one pass gives every k <= K.
+    With y = yn/yd and each C_2j an integer over the least common
+    denominator d of the constants, a letter of multiplicity 2j multiplies
+    its child by C_2j d, by yn for a row child and yd otherwise, and by
+    (yd d)^(j-1); the letters' j sum to k, so the degree-k coefficient is
+    the moment times (yd d)^k, and one Fraction is made per moment.  The
+    series limit is checked before any constant is looked up.
+    breakdown=True adds each word's term, y^r times the constant of each
+    letter of its quotient tree (`circuits.word_structure`), which
+    enumerates the words (bounded by the enumeration cap).
     """
+    if any(k < 1 for k in ks):
+        raise InputError("k must be >= 1")
+    if not ks:
+        return {}
+    top = max(ks)
+    _check_series_order(top)
     y = Fraction(y)
-    # the table first, so a k above the series limit fails before a lookup
-    table = count_noiry_classes(k)
-    constants = {size: _lookup(c, size) for size in sorted(_needed_sizes(k))}
-    # each C_s is scaled[s] / d over the least common denominator d, so a
-    # multiset of a letters weighs prod scaled[s] * d^(k-a) over d^k
+    constants = {size: _lookup(c, size) for size in sorted(_needed_sizes(top))}
     d = math.lcm(*(v.denominator for v in constants.values()))
-    scaled = {s: v.numerator * (d // v.denominator) for s, v in constants.items()}
-    weights: dict[tuple[int, ...], int] = {}
-    coefficients = [0] * (k + 1)
-    for key, count in table.items():
-        weight = weights.get(key.sizes)
-        if weight is None:
-            weight = weights[key.sizes] = math.prod(scaled[s] for s in key.sizes) * d ** (k - key.a)
-        coefficients[key.a - key.l] += count * weight
-    terms = None
-    if breakdown:
-        terms = _word_terms(k, lambda st: y**st.r * math.prod(constants[s] for *_, s in st.edges))
-    return MomentReport(k, _at(coefficients, y, d**k), terms)
+    yn, yd = y.numerator, y.denominator
+    # factors[s][j] weighs a letter of multiplicity 2j below a vertex of
+    # parity s, whose child is a column (s = 0) or a row (s = 1)
+    factors = [[0] + [v.numerator * (d // v.denominator) * child_y * (yd * d) ** (size // 2 - 1)
+                      for size, v in constants.items()] for child_y in (yd, yn)]
+    series = _sojourn_series(top, 1, int, lambda s, j, child: factors[s][j] * child,
+                             lambda acc, p, q, scale: acc + scale * p * q)
+    # largest first, so a k beyond the enumeration cap fails before any listing
+    terms = {k: _word_terms(k, lambda st: y**st.r * math.prod(constants[s] for *_, s in st.edges))
+             for k in (sorted(ks, reverse=True) if breakdown else [])}
+    return {k: MomentReport(k, Fraction(series[k], (yd * d) ** k), terms.get(k)) for k in ks}
+
+
+def moment_constant(k: int, y: Real, c: Mapping[int, Real], breakdown: bool = False) -> MomentReport:
+    """Limiting moment for constant entry moments at the single order k:
+    constant_moments([k])."""
+    return constant_moments([k], y, c, breakdown)[k]
+
+
+def sparse_moments(ks: Sequence[int], y: Real, lam: Real, breakdown: bool = False) -> dict[int, MomentReport]:
+    """Sparse Bernoulli-type limits for every k in ks: entries
+    Bernoulli(lam/n) have n E[x^2j] = lam for every j, so these are
+    constant_moments with C_2j = lam, the sums over special symmetric words
+    of y^r * lam^b."""
+    if not lam > 0:
+        raise InputError("lam must be positive")
+    # every order reads lam, so no map of orders is built before the series
+    # limit is checked
+    return constant_moments(ks, y, defaultdict(lambda: lam), breakdown)
 
 
 def moment_sparse(k: int, y: Real, lam: Real, breakdown: bool = False) -> MomentReport:
-    """Sparse Bernoulli-type limit: entries Bernoulli(lam/n) have
-    n E[x^2j] = lam for every j, so this is moment_constant with C_2j = lam,
-    the sum over special symmetric words of y^r * lam^b."""
-    if not lam > 0:
-        raise InputError("lam must be positive")
-    # the table first, so a k above the series limit fails before the map is built
-    count_noiry_classes(k)
-    return moment_constant(k, y, dict.fromkeys(_needed_sizes(k), lam), breakdown)
+    """Sparse Bernoulli-type limit for the single order k: sparse_moments([k])."""
+    return sparse_moments([k], y, lam, breakdown)[k]
 
 
 def poisson_sandwich(k: int, y: Real, lam: Real) -> tuple[Fraction, Fraction]:

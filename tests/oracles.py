@@ -4,10 +4,12 @@ literal definition `partitions.is_special_symmetric` accepts, the sojourn
 recursion and its grid kernel with every product formed, the
 Marchenko-Pastur moment and the Poisson sandwich summed one Fraction term
 at a time, the sparse moment summed with its own lam-weight per class, the
-exact per-word terms read off the word statistics, a union-find forest test
-of hypergraph acyclicity, the pairwise edge-intersection test it is
-stronger than, and small helpers: the partition of a word, a hypergraph
-from two partitions, the odd generating count and even constant sequences.
+constant-sequence moment summed over the class table with one integer
+weight per multiplicity multiset, the exact per-word terms read off the
+word statistics, a union-find forest test of hypergraph acyclicity, the
+pairwise edge-intersection test it is stronger than, and small helpers:
+the partition of a word, a hypergraph from two partitions, the odd
+generating count and even constant sequences.
 
 The Wigner census and the containment check test every circuit tuple, as
 the covariance census `covmoments.checks.census_s_exhaustive` that `verify`
@@ -18,7 +20,8 @@ of tuples counts against `circuits.DEFAULT_CENSUS_BUDGET`.
 
 from collections import defaultdict
 from fractions import Fraction
-from math import comb
+from functools import lru_cache
+from math import comb, lcm, prod
 from numbers import Real
 from typing import Mapping, Sequence
 
@@ -176,6 +179,11 @@ def poisson_sandwich_fractions(k: int, y: Real, lam: Real) -> tuple[Fraction, Fr
     return lower, alpha[k]
 
 
+# the class tables the oracle sums read, each built once per test session;
+# the oracles only read them
+class_table = lru_cache(maxsize=None)(count_noiry_classes)
+
+
 def moment_sparse_lam_weight(k: int, y: Real, lam: Real) -> Fraction:
     """`moments.moment_sparse` without the constant sequence: a class of a
     letters weighs lam^a, taken as num(lam)^a den(lam)^(k-a) over den(lam)^k,
@@ -184,9 +192,29 @@ def moment_sparse_lam_weight(k: int, y: Real, lam: Real) -> Fraction:
     y, lam = Fraction(y), Fraction(lam)
     num, den = lam.numerator, lam.denominator
     coefficients = [0] * (k + 1)
-    for key, count in count_noiry_classes(k).items():
+    for key, count in class_table(k).items():
         coefficients[key.a - key.l] += count * num**key.a * den ** (k - key.a)
     return sum((c * y**e for e, c in enumerate(coefficients)), Fraction(0)) / den**k
+
+
+def moment_constant_class_sum(k: int, y: Real, c: Mapping[int, Real]) -> Fraction:
+    """`moments.moment_constant` over the class table: each C_s is scaled[s]
+    over the least common denominator d, a multiplicity multiset of a
+    letters weighs prod scaled[s] * d^(k-a) over d^k, each class adds its
+    count times its multiset's weight to the integer coefficient of
+    y^(a-l), and the polynomial is summed in Fractions."""
+    y = Fraction(y)
+    constants = {s: Fraction(c[s]) for s in range(2, 2 * k + 1, 2)}
+    d = lcm(*(v.denominator for v in constants.values()))
+    scaled = {s: v.numerator * (d // v.denominator) for s, v in constants.items()}
+    weights: dict[tuple[int, ...], int] = {}
+    coefficients = [0] * (k + 1)
+    for key, count in class_table(k).items():
+        weight = weights.get(key.sizes)
+        if weight is None:
+            weight = weights[key.sizes] = prod(scaled[s] for s in key.sizes) * d ** (k - key.a)
+        coefficients[key.a - key.l] += count * weight
+    return sum((w * y**e for e, w in enumerate(coefficients)), Fraction(0)) / d**k
 
 
 def word_terms_by_statistics(k: int, y: Real, c: Mapping[int, Real]) -> dict[str, Fraction]:

@@ -470,9 +470,17 @@ class TestMoments:
         ) == EXIT_SIZE_LIMIT
         assert "MAX_SERIES_ORDER = 12" in capsys.readouterr().err
 
+    def test_constant_series_limit_exit(self, tmp_path, capsys):
+        # the limit is checked before a constant is looked up, so the missing
+        # orders 4..26 go unnamed
+        assert run("--out", tmp_path, "moments", "--constant", "2=1", "--k", "13") == EXIT_SIZE_LIMIT
+        err = capsys.readouterr().err
+        assert err == "size limit: moment order 13 exceeds the series limit MAX_SERIES_ORDER = 12\n"
+        assert not (tmp_path / "moments.csv").exists()
+
     def test_exact_values_enumerate_no_word(self, tmp_path, capsys, monkeypatch):
-        # the exact verbs read the class table; any word-level work on their
-        # value path would call one of these
+        # the exact verbs run the sojourn series; any word-level work on
+        # their value path would call one of these
         def forbidden(*args, **kwargs):
             raise AssertionError("word-level work on the exact value path")
 
@@ -486,12 +494,17 @@ class TestMoments:
                     patched.add(name)
         assert patched == set(names)
         constants = ",".join(f"{2 * j}={Fraction(1, j)}" for j in range(1, 8))
-        assert run(
-            "--out", tmp_path, "moments", "--sparse", "--lam", "3", "--y", "1/2", "--k", "1..7",
-        ) == 0
-        assert run(
-            "--out", tmp_path, "moments", "--constant", constants, "--y", "2", "--k", "1..7",
-        ) == 0
+        # the moments run the series over integers, and read no class table
+        with monkeypatch.context() as values_only:
+            for module in (hypergraphs, moments):
+                if hasattr(module, "count_noiry_classes"):
+                    values_only.setattr(module, "count_noiry_classes", forbidden)
+            assert run(
+                "--out", tmp_path, "moments", "--sparse", "--lam", "3", "--y", "1/2", "--k", "1..7",
+            ) == 0
+            assert run(
+                "--out", tmp_path, "moments", "--constant", constants, "--y", "2", "--k", "1..7",
+            ) == 0
         assert run("--out", tmp_path, "hypergraph", "--k", 7) == 0
         assert run("--out", tmp_path, "count", "--k", 7) == 0
         assert run("--out", tmp_path, "count", "--k", 7, "--pair-only") == 0
@@ -662,19 +675,31 @@ class TestMoments:
             assert calls == [8]
 
     def test_one_series_per_exact_verb(self, tmp_path, capsys, monkeypatch):
-        # the largest k is evaluated first, and its class tables serve the rest
-        monkeypatch.setattr(hypergraphs, "_built", ())
+        # one pass of order max(k) gives every k of a moments run, and the
+        # class tables of count and hypergraph are one pass each
         calls = []
-        series = hypergraphs._sojourn_series
-        monkeypatch.setattr(
-            hypergraphs, "_sojourn_series", lambda *args: calls.append(args[0]) or series(*args)
-        )
-        assert run(
-            "--out", tmp_path, "moments", "--sparse", "--lam", "3", "--y", "1/2", "--k", "1..7",
-        ) == 0
-        assert calls == [7]
-        rows = (tmp_path / "moments.csv").read_text().strip().splitlines()[1:]
-        assert [row.split(",")[0] for row in rows] == [str(k) for k in range(1, 8)]
+        for module in (moments, hypergraphs):
+            series = module._sojourn_series
+            monkeypatch.setattr(
+                module, "_sojourn_series",
+                lambda *args, series=series, module=module: calls.append((module, args[0])) or series(*args),
+            )
+        constants = ",".join(f"{2 * j}={Fraction(1, j)}" for j in range(1, 8))
+        sparse = ["--sparse", "--lam", "3", "--y", "1/2"]
+        for argv, ks in [
+            ([*sparse, "--k", "1..7"], range(1, 8)),
+            (["--constant", constants, "--y", "2", "--k", "3..7"], range(3, 8)),
+            ([*sparse, "--k", "1..5", "--sandwich"], range(1, 6)),
+        ]:
+            calls.clear()
+            assert run("--out", tmp_path, "moments", *argv) == 0
+            assert calls == [(moments, max(ks))]
+            rows = (tmp_path / "moments.csv").read_text().strip().splitlines()[1:]
+            assert [row.split(",")[0] for row in rows] == [str(k) for k in ks]
+        for verb in (["count", "--k", 7], ["hypergraph", "--k", 7], ["count", "--k", 7, "--pair-only"]):
+            calls.clear()
+            assert run("--out", tmp_path, *verb) == 0
+            assert calls == [(hypergraphs, 7)]
 
 
 class TestSimulate:
@@ -1161,8 +1186,9 @@ class TestVerify:
             ))
             expected = [(name, NARROW_DETAILS.get(name, detail)) for name, detail in VERIFY_DETAILS]
         assert run("--out", tmp_path, "verify") == 0
-        lines = _verify_lines(capsys.readouterr().out)
-        assert lines == [("PASS", name, detail) for name, detail in expected]
+        out = capsys.readouterr().out
+        assert _verify_lines(out) == [("PASS", name, detail) for name, detail in expected]
+        assert out.splitlines()[-1] == f"verify: all checks passed -> {tmp_path / 'verify_report.json'}"
         report = json.loads((tmp_path / "verify_report.json").read_text())
         assert sorted(report) == ["all_passed", "checks"] and report["all_passed"] is True
         assert [(c["name"], c["detail"]) for c in report["checks"]] == expected
@@ -1184,15 +1210,6 @@ class TestVerify:
         report = json.loads((tmp_path / "verify_report.json").read_text())
         assert report["all_passed"] is False
         assert [c["name"] for c in report["checks"] if not c["passed"]] == [name]
-
-    def test_all_pass(self, tmp_path, capsys):
-        assert run("--out", tmp_path, "verify") == 0
-        report = json.loads((tmp_path / "verify_report.json").read_text())
-        assert report["all_passed"] is True
-        assert len(report["checks"]) == 12
-        out = capsys.readouterr().out
-        assert out.count("PASS") == 12
-        assert "FAIL" not in out
 
     # verify runs one fixed suite, so a range option is an unknown argument
     # at any value: the former default, below one and above the largest cap
@@ -1240,7 +1257,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("code, patch, argv, stderr", [
         (0, "", ["classify", "[[1,2]]"], ""),
         # a ValueError that no input check raised is the program's fault
-        (1, "moments.moment_sparse = fault", ["moments", "--sparse", "--lam", "1", "--k", "2"],
+        (1, "moments.sparse_moments = fault", ["moments", "--sparse", "--lam", "1", "--k", "2"],
          "ValueError: injected\n"),
         (2, "", ["moments", "--mp", "--k", "0"], "error: bad --k value '0'"),
         (3, "", ["count", "--k", "13"], "size limit: moment order 13 exceeds the series limit"),

@@ -20,6 +20,7 @@ from covmoments.hypergraphs import (
     is_acyclic,
     word_to_hypergraph,
 )
+from covmoments.moments import moment_sparse, sparse_moments
 from covmoments.partitions import (
     Partition,
     SizeLimitError,
@@ -274,71 +275,39 @@ class TestNoiryClasses:
         assert sum(table.values()) == total
         assert len(table) == classes
 
-    def test_tables_share_the_series(self, monkeypatch):
-        # a longer series leaves the lower coefficients as they were; each
-        # table is built afresh, not read back from the longer one
-        monkeypatch.setattr(hypergraphs, "_built", ())
-        count_noiry_classes(MAX_SERIES_ORDER)
-        tables = hypergraphs._built
-        for k in range(1, 8):
-            monkeypatch.setattr(hypergraphs, "_built", ())
-            assert tables[k] == count_noiry_classes(k)
+    # per k = 1..12, recorded while the class keys were still tuples
+    CLASSES = [1, 3, 6, 12, 20, 35, 54, 86, 128, 192, 275, 399]
+    TOTALS = [1, 3, 12, 57, 303, 1747, 10727, 69331, 467963, 3280353, 23785699, 177877932]
+
+    def test_tables_share_the_series(self):
+        # the exact moments read one series of order max(k) for every k, so a
+        # longer series must leave the lower coefficients as they were; at
+        # y = lam = 1 each moment counts the words
+        ks = range(1, MAX_SERIES_ORDER + 1)
+        values = sparse_moments(ks, 1, 1)
+        assert [values[k].value for k in ks] == self.TOTALS
+        assert [moment_sparse(k, 1, 1).value for k in ks] == self.TOTALS
 
     def test_tables_equal_the_untightened_recursion(self, monkeypatch):
         # leaving out the products with B_s(0) at nonzero degree, and the
         # coefficients that feed only degrees above the top, changes no
         # count, no key and no key order
-        monkeypatch.setattr(hypergraphs, "_built", ())
-        with monkeypatch.context() as patched:
-            patched.setattr(hypergraphs, "_sojourn_series", oracles.sojourn_series_untightened)
-            count_noiry_classes(MAX_SERIES_ORDER)
-            reference = hypergraphs._built
-        monkeypatch.setattr(hypergraphs, "_built", ())
-        count_noiry_classes(MAX_SERIES_ORDER)
         for k in range(1, MAX_SERIES_ORDER + 1):
-            assert list(count_noiry_classes(k).items()) == list(reference[k].items())
+            with monkeypatch.context() as patched:
+                patched.setattr(hypergraphs, "_sojourn_series", oracles.sojourn_series_untightened)
+                reference = count_noiry_classes(k)
+            assert list(count_noiry_classes(k).items()) == list(reference.items())
 
-    # per k = 1..12, recorded while the class keys were still tuples
-    CLASSES = [1, 3, 6, 12, 20, 35, 54, 86, 128, 192, 275, 399]
-    TOTALS = [1, 3, 12, 57, 303, 1747, 10727, 69331, 467963, 3280353, 23785699, 177877932]
-
-    def test_packed_fields_never_carry(self, monkeypatch):
+    def test_packed_fields_never_carry(self):
         # a carry between the packed fields of a class key would move letters
-        # between multiplicities or into l; build at every max_k, so every
-        # field width is covered
-        for max_k in range(1, MAX_SERIES_ORDER + 1):
-            monkeypatch.setattr(hypergraphs, "_built", ())
-            count_noiry_classes(max_k)
-            tables = hypergraphs._built
-            assert len(tables) == max_k + 1
-            for k in range(1, max_k + 1):
-                for key in tables[k]:
-                    assert sum(key.sizes) == 2 * k
-                    assert 1 <= key.l <= key.a
-            assert [len(tables[k]) for k in range(1, max_k + 1)] == self.CLASSES[:max_k]
-            assert [sum(tables[k].values()) for k in range(1, max_k + 1)] == self.TOTALS[:max_k]
-
-    def test_smaller_orders_read_the_built_tables(self, monkeypatch):
-        monkeypatch.setattr(hypergraphs, "_built", ())
-        calls = []
-        series = hypergraphs._sojourn_series
-        monkeypatch.setattr(
-            hypergraphs, "_sojourn_series", lambda *args: calls.append(args[0]) or series(*args)
-        )
-        count_noiry_classes(7)
-        tables = hypergraphs._built
-        assert all(count_noiry_classes(k) is tables[k] for k in range(1, 8))
-        assert calls == [7]
-        count_noiry_classes(9)
-        assert calls == [7, 9]
-        with pytest.raises(ValueError):
-            count_noiry_classes(0)
-
-    def test_table_is_read_only(self):
-        table = count_noiry_classes(2)
-        with pytest.raises(TypeError):
-            table[NoiryClassKey(1, 1, (4,))] = 2
-        assert table[NoiryClassKey(1, 1, (4,))] == 1
+        # between multiplicities or into l; every k has its own field width
+        for k in range(1, MAX_SERIES_ORDER + 1):
+            table = count_noiry_classes(k)
+            for key in table:
+                assert sum(key.sizes) == 2 * k
+                assert 1 <= key.l <= key.a
+            assert len(table) == self.CLASSES[k - 1]
+            assert sum(table.values()) == self.TOTALS[k - 1]
 
     def test_series_limit(self):
         with pytest.raises(SizeLimitError, match=f"MAX_SERIES_ORDER = {MAX_SERIES_ORDER}"):

@@ -9,9 +9,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from covmoments import moments
 from covmoments.circuits import word_structure
-from covmoments.hypergraphs import MAX_SERIES_ORDER, count_noiry_classes, enumerate_ss_words
+from covmoments.hypergraphs import MAX_SERIES_ORDER, enumerate_ss_words
 from covmoments.moments import (
+    constant_moments,
     moment_constant,
     moment_grid,
     moment_profile,
@@ -33,8 +35,11 @@ from covmoments.partitions import (
     narayana,
     word_statistics,
 )
+import oracles
 from oracles import (
+    class_table,
     even_sequence,
+    moment_constant_class_sum,
     moment_sparse_lam_weight,
     mp_moment_fractions,
     poisson_sandwich_fractions,
@@ -72,7 +77,7 @@ def moment_by_classes(k, y, c):
     """Oracle: the class-table sum taken one class at a time, each class
     weighing count * y^(a-l) * prod C_s."""
     total = F(0)
-    for key, count in count_noiry_classes(k).items():
+    for key, count in class_table(k).items():
         term = count * F(y) ** (key.a - key.l)
         for s in key.sizes:
             term *= c[s]
@@ -140,6 +145,28 @@ class TestMomentConstant:
     @pytest.mark.parametrize("y", [F(1, 4), F(1, 2), 1, 2])
     def test_mp_reduction(self, k, y):
         assert moment_constant(k, y, MP_CONSTANTS).value == mp_moment(k, y)
+
+    @pytest.mark.parametrize("y", [F(1, 3), F(1, 2), 1, F(4, 3), 3], ids=str)
+    @pytest.mark.parametrize("c", [
+        even_sequence([3] * MAX_SERIES_ORDER),
+        even_sequence([F(5, 2)] * MAX_SERIES_ORDER),
+        even_sequence([F(7, 3)] * MAX_SERIES_ORDER),
+        even_sequence([F(1, j) for j in range(1, MAX_SERIES_ORDER + 1)]),
+        even_sequence([F(5, 2), 0, F(1, 3), 7, F(2, 9), 4, 0, F(-3, 11), F(13, 5), 0, F(1, 7), 6]),
+    ], ids=["lam3", "lam5/2", "lam7/3", "1/j", "mixed"])
+    def test_equals_class_table_weighted_sum(self, monkeypatch, y, c):
+        # the integer series equals the class-table sum it replaced, and one
+        # pass of order 12 gives the values of the passes of each order k,
+        # with the recursion's loop bounds tightened or not
+        ks = range(1, MAX_SERIES_ORDER + 1)
+        values = constant_moments(ks, y, c)
+        for k in ks:
+            value = moment_constant(k, y, c).value
+            assert value == moment_constant_class_sum(k, y, c)
+            assert values[k].value == value
+        monkeypatch.setattr(moments, "_sojourn_series", oracles.sojourn_series_untightened)
+        untightened = constant_moments(ks, y, c)
+        assert [untightened[k].value for k in ks] == [values[k].value for k in ks]
 
     def test_breakdown_sums_to_value(self):
         report = moment_constant(3, F(2, 3), {2: F(1, 2), 4: F(3), 6: F(1, 5)}, breakdown=True)
