@@ -10,6 +10,7 @@ configuration, including seeds.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -46,12 +47,12 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     # formatted in full before the file is opened, so a failure leaves no part of it
     path.write_text("".join(",".join(map(fmt, row)) + "\n" for row in [header, *rows]))
 
-def _parse_k_range(text: str) -> list[int]:
+def _parse_k_range(text: str) -> range:
     lo, dots, hi = text.partition("..")
     try:
-        ks = list(range(int(lo), int(hi if dots else lo) + 1))
+        ks = range(int(lo), int(hi if dots else lo) + 1)
     except ValueError:
-        ks = []
+        ks = range(0)
     if not ks or ks[0] < 1:
         raise InputError(f"bad --k value {text!r}; expected k >= 1 or a range like 1..6")
     return ks
@@ -305,57 +306,38 @@ def load_config(path: str) -> dict:
         out[key] = _coerce_scalar(value)
     return out
 
-def _config_error(key: str, expected: str, value) -> InputError:
-    return InputError(f"config key {key!r} must be {expected}, got {value!r}")
-
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
-# the config keys read as numbers, each with the type it must have; a
-# float key takes an integer too
-_NUMBER_KEYS = {
-    "p": int, "n": int, "seed": int, "replicates": int, "K": int,
-    "lam": float, "alpha": float, "B": float, "c2": float, "c4": float,
-}
-# the config keys passed to EnsembleConfig as given
-_PASSED_KEYS = ("family", "t_n", "profile", "base_family")
-
 def config_to_ensemble(data: dict, seed_override: int | None = None) -> tuple[EnsembleConfig, dict]:
     """The ensemble and the run's {"K", "bins"} from a loaded config.  Here
-    the keys are checked for their names and types, and K for K >= 1;
-    EnsembleConfig gives the defaults of the keys left out and checks every
-    other value."""
-    unknown = data.keys() - _NUMBER_KEYS.keys() - {*_PASSED_KEYS, "bins"}
+    the file's shape is checked: its keys are EnsembleConfig's fields, with
+    c_seq given as c2 and c4, plus K and bins; no value is null; and K and
+    bins are the run's.  EnsembleConfig gives the defaults of the keys left
+    out and checks every other value."""
+    passed = ensembles._FIELDS.keys() - {"c_seq"}
+    unknown = data.keys() - passed - {"c2", "c4", "K", "bins"}
     if unknown:
         raise InputError(f"unknown config keys: {sorted(unknown)}")
-    for required in ("family", "p", "n"):
-        if required not in data:
-            raise InputError(f"config is missing {required!r}")
-    fields = {}
-    for key, kind in _NUMBER_KEYS.items():
-        if key in data:
-            value = data[key]
-            if not (_is_number(value) and isinstance(value, (int, kind))):
-                raise _config_error(key, "an integer" if kind is int else "a number", value)
-            try:
-                fields[key] = kind(value)
-            except OverflowError:  # an integer beyond the float range
-                raise _config_error(key, "a number within the float range", value) from None
-    if "t_n" in data and not (_is_number(data["t_n"]) or isinstance(data["t_n"], str)):
-        raise _config_error("t_n", "a number or a string", data["t_n"])
+    for field in dataclasses.fields(EnsembleConfig):
+        if field.default is dataclasses.MISSING and field.name not in data:
+            raise InputError(f"config is missing {field.name!r}")
+    for key, value in data.items():
+        if value is None:  # a JSON null; a field's None means the key is left out
+            raise InputError(f"config key {key!r} must be given a value, not null")
+    K = ensembles._field_value("K", "an integer", data.get("K", 4))
+    if K < 1:
+        raise InputError(f"config key 'K' must be an integer >= 1, got {K!r}")
     bins = data.get("bins", "fd")
     if not (isinstance(bins, (int, str)) and not isinstance(bins, bool)
             or isinstance(bins, list) and all(map(_is_number, bins))):
-        raise _config_error("bins", "an integer, a string or a list of numbers", bins)
-    K = fields.pop("K", 4)
-    if K < 1:
-        raise _config_error("K", "an integer >= 1", K)
-    c_seq = {order: fields.pop(f"c{order}") for order in (2, 4) if f"c{order}" in fields}
+        raise InputError(f"config key 'bins' must be an integer, a string or a list of numbers, got {bins!r}")
+    fields = {key: data[key] for key in passed & data.keys()}
+    c_seq = {order: data[f"c{order}"] for order in (2, 4) if f"c{order}" in data}
     if c_seq:
         fields["c_seq"] = c_seq
     if seed_override is not None:
         fields["seed"] = seed_override
-    fields.update((key, data[key]) for key in _PASSED_KEYS if key in data)
     return EnsembleConfig(**fields), {"K": K, "bins": bins}
 
 GNUPLOT_TEMPLATE = """\

@@ -8,7 +8,9 @@ entries are filled row-major, so a replicate's draws depend only on (seed, r).
 from __future__ import annotations
 
 import math
+import numbers
 import operator
+from contextlib import suppress
 from dataclasses import dataclass, fields
 from typing import Mapping, Sequence
 
@@ -30,17 +32,35 @@ FAMILIES = (
 
 NAMED_PROFILES = ("fig1_quadratic", "fig2_sine", "upper_triangle")
 
-# the family-specific fields that each family reads; a variance_profile
-# also reads those of its base family
-_FAMILY_FIELDS = {
-    "iid_standardized": (),
-    "sparse_bernoulli": ("lam",),
-    "triangular_iid": ("c_seq",),
-    "heavy_tail_stable": ("alpha", "B"),
-    "variance_profile": ("profile", "base_family"),
-    "dt_triangular": (),
+# every field's value rule and the families that read it; a variance_profile
+# also reads the fields of its base family.  A rule is what the value must be,
+# in the words of its error, or None for a field that the family rules check;
+# c_seq's rule holds for each entry, named c2, c4, ... as a config names them
+_FIELDS = {
+    "family": (None, FAMILIES), "p": ("an integer", FAMILIES), "n": ("an integer", FAMILIES),
+    "lam": ("a number", ("sparse_bernoulli",)), "c_seq": ("a number", ("triangular_iid",)),
+    "alpha": ("a number", ("heavy_tail_stable",)), "B": ("a number", ("heavy_tail_stable",)),
+    "profile": (None, ("variance_profile",)), "base_family": (None, ("variance_profile",)),
+    "t_n": ("a number or a string", FAMILIES), "seed": ("an integer", FAMILIES),
+    "replicates": ("an integer", FAMILIES),
 }
-_FAMILY_SPECIFIC = tuple(name for names in _FAMILY_FIELDS.values() for name in names)
+
+
+def _field_value(name: str, rule: str, value):
+    """`value` as a field of `rule` stores it: an integer as operator.index
+    gives it, a number as a float, and a string as given; a bool, which
+    operator.index and numbers.Real both take, is neither.  A number field's
+    None, its default, is kept, but not the None of an entry of c_seq."""
+    if rule == "an integer" and not isinstance(value, bool):
+        with suppress(TypeError):
+            return operator.index(value)
+    elif isinstance(value, numbers.Real) and not isinstance(value, bool):
+        with suppress(OverflowError):  # an integer or fraction beyond the float range
+            return float(value)
+        rule = "a number within the float range"
+    elif value is None and name in _FIELDS or isinstance(value, str) and rule == "a number or a string":
+        return value
+    raise InputError(f"config key {name!r} must be {rule}, got {value!r}")
 
 
 class ContractViolation(RuntimeError):
@@ -50,8 +70,11 @@ class ContractViolation(RuntimeError):
 @dataclass(frozen=True)
 class EnsembleConfig:
     """An ensemble; `profile` is a name in NAMED_PROFILES or a p x n array.
-    A family-specific field that the family does not read must keep its
-    default; the message names the entries of c_seq c2, c4, ..., as a
+    Every field is checked by its rule in `_FIELDS` before any family rule,
+    with the error a config gets (config key 'lam' must be a number, got
+    'x'); an integer is stored as operator.index gives it and a number as a
+    float.  A family-specific field that the family does not read must keep
+    its default.  The messages name the entries of c_seq c2, c4, ..., as a
     config does."""
 
     family: str
@@ -68,16 +91,17 @@ class EnsembleConfig:
     replicates: int = 1
 
     def __post_init__(self) -> None:
+        for name, (rule, _) in _FIELDS.items():
+            value = getattr(self, name)
+            if name == "c_seq" and value is not None:
+                if not isinstance(value, Mapping):
+                    raise InputError(f"config key 'c_seq' must be a mapping of orders to numbers, got {value!r}")
+                value = {order: _field_value(f"c{order}", rule, v) for order, v in value.items()}
+            elif rule:
+                value = _field_value(name, rule, value)
+            object.__setattr__(self, name, value)
         if self.family not in FAMILIES:
             raise InputError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
-        for name in ("p", "n", "replicates", "seed"):
-            value = getattr(self, name)
-            try:
-                if isinstance(value, bool):  # operator.index takes True as 1
-                    raise TypeError
-                operator.index(value)
-            except TypeError:
-                raise InputError(f"{name} must be an integer, got {value!r}") from None
         if self.p < 1 or self.n < 1 or self.replicates < 1:
             raise InputError("p, n and replicates must be >= 1")
         if self.seed < 0:
@@ -126,17 +150,14 @@ class EnsembleConfig:
                 raise InputError("variance_profile base must be sparse_bernoulli or iid_standardized")
             if self.base_family == "sparse_bernoulli":
                 _check_lam(self.lam, self.n, "sparse_bernoulli base")
-        reads = _FAMILY_FIELDS[self.family]
-        if self.family == "variance_profile":
-            reads += _FAMILY_FIELDS[self.base_family]
+        reads = {self.family, self.base_family} if self.family == "variance_profile" else {self.family}
         defaults = {field.name: field.default for field in fields(self)}
         unread = []
-        for name in _FAMILY_SPECIFIC:
+        for name, (_, readers) in _FIELDS.items():
             value, default = getattr(self, name), defaults[name]
             # an array profile compares elementwise, so only a string is compared by value
-            if name in reads or value is default or isinstance(value, str) and value == default:
-                continue
-            unread += [f"c{order}" for order in value] if name == "c_seq" else [name]
+            if reads.isdisjoint(readers) and not (value is default or isinstance(value, str) and value == default):
+                unread += [f"c{order}" for order in value] if name == "c_seq" else [name]
         if unread:
             raise InputError(f"the {self.family} family does not read {', '.join(unread)}")
 

@@ -283,10 +283,12 @@ def grid_moments(
         return {}
     top = max(ks)
     yf = float(Fraction(y))
-    first, *rest = sorted(_needed_sizes(top))
-    missing = [s for s in (first, *rest) if s not in g]
-    if missing:
-        raise InputError(f"no grid function supplied for even moment order {missing[0]}")
+    # the orders of _needed_sizes, walked in turn up to the first missing one
+    sizes = range(2, 2 * top + 1, 2)
+    missing = next((s for s in sizes if s not in g), None)
+    if missing is not None:
+        raise InputError(f"no grid function supplied for even moment order {missing}")
+    first, rest = sizes[0], sizes[1:]
     samples = {first: _sampled(g[first], grid, f"g_{first}")}
     like = "" if grid is not None else f", the shape of g_{first}"
     grid = len(samples[first])
@@ -324,11 +326,12 @@ def profile_moments(
     range raises InputError naming its order, and so does a sigma^s * C_s
     that overflows."""
     sigma = _sampled(sigma, grid, "sigma")
-    sizes = sorted(_needed_sizes(max(ks, default=0)))
-    # every constant is looked up before any arithmetic, so a missing one is named first
-    constants = {s: _lookup(c, s) for s in sizes}
+    # every constant is looked up before any arithmetic, so a missing one is
+    # named first; the orders of _needed_sizes are walked in turn, and the
+    # first missing one ends the walk
+    constants = {s: _lookup(c, s) for s in range(2, 2 * max(ks, default=0) + 1, 2)}
     g = {}
-    for s in sizes:
+    for s in constants:
         # sigma and the constant are finite, so only an overflow makes a
         # sample of their product non-finite
         try:

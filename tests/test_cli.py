@@ -451,6 +451,32 @@ class TestMoments:
         assert "g_4 has shape (4, 4), expected (128, 128), the shape of g_2" in capsys.readouterr().err
         assert not (tmp_path / "c").exists()
 
+    @pytest.mark.parametrize("source, code", [
+        (["--sparse", "--lam", "3"], EXIT_SIZE_LIMIT),
+        (["--constant", "2=1"], EXIT_SIZE_LIMIT),
+        (["--profile-csv", "sigma.csv", "--constant", "2=1"], EXIT_CONFIG),
+        (["--g", "2=sigma.csv"], EXIT_CONFIG),
+    ], ids=["sparse", "constant", "profile", "grid"])
+    def test_wide_k_range_costs_no_memory(self, tmp_path, source, code):
+        # each source fails on its series limit or a missing input, as at
+        # k = 13, before it builds anything sized by the width of --k
+        np.savetxt(tmp_path / "sigma.csv", np.ones((4, 4)), delimiter=",")
+        script = (
+            "import resource, sys; from covmoments.cli import main; code = main(sys.argv[1:]); "
+            "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
+        )
+
+        def peak(k):
+            result = subprocess.run(
+                [sys.executable, "-c", script, "--out", "out", "moments", *source, "--k", k],
+                capture_output=True, text=True, env=package_env(), cwd=tmp_path,
+            )
+            return tuple(map(int, result.stdout.split()))
+
+        (narrow_code, narrow), (wide_code, wide) = peak("13"), peak("1..3000000")
+        assert narrow_code == wide_code == code
+        assert wide - narrow <= 2 * 1024  # ru_maxrss is in KiB on Linux
+
     def test_sandwich_names_its_bad_input(self, tmp_path, capsys):
         argv = ["--sparse", "--lam", "3", "--y", "0", "--k", "1..3", "--sandwich"]
         assert run("--out", tmp_path, "moments", *argv) == EXIT_CONFIG

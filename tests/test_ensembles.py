@@ -5,10 +5,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from covmoments import ensembles
+from covmoments import cli, ensembles
 from covmoments.ensembles import (
     DEFAULT_SEED,
     ContractViolation,
@@ -353,10 +353,10 @@ class TestConfigValidation:
         (dict(family="triangular_iid", c_seq={2: -1.0}), "C_2 must be positive"),
         (dict(family="triangular_iid", c_seq={2: 2.0, 4: 0.0}), "C_4 must be positive"),
         (dict(family="triangular_iid", c_seq={2: 9.0}), "exceeds 1; n too small"),
-        (dict(family="iid_standardized", p=4.0), "p must be an integer, got 4.0"),
-        (dict(family="iid_standardized", n=True), "n must be an integer, got True"),
-        (dict(family="iid_standardized", replicates=2.5), "replicates must be an integer, got 2.5"),
-        (dict(family="iid_standardized", seed=1.5), "seed must be an integer, got 1.5"),
+        (dict(family="iid_standardized", p=4.0), "config key 'p' must be an integer, got 4.0"),
+        (dict(family="iid_standardized", n=True), "config key 'n' must be an integer, got True"),
+        (dict(family="iid_standardized", replicates=2.5), "config key 'replicates' must be an integer, got 2.5"),
+        (dict(family="iid_standardized", seed=1.5), "config key 'seed' must be an integer, got 1.5"),
         # a family-specific field the family does not read is named, not ignored
         (dict(family="iid_standardized", lam=3.0, alpha=1.5, profile="fig2_sine"),
          "the iid_standardized family does not read lam, alpha, profile$"),
@@ -369,9 +369,25 @@ class TestConfigValidation:
          "the heavy_tail_stable family does not read base_family$"),
         (dict(family="triangular_iid", c_seq={2: 2.0}, profile=np.ones((4, 6))),
          "the triangular_iid family does not read profile$"),
+        # each field's rule runs before any family rule, in the words of a
+        # config's error; the entries of c_seq are named as a config names them
+        (dict(family="sparse_bernoulli", lam="x"), "config key 'lam' must be a number, got 'x'"),
+        (dict(family="heavy_tail_stable", alpha="1", B=2.0), "config key 'alpha' must be a number, got '1'"),
+        (dict(family="iid_standardized", t_n=[1]),
+         r"config key 't_n' must be a number or a string, got \[1\]"),
+        (dict(family="sparse_bernoulli", lam=10**400),
+         "config key 'lam' must be a number within the float range"),
+        (dict(family="triangular_iid", c_seq={2: "a"}), "config key 'c2' must be a number, got 'a'"),
+        (dict(family="sparse_bernoulli", lam=True), "config key 'lam' must be a number, got True"),
+        (dict(family="triangular_iid", c_seq={2: True}), "config key 'c2' must be a number, got True"),
+        (dict(family="heavy_tail_stable", alpha=1.5, B=10**400),
+         "config key 'B' must be a number within the float range"),
+        (dict(family="triangular_iid", c_seq=[2.0]), "config key 'c_seq' must be a mapping of orders to numbers"),
     ], ids=["seed-negative", "t_n-unknown", "t_n-zero", "c2-negative", "c4-zero", "lam_t-above-n",
             "p-float", "n-bool", "replicates-float", "seed-float", "unread-iid", "unread-sparse",
-            "unread-profile-base", "unread-dt", "unread-base_family", "unread-array-profile"])
+            "unread-profile-base", "unread-dt", "unread-base_family", "unread-array-profile",
+            "lam-str", "alpha-str", "t_n-list", "lam-beyond-float", "c2-str", "lam-bool", "c2-bool",
+            "B-beyond-float", "c_seq-list"])
     def test_bad_config_rejected_when_built(self, fields, message):
         # the config is whole once built: no later call is needed to reject it
         with pytest.raises(ValueError, match=message):
@@ -389,6 +405,63 @@ class TestConfigValidation:
             "iid_standardized", np.int64(4), np.int32(6), seed=np.uint32(5), replicates=np.int64(2)
         )
         assert run_experiment(cfg, 1).samples[1].replicate_id == 1
+
+    def test_fields_stored_as_the_config_stores_them(self):
+        # a number is a float and an integer a Python int, whichever type it came in
+        cfg = EnsembleConfig("triangular_iid", np.int64(4), 6, c_seq={2: 2, 4: np.float32(8)}, t_n=1)
+        assert type(cfg.p) is int
+        assert [(v, type(v)) for v in (*cfg.c_seq.values(), cfg.t_n)] == [(2.0, float), (8.0, float), (1.0, float)]
+        cfg = EnsembleConfig("heavy_tail_stable", 4, 6, alpha=1, B=2)
+        assert (type(cfg.alpha), type(cfg.B)) == (float, float)
+        assert cfg == EnsembleConfig("heavy_tail_stable", 4, 6, alpha=1.0, B=2.0)
+
+
+# a config that every family rule accepts, for each field the family reads;
+# a field read by every family is varied on iid_standardized
+_VALID = {
+    "lam": dict(family="sparse_bernoulli", lam=2.0),
+    "c_seq": dict(family="triangular_iid", c_seq={2: 2.0}),
+    "alpha": dict(family="heavy_tail_stable", alpha=1.5, B=2.0),
+    "profile": dict(family="variance_profile", lam=2.0, profile="fig1_quadratic"),
+}
+_VALID.update(c2=_VALID["c_seq"], c4=_VALID["c_seq"], B=_VALID["alpha"], base_family=_VALID["profile"])
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.just(10**400) | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=4,
+)
+
+
+class TestFieldRulesProperty:
+    @settings(max_examples=200)
+    @given(name=st.sampled_from([*ensembles._FIELDS, "c2", "c4"]), value=JSON_VALUES)
+    @example(name="lam", value="x")
+    @example(name="alpha", value="1")
+    @example(name="t_n", value=[1])
+    @example(name="lam", value=10**400)
+    @example(name="c2", value="a")
+    @example(name="lam", value=True)
+    @example(name="c2", value=True)
+    @example(name="B", value=10**400)
+    @example(name="t_n", value=math.nan)
+    @example(name="c4", value=math.inf)
+    def test_config_builds_or_raises_input_error(self, name, value):
+        # `c2` and `c4` stand for c_seq's entries, as a config spells them;
+        # any error but InputError propagates and fails the test
+        base = {"p": 4, "n": 6, **_VALID.get(name, {"family": "iid_standardized"})}
+        data = {key: val for key, val in base.items() if key != "c_seq"}
+        data.update((f"c{order}", val) for order, val in base.get("c_seq", {}).items())
+        data[name] = value
+        fields = dict(base)
+        if name in ("c2", "c4"):
+            fields["c_seq"] = {**base["c_seq"], int(name[1]): value}
+        else:
+            fields[name] = value
+        for build in (lambda: EnsembleConfig(**fields), lambda: cli.config_to_ensemble(data)):
+            try:
+                build()
+            except InputError:
+                pass
 
 
 class TestSpectralStatistics:

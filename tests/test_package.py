@@ -1,15 +1,19 @@
 """The package's public surface: every name in `covmoments.__all__` is an
 attribute of the package and is listed once, so an export that a deletion
 leaves behind fails here rather than in `from covmoments import *`; no
-brute-force check that lives in the test oracles is exported; and every
-input check raises the one input-error type."""
+brute-force check that lives in the test oracles is exported; every input
+check raises the one input-error type; and README's config schema lists the
+keys a config may hold."""
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
 import covmoments
 import oracles
+import pytest
+from covmoments import cli, ensembles
 
 
 def test_all_names_are_exported_once():
@@ -41,3 +45,16 @@ def test_input_checks_raise_input_error():
                     found.append(f"{path.name}:{node.lineno}: raise ValueError")
     assert found == []
     assert issubclass(covmoments.InputError, ValueError)
+
+
+def test_readme_config_keys_match_the_schema():
+    # every key of README's "Simulation configs" block, commented ones too
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Simulation configs", 1)[1].split("```ini\n", 1)[1].split("```", 1)[0]
+    documented = set(re.findall(r"^(?:# )?(\w+) *=", block, flags=re.MULTILINE))
+    # the one field table, with c_seq spelled c2 and c4, plus the run's K and bins
+    schema = ensembles._FIELDS.keys() - {"c_seq"} | {"c2", "c4", "K", "bins"}
+    assert documented == schema
+    # and config_to_ensemble takes each of them: only the added key is unknown
+    with pytest.raises(covmoments.InputError, match=r"^unknown config keys: \['bogus'\]$"):
+        cli.config_to_ensemble(dict.fromkeys([*documented, "bogus"], 1))
