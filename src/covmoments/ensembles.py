@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+import sys
 from contextlib import suppress
 from dataclasses import dataclass, fields
 from typing import Mapping, Sequence
@@ -104,9 +105,10 @@ class EnsembleConfig:
             raise InputError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
         if self.p < 1 or self.n < 1 or self.replicates < 1:
             raise InputError("p, n and replicates must be >= 1")
+        if self.p * self.n > sys.float_info.max:  # every law divides by n, and the center scales by p n
+            raise InputError("p * n, the number of entries, must be within the float range")
         if self.seed < 0:
             raise InputError(f"seed must be >= 0, got {self.seed}")
-        resolve_truncation(self.t_n, self.n)
         prof, shape = self.profile, (self.p, self.n)
         if isinstance(prof, np.ndarray):
             if prof.shape != shape:
@@ -130,19 +132,11 @@ class EnsembleConfig:
         if self.family == "triangular_iid":
             if not (self.c_seq and self.c_seq.get(2)):
                 raise InputError("triangular_iid requires a target sequence with order 2")
-            triangular_two_point(self.c_seq, self.n)
         if self.family == "heavy_tail_stable":
             if self.alpha is None or not 0 < self.alpha < 2:
                 raise InputError("heavy_tail_stable requires alpha in (0, 2)")
             if self.B is None or not self.B > 0:
                 raise InputError("heavy_tail_stable requires a truncation multiple B > 0")
-            try:
-                _stable_scale(self.p, self.alpha)
-            except OverflowError:
-                raise InputError(
-                    f"heavy_tail_stable scale p^(1/alpha) overflows a float "
-                    f"at p = {self.p}, alpha = {self.alpha}"
-                ) from None
         if self.family == "variance_profile":
             if self.profile is None:
                 raise InputError("variance_profile requires a profile")
@@ -150,6 +144,7 @@ class EnsembleConfig:
                 raise InputError("variance_profile base must be sparse_bernoulli or iid_standardized")
             if self.base_family == "sparse_bernoulli":
                 _check_lam(self.lam, self.n, "sparse_bernoulli base")
+        _law(self, with_mask=False)  # checks t_n and the two-point or stable fit
         reads = {self.family, self.base_family} if self.family == "variance_profile" else {self.family}
         defaults = {field.name: field.default for field in fields(self)}
         unread = []
@@ -173,10 +168,13 @@ def _check_lam(lam: float | None, n: int, name: str) -> None:
 def resolve_truncation(t_n: float | str | None, n: int) -> float:
     """Truncation level: a positive number, the rule "n^{-1/3}", or None or
     "inf" for none.  These two strings are the only spellings read; any
-    other string, padded or respelled, raises InputError."""
+    other string, padded or respelled, raises InputError, and so does the
+    rule for an n beyond the float range."""
     if t_n is None or t_n == "inf":
         return math.inf
     if t_n == "n^{-1/3}":
+        if n > sys.float_info.max:  # float(n) would overflow
+            raise InputError("the truncation rule n^{-1/3} needs n within the float range")
         return float(n) ** (-1.0 / 3.0)
     if isinstance(t_n, str):
         raise InputError(f'unknown truncation rule {t_n!r}; expected "n^{{-1/3}}" or "inf"')
@@ -196,7 +194,9 @@ def _rng(seed: int, replicate: int) -> np.random.Generator:
 
 def triangular_two_point(c_seq: Mapping[int, float], n: int) -> tuple[float, float]:
     """Fit x = +-a with probability lam_t/(2n) each (0 otherwise) so that
-    n E[x^2] = C_2 and, when C_4 is supplied, n E[x^4] = C_4."""
+    n E[x^2] = C_2 and, when C_4 is supplied, n E[x^4] = C_4.  A fit whose
+    a or lam_t is not finite and positive, as C_4 = inf gives, raises
+    InputError naming c2 and c4."""
     c2 = float(c_seq[2])
     if not c2 > 0:
         raise InputError("C_2 must be positive")
@@ -208,21 +208,23 @@ def triangular_two_point(c_seq: Mapping[int, float], n: int) -> tuple[float, flo
         lam_t = c2 * c2 / c4
     else:
         a, lam_t = 1.0, c2
-    if lam_t / n > 1:
+    # compared, not divided: lam_t / n overflows for an integer n beyond the float range
+    if lam_t > n:
         raise InputError(f"two-point weight lam_t/n = {lam_t / n:.3g} exceeds 1; n too small")
+    if not (0 < a < math.inf and lam_t > 0):  # NaN fails too
+        raise InputError(f"c2 = {c2!r} and c4 = {c4!r} give the two-point fit a = {a!r}, "
+                         f"lam_t = {lam_t!r}; both must be finite and positive")
     return a, lam_t
 
 
-def achieved_triangular_sequence(c_seq: Mapping[int, float], n: int, orders: Sequence[int]) -> dict[int, float]:
-    """n E[x^{2k}] actually realized by the fitted two-point law."""
-    a, lam_t = triangular_two_point(c_seq, n)
-    return {order: lam_t * a**order for order in orders}
-
-
 def _stable_scale(p: int, alpha: float) -> float:
-    # p^(1/alpha), the Pareto-tail surrogate for the stable quantile; a
-    # Python float power raises OverflowError past the largest float
-    return float(p) ** (1.0 / alpha)
+    """p^(1/alpha), the Pareto-tail surrogate for the stable quantile."""
+    try:
+        return float(p) ** (1.0 / alpha)
+    except OverflowError:  # past the largest float the draws cannot be scaled
+        raise InputError(
+            f"heavy_tail_stable scale p^(1/alpha) overflows a float at p = {p}, alpha = {alpha}"
+        ) from None
 
 
 def _stable_symmetric(rng: np.random.Generator, alpha: float, shape: tuple[int, int]) -> np.ndarray:
@@ -260,36 +262,52 @@ def profile_matrix(cfg: EnsembleConfig) -> np.ndarray:
     return (i / p <= j / n).astype(float)  # "upper_triangle", checked by EnsembleConfig
 
 
-def _entry_mask(cfg: EnsembleConfig) -> np.ndarray | None:
-    """The p x n matrix that scales every raw entry, or None for unscaled families."""
-    if cfg.family in ("variance_profile", "dt_triangular"):
-        return profile_matrix(cfg)
-    return None
+def _law(cfg: EnsembleConfig, with_mask: bool = True) -> tuple:
+    """An entry's law, resolved once per run: (family, mask, level, fit).
+    `family` is the base law that `mask`, the p x n profile matrix or None
+    for an unscaled family (or when `with_mask` is false), scales; `level`
+    is the truncation level, B for a heavy tail with no t_n; `fit` is the
+    two-point (a, lam_t), the stable scale p^(1/alpha), or None."""
+    family = {"variance_profile": cfg.base_family, "dt_triangular": "iid_standardized"}.get(cfg.family, cfg.family)
+    level = cfg.B if family == "heavy_tail_stable" and cfg.t_n is None else resolve_truncation(cfg.t_n, cfg.n)
+    fit = triangular_two_point(cfg.c_seq, cfg.n) if family == "triangular_iid" else None
+    if family == "heavy_tail_stable":
+        fit = _stable_scale(cfg.p, cfg.alpha)
+    # a profile family's mask scales the draws of its base family
+    mask = profile_matrix(cfg) if with_mask and family != cfg.family else None
+    return family, mask, level, fit
 
 
-def _base_family(cfg: EnsembleConfig) -> str:
-    """The law of an entry before `_entry_mask` scales it."""
-    if cfg.family == "variance_profile":
-        return cfg.base_family
-    return "iid_standardized" if cfg.family == "dt_triangular" else cfg.family
+def _moment(cfg: EnsembleConfig, law: tuple, m: int) -> float | None:
+    """n E[x^m] of the truncated base law of `law = _law(cfg)`: every order
+    m >= 1 of a Bernoulli or two-point entry, m = 2 of a Gaussian one, and
+    None for a heavy tail, a higher Gaussian order or a truncated profile,
+    whose scaled entry has no simple closed form."""
+    family, mask, level, fit = law
+    if mask is not None and not math.isinf(level):
+        return None
+    if family == "sparse_bernoulli":
+        return cfg.lam if level >= 1 else 0.0
+    if family == "triangular_iid":
+        a, lam_t = fit
+        return lam_t * a**m if a <= level and m % 2 == 0 else 0.0
+    if family != "iid_standardized" or m != 2:
+        return None
+    if math.isinf(level):
+        return 1.0
+    c = level * math.sqrt(cfg.n)
+    phi = math.exp(-c * c / 2) / math.sqrt(2 * math.pi)
+    return 1.0 - 2 * c * phi - (1 - math.erf(c / math.sqrt(2)))  # the two tails outside +-c
 
 
-def _effective_truncation(cfg: EnsembleConfig) -> float:
-    if cfg.family == "heavy_tail_stable" and cfg.t_n is None:
-        return float(cfg.B)
-    return resolve_truncation(cfg.t_n, cfg.n)
-
-
-def _draw(
-    cfg: EnsembleConfig, replicate: int, mask: np.ndarray | None, out: np.ndarray, keep: np.ndarray
-) -> float:
+def _draw(cfg: EnsembleConfig, replicate: int, law: tuple, out: np.ndarray, keep: np.ndarray) -> float:
     """Fill `out` (p x n float, with `keep` p x n bool scratch) with one
     replicate's entries, truncation applied, and return the truncation mass
-    (1/n) sum y^2 over the entries it zeroed; `mask` is `_entry_mask(cfg)`,
-    built once per run by the caller."""
+    (1/n) sum y^2 over the entries it zeroed; `law` is `_law(cfg)`, resolved
+    once per run by the caller."""
     n = cfg.n
     rng = _rng(cfg.seed, replicate)
-    family = _base_family(cfg)
+    family, mask, level, fit = law
     if family == "sparse_bernoulli":
         rng.random(out=out)
         np.less(out, cfg.lam / n, out=keep)
@@ -300,15 +318,14 @@ def _draw(
             rng.standard_normal(out=out)
             out /= math.sqrt(n)
         elif family == "triangular_iid":
-            a, lam_t = triangular_two_point(cfg.c_seq, n)
+            a, lam_t = fit
             u = rng.random(out=out)
             prob = lam_t / n
             out[...] = a * (u < prob / 2) - a * ((u >= prob / 2) & (u < prob))
         else:  # heavy_tail_stable
-            out[...] = _stable_symmetric(rng, cfg.alpha, out.shape) / _stable_scale(cfg.p, cfg.alpha)
+            out[...] = _stable_symmetric(rng, cfg.alpha, out.shape) / fit
         if mask is not None:
             out *= mask
-    level = _effective_truncation(cfg)
     if math.isinf(level):
         return 0.0
     np.less_equal(np.abs(out), level, out=keep)
@@ -324,31 +341,18 @@ def _draw(
 def sample_matrix(cfg: EnsembleConfig, replicate: int) -> np.ndarray:
     """Draw the p x n entry matrix for one replicate, truncation applied."""
     X = np.empty((cfg.p, cfg.n))
-    _draw(cfg, replicate, _entry_mask(cfg), X, np.empty(X.shape, dtype=bool))
+    _draw(cfg, replicate, _law(cfg), X, np.empty(X.shape, dtype=bool))
     return X
 
 
-def _second_moment_total(cfg: EnsembleConfig, mask: np.ndarray | None) -> np.float64 | None:
-    """`entry_second_moment(cfg)` from the run's `mask = _entry_mask(cfg)`."""
-    n, level, family = cfg.n, _effective_truncation(cfg), _base_family(cfg)
-    if mask is not None and not math.isinf(level):
-        return None  # truncating the profile-scaled entry has no simple closed form
-    if family == "sparse_bernoulli":
-        value = cfg.lam / n if level >= 1 else 0.0
-    elif family == "triangular_iid":
-        a, lam_t = triangular_two_point(cfg.c_seq, n)
-        value = lam_t / n * a * a if a <= level else 0.0
-    elif family == "iid_standardized" and math.isinf(level):
-        value = 1.0 / n
-    elif family == "iid_standardized":
-        c = level * math.sqrt(n)
-        phi = math.exp(-c * c / 2) / math.sqrt(2 * math.pi)
-        tail = (1 - math.erf(c / math.sqrt(2))) / 2
-        value = (1.0 - 2 * c * phi - 2 * tail) / n
-    else:
-        return None  # heavy tails: centered diagnostic falls back to pooled mean
+def _second_moment_total(cfg: EnsembleConfig, law: tuple) -> np.float64 | None:
+    """`entry_second_moment(cfg)` from the run's `law = _law(cfg)`."""
+    moment = _moment(cfg, law, 2)
+    if moment is None:
+        return None  # the centered diagnostic falls back to the pooled mean
+    value, mask = moment / cfg.n, law[1]
     if mask is None:
-        return np.float64(cfg.p * n * value)
+        return np.float64(cfg.p * cfg.n * value)
     return (mask**2 * value).sum()
 
 
@@ -357,7 +361,7 @@ def entry_second_moment(cfg: EnsembleConfig) -> np.float64 | None:
     None without a closed form.  A scalar family gives p n E[y^2] and
     allocates no array; a profile family sums its squared mask times the
     base law's E[y^2]."""
-    return _second_moment_total(cfg, _entry_mask(cfg))
+    return _second_moment_total(cfg, _law(cfg))
 
 
 def _power_sums(w: np.ndarray, K: int) -> tuple[float, ...]:
@@ -431,11 +435,15 @@ def run_experiment(
     largest raise InputError.  A run whose arrays numpy cannot allocate, for
     a shape beyond its largest array or beyond memory, raises SizeLimitError
     before the first draw.
-    One loop draws each replicate into entry, draw-mask and Gram buffers
-    allocated once per run; the eigenvalues each replicate reports are its
-    own array.  A replicate's second-moment gap is (sum y^2 - center) / p,
-    where the center is `entry_second_moment(cfg)`, or without a closed form
-    the mean of the replicates' sums, each read as Tr S."""
+    The entry law (base family, profile mask, truncation level and fitted
+    parameters) is resolved once per run, and one loop draws each replicate
+    from it into entry, draw-mask and Gram buffers allocated once per run;
+    the eigenvalues each replicate reports are its own array.  A replicate's
+    second-moment gap is (sum y^2 - center) / p, where the center is
+    `entry_second_moment(cfg)`, or without a closed form the mean of the
+    replicates' sums, each read as Tr S.  A triangular_iid report's
+    `achieved_sequence` is n E[x^m], m = 2, 4, ..., 2K, of the truncated
+    two-point law: zeros when the atoms +-a lie above the truncation level."""
     if K < 1:
         raise InputError("K must be >= 1")
     try:  # numpy's own rules for `bins`, applied to a two-point sample
@@ -460,8 +468,8 @@ def run_experiment(
     try:
         if nbytes > np.iinfo(np.intp).max:
             raise MemoryError("beyond the largest numpy array")
-        mask = _entry_mask(cfg)
-        center = _second_moment_total(cfg, mask)
+        law = _law(cfg)
+        center = _second_moment_total(cfg, law)
         X, keep = np.empty((p, n)), np.empty((p, n), dtype=bool)
         S = np.empty((p, p))
     except MemoryError as exc:
@@ -471,7 +479,7 @@ def run_experiment(
         ) from None
     drawn = []
     for r in range(cfg.replicates):
-        mass = _draw(cfg, r, mask, X, keep)
+        mass = _draw(cfg, r, law, X, keep)
         # both operands on one buffer, so numpy takes the symmetric rank-k path
         np.matmul(X, X.T, out=S)
         eigs = eigenvalues(S)
@@ -511,8 +519,6 @@ def run_experiment(
             )
     counts, edges = np.histogram(pooled, bins=bins)
 
-    achieved = None
-    if cfg.family == "triangular_iid":
-        achieved = achieved_triangular_sequence(cfg.c_seq, cfg.n, [2 * j for j in range(1, K + 1)])
-
+    triangular = cfg.family == "triangular_iid"  # zeros where truncation removes the atoms +-a
+    achieved = {m: _moment(cfg, law, m) for m in range(2, 2 * K + 1, 2)} if triangular else None
     return ExperimentReport(samples, mean, stderr, edges, counts, achieved)

@@ -957,6 +957,30 @@ class TestSimulate:
         assert "p = 2000, alpha = 0.01" in capsys.readouterr().err
         assert not (tmp_path / "moments.csv").exists()
 
+    @pytest.mark.parametrize("name, text, message", [
+        ("run.cfg", "family = triangular_iid\np = 4\nn = 8\nc2 = 2\nc4 = inf\n", "c4 = inf"),
+        ("run.json", '{"family": "triangular_iid", "p": 4, "n": 8, "c2": 2, "c4": 1e309}', "c4 = inf"),
+        ("run.json", '{"family": "triangular_iid", "p": 4, "n": 1%s, "c2": 2}' % ("0" * 400),
+         "p * n, the number of entries"),
+        ("run.json", '{"family": "iid_standardized", "p": 4, "n": 1%s, "t_n": "n^{-1/3}"}' % ("0" * 400),
+         "p * n, the number of entries"),
+    ], ids=["c4-inf-flat", "c4-inf-json", "n-beyond-float-triangular", "n-beyond-float-rule"])
+    def test_config_no_law_can_fit_exits_with_one_error_line(self, tmp_path, name, text, message):
+        # a fresh interpreter shows all a user sees: one error line, with no
+        # numpy "invalid value" warning from sampling an inf fit and no
+        # OverflowError traceback from an n beyond the float range
+        cfg = tmp_path / name
+        cfg.write_text(text)
+        result = subprocess.run(
+            [sys.executable, "-m", "covmoments.cli", "--out", str(tmp_path / "out"), "simulate",
+             "--config", str(cfg)],
+            capture_output=True, text=True, env=package_env(),
+        )
+        assert result.returncode == EXIT_CONFIG
+        assert re.fullmatch(r"error: [^\n]*\n", result.stderr)
+        assert message in result.stderr
+        assert not (tmp_path / "out").exists()
+
     def test_key_its_family_does_not_read_exits(self, tmp_path, capsys, monkeypatch):
         def no_draw(*args):
             raise AssertionError("sampled before the config was checked")
