@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .partitions import InputError, SizeLimitError, Word
+from .partitions import InputError, SizeLimitError, Word, _integer, _repr
 
 DEFAULT_CENSUS_BUDGET = 10**8
 """The largest number of Wigner value patterns `census_w` may visit before
@@ -74,8 +74,11 @@ def _require_circuit_word(word: Word) -> int:
 
 def _require_sizes(**sizes: int) -> None:
     for name, size in sizes.items():
+        # every census call runs this, so an int passes on one type check
+        if type(size) is not int:
+            size = _integer(size, f"census size {name}")
         if size < 1:
-            raise InputError(f"census size {name} must be at least 1, got {size}")
+            raise InputError(f"census size {name} must be at least 1, got {_repr(size)}")
 
 
 def _check_budget(count: int, what: str) -> None:
@@ -328,17 +331,15 @@ def word_structure(word: Word) -> WordStructure:
     m = word.length
     ids: dict[int, int] = {}
     cls = []
-    counts = [0] * (b + 1)
-    for slot, letter in enumerate(word.letters):
+    for slot in range(m):
         root = slot
         while parent[root] != root:
             root = parent[root]
         cls.append(ids.setdefault(root, len(ids)))
-        counts[letter] += 1
     edges = []
-    for j in range(1, b + 1):
+    for j, multiplicity in enumerate(word.multiplicities(), start=1):
         # the edge at position i joins the even slot i-1 or i mod m to the odd one
         i = first[j]
         even_slot, odd_slot = (i - 1, i) if i % 2 else (i % m, i - 1)
-        edges.append((cls[even_slot], cls[odd_slot], counts[j]))
+        edges.append((cls[even_slot], cls[odd_slot], multiplicity))
     return WordStructure(tuple(cls), tuple(edges), r_plus_1 - 1)

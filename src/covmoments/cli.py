@@ -205,32 +205,36 @@ def run_moments(args) -> int:
     if not 0 <= y <= sys.float_info.max:
         raise InputError(f"--y must be >= 0 and at most the largest float, got {args.y!r}")
 
+    # ks is an ascending range, so ks[-1] is its largest k; each series
+    # source reads ks only up to the first k above the series limit
     if source == "mp":
-        reports = {k: moments.MomentReport(k, moments.mp_moment(k, y), None) for k in ks}
+        # made one at a time, so the first value beyond the float range ends the run
+        reports = (moments.MomentReport(k, moments.mp_moment(k, y), None) for k in ks)
     elif source == "sparse":
         if args.lam is None:
             raise InputError("--sparse requires --lam")
         lam = _parse_fraction(args.lam, "--lam")
-        reports = moments.sparse_moments(ks, y, lam, breakdown=args.breakdown)
+        reports = moments.sparse_moments(ks, y, lam, breakdown=args.breakdown).values()
     elif source == "constant":
-        constants = _parse_constants(args.constant, 2 * max(ks))
-        reports = moments.constant_moments(ks, y, constants, breakdown=args.breakdown)
+        constants = _parse_constants(args.constant, 2 * ks[-1])
+        reports = moments.constant_moments(ks, y, constants, breakdown=args.breakdown).values()
     elif source == "profile":
         if not args.constant:
             raise InputError("--profile-csv requires --constant for the base sequence")
-        constants = _parse_constants(args.constant, 2 * max(ks))
+        constants = _parse_constants(args.constant, 2 * ks[-1])
         reports = moments.profile_moments(
             ks, y, _load_grid_csv(args.profile_csv), constants, grid=args.grid, breakdown=args.breakdown
-        )
+        ).values()
     else:
-        g = _parse_orders(args.g, "--g", lambda path, name: _load_grid_csv(path), 2 * max(ks))
-        reports = moments.grid_moments(ks, y, g, grid=args.grid, breakdown=args.breakdown)
+        g = _parse_orders(args.g, "--g", lambda path, name: _load_grid_csv(path), 2 * ks[-1])
+        reports = moments.grid_moments(ks, y, g, grid=args.grid, breakdown=args.breakdown).values()
 
     # every number is a float before any artifact is opened, so a value
     # beyond the float range fails without leaving a partial file
     rows, entries = [], {}
-    for k in ks:
-        what, report = f"the {source} moment at k={k}", reports[k]
+    for report in reports:
+        k = report.k
+        what = f"the {source} moment at k={k}"
         # only the sparse source, which sets lam, reads --sandwich
         bounds = moments.poisson_sandwich(k, y, lam) if args.sandwich else ()
         value = _finite(report.value, what)
@@ -327,7 +331,7 @@ def config_to_ensemble(data: dict, seed_override: int | None = None) -> tuple[En
             raise InputError(f"config key {key!r} must be given a value, not null")
     K = ensembles._field_value("K", "an integer", data.get("K", 4))
     if K < 1:
-        raise InputError(f"config key 'K' must be an integer >= 1, got {K!r}")
+        raise InputError(f"config key 'K' must be an integer >= 1, got {partitions._repr(K)}")
     bins = data.get("bins", "fd")
     if not (isinstance(bins, (int, str)) and not isinstance(bins, bool)
             or isinstance(bins, list) and all(map(_is_number, bins))):

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
 import sys
 from contextlib import suppress
 from dataclasses import dataclass, fields
@@ -18,7 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .partitions import InputError, SizeLimitError
+from .partitions import InputError, SizeLimitError, _integer, _repr
 
 DEFAULT_SEED = 1729
 
@@ -52,16 +51,15 @@ def _field_value(name: str, rule: str, value):
     gives it, a number as a float, and a string as given; a bool, which
     operator.index and numbers.Real both take, is neither.  A number field's
     None, its default, is kept, but not the None of an entry of c_seq."""
-    if rule == "an integer" and not isinstance(value, bool):
-        with suppress(TypeError):
-            return operator.index(value)
-    elif isinstance(value, numbers.Real) and not isinstance(value, bool):
+    if rule == "an integer":
+        return _integer(value, f"config key {name!r}")
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
         with suppress(OverflowError):  # an integer or fraction beyond the float range
             return float(value)
         rule = "a number within the float range"
     elif value is None and name in _FIELDS or isinstance(value, str) and rule == "a number or a string":
         return value
-    raise InputError(f"config key {name!r} must be {rule}, got {value!r}")
+    raise InputError(f"config key {name!r} must be {rule}, got {_repr(value)}")
 
 
 class ContractViolation(RuntimeError):
@@ -96,7 +94,9 @@ class EnsembleConfig:
             value = getattr(self, name)
             if name == "c_seq" and value is not None:
                 if not isinstance(value, Mapping):
-                    raise InputError(f"config key 'c_seq' must be a mapping of orders to numbers, got {value!r}")
+                    raise InputError(
+                        f"config key 'c_seq' must be a mapping of orders to numbers, got {_repr(value)}"
+                    )
                 value = {order: _field_value(f"c{order}", rule, v) for order, v in value.items()}
             elif rule:
                 value = _field_value(name, rule, value)
@@ -108,7 +108,7 @@ class EnsembleConfig:
         if self.p * self.n > sys.float_info.max:  # every law divides by n, and the center scales by p n
             raise InputError("p * n, the number of entries, must be within the float range")
         if self.seed < 0:
-            raise InputError(f"seed must be >= 0, got {self.seed}")
+            raise InputError(f"seed must be >= 0, got {_repr(self.seed)}")
         prof, shape = self.profile, (self.p, self.n)
         if isinstance(prof, np.ndarray):
             if prof.shape != shape:
@@ -125,7 +125,7 @@ class EnsembleConfig:
         if not (named or prof is None or isinstance(prof, np.ndarray)):
             # a JSON list may be long, so its repr is cut short
             raise InputError(
-                f"profile {prof!r:.40} is neither one of {NAMED_PROFILES} nor an array of shape {shape}"
+                f"profile {_repr(prof):.40} is neither one of {NAMED_PROFILES} nor an array of shape {shape}"
             )
         if self.family == "sparse_bernoulli":
             _check_lam(self.lam, self.n, "sparse_bernoulli")
@@ -183,7 +183,7 @@ def resolve_truncation(t_n: float | str | None, n: int) -> float:
     try:
         return float(t_n)
     except OverflowError:  # an integer beyond the float range
-        raise InputError(f"truncation level {t_n} is beyond the float range") from None
+        raise InputError(f"truncation level {_repr(t_n)} is beyond the float range") from None
 
 
 def _rng(seed: int, replicate: int) -> np.random.Generator:
@@ -430,11 +430,11 @@ def run_experiment(
 ) -> ExperimentReport:
     """Sample all replicates, aggregate spectral moments and the pooled
     eigenvalue histogram (Freedman-Diaconis bins unless overridden).  K and
-    `bins` are checked before the first draw; Freedman-Diaconis bins on
-    pooled eigenvalues whose interquartile range is at most 1e-9 times the
-    largest raise InputError.  A run whose arrays numpy cannot allocate, for
-    a shape beyond its largest array or beyond memory, raises SizeLimitError
-    before the first draw.
+    `bins`, whose edges must be finite floats, are checked before the first
+    draw; Freedman-Diaconis bins on pooled eigenvalues whose interquartile
+    range is at most 1e-9 times the largest raise InputError.  A run whose
+    arrays numpy cannot allocate, for a shape beyond its largest array or
+    beyond memory, raises SizeLimitError before the first draw.
     The entry law (base family, profile mask, truncation level and fitted
     parameters) is resolved once per run, and one loop draws each replicate
     from it into entry, draw-mask and Gram buffers allocated once per run;
@@ -452,6 +452,11 @@ def run_experiment(
         raise InputError(str(exc)) from exc
     if edges.size < 2:  # numpy takes a list of 0 or 1 edges and counts nothing
         raise InputError(f"bins {bins!r} gives fewer than two edges, and a histogram needs at least two")
+    # numpy keeps a NaN or inf edge, and an integer edge beyond the float
+    # range in an object array; any of them would reach hist.csv
+    bad = next((edge for edge in edges.tolist() if not abs(edge) <= sys.float_info.max), None)
+    if bad is not None:
+        raise InputError(f"bins edge {_repr(bad)} is not a finite float")
     if isinstance(bins, str) and bins == "fd" and cfg.p > 4 * cfg.n:
         # S has rank at most n, so over 3/4 of the pooled eigenvalues are
         # zero up to rounding, and the width 2 IQR / size^(1/3) is rounding

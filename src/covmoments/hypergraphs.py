@@ -44,20 +44,28 @@ class Hypergraph:
     sigma: Partition
     tau: Partition
 
-    def incidence(self) -> dict[int, frozenset[int]]:
-        """For each tau-block index, the set of sigma-block indices it touches.
+    def __post_init__(self) -> None:
+        # the circuit has k positions of each parity, which `_positions` reads off sigma
+        if not self.sigma.m == self.tau.m == self.k:
+            raise InputError("sigma and tau must both partition {1..k}")
 
-        Position i's odd slot sits between the even slots labelled i and
-        (i mod k) + 1 along the circuit; adjacencies are collapsed to a set.
-        """
-        sigma_of = self.sigma.block_of()
-        tau_of = self.tau.block_of()
+    def incidence(self) -> dict[int, frozenset[int]]:
+        """For each tau-block index, the set of sigma-block indices it touches
+        along the circuit (`_positions`); adjacencies are collapsed to a set."""
         touched: dict[int, set[int]] = defaultdict(set)
-        for i in range(1, self.k + 1):
-            edge = tau_of[i]
-            touched[edge].add(sigma_of[i])
-            touched[edge].add(sigma_of[i % self.k + 1])
+        for vertex, edge in _positions(self.sigma, self.tau):
+            touched[edge].add(vertex)
         return {e: frozenset(vs) for e, vs in touched.items()}
+
+
+def _positions(sigma: Partition, tau: Partition) -> list[tuple[int, int]]:
+    """The (sigma-block, tau-block) pair that the edge at each circuit
+    position 1..2k joins.  Position 2i-1 joins the even slot pi(2i-2),
+    labelled i, to the odd slot pi(2i-1), labelled i; position 2i joins that
+    odd slot to the even slot pi(2i mod 2k), labelled i mod k + 1."""
+    k = sigma.m
+    sigma_of, tau_of = sigma.block_of(), tau.block_of()
+    return [(sigma_of[s], tau_of[i]) for i in range(1, k + 1) for s in (i, i % k + 1)]
 
 
 def is_acyclic(h: Hypergraph) -> bool:
@@ -72,28 +80,27 @@ def is_acyclic(h: Hypergraph) -> bool:
         steps from block to adjacent block, since tau(i) touches sigma(i)
         and sigma(i mod k + 1), and it visits every block, so the graph is
         connected.
-      - Its edges are the adjacent (sigma-block, tau-block) pairs, which are
-        exactly the letters of `_word_of_pair(sigma, tau)`, so it has b
-        edges, where b is that word's number of letters.
+      - Its edges are the distinct pairs of `_positions`, which
+        `_word_of_pair` makes its letters, so it has b edges, where b is
+        that word's number of letters.
     """
-    edges = sum(len(vs) for vs in h.incidence().values())
+    edges = len(set(_positions(h.sigma, h.tau)))
     return edges == len(h.sigma.blocks) + len(h.tau.blocks) - 1
 
 
+def _partition_of(labels: tuple[int, ...]) -> Partition:
+    # positions 1..len(labels) grouped by equal label
+    groups: dict[int, list[int]] = defaultdict(list)
+    for i, label in enumerate(labels, start=1):
+        groups[label].append(i)
+    return Partition.from_blocks(groups.values())
+
+
 def word_to_hypergraph(word: Word) -> Hypergraph:
-    """Build the (sigma, tau) hypergraph of a special symmetric word."""
+    """Build the (sigma, tau) hypergraph of a special symmetric word: sigma
+    groups the even slots by class, tau the odd ones."""
     cls = word_structure(word).classes
-    k = word.length // 2
-    sigma_groups: dict[int, list[int]] = defaultdict(list)
-    tau_groups: dict[int, list[int]] = defaultdict(list)
-    for i in range(1, k + 1):
-        sigma_groups[cls[2 * i - 2]].append(i)
-        tau_groups[cls[2 * i - 1]].append(i)
-    return Hypergraph(
-        k,
-        Partition.from_blocks(sigma_groups.values()),
-        Partition.from_blocks(tau_groups.values()),
-    )
+    return Hypergraph(word.length // 2, _partition_of(cls[0::2]), _partition_of(cls[1::2]))
 
 
 def hypergraph_to_word(h: Hypergraph) -> Word:
@@ -114,21 +121,9 @@ def hypergraph_to_word(h: Hypergraph) -> Word:
 
 
 def _word_of_pair(sigma: Partition, tau: Partition) -> Word:
-    k = sigma.m
-    sigma_of = sigma.block_of()
-    tau_of = tau.block_of()
-    letters = []
+    # one letter per distinct pair of `_positions`, numbered by first position
     letter_of: dict[tuple[int, int], int] = {}
-    for i in range(1, 2 * k + 1):
-        # the position-i edge joins the even circuit slot (i-1 or i mod 2k)
-        # and the odd slot (i or i-1); slots map to {1..k} labels
-        even_slot = (i - 1) if i % 2 else (i % (2 * k))
-        odd_slot = i if i % 2 else i - 1
-        key = (sigma_of[even_slot // 2 + 1], tau_of[(odd_slot + 1) // 2])
-        if key not in letter_of:
-            letter_of[key] = len(letter_of) + 1
-        letters.append(letter_of[key])
-    return Word(tuple(letters))
+    return Word(tuple(letter_of.setdefault(pair, len(letter_of) + 1) for pair in _positions(sigma, tau)))
 
 
 def enumerate_ss_words(k: int) -> tuple[Word, ...]:

@@ -41,8 +41,8 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .circuits import WordStructure, word_structure
-from .hypergraphs import _check_series_order, _sojourn_series, enumerate_ss_words
-from .partitions import InputError, narayana
+from .hypergraphs import MAX_SERIES_ORDER, _check_series_order, _sojourn_series, enumerate_ss_words
+from .partitions import InputError, _integer, _repr, narayana
 
 
 @dataclass(frozen=True)
@@ -55,11 +55,34 @@ class MomentReport:
     breakdown: dict[str, Fraction | float] | None
 
 
+def _exact(value: Real, name: str) -> Fraction:
+    # a caller's number as a Fraction; a NaN, an inf or a value Fraction
+    # cannot read raises InputError naming it
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, OverflowError):
+        raise InputError(f"{name} must be a finite number, got {_repr(value)}") from None
+
+
 def _lookup(c: Mapping[int, Real], size: int) -> Fraction:
     try:
-        return Fraction(c[size])
+        return _exact(c[size], f"the constant of order {size}")
     except KeyError:
         raise InputError(f"no value supplied for even moment order {size}") from None
+
+
+def _read_orders(ks: Sequence[int]) -> list[int]:
+    # the orders of ks, read once and in turn up to the first one above the
+    # series limit, which is kept so that the caller's limit check names it;
+    # each must be an integer >= 1
+    read = []
+    for k in ks:
+        if _integer(k, "k") < 1:
+            raise InputError("k must be >= 1")
+        read.append(k)
+        if k > MAX_SERIES_ORDER:
+            break
+    return read
 
 
 def _at(coefficients: Sequence[int], x: Fraction, denominator: int = 1) -> Fraction:
@@ -76,9 +99,9 @@ def _at(coefficients: Sequence[int], x: Fraction, denominator: int = 1) -> Fract
 def mp_moment(k: int, y: Real) -> Fraction:
     """k-th moment of the Marchenko-Pastur limit with ratio y: the Narayana
     polynomial sum_r C(k,r) C(k-1,r) / (r+1) * y^r."""
-    if k < 1:
+    if _integer(k, "k") < 1:
         raise InputError("k must be >= 1")
-    return _at([narayana(k, r) for r in range(k)], Fraction(y))
+    return _at([narayana(k, r) for r in range(k)], _exact(y, "y"))
 
 
 def _word_terms(k: int, term: Callable[[WordStructure], Fraction | float]) -> dict[str, Fraction | float]:
@@ -101,18 +124,18 @@ def constant_moments(
     its child by C_2j d, by yn for a row child and yd otherwise, and by
     (yd d)^(j-1); the letters' j sum to k, so the degree-k coefficient is
     the moment times (yd d)^k, and one Fraction is made per moment.  The
-    series limit is checked before any constant is looked up.
+    series limit is checked before any constant is looked up, and ks is
+    read only up to its first k above that limit.
     breakdown=True adds each word's term, y^r times the constant of each
     letter of its quotient tree (`circuits.word_structure`), which
     enumerates the words (bounded by the enumeration cap).
     """
-    if any(k < 1 for k in ks):
-        raise InputError("k must be >= 1")
+    ks = _read_orders(ks)
     if not ks:
         return {}
     top = max(ks)
     _check_series_order(top)
-    y = Fraction(y)
+    y = _exact(y, "y")
     constants = {size: _lookup(c, size) for size in sorted(_needed_sizes(top))}
     d = math.lcm(*(v.denominator for v in constants.values()))
     yn, yd = y.numerator, y.denominator
@@ -139,6 +162,7 @@ def sparse_moments(ks: Sequence[int], y: Real, lam: Real, breakdown: bool = Fals
     Bernoulli(lam/n) have n E[x^2j] = lam for every j, so these are
     constant_moments with C_2j = lam, the sums over special symmetric words
     of y^r * lam^b."""
+    lam = _exact(lam, "lam")
     if not lam > 0:
         raise InputError("lam must be positive")
     # every order reads lam, so no map of orders is built before the series
@@ -166,10 +190,10 @@ def poisson_sandwich(k: int, y: Real, lam: Real) -> tuple[Fraction, Fraction]:
     alpha_m = sum_j C(m-1, j-1) base alpha_{m-j}, with alpha_0 = 1 and
     alpha_m = 0 for odd m; multiplying by base shifts the coefficients.
     """
-    y, lam = Fraction(y), Fraction(lam)
+    y, lam, k = _exact(y, "y"), _exact(lam, "lam"), _integer(k, "k")
     for name, value in (("lam", lam), ("y", y), ("k", k)):
         if not value > 0:
-            raise InputError(f"poisson_sandwich needs {name} > 0, got {name} = {value}")
+            raise InputError(f"poisson_sandwich needs {name} > 0, got {name} = {_repr(value, str)}")
     lower_base = lam * y if y <= 1 else lam
     upper_base = lam if y <= 1 else lam * y
     non_crossing = [0] + [math.comb(k, b) * math.comb(2 * k, b - 1) // k for b in range(1, k + 1)]
@@ -269,20 +293,23 @@ def grid_moments(
     midpoint rule.  The sum over words is the sojourn recursion of
     `hypergraphs._sojourn_series` over functions of the vertex variable, so
     no word is listed and k may go up to MAX_SERIES_ORDER.  One series of
-    order K = max(ks) gives every k <= K.  Every sample must be finite;
-    the first NaN or inf is named in an InputError.  A sum of finite
-    samples that leaves the float range gives an inf or NaN value, with no
-    warning.  A degree-k coefficient takes the same float operations
+    order K = max(ks) gives every k <= K; ks is read only up to its first k
+    above the series limit.  y must lie within the float range and every
+    sample must be finite; the first NaN or inf is named in an InputError.
+    A sum of finite samples that leaves the float range gives an inf or NaN
+    value, with no warning.  A degree-k coefficient takes the same float operations
     whatever K is, so each value equals moment_grid(k, ...).
     breakdown=True adds each word's term by tree elimination, which
     enumerates the words (bounded by the enumeration cap).
     """
-    if any(k < 1 for k in ks):
-        raise InputError("k must be >= 1")
+    ks = _read_orders(ks)
     if not ks:
         return {}
     top = max(ks)
-    yf = float(Fraction(y))
+    try:
+        yf = float(_exact(y, "y"))
+    except OverflowError:
+        raise InputError(f"y = {_repr(y, str)} is beyond the float range") from None
     # the orders of _needed_sizes, walked in turn up to the first missing one
     sizes = range(2, 2 * top + 1, 2)
     missing = next((s for s in sizes if s not in g), None)
@@ -326,6 +353,7 @@ def profile_moments(
     range raises InputError naming its order, and so does a sigma^s * C_s
     that overflows."""
     sigma = _sampled(sigma, grid, "sigma")
+    ks = _read_orders(ks)
     # every constant is looked up before any arithmetic, so a missing one is
     # named first; the orders of _needed_sizes are walked in turn, and the
     # first missing one ends the walk
@@ -365,9 +393,12 @@ def unbounded_support_bound(
     moment of order k = m*t; f is the partial integral of g_{2m} in its
     second argument, sampled at the midpoints of a grid-point grid
     (grid=None: f's own length).  The combinatorial prefactor is kept
-    exact."""
-    if m < 1 or t < 1:
+    exact.  An integral beyond the float range raises InputError."""
+    if _integer(m, "m") < 1 or _integer(t, "t") < 1:
         raise InputError("m and t must be >= 1")
     prefactor = math.factorial(m * t) // (math.factorial(t) * math.factorial(m) ** t)
-    integral = float(np.mean(_sampled(f, grid, "f", ndim=1) ** t))
+    with np.errstate(over="ignore"):
+        integral = float(np.mean(_sampled(f, grid, "f", ndim=1) ** t))
+    if not math.isfinite(integral):
+        raise InputError(f"the integral of f^{t} is beyond the float range")
     return Fraction(prefactor) * Fraction(integral)

@@ -13,6 +13,8 @@ time, so a caller who needs another one sets the module constant.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
@@ -27,6 +29,34 @@ class InputError(ValueError):
 
 class SizeLimitError(RuntimeError):
     """Raised when an exhaustive enumeration would exceed its configured cap."""
+
+
+def _repr(value, form=repr) -> str:
+    """form(value), repr by default, for an input message.  An integer with
+    more digits than Python converts to decimal (4,300 by default) is named
+    by its sign and number of digits instead, found without converting it."""
+    try:
+        return form(value)
+    except ValueError:
+        if not (isinstance(value, numbers.Rational) and value.denominator == 1):
+            raise
+    size = abs(int(value))
+    # a lower bound, as 0.301029995 < log10(2), raised to the exact count
+    digits = (size.bit_length() - 1) * 301029995 // 10**9 + 1
+    while size >= 10**digits:
+        digits += 1
+    return f"{'a negative' if value < 0 else 'an'} integer of {digits} digits"
+
+
+def _integer(value, what: str) -> int:
+    """value as operator.index gives it; a value it does not take, or a
+    bool, which it does, raises InputError naming `what`."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise InputError(f"{what} must be an integer, got {_repr(value)}")
 
 
 def bell(m: int) -> int:

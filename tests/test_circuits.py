@@ -15,6 +15,7 @@ from covmoments.circuits import (
     word_structure,
 )
 from covmoments.partitions import (
+    InputError,
     SizeLimitError,
     Word,
     enumerate_partitions,
@@ -756,6 +757,18 @@ class TestSizes:
     def test_below_one_rejected(self, fn, args):
         with pytest.raises(ValueError, match="must be at least 1"):
             fn(W("aa"), *args)
+
+    # a size that is not an integer once gave a count of the same type, such
+    # as census_s(abab, 2.5, 2).exact_count == 5.0, or nan
+    @pytest.mark.parametrize("size", [2.5, 2.0, float("nan"), float("inf"), True, "2", None])
+    @pytest.mark.parametrize("fn,sizes", [
+        (census_s, lambda size: (size, 2)),
+        (census_s, lambda size: (2, size)),
+        (census_w, lambda size: (size,)),
+    ], ids=["census_s-p", "census_s-n", "census_w-N"])
+    def test_non_integer_rejected(self, fn, sizes, size):
+        with pytest.raises(InputError, match=r"census size \w must be an integer, got "):
+            fn(W("abab"), *sizes(size))
 
 
 class TestCensusResult:

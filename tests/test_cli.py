@@ -477,6 +477,22 @@ class TestMoments:
         assert narrow_code == wide_code == code
         assert wide - narrow <= 2 * 1024  # ru_maxrss is in KiB on Linux
 
+    def test_mp_range_stops_at_its_first_infinite_value(self, tmp_path, capsys, monkeypatch):
+        # at y = 1/2 the mp moment first leaves the float range at k = 673,
+        # so no later value is made
+        real, made = moments.mp_moment, []
+
+        def counted(k, y):
+            made.append(k)
+            assert len(made) <= 673, "mp values made past the first one beyond the float range"
+            return real(k, y)
+
+        monkeypatch.setattr(moments, "mp_moment", counted)
+        assert run("--out", tmp_path, "moments", "--mp", "--y", "1/2", "--k", "1..2000") == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: the mp moment at k=673 is not a finite float; no artifact is written\n"
+        assert made == list(range(1, 674))
+        assert not (tmp_path / "moments.csv").exists()
+
     def test_sandwich_names_its_bad_input(self, tmp_path, capsys):
         argv = ["--sparse", "--lam", "3", "--y", "0", "--k", "1..3", "--sandwich"]
         assert run("--out", tmp_path, "moments", *argv) == EXIT_CONFIG
@@ -866,6 +882,21 @@ class TestSimulate:
         cfg.write_text(json.dumps({"family": "iid_standardized", "p": 3, "n": 5, "bins": bins}))
         assert run("--out", tmp_path / "out", "simulate", "--config", cfg) == EXIT_CONFIG
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("edges, bad", [
+        ("[0.0, NaN]", "nan"), ("[0, 1e999]", "inf"), ("[0, 1" + "0" * 399 + "]", "1" + "0" * 399),
+    ], ids=["nan", "inf", "beyond-float"])
+    def test_non_finite_bins_edge_exits_before_sampling(self, tmp_path, capsys, monkeypatch, edges, bad):
+        # numpy keeps each of these edges, and hist.csv would carry it
+        def no_draw(*args):
+            raise AssertionError("sampled before the config was checked")
+
+        monkeypatch.setattr(ensembles, "_draw", no_draw)
+        cfg = tmp_path / "run.json"
+        cfg.write_text(f'{{"family": "iid_standardized", "p": 10, "n": 20, "bins": {edges}}}')
+        assert run("--out", tmp_path / "out", "simulate", "--config", cfg) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: bins edge {bad} is not a finite float\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("profile", [[[1, 2, 3, 4]] * 3, 2.5, "nope"], ids=["list", "number", "name"])

@@ -172,6 +172,13 @@ class TestInverse:
         with pytest.raises(ValueError, match="has a cycle"):
             hypergraph_to_word(oracles.hypergraph(singletons, singletons))
 
+    @pytest.mark.parametrize("k, sigma, tau", [(3, 2, 2), (1, 2, 2), (2, 2, 3), (2, 3, 2)])
+    def test_ground_sets_must_agree(self, k, sigma, tau):
+        # the circuit is read off sigma, so a k or a tau over another ground
+        # set would otherwise be ignored
+        with pytest.raises(partitions.InputError, match=r"must both partition \{1\.\.k\}"):
+            Hypergraph(k, Partition.from_blocks([range(1, sigma + 1)]), Partition.from_blocks([range(1, tau + 1)]))
+
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_injectivity(self, k):
         images = [word_to_hypergraph(w) for w in ss_words_by_definition(k)]

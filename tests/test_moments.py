@@ -1,6 +1,8 @@
 import math
 import re
+import warnings
 from collections import Counter
+from collections.abc import Sequence
 from fractions import Fraction as F
 from functools import lru_cache
 
@@ -22,6 +24,7 @@ from covmoments.moments import (
     poisson_sandwich,
 )
 from covmoments.partitions import (
+    InputError,
     Partition,
     SizeLimitError,
     Word,
@@ -507,3 +510,59 @@ class TestWordStructure:
             for word in enumerate_ss_words(k):
                 assert word_structure(word).r == word_statistics(word).r_plus_1 - 1
 
+
+
+class TestUnreadableArguments:
+    # each call hit OverflowError, a bare ValueError, TypeError or a
+    # RuntimeWarning inside the library; each is an input fault
+    @pytest.mark.parametrize("call", [
+        lambda: moments.grid_moments([1], 10**400, {2: np.ones((4, 4))}),
+        lambda: moments.sparse_moments([1], 1, float("inf")),
+        lambda: moments.sparse_moments([1], float("inf"), 1),
+        lambda: constant_moments([1], 1, {2: float("inf")}),
+        lambda: mp_moment(1, float("nan")),
+        lambda: constant_moments([1], 1, {2: float("nan")}),
+        lambda: constant_moments([1], "x", {2: 1}),
+        lambda: mp_moment(1.5, 1),
+        lambda: constant_moments([1.5], 1, {2: 1}),
+        lambda: moments.unbounded_support_bound(1, 2, np.full(4, 1e300)),
+    ], ids=["grid-y-huge", "sparse-lam-inf", "sparse-y-inf", "constant-inf", "mp-y-nan",
+            "constant-nan", "constant-y-text", "mp-k-float", "constant-k-float", "bound-overflow"])
+    def test_raises_input_error(self, call):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError):
+                call()
+
+
+class ReadCounter(Sequence):
+    """The orders 1, 2, 3, ... of a range far wider than the series limit,
+    which fails on its 100th read."""
+
+    def __init__(self):
+        self.reads = 0
+
+    def __len__(self):
+        return 10**9
+
+    def __getitem__(self, i):
+        if i >= len(self):
+            raise IndexError(i)
+        self.reads += 1
+        assert self.reads < 100, "ks read far past the series limit"
+        return i + 1
+
+
+class TestWideRanges:
+    # a range wider than the series limit is read up to its first k above
+    # the limit, which the error names, and no further
+    @pytest.mark.parametrize("call", [
+        lambda ks: constant_moments(ks, 1, {2: 1}),
+        lambda ks: moments.sparse_moments(ks, 1, 3),
+        lambda ks: moments.grid_moments(ks, 1, {s: np.ones((2, 2)) for s in range(2, 27, 2)}),
+    ], ids=["constant", "sparse", "grid"])
+    def test_read_stops_at_the_series_limit(self, call):
+        ks = ReadCounter()
+        with pytest.raises(SizeLimitError, match=f"moment order {MAX_SERIES_ORDER + 1} exceeds"):
+            call(ks)
+        assert ks.reads == MAX_SERIES_ORDER + 1

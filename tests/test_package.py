@@ -2,12 +2,13 @@
 attribute of the package and is listed once, so an export that a deletion
 leaves behind fails here rather than in `from covmoments import *`; no
 brute-force check that lives in the test oracles is exported; every input
-check raises the one input-error type; and README's config schema lists the
-keys a config may hold."""
+check raises the one input-error type; README's config schema lists the
+keys a config may hold; and README's library example runs."""
 
 import ast
 import re
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import covmoments
@@ -58,3 +59,19 @@ def test_readme_config_keys_match_the_schema():
     # and config_to_ensemble takes each of them: only the added key is unknown
     with pytest.raises(covmoments.InputError, match=r"^unknown config keys: \['bogus'\]$"):
         cli.config_to_ensemble(dict.fromkeys([*documented, "bogus"], 1))
+
+
+def test_readme_library_surface_runs():
+    # README's "Library surface" block runs as written, and two of its
+    # statements give the values their comments state
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library surface", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace, values = {}, {}
+    for node in ast.parse(block).body:
+        code = ast.unparse(node)
+        if isinstance(node, ast.Expr):
+            values[code] = eval(code, namespace)
+        else:
+            exec(code, namespace)
+    assert values["cm.mp_moment(3, Fraction(1, 2))"] == Fraction(11, 4)
+    assert len(values["cm.enumerate_ss_words(4)"]) == 57

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from covmoments import partitions
+from covmoments import circuits, cli, ensembles, moments, partitions
 from covmoments.partitions import (
     DEFAULT_ENUMERATION_CAP,
     Partition,
@@ -356,3 +356,49 @@ class TestCountSS:
     def test_cap(self):
         with pytest.raises(SizeLimitError):
             count_ss(8)
+
+
+HUGE = 10**5000
+
+
+def _huge_integer_sites():
+    config = {"family": "iid_standardized", "p": 4, "n": 6}
+    return {
+        "lam": lambda v: ensembles.EnsembleConfig("sparse_bernoulli", 4, 6, lam=v),
+        "t_n": lambda v: ensembles.EnsembleConfig("iid_standardized", 4, 6, t_n=v),
+        "resolve_truncation": lambda v: ensembles.resolve_truncation(v, 4),
+        "seed": lambda v: ensembles.EnsembleConfig("iid_standardized", 4, 6, seed=v),
+        "K": lambda v: cli.config_to_ensemble({**config, "K": v}),
+        "census-p": lambda v: circuits.census_s(Word.from_text("aa"), v, 2),
+        "census-N": lambda v: circuits.census_w(Word.from_text("aa"), v),
+        "sandwich-y": lambda v: moments.poisson_sandwich(1, v, 1),
+        "sandwich-lam": lambda v: moments.poisson_sandwich(1, 1, v),
+        "sandwich-k": lambda v: moments.poisson_sandwich(v, 1, 1),
+    }
+
+
+class TestHugeIntegerMessages:
+    # Python converts an int of more than 4,300 digits to decimal only by
+    # raising ValueError, so every input message that named such a value
+    # raised that in place of InputError; the message names it by its sign
+    # and digit count instead
+    @pytest.mark.parametrize("site, sign", [
+        ("lam", "+"), ("lam", "-"), ("t_n", "+"), ("t_n", "-"), ("resolve_truncation", "+"),
+        ("seed", "-"), ("K", "-"), ("census-p", "-"), ("census-N", "-"),
+        ("sandwich-y", "-"), ("sandwich-lam", "-"), ("sandwich-k", "-"),
+    ])
+    def test_message_names_the_value(self, site, sign):
+        value, expected = (HUGE, "an") if sign == "+" else (-HUGE, "a negative")
+        with pytest.raises(partitions.InputError, match=f"{expected} integer of 5001 digits"):
+            _huge_integer_sites()[site](value)
+
+    # the other sign, where it is not the same fault, is taken or fails
+    # with a message that names no value; the bounds at k = 10**5000 are
+    # out of reach, so that one is not tried
+    @pytest.mark.parametrize("site", ["seed", "K", "census-p", "census-N", "sandwich-y", "sandwich-lam"])
+    def test_positive_is_taken(self, site):
+        _huge_integer_sites()[site](HUGE)
+
+    def test_negative_truncation_level_names_no_value(self):
+        with pytest.raises(partitions.InputError, match="^truncation level must be positive$"):
+            _huge_integer_sites()["resolve_truncation"](-HUGE)
