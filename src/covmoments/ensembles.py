@@ -444,6 +444,7 @@ def run_experiment(
     replicates' sums, each read as Tr S.  A triangular_iid report's
     `achieved_sequence` is n E[x^m], m = 2, 4, ..., 2K, of the truncated
     two-point law: zeros when the atoms +-a lie above the truncation level."""
+    K = _integer(K, "K")
     if K < 1:
         raise InputError("K must be >= 1")
     try:  # numpy's own rules for `bins`, applied to a two-point sample
@@ -451,7 +452,8 @@ def run_experiment(
     except (TypeError, ValueError) as exc:
         raise InputError(str(exc)) from exc
     if edges.size < 2:  # numpy takes a list of 0 or 1 edges and counts nothing
-        raise InputError(f"bins {bins!r} gives fewer than two edges, and a histogram needs at least two")
+        named = ", ".join(map(_repr, edges.tolist()))
+        raise InputError(f"bins [{named}] gives fewer than two edges, and a histogram needs at least two")
     # numpy keeps a NaN or inf edge, and an integer edge beyond the float
     # range in an object array; any of them would reach hist.csv
     bad = next((edge for edge in edges.tolist() if not abs(edge) <= sys.float_info.max), None)

@@ -30,6 +30,7 @@ from .partitions import (
     SizeLimitError,
     Word,
     _check_cap,
+    _integer,
     enumerate_partitions,
 )
 
@@ -149,6 +150,7 @@ def enumerate_ss_words(k: int) -> tuple[Word, ...]:
     propagation fails or the letters of odd count outnumber the positions
     left to pair them.
     """
+    k = _integer(k, "k")
     if k < 1:
         raise InputError("k must be >= 1")
     _check_cap(2 * k)
@@ -228,6 +230,7 @@ def count_noiry_classes(k: int) -> dict[NoiryClassKey, int]:
     exceeds k < 2^(width - 1): adding two keys adds their fields with no
     carry, and each key of degree k is decoded once into a NoiryClassKey.
     """
+    k = _integer(k, "k")
     width = k.bit_length() + 1
     mask = (1 << width) - 1
 

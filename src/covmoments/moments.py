@@ -349,23 +349,28 @@ def profile_moments(
     """Variance-profile limits for every k in ks, sigma a grid x grid array
     of midpoint samples (grid=None: sigma's own side): the letter factor of
     multiplicity s is sigma(x, u)^s * C_s, so this is grid_moments with g
-    arrays derived once for the largest k.  A constant beyond the float
-    range raises InputError naming its order, and so does a sigma^s * C_s
-    that overflows."""
+    arrays derived once for the largest k.  The derived arrays share one
+    block, one slice per order, and equal sigma**s * C_s bit for bit.  A
+    constant beyond the float range raises InputError naming its order, and
+    so does a sigma^s * C_s that overflows."""
     sigma = _sampled(sigma, grid, "sigma")
     ks = _read_orders(ks)
     # every constant is looked up before any arithmetic, so a missing one is
     # named first; the orders of _needed_sizes are walked in turn, and the
     # first missing one ends the walk
     constants = {s: _lookup(c, s) for s in range(2, 2 * max(ks, default=0) + 1, 2)}
-    g = {}
+    # the derived arrays are C-contiguous slices of one block: numpy may back
+    # an allocation of 4 MiB or more with huge pages, so a large block faults
+    # in fewer pages than one fresh array per order
+    block = np.empty((len(constants),) + sigma.shape)
+    g = dict(zip(constants, block))
     for s in constants:
         # sigma and the constant are finite, so only an overflow makes a
         # sample of their product non-finite
         try:
             constant = float(constants[s])
             with np.errstate(over="raise"):
-                g[s] = sigma**s
+                np.power(sigma, s, out=g[s])
                 g[s] *= constant
         except OverflowError:
             raise InputError(f"the constant of order {s} is beyond the float range") from None

@@ -61,7 +61,7 @@ def _integer(value, what: str) -> int:
 
 def bell(m: int) -> int:
     """Number of set partitions of {1..m} (Bell number)."""
-    if m < 0:
+    if _integer(m, "m") < 0:
         raise InputError("m must be >= 0")
     row = [1]
     for _ in range(m):
@@ -235,6 +235,7 @@ def enumerate_partitions(m: int) -> Iterator[Partition]:
 
     Blocks grow in ascending order and open in order of their least
     element, so each partition is built already normalized."""
+    m = _integer(m, "m")
     if m < 1:
         raise InputError("m must be >= 1")
     _check_cap(m)
@@ -260,6 +261,7 @@ def enumerate_pair_partitions(m: int) -> Iterator[Partition]:
 
     Each pair is (first, partner) with `first` the least element left, so
     the pairs come normalized and in order of their least element."""
+    m = _integer(m, "m")
     if m < 1:
         raise InputError("m must be >= 1")
     _check_cap(m)
@@ -396,6 +398,7 @@ def count_ss(
     The `count` verb reads its table from the sojourn recursion instead;
     this sweep is the independent check of that table.
     """
+    k = _integer(k, "k")
     keys = (by,) if isinstance(by, str) else tuple(by)
     for key in keys:
         if key not in _GROUPS:

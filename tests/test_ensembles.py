@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -631,6 +632,13 @@ class TestRunExperiment:
                 sample.eigenvalues.mean(), rel=1e-8
             )
 
+    @pytest.mark.parametrize("K", [2.5, True, np.float64(2)], ids=["float", "bool", "numpy-float"])
+    def test_non_integer_order_rejected(self, K):
+        # a bool is not taken as an order, though operator.index takes it
+        cfg = EnsembleConfig("iid_standardized", 3, 5)
+        with pytest.raises(InputError, match=f"^K must be an integer, got {re.escape(repr(K))}$"):
+            run_experiment(cfg, K)
+
     def test_bin_override(self):
         cfg = EnsembleConfig("sparse_bernoulli", 30, 60, lam=2.0, seed=10, replicates=2)
         report = run_experiment(cfg, 2, bins=np.linspace(-0.5, 30.5, 12))
@@ -668,7 +676,10 @@ class TestRunExperiment:
             run_experiment(cfg, 2)
         assert len(run_experiment(cfg, 2, bins=10).hist_counts) == 10
 
-    @pytest.mark.parametrize("bins", [[], [1.0], np.array([0.5])], ids=["empty", "one", "array"])
+    # an edge of 5,001 digits has no repr, so the message names it by its
+    # digit count
+    @pytest.mark.parametrize("bins", [[], [1.0], np.array([0.5]), [10**5000]],
+                             ids=["empty", "one", "array", "huge"])
     def test_fewer_than_two_edges_fail_before_sampling(self, monkeypatch, bins):
         def no_draw(*args):
             raise AssertionError("sampled before bins was checked")

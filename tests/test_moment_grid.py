@@ -393,6 +393,18 @@ class TestMomentProfile:
         report = moment_profile(1, 1, sigma, {2: 1}, grid=grid)
         assert report.value == pytest.approx(0.5, abs=0.02)
 
+    # the derived arrays share one block: 12 MiB at grid 512, above the size
+    # at which numpy's allocator may take huge pages, and 192 KiB at grid 64,
+    # below it; either way every value equals one fresh array per order
+    @pytest.mark.parametrize("grid", [512, 64])
+    def test_one_block_equals_one_array_per_order(self, grid):
+        sigma = sample(lambda x, u: (x + u) ** 2 / 2 + np.sin(7 * x * u) / 5, grid)
+        c = {2: 1, 4: 3, 6: F(15, 7), 8: F(1, 3), 10: 2**-30, 12: F(10**20, 3)}
+        g = {s: sigma**s * float(c[s]) for s in SIZES}
+        ks = range(1, 7)
+        values = {k: r.value for k, r in profile_moments(ks, F(1, 3), sigma, c).items()}
+        assert values == {k: r.value for k, r in grid_moments(ks, F(1, 3), g).items()}
+
 
 class TestUnboundedSupportBound:
     def test_trivial_cases(self):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from covmoments import circuits, cli, ensembles, moments, partitions
+from covmoments import circuits, cli, ensembles, hypergraphs, moments, partitions
 from covmoments.partitions import (
     DEFAULT_ENUMERATION_CAP,
     Partition,
@@ -356,6 +356,24 @@ class TestCountSS:
     def test_cap(self):
         with pytest.raises(SizeLimitError):
             count_ss(8)
+
+
+class TestNonIntegerSizes:
+    # a size must be an integer, as operator.index takes it, and not a bool;
+    # a float would run as a partition of {1..2.5}, a bool as 1
+    @pytest.mark.parametrize("size, what", [
+        (lambda v: list(enumerate_partitions(v)), "m"),
+        (lambda v: list(enumerate_pair_partitions(v)), "m"),
+        (count_ss, "k"),
+        (bell, "m"),
+        (hypergraphs.enumerate_ss_words, "k"),
+        (hypergraphs.count_noiry_classes, "k"),
+    ], ids=["enumerate_partitions", "enumerate_pair_partitions", "count_ss", "bell",
+            "enumerate_ss_words", "count_noiry_classes"])
+    @pytest.mark.parametrize("value", [2.5, True, "2"], ids=["float", "bool", "str"])
+    def test_rejected(self, size, what, value):
+        with pytest.raises(partitions.InputError, match=f"^{what} must be an integer, got {value!r}$"):
+            size(value)
 
 
 HUGE = 10**5000
