@@ -364,17 +364,24 @@ def entry_second_moment(cfg: EnsembleConfig) -> np.float64 | None:
     return _second_moment_total(cfg, _law(cfg))
 
 
+def _order_count(K, name: str) -> int:
+    # the number K >= 1 of moment orders, as an integer; InputError names it
+    K = _integer(K, name)
+    if K < 1:
+        raise InputError(f"{name} must be an integer >= 1, got {_repr(K)}")
+    return K
+
+
 def _power_sums(w: np.ndarray, K: int) -> tuple[float, ...]:
     """(1/p) sum_i w_i^k for k = 1..K over the spectrum w of a p x p matrix."""
-    if K < 1:
-        raise InputError("K must be >= 1")
     p = w.shape[0]
     return tuple(float((w**k).sum()) / p for k in range(1, K + 1))
 
 
 def empirical_moments(S: np.ndarray, K: int) -> tuple[float, ...]:
     """(1/p) Tr(S^k) for k = 1..K, taken as the eigenvalue power sums
-    (1/p) sum_i w_i^k over `eigenvalues(S)`."""
+    (1/p) sum_i w_i^k over `eigenvalues(S)`; K is an integer >= 1."""
+    K = _order_count(K, "K")
     return _power_sums(eigenvalues(S), K)
 
 
@@ -423,16 +430,47 @@ class ExperimentReport:
     achieved_sequence: dict[int, float] | None = None
 
 
+def _check_bins(bins) -> None:
+    """Raise InputError unless `bins` is a histogram's bins: a count, a numpy
+    estimator's name, or at least two increasing finite edges, given as a
+    list, a tuple or an array.  A bool is neither a count nor an edge,
+    though numpy takes it as one."""
+    given = bins.tolist() if isinstance(bins, np.ndarray) else list(bins) if isinstance(bins, tuple) else bins
+    count_given = isinstance(bins, numbers.Integral) and not isinstance(bins, bool)
+    edges_given = isinstance(given, list) and all(
+        isinstance(edge, numbers.Real) and not isinstance(edge, bool) for edge in given
+    )
+    if not (count_given or edges_given or isinstance(bins, str)):
+        raise InputError(
+            f"config key 'bins' must be an integer, a string or a list of numbers, got {_repr(given)}"
+        )
+    try:  # numpy's own rules for `bins`, applied to a two-point sample
+        edges = np.histogram_bin_edges([0.0, 1.0], bins=bins)
+    except (TypeError, ValueError) as exc:
+        raise InputError(str(exc)) from exc
+    if edges.size < 2:  # numpy takes a list of 0 or 1 edges and counts nothing
+        raise InputError(
+            f"bins {_repr(edges.tolist())} gives fewer than two edges, and a histogram needs at least two"
+        )
+    # numpy keeps a NaN or inf edge, and an integer edge beyond the float
+    # range in an object array; any of them would reach hist.csv
+    bad = next((edge for edge in edges.tolist() if not abs(edge) <= sys.float_info.max), None)
+    if bad is not None:
+        raise InputError(f"bins edge {_repr(bad)} is not a finite float")
+
+
 def run_experiment(
     cfg: EnsembleConfig,
     K: int,
     bins: str | int | Sequence[float] = "fd",
 ) -> ExperimentReport:
     """Sample all replicates, aggregate spectral moments and the pooled
-    eigenvalue histogram (Freedman-Diaconis bins unless overridden).  K and
-    `bins`, whose edges must be finite floats, are checked before the first
-    draw; Freedman-Diaconis bins on pooled eigenvalues whose interquartile
-    range is at most 1e-9 times the largest raise InputError.  A run whose
+    eigenvalue histogram (Freedman-Diaconis bins unless overridden).  K, an
+    integer >= 1, and `bins` (`_check_bins`) are checked before the first
+    draw, with the errors a simulate config gets (config key 'K' must be an
+    integer >= 1, got 0); Freedman-Diaconis bins on pooled eigenvalues
+    whose interquartile range is at most 1e-9 times the largest raise
+    InputError.  A run whose
     arrays numpy cannot allocate, for a shape beyond its largest array or
     beyond memory, raises SizeLimitError before the first draw.
     The entry law (base family, profile mask, truncation level and fitted
@@ -444,21 +482,9 @@ def run_experiment(
     replicates' sums, each read as Tr S.  A triangular_iid report's
     `achieved_sequence` is n E[x^m], m = 2, 4, ..., 2K, of the truncated
     two-point law: zeros when the atoms +-a lie above the truncation level."""
-    K = _integer(K, "K")
-    if K < 1:
-        raise InputError("K must be >= 1")
-    try:  # numpy's own rules for `bins`, applied to a two-point sample
-        edges = np.histogram_bin_edges([0.0, 1.0], bins=bins)
-    except (TypeError, ValueError) as exc:
-        raise InputError(str(exc)) from exc
-    if edges.size < 2:  # numpy takes a list of 0 or 1 edges and counts nothing
-        named = ", ".join(map(_repr, edges.tolist()))
-        raise InputError(f"bins [{named}] gives fewer than two edges, and a histogram needs at least two")
-    # numpy keeps a NaN or inf edge, and an integer edge beyond the float
-    # range in an object array; any of them would reach hist.csv
-    bad = next((edge for edge in edges.tolist() if not abs(edge) <= sys.float_info.max), None)
-    if bad is not None:
-        raise InputError(f"bins edge {_repr(bad)} is not a finite float")
+    # K and bins are named as a simulate config names them
+    K = _order_count(K, "config key 'K'")
+    _check_bins(bins)
     if isinstance(bins, str) and bins == "fd" and cfg.p > 4 * cfg.n:
         # S has rank at most n, so over 3/4 of the pooled eigenvalues are
         # zero up to rounding, and the width 2 IQR / size^(1/3) is rounding

@@ -4,7 +4,9 @@ Every k-th limiting moment is a sum over the special symmetric words of
 length 2k: a word with b letters and r+1 even generating vertices contributes
 y^r times a product over its letters, where the factor of a letter with
 multiplicity s is a constant C_s, lam for the sparse family, or a
-two-variable integral of g_s over the generating-vertex variables.
+two-variable integral of g_s over the generating-vertex variables.  Every
+source reads y, the limit of p/n, through `_ratio` before any other work,
+so a negative y raises InputError.
 
 Combinatorial sums (constant, sparse, Marchenko-Pastur, sandwich) are
 exact; quadrature paths use floats.  Every constant, sparse and quadrature
@@ -64,6 +66,14 @@ def _exact(value: Real, name: str) -> Fraction:
         raise InputError(f"{name} must be a finite number, got {_repr(value)}") from None
 
 
+def _ratio(y: Real) -> Fraction:
+    # the aspect ratio y = lim p/n >= 0, as a Fraction
+    ratio = _exact(y, "y")
+    if ratio < 0:
+        raise InputError(f"y must be >= 0, got {_repr(y, str)}")
+    return ratio
+
+
 def _lookup(c: Mapping[int, Real], size: int) -> Fraction:
     try:
         return _exact(c[size], f"the constant of order {size}")
@@ -99,9 +109,10 @@ def _at(coefficients: Sequence[int], x: Fraction, denominator: int = 1) -> Fract
 def mp_moment(k: int, y: Real) -> Fraction:
     """k-th moment of the Marchenko-Pastur limit with ratio y: the Narayana
     polynomial sum_r C(k,r) C(k-1,r) / (r+1) * y^r."""
+    y = _ratio(y)
     if _integer(k, "k") < 1:
         raise InputError("k must be >= 1")
-    return _at([narayana(k, r) for r in range(k)], _exact(y, "y"))
+    return _at([narayana(k, r) for r in range(k)], y)
 
 
 def _word_terms(k: int, term: Callable[[WordStructure], Fraction | float]) -> dict[str, Fraction | float]:
@@ -130,12 +141,12 @@ def constant_moments(
     letter of its quotient tree (`circuits.word_structure`), which
     enumerates the words (bounded by the enumeration cap).
     """
+    y = _ratio(y)
     ks = _read_orders(ks)
     if not ks:
         return {}
     top = max(ks)
     _check_series_order(top)
-    y = _exact(y, "y")
     constants = {size: _lookup(c, size) for size in sorted(_needed_sizes(top))}
     d = math.lcm(*(v.denominator for v in constants.values()))
     yn, yd = y.numerator, y.denominator
@@ -294,22 +305,23 @@ def grid_moments(
     `hypergraphs._sojourn_series` over functions of the vertex variable, so
     no word is listed and k may go up to MAX_SERIES_ORDER.  One series of
     order K = max(ks) gives every k <= K; ks is read only up to its first k
-    above the series limit.  y must lie within the float range and every
-    sample must be finite; the first NaN or inf is named in an InputError.
+    above the series limit.  y must be >= 0 and within the float range, and
+    every sample must be finite; the first NaN or inf is named in an
+    InputError.
     A sum of finite samples that leaves the float range gives an inf or NaN
     value, with no warning.  A degree-k coefficient takes the same float operations
     whatever K is, so each value equals moment_grid(k, ...).
     breakdown=True adds each word's term by tree elimination, which
     enumerates the words (bounded by the enumeration cap).
     """
+    try:
+        yf = float(_ratio(y))
+    except OverflowError:
+        raise InputError(f"y = {_repr(y, str)} is beyond the float range") from None
     ks = _read_orders(ks)
     if not ks:
         return {}
     top = max(ks)
-    try:
-        yf = float(_exact(y, "y"))
-    except OverflowError:
-        raise InputError(f"y = {_repr(y, str)} is beyond the float range") from None
     # the orders of _needed_sizes, walked in turn up to the first missing one
     sizes = range(2, 2 * top + 1, 2)
     missing = next((s for s in sizes if s not in g), None)
@@ -353,6 +365,7 @@ def profile_moments(
     block, one slice per order, and equal sigma**s * C_s bit for bit.  A
     constant beyond the float range raises InputError naming its order, and
     so does a sigma^s * C_s that overflows."""
+    _ratio(y)  # a negative y fails before any array is read
     sigma = _sampled(sigma, grid, "sigma")
     ks = _read_orders(ks)
     # every constant is looked up before any arithmetic, so a missing one is

@@ -34,10 +34,13 @@ class SizeLimitError(RuntimeError):
 def _repr(value, form=repr) -> str:
     """form(value), repr by default, for an input message.  An integer with
     more digits than Python converts to decimal (4,300 by default) is named
-    by its sign and number of digits instead, found without converting it."""
+    by its sign and number of digits instead, found without converting it,
+    and so is such an integer in a list."""
     try:
         return form(value)
     except ValueError:
+        if isinstance(value, list):
+            return f"[{', '.join(_repr(item, form) for item in value)}]"
         if not (isinstance(value, numbers.Rational) and value.denominator == 1):
             raise
     size = abs(int(value))
@@ -73,12 +76,16 @@ def bell(m: int) -> int:
 
 
 def catalan(k: int) -> int:
+    """Catalan number C(2k,k)/(k+1), k >= 0."""
+    if _integer(k, "k") < 0:
+        raise InputError("k must be >= 0")
     return math.comb(2 * k, k) // (k + 1)
 
 
 def narayana(k: int, r: int) -> int:
     """Count of pair-matched special symmetric words of length 2k with r+1
     even generating vertices: C(k,r)*C(k-1,r)/(r+1)."""
+    k, r = _integer(k, "k"), _integer(r, "r")
     if not 0 <= r <= k - 1:
         return 0
     return math.comb(k, r) * math.comb(k - 1, r) // (r + 1)
@@ -99,9 +106,10 @@ class Partition:
         bad = [e for b in blocks for e in b if type(e) is not int]
         if bad:
             raise InputError(f"block element {bad[0]!r} is not an integer")
-        normalized = tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0]))
-        if not normalized or any(len(b) == 0 for b in normalized):
+        # checked before the sort, which keys each block by its first element
+        if not blocks or not all(blocks):
             raise InputError("blocks must be non-empty")
+        normalized = tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0]))
         elements = [e for b in normalized for e in b]
         m = len(elements)
         if sorted(elements) != list(range(1, m + 1)):

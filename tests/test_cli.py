@@ -59,6 +59,11 @@ class TestClassify:
     def test_bad_blocks(self, blocks, capsys):
         assert run("classify", blocks) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("blocks", ["[[1,2],[]]", "[[]]"], ids=["one-empty", "only-empty"])
+    def test_empty_block_exit(self, blocks, capsys):
+        assert run("classify", blocks) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: bad --blocks value: blocks must be non-empty\n"
+
 
 class TestCount:
     def test_counts_csv(self, tmp_path, capsys):
@@ -352,7 +357,7 @@ class TestMoments:
 
     def test_negative_y_exit(self, tmp_path, capsys):
         assert run("--out", tmp_path, "moments", "--mp", "--y", "-1", "--k", "2") == EXIT_CONFIG
-        assert "--y must be >= 0" in capsys.readouterr().err
+        assert "y must be >= 0, got -1" in capsys.readouterr().err
         assert not (tmp_path / "moments.csv").exists()
         # y = 0 is the p/n -> 0 limit, where every moment is 1
         assert run("--out", tmp_path, "moments", "--mp", "--y", "0", "--k", "1..3") == 0
@@ -369,7 +374,7 @@ class TestMoments:
         # C_4 = -2 C_2^2 cancels in the value, and the word aaaa's term is C_4
         (["--constant", "2=1e200,4=-2e400", "--k", "2", "--breakdown"],
          "the constant moment at k=2, word aaaa is not a finite float"),
-        (["--mp", "--k", "1", "--y", "1e400"], "--y must be >= 0 and at most the largest float"),
+        (["--mp", "--k", "1", "--y", "1e400"], "--y is not a finite float"),
     ], ids=["mp", "sparse", "sandwich", "constant", "breakdown", "y"])
     def test_exact_value_beyond_float_range_exits(self, tmp_path, capsys, argv, message):
         assert run("--out", tmp_path, "moments", *argv) == EXIT_CONFIG
@@ -1125,6 +1130,81 @@ class TestLoadConfig:
         }
 
 
+class TestInputFileRejections:
+    """Each unreadable input file, and a profile with no base sequence, exits
+    2 with one error line and writes no artifact."""
+
+    @pytest.mark.parametrize("name, content, argv, message", [
+        ("ragged.csv", b"1,2\n3\n", ["moments", "--g", "2=FILE", "--k", "1"], "bad grid CSV FILE: "),
+        ("text.csv", b"1,x\n2,3\n", ["moments", "--g", "2=FILE", "--k", "1"], "bad grid CSV FILE: "),
+        ("text.csv", b"1,x\n2,3\n", ["moments", "--profile-csv", "FILE", "--constant", "2=1", "--k", "1"],
+         "bad grid CSV FILE: "),
+        ("run.cfg", b"\xff=1\n", ["simulate", "--config", "FILE"], "config FILE is not UTF-8 text: "),
+        ("run.json", b"{bad", ["simulate", "--config", "FILE"], "bad JSON config FILE: "),
+        ("run.json", b"[1, 2]", ["simulate", "--config", "FILE"], "config must be a JSON object"),
+        ("run.cfg", b"family iid_standardized\n", ["simulate", "--config", "FILE"],
+         "FILE:1: expected key = value, got 'family iid_standardized'"),
+        # the profile file is never opened
+        ("absent.csv", None, ["moments", "--profile-csv", "FILE", "--k", "1"],
+         "--profile-csv requires --constant for the base sequence"),
+    ], ids=["grid-ragged", "grid-text", "profile-text", "config-not-utf8", "config-bad-json",
+            "config-json-list", "config-no-equals", "profile-without-constant"])
+    def test_exit_with_one_error_line(self, tmp_path, capsys, name, content, argv, message):
+        path = tmp_path / name
+        if content is not None:
+            path.write_bytes(content)
+        argv = [a.replace("FILE", str(path)) for a in argv]
+        assert run("--out", tmp_path / "out", *argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: " + message.replace("FILE", str(path)))
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert not (tmp_path / "out").exists()
+
+
+class TestOutputDirectory:
+    def test_environment_directory_when_no_out(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("COVMOMENTS_OUT", str(tmp_path / "env"))
+        assert run("moments", "--mp", "--k", "1") == 0
+        assert sorted(p.name for p in (tmp_path / "env").iterdir()) == ["moments.csv", "moments.json"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["env"]
+
+    def test_out_wins_over_the_environment(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("COVMOMENTS_OUT", str(tmp_path / "env"))
+        assert run("--out", tmp_path / "flag", "moments", "--mp", "--k", "1") == 0
+        assert sorted(p.name for p in (tmp_path / "flag").iterdir()) == ["moments.csv", "moments.json"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["flag"]
+
+
+# each rule that the library owns, with the library's own error for the same value;
+# the CLI prints that error and keeps no copy of the rule
+_OWNED_RULES = [
+    (["moments", "--mp", "--y", "-1", "--k", "2"], lambda: mp_moment(2, -1)),
+    (["simulate", "--config", {"K": 0}],
+     lambda: ensembles.run_experiment(ensembles.EnsembleConfig("iid_standardized", 4, 8), 0)),
+    (["simulate", "--config", {"bins": True}],
+     lambda: ensembles.run_experiment(ensembles.EnsembleConfig("iid_standardized", 4, 8), 4, bins=True)),
+]
+
+
+@pytest.mark.parametrize("argv, library", _OWNED_RULES, ids=["y-negative", "K-zero", "bins-bool"])
+def test_cli_prints_the_library_message(tmp_path, capsys, monkeypatch, argv, library):
+    def no_draw(*args):
+        raise AssertionError("sampled before the input was checked")
+
+    monkeypatch.setattr(ensembles, "_draw", no_draw)
+    with pytest.raises(partitions.InputError) as exc:
+        library()
+    if isinstance(argv[-1], dict):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"family": "iid_standardized", "p": 4, "n": 8, **argv[-1]}))
+        argv = [*argv[:-1], config]
+    assert run("--out", tmp_path / "out", *argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {exc.value}\n"
+    assert not (tmp_path / "out").exists()
+
+
 class TestHypergraphVerb:
     @pytest.mark.parametrize("payload", [
         {"word": "aabb", "sigma": [[1, 2]], "tau": [[1], [2]], "acyclic": True,
@@ -1157,6 +1237,11 @@ class TestHypergraphVerb:
     def test_odd_length_word(self, capsys):
         assert run("hypergraph", "--word", "abc") == EXIT_CONFIG
         assert "positive even length" in capsys.readouterr().err
+
+    def test_empty_word(self, capsys):
+        # the empty word is a word, not a missing --word, and gets census's message
+        assert run("hypergraph", "--word", "") == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: circuit words must have positive even length, got 0\n"
 
 
 # the ordered (name, detail) lines of `verify`

@@ -133,6 +133,8 @@ class TestTruncationRule:
             resolve_truncation(math.nan, 10)
         with pytest.raises(InputError, match="beyond the float range"):
             resolve_truncation(10**400, 10)
+        with pytest.raises(InputError, match=r"^the truncation rule n\^\{-1/3\} needs n within the float range$"):
+            resolve_truncation("n^{-1/3}", 10**400)
 
     @pytest.mark.parametrize("rule", ["infinity", "n^-1/3", "n**(-1/3)", " inf", "n^{-1/3} ", "n^{ -1/3}"])
     def test_only_the_documented_spellings(self, rule):
@@ -636,7 +638,7 @@ class TestRunExperiment:
     def test_non_integer_order_rejected(self, K):
         # a bool is not taken as an order, though operator.index takes it
         cfg = EnsembleConfig("iid_standardized", 3, 5)
-        with pytest.raises(InputError, match=f"^K must be an integer, got {re.escape(repr(K))}$"):
+        with pytest.raises(InputError, match=f"^config key 'K' must be an integer, got {re.escape(repr(K))}$"):
             run_experiment(cfg, K)
 
     def test_bin_override(self):
@@ -688,6 +690,37 @@ class TestRunExperiment:
         cfg = EnsembleConfig("iid_standardized", 3, 5)
         with pytest.raises(ValueError, match="fewer than two edges"):
             run_experiment(cfg, 2, bins=bins)
+
+    @pytest.mark.parametrize("K, bins, message", [
+        (0, "fd", "config key 'K' must be an integer >= 1, got 0"),
+        (2, True, "config key 'bins' must be an integer, a string or a list of numbers, got True"),
+        (2, [1, True, 3], "config key 'bins' must be an integer, a string or a list of numbers, got [1, True, 3]"),
+        (2, 2.5, "config key 'bins' must be an integer, a string or a list of numbers, got 2.5"),
+        (2, np.array([True, False]),
+         "config key 'bins' must be an integer, a string or a list of numbers, got [True, False]"),
+        # the list is named without converting its 5,001-digit integer
+        (2, [10**5000, True], "config key 'bins' must be an integer, a string or a list of numbers, "
+                              "got [an integer of 5001 digits, True]"),
+        (2, (10**5000, True), "config key 'bins' must be an integer, a string or a list of numbers, "
+                              "got [an integer of 5001 digits, True]"),
+    ], ids=["K-zero", "bins-bool", "bins-bool-edge", "bins-float", "bins-bool-array", "bins-huge",
+            "bins-huge-tuple"])
+    def test_order_and_bins_type_fail_before_sampling(self, monkeypatch, K, bins, message):
+        # numpy would take a bool as a count of one bin, and a bool edge as 0 or 1
+        def no_draw(*args):
+            raise AssertionError("sampled before K and bins were checked")
+
+        monkeypatch.setattr(ensembles, "_draw", no_draw)
+        cfg = EnsembleConfig("iid_standardized", 3, 5)
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            run_experiment(cfg, K, bins=bins)
+
+    @pytest.mark.parametrize("bins, count", [
+        (np.int64(3), 3), ((0.0, 1.0, 4.0), 2), (np.array([0, 1, 4]), 2), ([0, 1.5, 4], 2),
+    ], ids=["numpy-count", "tuple", "integer-array", "mixed-list"])
+    def test_bins_forms_taken(self, bins, count):
+        cfg = EnsembleConfig("iid_standardized", 3, 5)
+        assert len(run_experiment(cfg, 2, bins=bins).hist_counts) == count
 
     def test_single_replicate_stderr_zero(self):
         cfg = EnsembleConfig("iid_standardized", 20, 40, seed=11)

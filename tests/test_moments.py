@@ -535,6 +535,38 @@ class TestUnreadableArguments:
                 call()
 
 
+class TestNegativeRatio:
+    # y = lim p/n >= 0; every source reads its sign before any sum or array
+    @pytest.mark.parametrize("call, shown", [
+        (lambda: mp_moment(3, -2), "-2"),
+        (lambda: constant_moments([2], -1, {2: 1, 4: 1}), "-1"),
+        (lambda: moments.sparse_moments([2], -1, 3), "-1"),
+        (lambda: moments.grid_moments([2], -1, {2: np.ones((4, 4)), 4: np.ones((4, 4))}), "-1"),
+        (lambda: moments.profile_moments([2], -1, np.ones((4, 4)), {2: 1, 4: 1}), "-1"),
+        (lambda: constant_moments([], -0.5, {}), "-0.5"),
+    ], ids=["mp", "constant", "sparse", "grid", "profile", "no-orders"])
+    def test_rejected_before_any_work(self, monkeypatch, call, shown):
+        def no_work(*args, **kwargs):
+            raise AssertionError("worked before y was read")
+
+        for name in ("_sampled", "_sojourn_series", "_at", "narayana"):
+            monkeypatch.setattr(moments, name, no_work)
+        with pytest.raises(InputError, match=f"^y must be >= 0, got {re.escape(shown)}$"):
+            call()
+
+    def test_zero_is_the_p_over_n_to_zero_limit(self):
+        # only the words with r = 0 count, and every mp moment is 1
+        assert [mp_moment(k, 0) for k in range(1, MAX_SERIES_ORDER + 1)] == [1] * MAX_SERIES_ORDER
+        lam = F(1, 2)
+        values = moments.sparse_moments(range(1, 6), 0, lam)
+        assert {k: r.value for k, r in values.items()} == {
+            k: moment_by_words(k, 0, {s: lam for s in range(2, 2 * k + 1, 2)}) for k in range(1, 6)
+        }
+
+    def test_no_orders_read_no_constant(self):
+        assert constant_moments([], 1, {}) == {}
+
+
 class ReadCounter(Sequence):
     """The orders 1, 2, 3, ... of a range far wider than the series limit,
     which fails on its 100th read."""

@@ -1,12 +1,14 @@
 import importlib
 import inspect
+import re
 
+import numpy as np
 import oracles
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from covmoments import circuits, cli, ensembles, hypergraphs, moments, partitions
+from covmoments import circuits, ensembles, hypergraphs, moments, partitions
 from covmoments.partitions import (
     DEFAULT_ENUMERATION_CAP,
     Partition,
@@ -319,6 +321,13 @@ class TestClassify:
             Partition.from_blocks([[element, 2]])
 
 
+    @pytest.mark.parametrize("bs", [[[1, 2], []], [[]], []], ids=["one-empty", "only-empty", "none"])
+    def test_empty_block_rejected(self, bs):
+        # checked before the blocks are sorted by their first element
+        with pytest.raises(partitions.InputError, match="^blocks must be non-empty$"):
+            Partition.from_blocks(bs)
+
+
 class TestCountSS:
     def test_totals(self):
         assert count_ss(1) == {"total": 1}
@@ -376,17 +385,45 @@ class TestNonIntegerSizes:
             size(value)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: catalan(2.5), "k must be an integer, got 2.5"),
+    (lambda: catalan(True), "k must be an integer, got True"),
+    (lambda: catalan(-1), "k must be >= 0"),
+    (lambda: narayana(2.5, 0), "k must be an integer, got 2.5"),
+    (lambda: narayana(2.5, -1), "k must be an integer, got 2.5"),
+    (lambda: narayana(3, True), "r must be an integer, got True"),
+    (lambda: ensembles.empirical_moments(np.eye(2), True), "K must be an integer, got True"),
+    (lambda: ensembles.empirical_moments(np.eye(2), 0), "K must be an integer >= 1, got 0"),
+], ids=["catalan-float", "catalan-bool", "catalan-negative", "narayana-float", "narayana-r-out-of-range",
+        "narayana-bool", "empirical-bool", "empirical-zero"])
+def test_integer_argument_rejected(call, message):
+    with pytest.raises(partitions.InputError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: list(hypergraphs.enumerate_ss_words(0)), "k must be >= 1"),
+    (lambda: list(enumerate_partitions(0)), "m must be >= 1"),
+    (lambda: list(enumerate_pair_partitions(0)), "m must be >= 1"),
+    (lambda: bell(-1), "m must be >= 0"),
+], ids=["enumerate_ss_words", "enumerate_partitions", "enumerate_pair_partitions", "bell"])
+def test_size_below_its_range_rejected(call, message):
+    with pytest.raises(partitions.InputError, match=f"^{message}$"):
+        call()
+
+
 HUGE = 10**5000
 
 
 def _huge_integer_sites():
-    config = {"family": "iid_standardized", "p": 4, "n": 6}
     return {
         "lam": lambda v: ensembles.EnsembleConfig("sparse_bernoulli", 4, 6, lam=v),
         "t_n": lambda v: ensembles.EnsembleConfig("iid_standardized", 4, 6, t_n=v),
         "resolve_truncation": lambda v: ensembles.resolve_truncation(v, 4),
         "seed": lambda v: ensembles.EnsembleConfig("iid_standardized", 4, 6, seed=v),
-        "K": lambda v: cli.config_to_ensemble({**config, "K": v}),
+        # run_experiment's rule for K; a run with a huge K that the rule
+        # takes would never end, so the rule is called alone
+        "K": lambda v: ensembles._order_count(v, "config key 'K'"),
         "census-p": lambda v: circuits.census_s(Word.from_text("aa"), v, 2),
         "census-N": lambda v: circuits.census_w(Word.from_text("aa"), v),
         "sandwich-y": lambda v: moments.poisson_sandwich(1, v, 1),
